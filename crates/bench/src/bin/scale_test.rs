@@ -12,12 +12,9 @@
 
 use glodyne::{GloDyNE, GloDyNEConfig};
 use glodyne_bench::args::{Args, Common};
-use glodyne_bench::legacy::LegacySgnsModel;
 use glodyne_bench::methods::MethodParams;
+use glodyne_bench::throughput::sgns_rates;
 use glodyne_embed::traits::step_with;
-use glodyne_embed::walks::{generate_corpus_all, generate_walks_all};
-use glodyne_embed::SgnsModel;
-use std::time::Instant;
 
 fn main() {
     let args = Args::from_env();
@@ -105,35 +102,10 @@ fn main() {
          training, not walking, dominates the online stage."
     );
 
-    // Old-vs-new hot-path throughput on the final snapshot: the legacy
-    // Vec<Vec<NodeId>> walk corpus against the flat zero-copy arena.
-    let last = snaps.last().unwrap();
-    let (walk_cfg, sgns_cfg) = (params.walk(), params.sgns());
-    let time_run = |f: &dyn Fn() -> usize| {
-        let t = Instant::now();
-        let pairs = f();
-        (pairs, t.elapsed().as_secs_f64())
-    };
-    let (pairs_old, t_old) = time_run(&|| {
-        let walks = generate_walks_all(last, &walk_cfg);
-        LegacySgnsModel::new(sgns_cfg.clone()).train(&walks)
-    });
-    let (pairs_new, t_new) = time_run(&|| {
-        let corpus = generate_corpus_all(last, &walk_cfg);
-        SgnsModel::new(sgns_cfg.clone()).train_corpus(&corpus)
-    });
-    println!(
-        "\nhot-path throughput on final snapshot (|V|={}):\n\
-         legacy Vec<Vec> path: {:>12.0} pairs/s ({} pairs in {:.3}s)\n\
-         flat corpus path:     {:>12.0} pairs/s ({} pairs in {:.3}s)\n\
-         speedup: {:.2}x",
-        last.num_nodes(),
-        pairs_old as f64 / t_old.max(1e-12),
-        pairs_old,
-        t_old,
-        pairs_new as f64 / t_new.max(1e-12),
-        pairs_new,
-        t_new,
-        t_old / t_new.max(1e-12),
-    );
+    // Absolute hot-path throughput, the baseline row a training-loop
+    // change is compared against (README § "The hot path").
+    println!();
+    for rate in sgns_rates(3) {
+        println!("{rate}");
+    }
 }

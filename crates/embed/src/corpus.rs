@@ -100,9 +100,8 @@ impl WalkCorpus {
     /// order the historical trainer interned them, so the `train` shim
     /// assigns identical model rows and stays bit-exact with
     /// `train_corpus` on an equivalent corpus. (The training *engine*
-    /// itself changed in the refactor — sigmoid table, SplitMix64
-    /// negatives — so outputs differ from pre-refactor releases; see
-    /// `glodyne_bench::legacy` for the frozen historical engine.)
+    /// itself has changed since — sigmoid table, SplitMix64 negatives,
+    /// target blocks — so outputs differ from earlier releases.)
     pub fn from_nodeid_walks(walks: &[Vec<NodeId>]) -> Self {
         let total: usize = walks.iter().map(Vec::len).sum();
         let mut corpus = WalkCorpus::with_capacity(Vec::new(), walks.len(), total);

@@ -4,7 +4,7 @@ use glodyne_embed::alias::AliasTable;
 use glodyne_embed::corpus::WalkCorpus;
 use glodyne_embed::pairs;
 use glodyne_embed::walks::{generate_corpus, generate_walks, random_walk, WalkConfig};
-use glodyne_embed::Embedding;
+use glodyne_embed::{Embedding, SgnsConfig, SgnsModel};
 use glodyne_graph::id::{Edge, NodeId};
 use glodyne_graph::Snapshot;
 use proptest::prelude::*;
@@ -116,6 +116,49 @@ proptest! {
         prop_assert_eq!(corpus.num_walks(), legacy.len());
         for (i, w) in legacy.iter().enumerate() {
             prop_assert_eq!(&corpus.walk_node_ids(i), w, "walk {} differs", i);
+        }
+    }
+
+    /// Target-block training over arbitrary corpora — empty and
+    /// one-token walks, two-node vocabularies where every negative
+    /// draw hits the target or repeats, dimensions on both sides of
+    /// the kernel's lane width: the pair count is the schedule's
+    /// (Σ `pair_count` × epochs), every weight stays finite, and a
+    /// sequential run repeats bit for bit.
+    #[test]
+    fn train_corpus_counts_pairs_stays_finite_and_repeats(
+        walks in prop::collection::vec(prop::collection::vec(0u32..24, 0..30), 1..12),
+        vocab in 2u32..24,
+        window in 1usize..12,
+        negatives in 1usize..7,
+        epochs in 1usize..3,
+        dim in 1usize..20,
+        seed in 0u64..1000,
+    ) {
+        let node_ids: Vec<NodeId> = (0..vocab).map(|i| NodeId(i * 3 + 1)).collect();
+        let mut corpus = WalkCorpus::new(node_ids);
+        for w in &walks {
+            let w: Vec<u32> = w.iter().map(|t| t % vocab).collect();
+            corpus.push_walk(&w);
+        }
+        let cfg = SgnsConfig { dim, window, negatives, epochs, initial_lr: 0.05, seed, parallel: false };
+        let run = || {
+            let mut m = SgnsModel::new(cfg.clone());
+            let pairs = m.train_corpus(&corpus);
+            (pairs, m)
+        };
+        let (pairs, a) = run();
+        let expected: usize = walks.iter().map(|w| pairs::pair_count(w.len(), window)).sum();
+        prop_assert_eq!(pairs, expected * epochs);
+        prop_assert!(a.output_weights().iter().all(|w| w.is_finite()));
+        prop_assert!(a.embedding().iter().all(|(_, v)| v.iter().all(|w| w.is_finite())));
+
+        let (_, b) = run();
+        prop_assert_eq!(a.ids(), b.ids());
+        let bits = |v: &[f32]| v.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(a.output_weights()), bits(b.output_weights()));
+        for (id, v) in a.embedding().iter() {
+            prop_assert_eq!(bits(v), bits(b.embedding().get(id).unwrap()));
         }
     }
 
