@@ -25,9 +25,8 @@
 //!
 //! - `telemetry_overhead`: the same query loop with and without the
 //!   per-request instrumentation the server performs (an `Instant`
-//!   pair plus one lock-free histogram record), best-of-3 passes each;
-//!   `--assert-telemetry-overhead <pct>` exits nonzero if the q/s
-//!   regression exceeds `pct` percent.
+//!   pair plus one lock-free histogram record), best-of-3 passes each.
+//!   Reported, not gated: it measures −3.5 … +1.4 %, inside block noise.
 //! - `probe_recall_at_10`: the serving layer's quality-probe
 //!   definition (`glodyne_serve::probe_recall`) evaluated offline on
 //!   the clustered embedding + IVF epoch; `--assert-probe-recall <t>`
@@ -35,15 +34,15 @@
 //! - `chaos_overhead`: the same loop with and without the *disarmed*
 //!   failpoint checks the serving hot path now carries (one
 //!   `fail_io` + one `shed` per request — each a relaxed atomic load
-//!   when no failpoint is armed); `--assert-chaos-overhead <pct>`
-//!   pins the fault-injection layer to near-zero production cost.
+//!   when no failpoint is armed). Reported, not gated, for the same
+//!   reason.
 //!
 //! ```text
 //! cargo run --release -p glodyne-bench --bin bench_nearest
 //! cargo run --release -p glodyne-bench --bin bench_nearest -- \
 //!     --sizes 1000,10000,100000 --dim 128 --queries 200 \
 //!     --assert-recall 0.95 --assert-probe-recall 0.9 \
-//!     --assert-telemetry-overhead 3 --out BENCH_nearest.json
+//!     --out BENCH_nearest.json
 //! ```
 
 use glodyne_ann::{BatchQuery, IvfConfig, IvfIndex, SearchScratch};
@@ -526,8 +525,6 @@ fn main() {
     let seed: u64 = args.get("seed", 0);
     let assert_recall: f64 = args.get("assert-recall", 0.0);
     let assert_probe_recall: f64 = args.get("assert-probe-recall", 0.0);
-    let assert_telemetry_overhead: f64 = args.get("assert-telemetry-overhead", 0.0);
-    let assert_chaos_overhead: f64 = args.get("assert-chaos-overhead", 0.0);
     let assert_incr_speedup: f64 = args.get("assert-incr-speedup", 0.0);
     let assert_incr_recall: f64 = args.get("assert-incr-recall", 0.0);
     let assert_grouped_speedup: f64 = args.get("assert-grouped-speedup", 0.0);
@@ -736,20 +733,6 @@ fn main() {
         }
         println!("probe recall floor {assert_probe_recall:.4} held ({probed:.4})");
     }
-    if assert_telemetry_overhead > 0.0 {
-        if overhead.overhead_pct > assert_telemetry_overhead {
-            eprintln!(
-                "bench_nearest: telemetry overhead {:.2}% exceeded the \
-                 --assert-telemetry-overhead ceiling {assert_telemetry_overhead:.2}%",
-                overhead.overhead_pct
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "telemetry overhead ceiling {assert_telemetry_overhead:.2}% held ({:.2}%)",
-            overhead.overhead_pct
-        );
-    }
     // The incremental-maintenance and grouped-batch gates read the
     // largest tier (CI's bench-smoke points them at its 100k tier).
     let biggest = results
@@ -811,20 +794,6 @@ fn main() {
         println!(
             "grouped batch speedup floor {assert_grouped_speedup:.2}x held ({ratio:.2}x at n={})",
             biggest.n
-        );
-    }
-    if assert_chaos_overhead > 0.0 {
-        if chaos.overhead_pct > assert_chaos_overhead {
-            eprintln!(
-                "bench_nearest: disarmed-failpoint overhead {:.2}% exceeded the \
-                 --assert-chaos-overhead ceiling {assert_chaos_overhead:.2}%",
-                chaos.overhead_pct
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "chaos overhead ceiling {assert_chaos_overhead:.2}% held ({:.2}%)",
-            chaos.overhead_pct
         );
     }
 }

@@ -16,7 +16,9 @@ use glodyne_graph::io::read_edge_stream;
 use glodyne_graph::{DynamicNetwork, NodeId};
 use glodyne_partition::{partition, PartitionConfig};
 use glodyne_serve::json::Json;
-use glodyne_serve::{json, AnnSettings, ProbeSettings, ServeError, Server, ServerConfig};
+use glodyne_serve::{
+    json, recover_sharded, AnnSettings, ProbeSettings, ServeError, Server, ServerConfig,
+};
 use glodyne_shard::{ShardConfig, ShardedState};
 use glodyne_tasks::gr::mean_precision_at_k;
 use glodyne_tasks::lp::{build_test_set, link_prediction_auc};
@@ -203,26 +205,25 @@ fn parse_shards(opts: &Opts) -> Result<Option<ShardConfig>, CliError> {
     Ok(Some(cfg))
 }
 
-/// One embedder session per shard. Each shard's walk/SGNS seeds are
-/// offset by its shard id so shards don't train on identical random
-/// streams.
+/// The embedder for shard `shard` of a configuration already validated
+/// by [`glodyne_config`]. Each shard's walk/SGNS seeds are offset by its
+/// shard id so shards don't train on identical random streams; shard 0
+/// is the unsharded embedder.
+fn shard_embedder(cfg: &GloDyNEConfig, shard: usize) -> GloDyNE {
+    let mut cfg = cfg.clone();
+    cfg.walk.seed = cfg.walk.seed.wrapping_add(shard as u64);
+    cfg.sgns.seed = cfg.sgns.seed.wrapping_add(shard as u64);
+    GloDyNE::new(cfg).expect("seed offsets keep a validated config valid")
+}
+
+/// One embedder session per shard (see [`shard_embedder`]).
 fn shard_sessions(
-    opts: &Opts,
+    cfg: &GloDyNEConfig,
     policy: EpochPolicy,
     shards: usize,
-    ann: Option<&AnnSettings>,
 ) -> Result<Vec<EmbedderSession<GloDyNE>>, CliError> {
     (0..shards)
-        .map(|shard| {
-            let mut cfg = glodyne_config(opts)?;
-            cfg.walk.seed = cfg.walk.seed.wrapping_add(shard as u64);
-            cfg.sgns.seed = cfg.sgns.seed.wrapping_add(shard as u64);
-            let mut session = EmbedderSession::new(GloDyNE::new(cfg)?, policy)?;
-            if let Some(settings) = ann {
-                session = session.with_ann(settings.config)?;
-            }
-            Ok(session)
-        })
+        .map(|shard| Ok(EmbedderSession::new(shard_embedder(cfg, shard), policy)?))
         .collect()
 }
 
@@ -468,7 +469,13 @@ fn stream_sharded(
     ann: Option<AnnSettings>,
     shard_cfg: ShardConfig,
 ) -> Result<String, CliError> {
-    let sessions = shard_sessions(opts, policy, shard_cfg.shards, ann.as_ref())?;
+    let mut sessions = shard_sessions(&glodyne_config(opts)?, policy, shard_cfg.shards)?;
+    if let Some(settings) = &ann {
+        sessions = sessions
+            .into_iter()
+            .map(|session| session.with_ann(settings.config))
+            .collect::<Result<_, _>>()?;
+    }
     let mut state = ShardedState::new(sessions, shard_cfg).map_err(CliError::Config)?;
     state.ingest(events);
     state.flush();
@@ -560,11 +567,14 @@ pub fn start_server(opts: &Opts) -> Result<(Server, String), CliError> {
             context: format!("cannot bind {addr}"),
             source,
         },
-        ServeError::Durability(source) => CliError::Io {
-            context: "durable lineage failure".to_string(),
-            source,
-        },
         other => CliError::Usage(other.to_string()),
+    };
+    let dir_err = |what: &'static str, dir: &Path| {
+        let dir = dir.display().to_string();
+        move |source: std::io::Error| CliError::Io {
+            context: format!("cannot {what} {dir}"),
+            source,
+        }
     };
 
     let mut preamble = String::new();
@@ -572,187 +582,146 @@ pub fn start_server(opts: &Opts) -> Result<(Server, String), CliError> {
         preamble
             .push_str("chaos: failpoints ARMED from GLODYNE_CHAOS — not for production serving\n");
     }
+    // The embedder configuration, built (and validated) once for every
+    // mode; shard `i` offsets its seeds from it.
+    let mut mcfg = glodyne_config(opts)?;
     if durable.is_some() {
         // Replay determinism requires single-threaded SGNS: a parallel
         // reduction reorders float adds and the recovered state would
         // drift from the logged run.
+        mcfg.sgns.parallel = false;
         preamble.push_str("durable: sgns forced single-threaded for deterministic replay\n");
     }
+    // The optional warm-start edge file, time-ordered. An existing
+    // durable lineage takes precedence over it (and never opens it).
+    let warm_start = || -> Result<Option<Vec<TimedEdge>>, CliError> {
+        let Some(input) = opts.get_opt::<String>("input")? else {
+            return Ok(None);
+        };
+        let mut events = load_stream(&input)?;
+        events.sort_by_key(|te| te.time);
+        Ok(Some(events))
+    };
+    let recovered_line = |preamble: &mut String, provenance: &str, wal_clean: bool| {
+        preamble.push_str(&format!("durable: recovered from {provenance}\n"));
+        if !wal_clean {
+            preamble.push_str("durable: wal tail was torn and has been healed\n");
+        }
+        if opts.get_opt::<String>("input")?.is_some() {
+            preamble.push_str("warm start skipped: existing durable lineage takes precedence\n");
+        }
+        Ok::<(), CliError>(())
+    };
+
     let server = if let Some(shard_cfg) = shard_cfg {
-        if let Some((dir, dcfg)) = &durable {
-            glodyne_config(opts)?; // surface config errors before touching disk
-            let make = |shard: usize| {
-                let mut mcfg = glodyne_config(opts).expect("embedder config validated above");
-                mcfg.sgns.parallel = false;
-                mcfg.walk.seed = mcfg.walk.seed.wrapping_add(shard as u64);
-                mcfg.sgns.seed = mcfg.sgns.seed.wrapping_add(shard as u64);
-                GloDyNE::new(mcfg).expect("embedder config validated above")
-            };
-            let (server, recovered) =
-                Server::bind_sharded_durable(dir, shard_cfg, *dcfg, policy, bind, cfg, make)
-                    .map_err(bind_err)?;
-            match &recovered {
-                Some(provenance) => {
-                    preamble.push_str(&format!("durable: recovered from {provenance}\n"));
-                    if opts.get_opt::<String>("input")?.is_some() {
-                        preamble.push_str(
-                            "warm start skipped: existing durable lineage takes precedence\n",
-                        );
-                    }
-                }
-                None => {
-                    preamble.push_str(&format!(
+        // Sharded: the per-shard IVF indexes come from the serve layer
+        // (ServerConfig.ann), not the sessions.
+        let (server, recovered) = match &durable {
+            Some((dir, dcfg)) => {
+                let (trainees, lineage) =
+                    recover_sharded(dir, shard_cfg, *dcfg, policy, |i| shard_embedder(&mcfg, i))
+                        .map_err(|source| CliError::Io {
+                            context: "durable lineage failure".to_string(),
+                            source,
+                        })?;
+                let recovered = lineage.recovered_from().map(str::to_owned);
+                match &recovered {
+                    Some(provenance) => recovered_line(&mut preamble, provenance, true)?,
+                    None => preamble.push_str(&format!(
                         "durable: fresh sharded lineage at {} \
                          (fsync={}, snapshot every {} epoch(s))\n",
                         dir.display(),
                         dcfg.fsync,
                         dcfg.snapshot_every,
+                    )),
+                }
+                let server = Server::bind_sharded(trainees, lineage, bind, cfg);
+                (server.map_err(bind_err)?, recovered)
+            }
+            None => {
+                let sessions = shard_sessions(&mcfg, policy, shard_cfg.shards)?;
+                let server = Server::bind_sharded(sessions, shard_cfg, bind, cfg);
+                (server.map_err(bind_err)?, None)
+            }
+        };
+        // Warm start rides the running session's router (so on a fresh
+        // durable lineage the edge file lands in the WAL too): ingest +
+        // flush complete before the preamble (and hence the operator's
+        // go-ahead) is printed.
+        if let (None, Some(events)) = (&recovered, warm_start()?) {
+            let gevents: Vec<glodyne_graph::GraphEvent> =
+                events.iter().map(|&te| te.into()).collect();
+            let sharded = server.sharded().expect("sharded server");
+            sharded
+                .ingest(&gevents)
+                .and_then(|_| sharded.flush())
+                .map_err(|e| CliError::Usage(e.to_string()))?;
+            let stats = server.stats();
+            preamble.push_str(&format!(
+                "warm start: {} events -> epoch {} across {} shards",
+                events.len(),
+                stats.epoch,
+                shard_cfg.shards,
+            ));
+            if durable.is_none() {
+                preamble.push_str(&format!(", {} live nodes", stats.nodes));
+            }
+            preamble.push('\n');
+        }
+        preamble.push_str(&format!(
+            "sharded: {} partition-routed shards (epsilon={} seed={}; \
+             stats reports a per-shard break-down)\n",
+            shard_cfg.shards, shard_cfg.epsilon, shard_cfg.seed
+        ));
+        server
+    } else {
+        let has_lineage = |dir: &Path| -> Result<bool, CliError> {
+            let inspect = dir_err("inspect", dir);
+            Ok(!list_snapshots(dir).map_err(&inspect)?.is_empty()
+                || !list_segments(dir).map_err(&inspect)?.is_empty())
+        };
+        match &durable {
+            Some((dir, dcfg)) if has_lineage(dir)? => {
+                let make = || shard_embedder(&mcfg, 0);
+                let (recovered, report) = DurableSession::recover(dir, *dcfg, policy, false, make)
+                    .map_err(dir_err("recover", dir))?;
+                recovered_line(&mut preamble, &report.recovered_from, report.wal_clean)?;
+                Server::bind(recovered, bind, cfg).map_err(bind_err)?
+            }
+            _ => {
+                let mut session = EmbedderSession::new(shard_embedder(&mcfg, 0), policy)?;
+                // Warm start: replay the edge file through the session
+                // (and commit it) before the first connection is
+                // accepted — and, when durable, before the lineage
+                // exists: the committed state is frozen into the
+                // initial snapshot, so it never needs to be replayed
+                // from the WAL.
+                if let Some(events) = warm_start()? {
+                    session.ingest(&events);
+                    session.flush();
+                    preamble.push_str(&format!(
+                        "warm start: {} events -> {} steps, {} embedded nodes\n",
+                        events.len(),
+                        session.steps(),
+                        session.embedding().len()
                     ));
-                    // A fresh lineage warm-starts through the running
-                    // router so the edge file lands in the WAL too.
-                    if let Some(input) = opts.get_opt::<String>("input")? {
-                        let mut events = load_stream(&input)?;
-                        events.sort_by_key(|te| te.time);
-                        let gevents: Vec<glodyne_graph::GraphEvent> =
-                            events.iter().map(|&te| te.into()).collect();
-                        let sharded = server.sharded().expect("sharded server");
-                        sharded
-                            .ingest(&gevents)
-                            .and_then(|_| sharded.flush())
-                            .map_err(|e| CliError::Usage(e.to_string()))?;
+                }
+                match &durable {
+                    Some((dir, dcfg)) => {
+                        let created = DurableSession::create(dir, session, *dcfg)
+                            .map_err(dir_err("create durable lineage in", dir))?;
                         preamble.push_str(&format!(
-                            "warm start: {} events -> epoch {} across {} shards\n",
-                            events.len(),
-                            server.stats().epoch,
-                            shard_cfg.shards,
+                            "durable: fresh lineage at {} (fsync={}, snapshot every {} epoch(s))\n",
+                            dir.display(),
+                            dcfg.fsync,
+                            dcfg.snapshot_every,
                         ));
+                        Server::bind(created, bind, cfg).map_err(bind_err)?
                     }
+                    None => Server::bind(session, bind, cfg).map_err(bind_err)?,
                 }
             }
-            preamble.push_str(&format!(
-                "sharded: {} partition-routed shards (epsilon={} seed={}; \
-                 stats reports a per-shard break-down)\n",
-                shard_cfg.shards, shard_cfg.epsilon, shard_cfg.seed
-            ));
-            server
-        } else {
-            // Sharded mode: the per-shard IVF indexes come from the
-            // serve layer (ServerConfig.ann), not the sessions.
-            let sessions = shard_sessions(opts, policy, shard_cfg.shards, None)?;
-            let server = Server::bind_sharded(sessions, shard_cfg, bind, cfg).map_err(bind_err)?;
-            // Warm start rides the running session's router: ingest +
-            // flush complete before the preamble (and hence the
-            // operator's go-ahead) is printed.
-            if let Ok(Some(input)) = opts.get_opt::<String>("input") {
-                let mut events = load_stream(&input)?;
-                events.sort_by_key(|te| te.time);
-                let gevents: Vec<glodyne_graph::GraphEvent> =
-                    events.iter().map(|&te| te.into()).collect();
-                let sharded = server.sharded().expect("sharded server");
-                sharded
-                    .ingest(&gevents)
-                    .and_then(|_| sharded.flush())
-                    .map_err(|e| CliError::Usage(e.to_string()))?;
-                let stats = server.stats();
-                preamble.push_str(&format!(
-                    "warm start: {} events -> epoch {} across {} shards, {} live nodes\n",
-                    events.len(),
-                    stats.epoch,
-                    shard_cfg.shards,
-                    stats.nodes,
-                ));
-            }
-            preamble.push_str(&format!(
-                "sharded: {} partition-routed shards (epsilon={} seed={}; \
-                 stats reports a per-shard break-down)\n",
-                shard_cfg.shards, shard_cfg.epsilon, shard_cfg.seed
-            ));
-            server
         }
-    } else if let Some((dir, dcfg)) = &durable {
-        let mut mcfg = glodyne_config(opts)?;
-        mcfg.sgns.parallel = false;
-        let inspect_err = |source: std::io::Error| CliError::Io {
-            context: format!("cannot inspect {}", dir.display()),
-            source,
-        };
-        let has_lineage = !list_snapshots(dir).map_err(&inspect_err)?.is_empty()
-            || !list_segments(dir).map_err(&inspect_err)?.is_empty();
-        if has_lineage {
-            let make = || {
-                let mut mcfg = glodyne_config(opts).expect("embedder config validated above");
-                mcfg.sgns.parallel = false;
-                GloDyNE::new(mcfg).expect("embedder config validated above")
-            };
-            let (durable_session, report) =
-                DurableSession::recover(dir, *dcfg, policy, false, make).map_err(|source| {
-                    CliError::Io {
-                        context: format!("cannot recover {}", dir.display()),
-                        source,
-                    }
-                })?;
-            preamble.push_str(&format!(
-                "durable: recovered from {}\n",
-                report.recovered_from
-            ));
-            if !report.wal_clean {
-                preamble.push_str("durable: wal tail was torn and has been healed\n");
-            }
-            if opts.get_opt::<String>("input")?.is_some() {
-                preamble
-                    .push_str("warm start skipped: existing durable lineage takes precedence\n");
-            }
-            Server::bind_durable(durable_session, Some(report.recovered_from), bind, cfg)
-                .map_err(bind_err)?
-        } else {
-            let model = GloDyNE::new(mcfg)?;
-            let mut session = EmbedderSession::new(model, policy)?;
-            // Warm start before the lineage exists: the edge file is
-            // committed and then frozen into the initial snapshot, so
-            // it never needs to be replayed from the WAL.
-            if let Ok(Some(input)) = opts.get_opt::<String>("input") {
-                let mut events = load_stream(&input)?;
-                events.sort_by_key(|te| te.time);
-                session.ingest(&events);
-                session.flush();
-                preamble.push_str(&format!(
-                    "warm start: {} events -> {} steps, {} embedded nodes\n",
-                    events.len(),
-                    session.steps(),
-                    session.embedding().len()
-                ));
-            }
-            let durable_session =
-                DurableSession::create(dir, session, *dcfg).map_err(|source| CliError::Io {
-                    context: format!("cannot create durable lineage in {}", dir.display()),
-                    source,
-                })?;
-            preamble.push_str(&format!(
-                "durable: fresh lineage at {} (fsync={}, snapshot every {} epoch(s))\n",
-                dir.display(),
-                dcfg.fsync,
-                dcfg.snapshot_every,
-            ));
-            Server::bind_durable(durable_session, None, bind, cfg).map_err(bind_err)?
-        }
-    } else {
-        let model = GloDyNE::new(glodyne_config(opts)?)?;
-        let mut session = EmbedderSession::new(model, policy)?;
-        // Optional warm start: replay an edge file through the session
-        // (and commit it) before the first connection is accepted.
-        if let Ok(Some(input)) = opts.get_opt::<String>("input") {
-            let mut events = load_stream(&input)?;
-            events.sort_by_key(|te| te.time);
-            session.ingest(&events);
-            session.flush();
-            preamble.push_str(&format!(
-                "warm start: {} events -> {} steps, {} embedded nodes\n",
-                events.len(),
-                session.steps(),
-                session.embedding().len()
-            ));
-        }
-        Server::bind(session, bind, cfg).map_err(bind_err)?
     };
     if let Some(settings) = &ann {
         let storage = if settings.config.quantize {

@@ -194,6 +194,9 @@ pub struct DurableSession<E: CheckpointEmbedder> {
     last_seq: u64,
     last_snapshot_seq: Option<u64>,
     last_snapshot_epoch: Option<u64>,
+    /// Provenance computed by [`DurableSession::recover`]; `None` on a
+    /// lineage this process created or attached.
+    recovered_from: Option<String>,
     timing: Option<Arc<DurableTiming>>,
 }
 
@@ -219,6 +222,7 @@ impl<E: CheckpointEmbedder> DurableSession<E> {
             last_seq: 0,
             last_snapshot_seq: None,
             last_snapshot_epoch: None,
+            recovered_from: None,
             timing: None,
         };
         durable.snapshot()?;
@@ -249,6 +253,7 @@ impl<E: CheckpointEmbedder> DurableSession<E> {
             last_seq,
             last_snapshot_seq: last_snapshot.map(|(seq, _)| seq),
             last_snapshot_epoch: last_snapshot.map(|(_, epoch)| epoch),
+            recovered_from: None,
             timing: None,
         })
     }
@@ -357,6 +362,7 @@ impl<E: CheckpointEmbedder> DurableSession<E> {
                 last_seq,
                 last_snapshot_seq: snapshot_seq,
                 last_snapshot_epoch: snapshot_epoch,
+                recovered_from: Some(report.recovered_from.clone()),
                 timing: None,
             },
             report,
@@ -495,6 +501,12 @@ impl<E: CheckpointEmbedder> DurableSession<E> {
     /// the ingest queue's sequence counter.
     pub fn last_seq(&self) -> u64 {
         self.last_seq
+    }
+
+    /// Where [`DurableSession::recover`] resumed this lineage from (the
+    /// report's provenance string); `None` on a fresh lineage.
+    pub fn recovered_from(&self) -> Option<&str> {
+        self.recovered_from.as_deref()
     }
 
     /// The lineage's data directory.

@@ -26,7 +26,6 @@
 
 pub mod alias;
 pub mod aligned;
-pub mod biased_walks;
 pub mod config;
 pub mod corpus;
 pub mod embedding;
@@ -36,7 +35,6 @@ pub mod persist;
 pub mod sgns;
 pub mod traits;
 pub mod walks;
-pub mod weighted_walks;
 
 pub use aligned::AlignedBuf;
 pub use config::ConfigError;

@@ -26,9 +26,6 @@ pub enum ServeError {
     /// flush can no longer be accepted, though reads keep working off
     /// the last published epoch.
     Closed,
-    /// A durability lineage could not be created or recovered (data
-    /// directory I/O, corrupt state beyond what recovery tolerates).
-    Durability(io::Error),
     /// The bounded ingest queue was full and the caller asked to shed
     /// load instead of blocking (fast-fail ingest). Carries the queue
     /// gauge at rejection time for the structured wire error.
@@ -49,7 +46,6 @@ impl fmt::Display for ServeError {
             ServeError::Bind { addr, source } => write!(f, "cannot bind {addr}: {source}"),
             ServeError::Config(e) => write!(f, "invalid server configuration: {e}"),
             ServeError::Closed => write!(f, "serving session is shut down"),
-            ServeError::Durability(e) => write!(f, "durable lineage failure: {e}"),
             ServeError::Overloaded { depth, capacity } => {
                 write!(f, "ingest queue overloaded ({depth}/{capacity})")
             }
@@ -64,7 +60,6 @@ impl Error for ServeError {
             ServeError::Bind { source, .. } => Some(source),
             ServeError::Config(e) => Some(e),
             ServeError::Closed => None,
-            ServeError::Durability(e) => Some(e),
             ServeError::Overloaded { .. } => None,
             ServeError::DeadlineExceeded => None,
         }

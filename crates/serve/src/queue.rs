@@ -48,7 +48,34 @@ pub struct FlushOutcome {
     pub epoch: u64,
 }
 
-/// Producer half: clonable, blocking on a full queue.
+/// How long a write may wait — for room in the queue (`ingest`) or for
+/// the trainer's commit ack (`flush`). The serving mode a request runs
+/// under is this one value, picked once per request from its
+/// `deadline_ms` and the server's overload policy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Admission {
+    /// Wait as long as it takes: a full queue back-pressures the
+    /// producer down to training speed.
+    Block,
+    /// Never wait for room: a full queue sheds the event with
+    /// [`ServeError::Overloaded`] instead of holding the connection's
+    /// reader hostage. A flush occupies no event slot, so it waits for
+    /// its ack exactly like [`Admission::Block`].
+    Shed,
+    /// Wait at most until this instant, then give up with
+    /// [`ServeError::DeadlineExceeded`] — bounds how long a producer
+    /// can be held without shedding on a spike the trainer drains in
+    /// time.
+    Until(Instant),
+}
+
+/// Why the channel turned a message away.
+enum Refused {
+    Full,
+    Closed,
+}
+
+/// Producer half: clonable; each send says how long it may wait.
 #[derive(Clone)]
 pub struct IngestQueue {
     tx: SyncSender<TrainerMsg>,
@@ -67,16 +94,9 @@ pub(crate) struct TrainerInbox {
     wait: Option<Arc<Histogram>>,
 }
 
-/// A bounded queue of `capacity` in-flight messages (tests; production
-/// paths go through [`bounded_instrumented`], possibly with no sink).
-#[cfg(test)]
-pub(crate) fn bounded(capacity: usize) -> (IngestQueue, TrainerInbox) {
-    bounded_instrumented(capacity, None)
-}
-
-/// [`bounded`] with an optional queue-wait histogram attached to the
-/// trainer side.
-pub(crate) fn bounded_instrumented(
+/// A bounded queue of `capacity` in-flight messages; `wait`, when
+/// present, is the queue-wait histogram fed by the trainer side.
+pub(crate) fn bounded(
     capacity: usize,
     wait: Option<Arc<Histogram>>,
 ) -> (IngestQueue, TrainerInbox) {
@@ -95,142 +115,84 @@ pub(crate) fn bounded_instrumented(
 }
 
 impl IngestQueue {
-    /// Enqueue one event, blocking while the queue is full
-    /// (back-pressure). [`ServeError::Closed`] once the trainer exits.
-    pub fn send_event(&self, event: GraphEvent) -> Result<(), ServeError> {
-        self.enqueue_failpoint()?;
-        self.send_event_seq(0, event)
-    }
-
-    /// [`IngestQueue::send_event`] tagged with an explicit durable
-    /// sequence number (sharded ingest, where the router assigns one
-    /// client sequence across every lineage). No failpoint here: the
-    /// sharded path checks `ingest.enqueue` *before* the router WAL
-    /// append — shedding after the event is durable would let recovery
-    /// replay an event the live run never applied.
-    pub(crate) fn send_event_seq(&self, seq: u64, event: GraphEvent) -> Result<(), ServeError> {
-        let depth = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        // The high-water mark survives between polls: back-pressure
-        // incidents show up in `stats` even after the queue drains.
-        self.high_water.fetch_max(depth, Ordering::Relaxed);
-        match self.tx.send(TrainerMsg::Event {
-            seq,
-            event,
-            queued: Instant::now(),
-        }) {
-            Ok(()) => {
-                self.accepted.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }
-            Err(_) => {
-                self.depth.fetch_sub(1, Ordering::Relaxed);
-                Err(ServeError::Closed)
-            }
-        }
-    }
-
-    /// Fast-fail enqueue: never blocks. A full queue sheds the event
-    /// with [`ServeError::Overloaded`] instead of back-pressuring the
-    /// calling thread — the overload-control mode for wire ingest,
-    /// where blocking would hold the connection's reader hostage.
-    pub fn try_send_event(&self, event: GraphEvent) -> Result<(), ServeError> {
-        self.enqueue_failpoint()?;
-        self.try_send_event_seq(0, event)
-    }
-
-    /// [`IngestQueue::try_send_event`] with an explicit sequence (and,
-    /// as with [`IngestQueue::send_event_seq`], no failpoint).
-    pub(crate) fn try_send_event_seq(&self, seq: u64, event: GraphEvent) -> Result<(), ServeError> {
-        let depth = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.high_water.fetch_max(depth, Ordering::Relaxed);
-        match self.tx.try_send(TrainerMsg::Event {
-            seq,
-            event,
-            queued: Instant::now(),
-        }) {
-            Ok(()) => {
-                self.accepted.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }
-            Err(err) => {
-                self.depth.fetch_sub(1, Ordering::Relaxed);
-                match err {
-                    TrySendError::Full(_) => Err(ServeError::Overloaded {
-                        depth: self.depth(),
-                        capacity: self.capacity,
-                    }),
-                    TrySendError::Disconnected(_) => Err(ServeError::Closed),
-                }
-            }
-        }
-    }
-
-    /// Deadline-bounded enqueue: retries a full queue until `deadline`,
-    /// then gives up with [`ServeError::DeadlineExceeded`]. Bounds how
-    /// long a back-pressured producer can be held, without shedding on
-    /// a transient spike the trainer drains in time.
-    pub fn send_event_deadline(
-        &self,
-        event: GraphEvent,
-        deadline: Instant,
-    ) -> Result<(), ServeError> {
-        self.enqueue_failpoint()?;
-        self.send_event_seq_deadline(0, event, deadline)
-    }
-
-    /// [`IngestQueue::send_event_deadline`] with an explicit sequence.
-    pub(crate) fn send_event_seq_deadline(
+    /// Enqueue one event under `admission`; [`ServeError::Closed`]
+    /// once the trainer exits. `seq` is the durable sequence number
+    /// (`0` = the trainer assigns its own).
+    ///
+    /// The `ingest.enqueue` failpoint is *not* checked here: the
+    /// sessions check it before anything durable happens to the event
+    /// — on the sharded path that is the router WAL append, and
+    /// shedding after it would let recovery replay an event the live
+    /// run never applied.
+    pub fn send(
         &self,
         seq: u64,
         event: GraphEvent,
-        deadline: Instant,
+        admission: Admission,
     ) -> Result<(), ServeError> {
         loop {
-            match self.try_send_event_seq(seq, event) {
-                Err(ServeError::Overloaded { .. }) => {
-                    if Instant::now() >= deadline {
-                        return Err(ServeError::DeadlineExceeded);
-                    }
+            let depth = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
+            // The high-water mark survives between polls: back-pressure
+            // incidents show up in `stats` even after the queue drains.
+            self.high_water.fetch_max(depth, Ordering::Relaxed);
+            let msg = TrainerMsg::Event {
+                seq,
+                event,
+                queued: Instant::now(),
+            };
+            let refused = match admission {
+                Admission::Block => self.tx.send(msg).map_err(|_| Refused::Closed),
+                _ => self.tx.try_send(msg).map_err(|e| match e {
+                    TrySendError::Full(_) => Refused::Full,
+                    TrySendError::Disconnected(_) => Refused::Closed,
+                }),
+            };
+            let Err(refused) = refused else {
+                self.accepted.fetch_add(1, Ordering::Relaxed);
+                return Ok(());
+            };
+            self.depth.fetch_sub(1, Ordering::Relaxed);
+            match (refused, admission) {
+                (Refused::Closed, _) => return Err(ServeError::Closed),
+                (Refused::Full, Admission::Until(at)) if Instant::now() < at => {
                     std::thread::sleep(Duration::from_millis(1));
                 }
-                other => return other,
+                (Refused::Full, Admission::Until(_)) => return Err(ServeError::DeadlineExceeded),
+                (Refused::Full, _) => return Err(self.overloaded()),
             }
         }
     }
 
-    /// The shared `ingest.enqueue` failpoint: delays and stalls take
-    /// effect in place; an injected failure sheds the event as an
-    /// overload.
-    fn enqueue_failpoint(&self) -> Result<(), ServeError> {
+    /// The `ingest.enqueue` failpoint: delays and stalls take effect in
+    /// place; an injected failure sheds the event as an overload.
+    pub(crate) fn enqueue_failpoint(&self) -> Result<(), ServeError> {
         if glodyne_chaos::shed(glodyne_chaos::sites::INGEST_ENQUEUE) {
-            return Err(ServeError::Overloaded {
-                depth: self.depth(),
-                capacity: self.capacity,
-            });
+            return Err(self.overloaded());
         }
         Ok(())
     }
 
-    /// Enqueue a flush and wait for the trainer to commit everything
-    /// sent before it.
-    pub fn request_flush(&self) -> Result<FlushOutcome, ServeError> {
-        let (ack_tx, ack_rx) = mpsc::channel();
-        self.tx
-            .send(TrainerMsg::Flush(ack_tx))
-            .map_err(|_| ServeError::Closed)?;
-        ack_rx.recv().map_err(|_| ServeError::Closed)
+    /// The shed error, carrying the queue gauge at rejection time.
+    pub(crate) fn overloaded(&self) -> ServeError {
+        ServeError::Overloaded {
+            depth: self.depth(),
+            capacity: self.capacity,
+        }
     }
 
-    /// [`IngestQueue::request_flush`] that gives up waiting for the
-    /// trainer's ack at `deadline`. The flush itself stays queued — a
-    /// stalled trainer that later recovers still commits it — but the
-    /// caller gets its thread back with
-    /// [`ServeError::DeadlineExceeded`].
-    pub fn request_flush_deadline(&self, deadline: Instant) -> Result<FlushOutcome, ServeError> {
+    /// Enqueue a flush and wait for the trainer to commit everything
+    /// sent before it. Under [`Admission::Until`] the *wait* gives up
+    /// at the deadline with [`ServeError::DeadlineExceeded`]; the flush
+    /// itself stays queued — a stalled trainer that later recovers
+    /// still commits it — and the caller gets its thread back.
+    pub fn request_flush(&self, admission: Admission) -> Result<FlushOutcome, ServeError> {
         let (ack_tx, ack_rx) = mpsc::channel();
         self.tx
             .send(TrainerMsg::Flush(ack_tx))
             .map_err(|_| ServeError::Closed)?;
+        let Admission::Until(deadline) = admission else {
+            return ack_rx.recv().map_err(|_| ServeError::Closed);
+        };
         let wait = deadline.saturating_duration_since(Instant::now());
         match ack_rx.recv_timeout(wait) {
             Ok(outcome) => Ok(outcome),
@@ -311,9 +273,9 @@ mod tests {
 
     #[test]
     fn depth_and_accepted_track_flow() {
-        let (q, inbox) = bounded(8);
-        q.send_event(ev(0)).unwrap();
-        q.send_event(ev(1)).unwrap();
+        let (q, inbox) = bounded(8, None);
+        q.send(0, ev(0), Admission::Block).unwrap();
+        q.send(0, ev(1), Admission::Block).unwrap();
         assert_eq!(q.depth(), 2);
         assert_eq!(q.accepted(), 2);
         assert!(matches!(inbox.recv(), Some(TrainerMsg::Event { .. })));
@@ -323,10 +285,10 @@ mod tests {
 
     #[test]
     fn high_water_mark_outlives_the_drain() {
-        let (q, inbox) = bounded(8);
-        q.send_event(ev(0)).unwrap();
-        q.send_event(ev(1)).unwrap();
-        q.send_event(ev(2)).unwrap();
+        let (q, inbox) = bounded(8, None);
+        q.send(0, ev(0), Admission::Block).unwrap();
+        q.send(0, ev(1), Admission::Block).unwrap();
+        q.send(0, ev(2), Admission::Block).unwrap();
         assert_eq!(q.depth_high_water(), 3);
         for _ in 0..3 {
             inbox.recv();
@@ -337,15 +299,15 @@ mod tests {
             3,
             "high-water mark records the back-pressure peak after the fact"
         );
-        q.send_event(ev(3)).unwrap();
+        q.send(0, ev(3), Admission::Block).unwrap();
         assert_eq!(q.depth_high_water(), 3, "shallower refills don't move it");
     }
 
     #[test]
     fn instrumented_inbox_records_queue_wait() {
         let wait = Arc::new(Histogram::new());
-        let (q, inbox) = bounded_instrumented(8, Some(Arc::clone(&wait)));
-        q.send_event(ev(0)).unwrap();
+        let (q, inbox) = bounded(8, Some(Arc::clone(&wait)));
+        q.send(0, ev(0), Admission::Block).unwrap();
         std::thread::sleep(Duration::from_millis(2));
         inbox.recv();
         assert_eq!(wait.count(), 1);
@@ -354,12 +316,12 @@ mod tests {
 
     #[test]
     fn full_queue_back_pressures_until_drained() {
-        let (q, inbox) = bounded(2);
-        q.send_event(ev(0)).unwrap();
-        q.send_event(ev(1)).unwrap();
+        let (q, inbox) = bounded(2, None);
+        q.send(0, ev(0), Admission::Block).unwrap();
+        q.send(0, ev(1), Admission::Block).unwrap();
         // Third send must block until the consumer frees a slot.
         let q2 = q.clone();
-        let sender = std::thread::spawn(move || q2.send_event(ev(2)));
+        let sender = std::thread::spawn(move || q2.send(0, ev(2), Admission::Block));
         std::thread::sleep(Duration::from_millis(30));
         assert!(
             !sender.is_finished(),
@@ -372,8 +334,8 @@ mod tests {
 
     #[test]
     fn checkpoint_rides_behind_events_and_carries_its_seq() {
-        let (q, inbox) = bounded(8);
-        q.send_event_seq(7, ev(0)).unwrap();
+        let (q, inbox) = bounded(8, None);
+        q.send(7, ev(0), Admission::Block).unwrap();
         let q2 = q.clone();
         let barrier = std::thread::spawn(move || q2.request_checkpoint(7));
         match inbox.recv() {
@@ -390,12 +352,16 @@ mod tests {
         barrier.join().unwrap().unwrap();
     }
 
+    // What each `Admission` answers on a full queue with no trainer
+    // draining it, and what it leaves behind. The session-level half —
+    // `Admission × {single, sharded}` — is the table in `tests/chaos.rs`.
+
     #[test]
     fn try_send_sheds_on_full_and_reports_the_gauge() {
-        let (q, inbox) = bounded(2);
-        q.try_send_event(ev(0)).unwrap();
-        q.try_send_event(ev(1)).unwrap();
-        match q.try_send_event(ev(2)) {
+        let (q, inbox) = bounded(2, None);
+        q.send(0, ev(0), Admission::Shed).unwrap();
+        q.send(0, ev(1), Admission::Shed).unwrap();
+        match q.send(0, ev(2), Admission::Shed) {
             Err(ServeError::Overloaded { depth, capacity }) => {
                 assert_eq!(depth, 2);
                 assert_eq!(capacity, 2);
@@ -407,25 +373,26 @@ mod tests {
         assert!(!q.has_free(1));
         inbox.recv();
         assert!(q.has_free(1));
-        q.try_send_event(ev(3)).unwrap();
+        q.send(0, ev(3), Admission::Shed).unwrap();
     }
 
     #[test]
     fn deadline_send_waits_then_gives_up() {
-        let (q, inbox) = bounded(1);
-        q.send_event(ev(0)).unwrap();
+        let (q, inbox) = bounded(1, None);
+        q.send(0, ev(0), Admission::Block).unwrap();
         // No drain: the deadline expires against a full queue.
         let deadline = Instant::now() + Duration::from_millis(30);
         let start = Instant::now();
         assert!(matches!(
-            q.send_event_deadline(ev(1), deadline),
+            q.send(0, ev(1), Admission::Until(deadline)),
             Err(ServeError::DeadlineExceeded)
         ));
         assert!(start.elapsed() >= Duration::from_millis(25));
         // With a drain in flight the same call succeeds.
         let q2 = q.clone();
         let sender = std::thread::spawn(move || {
-            q2.send_event_deadline(ev(2), Instant::now() + Duration::from_secs(5))
+            let deadline = Instant::now() + Duration::from_secs(5);
+            q2.send(0, ev(2), Admission::Until(deadline))
         });
         std::thread::sleep(Duration::from_millis(10));
         inbox.recv();
@@ -434,10 +401,10 @@ mod tests {
 
     #[test]
     fn deadline_flush_times_out_without_a_trainer_ack() {
-        let (q, inbox) = bounded(4);
+        let (q, inbox) = bounded(4, None);
         let deadline = Instant::now() + Duration::from_millis(20);
         assert!(matches!(
-            q.request_flush_deadline(deadline),
+            q.request_flush(Admission::Until(deadline)),
             Err(ServeError::DeadlineExceeded)
         ));
         // The flush stayed queued: a recovered trainer still sees it.
@@ -461,20 +428,26 @@ mod tests {
 
     #[test]
     fn closed_inbox_yields_closed_errors() {
-        let (q, inbox) = bounded(2);
+        let (q, inbox) = bounded(2, None);
         drop(inbox);
-        assert!(matches!(q.send_event(ev(0)), Err(ServeError::Closed)));
-        assert!(matches!(q.request_flush(), Err(ServeError::Closed)));
+        assert!(matches!(
+            q.send(0, ev(0), Admission::Block),
+            Err(ServeError::Closed)
+        ));
+        assert!(matches!(
+            q.request_flush(Admission::Block),
+            Err(ServeError::Closed)
+        ));
         assert_eq!(q.depth(), 0, "failed send must not leak depth");
         q.send_shutdown(); // must not panic
     }
 
     #[test]
     fn flush_rides_behind_events() {
-        let (q, inbox) = bounded(8);
-        q.send_event(ev(0)).unwrap();
+        let (q, inbox) = bounded(8, None);
+        q.send(0, ev(0), Admission::Block).unwrap();
         let q2 = q.clone();
-        let flusher = std::thread::spawn(move || q2.request_flush());
+        let flusher = std::thread::spawn(move || q2.request_flush(Admission::Block));
         // The trainer side sees the event first, then the flush.
         assert!(matches!(inbox.recv(), Some(TrainerMsg::Event { .. })));
         match inbox.recv() {

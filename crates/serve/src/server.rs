@@ -16,22 +16,17 @@
 
 use crate::epoch::EmbeddingEpoch;
 use crate::error::ServeError;
+use crate::lock;
 use crate::probe::{run_probe_round, ProbeSettings};
 use crate::protocol::{self, ErrorKind, NearestMode, ProtocolError, Request};
-use crate::queue::FlushOutcome;
-use crate::session::{AnnSettings, ServeStats, ServingSession};
-use crate::shard::ShardedSession;
+use crate::queue::{Admission, FlushOutcome};
+use crate::session::{AnnSettings, ServeStats, ServingSession, SessionSpec, Trainee};
+use crate::shard::{RouterLineage, ShardedSession};
 use crate::telemetry::ServeTelemetry;
-use glodyne::{EmbedderSession, EpochPolicy};
-use glodyne_durable::{DurableConfig, DurableSession};
-use glodyne_embed::traits::CheckpointEmbedder;
-use glodyne_embed::DynamicEmbedder;
 use glodyne_graph::state::GraphEvent;
 use glodyne_graph::NodeId;
-use glodyne_shard::ShardConfig;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
@@ -124,11 +119,18 @@ impl ServerConfig {
         Ok(())
     }
 
-    /// Build the telemetry hub this config asks for (`None` when
-    /// telemetry is off).
-    fn hub(&self) -> Option<Arc<ServeTelemetry>> {
-        self.telemetry
-            .then(|| Arc::new(ServeTelemetry::new(self.slow_query_us)))
+    /// The session-level slice of this config: queue bound, ANN
+    /// settings, a fresh telemetry hub when telemetry is on, and the
+    /// watchdog threshold.
+    fn session_spec(&self) -> SessionSpec {
+        SessionSpec {
+            queue_capacity: self.queue_capacity,
+            ann: self.ann,
+            telemetry: self
+                .telemetry
+                .then(|| Arc::new(ServeTelemetry::new(self.slow_query_us))),
+            stall_after: Duration::from_millis(self.stall_after_ms),
+        }
     }
 
     /// The per-connection slice of this config.
@@ -274,42 +276,17 @@ impl Backend {
         }
     }
 
-    fn ingest(&self, events: &[GraphEvent]) -> Result<usize, ServeError> {
+    fn ingest(&self, events: &[GraphEvent], admission: Admission) -> Result<usize, ServeError> {
         match self {
-            Backend::Single(s) => s.ingest(events),
-            Backend::Sharded(s) => s.ingest(events),
+            Backend::Single(s) => s.ingest_with(events, admission),
+            Backend::Sharded(s) => s.ingest_with(events, admission),
         }
     }
 
-    fn ingest_fast_fail(&self, events: &[GraphEvent]) -> Result<usize, ServeError> {
+    fn flush(&self, admission: Admission) -> Result<FlushOutcome, ServeError> {
         match self {
-            Backend::Single(s) => s.ingest_fast_fail(events),
-            Backend::Sharded(s) => s.ingest_fast_fail(events),
-        }
-    }
-
-    fn ingest_deadline(
-        &self,
-        events: &[GraphEvent],
-        deadline: Instant,
-    ) -> Result<usize, ServeError> {
-        match self {
-            Backend::Single(s) => s.ingest_deadline(events, deadline),
-            Backend::Sharded(s) => s.ingest_deadline(events, deadline),
-        }
-    }
-
-    fn flush(&self) -> Result<FlushOutcome, ServeError> {
-        match self {
-            Backend::Single(s) => s.flush(),
-            Backend::Sharded(s) => s.flush(),
-        }
-    }
-
-    fn flush_deadline(&self, deadline: Instant) -> Result<FlushOutcome, ServeError> {
-        match self {
-            Backend::Single(s) => s.flush_deadline(deadline),
-            Backend::Sharded(s) => s.flush_deadline(deadline),
+            Backend::Single(s) => s.flush_with(admission),
+            Backend::Sharded(s) => s.flush_with(admission),
         }
     }
 
@@ -317,13 +294,6 @@ impl Backend {
         match self {
             Backend::Single(s) => s.health(),
             Backend::Sharded(s) => s.health(),
-        }
-    }
-
-    fn set_stall_after(&self, stall_after: Duration) {
-        match self {
-            Backend::Single(s) => s.set_stall_after(stall_after),
-            Backend::Sharded(s) => s.set_stall_after(stall_after),
         }
     }
 
@@ -387,118 +357,45 @@ pub struct Server {
 }
 
 impl Server {
-    /// Move `session` into a [`ServingSession`] and serve it on `addr`
+    /// Move `trainee` into a [`ServingSession`] and serve it on `addr`
     /// (e.g. `"127.0.0.1:7878"`; port 0 picks a free port, see
-    /// [`Server::local_addr`]).
-    pub fn bind<E>(
-        session: EmbedderSession<E>,
+    /// [`Server::local_addr`]). An
+    /// [`EmbedderSession`](glodyne::EmbedderSession) serves in-memory;
+    /// a [`DurableSession`](glodyne_durable::DurableSession) (created
+    /// or recovered) serves crash-recoverably — the wire `shutdown`
+    /// command then drains the ingest queue, fsyncs the WAL, and writes
+    /// a final snapshot before [`Server::join`] returns, so a clean
+    /// stop never needs replay.
+    pub fn bind<T: Trainee>(
+        trainee: T,
         addr: &str,
         cfg: ServerConfig,
-    ) -> Result<Server, ServeError>
-    where
-        E: DynamicEmbedder + Send + 'static,
-    {
-        // Reject degenerate ANN settings before a socket exists
-        // (`spawn_with_ann` validates again — the policy lives in
-        // `AnnSettings::validate` either way).
-        if let Some(settings) = &cfg.ann {
-            settings.validate().map_err(ServeError::Config)?;
-        }
-        let backend = Backend::Single(
-            ServingSession::spawn_instrumented(session, cfg.queue_capacity, cfg.ann, cfg.hub())
-                .map_err(ServeError::Config)?,
-        );
-        Server::bind_backend(backend, addr, &cfg)
+    ) -> Result<Server, ServeError> {
+        // Degenerate ANN settings are rejected here, before a trainer
+        // thread or a socket exists.
+        let session =
+            ServingSession::spawn(trainee, cfg.session_spec()).map_err(ServeError::Config)?;
+        Server::bind_backend(Backend::Single(session), addr, &cfg)
     }
 
-    /// Serve `shard_cfg.shards` partition-routed shards (one
-    /// [`EmbedderSession`] each, one trainer thread each) behind the
-    /// same wire protocol: events route through a `glodyne-shard`
-    /// [`ShardRouter`](glodyne_shard::ShardRouter), `nearest` fans out
-    /// across the shard epochs, and `stats` gains the per-shard
-    /// `"shards"` array.
-    pub fn bind_sharded<E>(
-        sessions: Vec<EmbedderSession<E>>,
-        shard_cfg: ShardConfig,
+    /// Serve partition-routed shards (one trainee and one trainer
+    /// thread each) behind the same wire protocol: events route through
+    /// a `glodyne-shard` [`ShardRouter`](glodyne_shard::ShardRouter),
+    /// `nearest` fans out across the shard epochs, and `stats` gains
+    /// the per-shard `"shards"` array. `lineage` is a
+    /// [`ShardConfig`](glodyne_shard::ShardConfig) for in-memory
+    /// serving, or — with the trainees — what
+    /// [`recover_sharded`](crate::recover_sharded) returned for
+    /// crash-recoverable serving (see [`ShardedSession::spawn`]).
+    pub fn bind_sharded<T: Trainee>(
+        trainees: Vec<T>,
+        lineage: impl Into<RouterLineage>,
         addr: &str,
         cfg: ServerConfig,
-    ) -> Result<Server, ServeError>
-    where
-        E: DynamicEmbedder + Send + 'static,
-    {
-        let backend = Backend::Sharded(
-            ShardedSession::spawn_instrumented(
-                sessions,
-                shard_cfg,
-                cfg.queue_capacity,
-                cfg.ann,
-                cfg.hub(),
-            )
-            .map_err(ServeError::Config)?,
-        );
-        Server::bind_backend(backend, addr, &cfg)
-    }
-
-    /// Serve a crash-recoverable unsharded session: `durable` comes
-    /// from [`DurableSession::create`] (fresh lineage) or
-    /// [`DurableSession::recover`] (restart), `recovered_from` is the
-    /// recovery report's provenance to surface through `stats`. The
-    /// wire `shutdown` command drains the ingest queue, fsyncs the
-    /// WAL, and writes a final snapshot before [`Server::join`]
-    /// returns, so a clean stop never needs replay.
-    pub fn bind_durable<E>(
-        durable: DurableSession<E>,
-        recovered_from: Option<String>,
-        addr: &str,
-        cfg: ServerConfig,
-    ) -> Result<Server, ServeError>
-    where
-        E: CheckpointEmbedder + Send + 'static,
-    {
-        let backend = Backend::Single(
-            ServingSession::spawn_durable_instrumented(
-                durable,
-                recovered_from,
-                cfg.queue_capacity,
-                cfg.ann,
-                cfg.hub(),
-            )
-            .map_err(ServeError::Config)?,
-        );
-        Server::bind_backend(backend, addr, &cfg)
-    }
-
-    /// Serve a crash-recoverable sharded session rooted at `dir` (see
-    /// [`ShardedSession::spawn_durable`] for the lineage layout and
-    /// recovery semantics). Also returns the recovery provenance,
-    /// `None` when the directory was fresh.
-    #[allow(clippy::too_many_arguments)]
-    pub fn bind_sharded_durable<E, F>(
-        dir: &Path,
-        shard_cfg: ShardConfig,
-        durable_cfg: DurableConfig,
-        policy: EpochPolicy,
-        addr: &str,
-        cfg: ServerConfig,
-        make_embedder: F,
-    ) -> Result<(Server, Option<String>), ServeError>
-    where
-        E: CheckpointEmbedder + Send + 'static,
-        F: Fn(usize) -> E,
-    {
-        let (session, recovered) = ShardedSession::spawn_durable_instrumented(
-            dir,
-            shard_cfg,
-            durable_cfg,
-            policy,
-            cfg.queue_capacity,
-            cfg.ann,
-            make_embedder,
-            cfg.hub(),
-        )
-        .map_err(ServeError::Durability)?;
-        let server = Server::bind_backend(Backend::Sharded(session), addr, &cfg)?;
-        Ok((server, recovered))
+    ) -> Result<Server, ServeError> {
+        let session = ShardedSession::spawn(trainees, lineage, cfg.session_spec())
+            .map_err(ServeError::Config)?;
+        Server::bind_backend(Backend::Sharded(session), addr, &cfg)
     }
 
     fn bind_backend(
@@ -510,7 +407,6 @@ impl Server {
         if let Some(settings) = &cfg.probe {
             settings.validate().map_err(ServeError::Config)?;
         }
-        backend.set_stall_after(Duration::from_millis(cfg.stall_after_ms));
         let listener = TcpListener::bind(addr).map_err(|source| ServeError::Bind {
             addr: addr.to_string(),
             source,
@@ -626,15 +522,6 @@ impl Server {
         self.addr
     }
 
-    /// The unsharded serving session, when this server runs one
-    /// (host-side stats, tests); `None` in sharded mode.
-    pub fn session(&self) -> Option<&ServingSession> {
-        match &*self.backend {
-            Backend::Single(s) => Some(s),
-            Backend::Sharded(_) => None,
-        }
-    }
-
     /// The sharded session, when this server runs one; `None` in
     /// unsharded mode.
     pub fn sharded(&self) -> Option<&ShardedSession> {
@@ -722,7 +609,7 @@ impl Slots {
     /// notifies it, and shutdown paths that can't release a permit call
     /// [`Slots::close`] — no polling.
     fn acquire(self: &Arc<Self>, shutdown: &AtomicBool) -> Option<SlotPermit> {
-        let mut free = self.free.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut free = lock(&self.free);
         loop {
             if shutdown.load(Ordering::SeqCst) {
                 return None;
@@ -741,7 +628,7 @@ impl Slots {
     /// this notify after any in-flight flag check, so a waiter can't
     /// slip past both and park forever.
     fn close(&self) {
-        let _free = self.free.lock().unwrap_or_else(PoisonError::into_inner);
+        let _free = lock(&self.free);
         self.cv.notify_all();
     }
 }
@@ -751,7 +638,7 @@ struct SlotPermit(Arc<Slots>);
 
 impl Drop for SlotPermit {
     fn drop(&mut self) {
-        *self.0.free.lock().unwrap_or_else(PoisonError::into_inner) += 1;
+        *lock(&self.0.free) += 1;
         self.0.cv.notify_one();
     }
 }
@@ -967,13 +854,7 @@ fn dispatch(
             if let Some(line) = degraded_write_rejection(serving) {
                 return line;
             }
-            let deadline = write_deadline(deadline_ms, policy);
-            let result = match deadline {
-                Some(at) => serving.ingest_deadline(&events, at),
-                None if policy.fast_fail => serving.ingest_fast_fail(&events),
-                None => serving.ingest(&events),
-            };
-            match result {
+            match serving.ingest(&events, admission(deadline_ms, policy)) {
                 Ok(accepted) => protocol::ingest_line(accepted),
                 Err(e) => write_error_line(e, serving),
             }
@@ -985,11 +866,7 @@ fn dispatch(
             if let Some(line) = degraded_write_rejection(serving) {
                 return line;
             }
-            let result = match write_deadline(deadline_ms, policy) {
-                Some(at) => serving.flush_deadline(at),
-                None => serving.flush(),
-            };
-            match result {
+            match serving.flush(admission(deadline_ms, policy)) {
                 Ok(outcome) => protocol::flush_line(outcome),
                 Err(e) => write_error_line(e, serving),
             }
@@ -1026,12 +903,15 @@ fn wire_command(request: &Request) -> Option<(&'static str, usize)> {
     }
 }
 
-/// The effective deadline of a write request: the request's own
-/// `deadline_ms`, else the server default, else none.
-fn write_deadline(deadline_ms: Option<u64>, policy: ConnPolicy) -> Option<Instant> {
-    deadline_ms
-        .or(policy.default_deadline_ms)
-        .map(|ms| Instant::now() + Duration::from_millis(ms))
+/// How long a write request may wait: until the request's own
+/// `deadline_ms`, else the server default, else not at all on a
+/// fast-fail server, else as long as it takes.
+fn admission(deadline_ms: Option<u64>, policy: ConnPolicy) -> Admission {
+    match deadline_ms.or(policy.default_deadline_ms) {
+        Some(ms) => Admission::Until(Instant::now() + Duration::from_millis(ms)),
+        None if policy.fast_fail => Admission::Shed,
+        None => Admission::Block,
+    }
 }
 
 /// `Some(error line)` when the watchdog says writes must be refused.

@@ -1,24 +1,38 @@
 //! [`ServingSession`]: an [`EmbedderSession`] split into a concurrent
-//! read path and a back-pressured write path.
+//! read path and a back-pressured write path — and the one trainer loop
+//! every serving mode runs.
 //!
-//! `spawn` moves the session onto a dedicated trainer thread. From then
-//! on:
+//! The paper's online stage is a single loop (for each snapshot: select
+//! → walk → incremental SGNS, f^t initialised from f^{t−1}); serving is
+//! that loop on a thread. A serving *mode* is a value handed to that one
+//! code path, never a second copy of it:
 //!
-//! - reads ([`ServingSession::epoch`], [`query`](ServingSession::query),
-//!   [`nearest`](ServingSession::nearest)) answer from the last
-//!   *published* [`EmbeddingEpoch`] and never wait on training;
-//! - writes ([`ingest`](ServingSession::ingest),
-//!   [`flush`](ServingSession::flush)) go through the bounded
-//!   [`IngestQueue`] and block only when the queue is full or when
-//!   waiting for a requested commit.
+//! - what the trainer drives is a [`Trainee`]: an [`EmbedderSession`]
+//!   (in-memory) or a [`DurableSession`] (WAL + snapshots). Durability
+//!   is a *type* because it constrains the embedder: a `DynamicEmbedder`
+//!   that cannot checkpoint must still serve in-memory.
+//! - what rides along is a [`SessionSpec`]: queue bound, watchdog
+//!   threshold, optional [`AnnSettings`], optional [`ServeTelemetry`]
+//!   hub — `Option`s, because they change what is built and recorded
+//!   around a step, not how the step runs.
+//! - how long a write may wait is an [`Admission`].
 //!
-//! The trainer publishes a new epoch after every committed step —
-//! whether the session's [`EpochPolicy`](glodyne::EpochPolicy) crossed
-//! a boundary on its own or a flush forced one.
+//! [`ServingSession::spawn`] hands both to `spawn_trainer`, which moves
+//! the trainee onto a thread running `trainer_loop` (the sharded session
+//! calls the same function once per shard). From then on reads
+//! ([`query`](ServingSession::query), [`nearest`](ServingSession::nearest),
+//! …) answer from the last *published* [`EmbeddingEpoch`] and never wait
+//! on training; writes ([`ingest`](ServingSession::ingest),
+//! [`flush`](ServingSession::flush)) go through the bounded
+//! [`IngestQueue`]. The trainer publishes a new epoch after every
+//! committed step — whether the session's
+//! [`EpochPolicy`](glodyne::EpochPolicy) crossed a boundary on its own or
+//! a flush forced one.
 
 use crate::epoch::{EmbeddingEpoch, EpochHandle};
 use crate::error::ServeError;
-use crate::queue::{bounded_instrumented, FlushOutcome, IngestQueue, TrainerInbox, TrainerMsg};
+use crate::lock;
+use crate::queue::{bounded, Admission, FlushOutcome, IngestQueue, TrainerInbox, TrainerMsg};
 use crate::telemetry::{ServeTelemetry, TelemetryStats, TrainerStages};
 use glodyne::EmbedderSession;
 use glodyne_ann::{IvfConfig, IvfIndex, StorageMode};
@@ -27,9 +41,10 @@ use glodyne_embed::traits::CheckpointEmbedder;
 use glodyne_embed::{ConfigError, DynamicEmbedder, Embedding};
 use glodyne_graph::state::GraphEvent;
 use glodyne_graph::NodeId;
+use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -123,42 +138,28 @@ pub struct DurabilityStats {
 /// because stats reads are rare and the update writes several fields
 /// that must stay mutually consistent.
 pub(crate) struct DurabilityShared {
-    live: Mutex<DurabilityLive>,
-}
-
-struct DurabilityLive {
-    counters: DurabilityCounters,
+    counters: Mutex<DurabilityCounters>,
     recovered_from: Option<String>,
 }
 
 impl DurabilityShared {
-    pub(crate) fn new(counters: DurabilityCounters, recovered_from: Option<String>) -> Self {
-        DurabilityShared {
-            live: Mutex::new(DurabilityLive {
-                counters,
-                recovered_from,
-            }),
-        }
+    pub(crate) fn counters(&self) -> DurabilityCounters {
+        *lock(&self.counters)
     }
+}
 
-    pub(crate) fn update(&self, counters: DurabilityCounters) {
-        self.live
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .counters = counters;
-    }
-
-    pub(crate) fn snapshot(&self) -> DurabilityStats {
-        let live = self.live.lock().unwrap_or_else(PoisonError::into_inner);
+impl DurabilityStats {
+    /// The `stats` view of one lineage's counters (or several
+    /// lineages', summed by the caller).
+    pub(crate) fn new(live: DurabilityCounters, recovered_from: Option<String>) -> Self {
         DurabilityStats {
-            wal_segments: live.counters.wal_segments,
-            wal_bytes: live.counters.wal_bytes,
-            last_snapshot_epoch: live.counters.last_snapshot_epoch,
+            wal_segments: live.wal_segments,
+            wal_bytes: live.wal_bytes,
+            last_snapshot_epoch: live.last_snapshot_epoch,
             last_fsync_ms: live
-                .counters
                 .last_fsync
                 .map(|at| Instant::now().saturating_duration_since(at).as_millis() as u64),
-            recovered_from: live.recovered_from.clone(),
+            recovered_from,
         }
     }
 }
@@ -203,7 +204,7 @@ pub(crate) struct HealthState {
     panicked: AtomicBool,
     flushes_requested: AtomicU64,
     flushes_completed: AtomicU64,
-    stall_after_us: AtomicU64,
+    stall_after_us: u64,
 }
 
 impl HealthState {
@@ -214,7 +215,7 @@ impl HealthState {
             panicked: AtomicBool::new(false),
             flushes_requested: AtomicU64::new(0),
             flushes_completed: AtomicU64::new(0),
-            stall_after_us: AtomicU64::new(stall_after.as_micros() as u64),
+            stall_after_us: stall_after.as_micros() as u64,
         };
         state.beat();
         state
@@ -228,7 +229,7 @@ impl HealthState {
 
     /// Trainer-side: record progress (called after every message).
     pub(crate) fn beat(&self) {
-        self.heartbeat_us.store(self.now_us(), Ordering::Release);
+        self.heartbeat_us.fetch_max(self.now_us(), Ordering::AcqRel);
     }
 
     /// Trainer-side: the loop unwound — the server is degraded until
@@ -252,25 +253,29 @@ impl HealthState {
         self.flushes_completed.fetch_add(1, Ordering::AcqRel);
     }
 
-    pub(crate) fn set_stall_after(&self, stall_after: Duration) {
-        self.stall_after_us
-            .store(stall_after.as_micros() as u64, Ordering::Relaxed);
-    }
-
     /// Evaluate the verdict right now. `queue_depth` is the caller's
     /// view of pending ingest: a silent trainer is only *stalled* when
     /// there is work it should be making progress on.
+    ///
+    /// An idle trainer is not a stalled trainer: the trainer only beats
+    /// after a message, so an observation that finds nothing pending
+    /// advances the heartbeat itself. Every write dispatch evaluates
+    /// before it enqueues, so work arriving after an idle stretch gets
+    /// a full stall window — and a trainer that wedges on that work is
+    /// still reported once `stall_after` has passed.
     pub(crate) fn evaluate(&self, queue_depth: usize) -> HealthStats {
         let panicked = self.panicked.load(Ordering::Acquire);
         let stale_epochs = self
             .flushes_requested
             .load(Ordering::Acquire)
             .saturating_sub(self.flushes_completed.load(Ordering::Acquire));
-        let age_us = self
-            .now_us()
-            .saturating_sub(self.heartbeat_us.load(Ordering::Acquire));
         let pending = queue_depth > 0 || stale_epochs > 0;
-        let stalled = pending && age_us > self.stall_after_us.load(Ordering::Relaxed);
+        let now_us = self.now_us();
+        if !pending {
+            self.heartbeat_us.fetch_max(now_us, Ordering::AcqRel);
+        }
+        let age_us = now_us.saturating_sub(self.heartbeat_us.load(Ordering::Acquire));
+        let stalled = pending && age_us > self.stall_after_us;
         HealthStats {
             degraded: panicked || stalled,
             trainer_alive: !panicked,
@@ -340,194 +345,323 @@ pub struct ServeStats {
     pub rebalance: Option<RebalanceStats>,
 }
 
-/// The concurrent wrapper around a moved-away `EmbedderSession`.
+/// What a trainer thread drives: the session to train plus whatever
+/// its serving mode needs *around* each step. The one trainer loop calls
+/// these hooks in a fixed order — *log → apply → publish → snapshot →
+/// ack → gauge → beat* — and an `Err` from any of them is logged and
+/// serving continues: losing durability must not take reads down.
+///
+/// Public only because [`ServingSession::spawn`] names it. Implemented
+/// by [`EmbedderSession`] (in-memory: nothing to log, every hook a
+/// no-op) and [`DurableSession`] (WAL + snapshots).
+pub trait Trainee: Send + Sized + 'static {
+    /// The embedder the wrapped session trains.
+    type Embedder: DynamicEmbedder;
+
+    /// The wrapped session (what gets published after a step).
+    fn session_mut(&mut self) -> &mut EmbedderSession<Self::Embedder>;
+
+    /// Log (when durable), then apply one event; `Ok(true)` when the
+    /// session's policy committed a step. `seq` is the durable sequence
+    /// number: the router's client sequence on sharded ingest, `0`
+    /// ("assign your own") on unsharded ingest.
+    fn apply(&mut self, seq: u64, event: GraphEvent) -> io::Result<bool>;
+
+    /// Commit the pending epoch; `Ok(true)` when a step actually ran.
+    fn flush(&mut self) -> io::Result<bool>;
+
+    /// A step was just published (the periodic-snapshot hook).
+    fn committed(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+
+    /// Barrier checkpoint: freeze the state, stamped with `seq`.
+    fn checkpoint(&mut self, _seq: u64) -> io::Result<()> {
+        Ok(())
+    }
+
+    /// The loop is over. `clean` (a stop request, or every producer
+    /// gone): commit and persist what is pending — the loop publishes
+    /// the step this may run. Otherwise the loop panicked: the session
+    /// is untrusted, only make what was already logged durable.
+    fn finish(&mut self, _clean: bool) -> io::Result<()> {
+        Ok(())
+    }
+
+    /// Live durability counters and recovery provenance for `stats`;
+    /// `None` when in-memory.
+    fn durability(&self) -> Option<(DurabilityCounters, Option<&str>)> {
+        None
+    }
+
+    /// Wire mode-specific I/O timings into the telemetry hub.
+    fn instrument(&mut self, _telemetry: &ServeTelemetry) {}
+
+    /// Prepare to run as one shard of a
+    /// [`ShardedSession`](crate::ShardedSession).
+    fn into_shard(self) -> Self {
+        self
+    }
+}
+
+impl<E: DynamicEmbedder + Send + 'static> Trainee for EmbedderSession<E> {
+    type Embedder = E;
+
+    fn session_mut(&mut self) -> &mut EmbedderSession<E> {
+        self
+    }
+
+    fn apply(&mut self, _seq: u64, event: GraphEvent) -> io::Result<bool> {
+        Ok(EmbedderSession::apply(self, event))
+    }
+
+    fn flush(&mut self) -> io::Result<bool> {
+        Ok(EmbedderSession::flush(self).is_some())
+    }
+
+    /// A shard legitimately holds disconnected halo fragments, so it
+    /// commits the full graph, not the largest connected component.
+    fn into_shard(self) -> Self {
+        self.keep_full_graph()
+    }
+}
+
+/// `into_shard` stays the identity: a lineage fixes its own commit mode
+/// (`lcc_only` is part of every snapshot; flipping it would break
+/// bit-exact replay), and sharded recovery creates them full-graph.
+impl<E: CheckpointEmbedder + Send + 'static> Trainee for DurableSession<E> {
+    type Embedder = E;
+
+    fn session_mut(&mut self) -> &mut EmbedderSession<E> {
+        DurableSession::session_mut(self)
+    }
+
+    fn apply(&mut self, seq: u64, event: GraphEvent) -> io::Result<bool> {
+        let seq = if seq == 0 { self.last_seq() + 1 } else { seq };
+        DurableSession::apply(self, seq, event)
+    }
+
+    fn flush(&mut self) -> io::Result<bool> {
+        Ok(DurableSession::flush(self)?.is_some())
+    }
+
+    fn committed(&mut self) -> io::Result<()> {
+        self.maybe_snapshot().map(|_| ())
+    }
+
+    fn checkpoint(&mut self, seq: u64) -> io::Result<()> {
+        self.snapshot_at(seq)
+    }
+
+    /// Clean: flush, fsync, final snapshot — a restart replays nothing.
+    /// Panic: seal the WAL; every *accepted* event is already logged, so
+    /// recovery replays a committed prefix through the normal path.
+    fn finish(&mut self, clean: bool) -> io::Result<()> {
+        if clean {
+            self.finalize()
+        } else {
+            self.seal()
+        }
+    }
+
+    fn durability(&self) -> Option<(DurabilityCounters, Option<&str>)> {
+        Some((self.counters(), self.recovered_from()))
+    }
+
+    fn instrument(&mut self, telemetry: &ServeTelemetry) {
+        self.set_timing(telemetry.durable_timing());
+    }
+}
+
+/// The values every serving mode takes besides its trainee.
+#[derive(Clone)]
+pub struct SessionSpec {
+    /// Bound of the ingest queue (per shard when sharded).
+    pub queue_capacity: usize,
+    /// When present, the trainer builds an [`IvfIndex`] per published
+    /// epoch, on its own thread right after the step commits — readers
+    /// keep answering from the previous epoch (and its index) meanwhile.
+    pub ann: Option<AnnSettings>,
+    /// When present, every stage records into this hub (wait-free):
+    /// queue wait and depth, step phases, index build, publish-to-
+    /// first-read lag and, for durable trainees, WAL and snapshot I/O.
+    pub telemetry: Option<Arc<ServeTelemetry>>,
+    /// How long the trainer may go silent — with work pending — before
+    /// the watchdog reports the session degraded.
+    pub stall_after: Duration,
+}
+
+impl SessionSpec {
+    /// A spec with this queue bound, ANN and telemetry off, and the
+    /// default stall threshold.
+    pub fn new(queue_capacity: usize) -> Self {
+        SessionSpec {
+            queue_capacity,
+            ann: None,
+            telemetry: None,
+            stall_after: DEFAULT_STALL_AFTER,
+        }
+    }
+
+    /// Degenerate ANN settings are rejected up front, never repaired.
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
+        self.ann.as_ref().map_or(Ok(()), AnnSettings::validate)
+    }
+}
+
+/// One running trainer thread and the plumbing to talk to it. An
+/// unsharded session holds one, a sharded session one per shard.
+pub(crate) struct Trainer {
+    pub(crate) queue: IngestQueue,
+    pub(crate) epochs: EpochHandle,
+    health: Arc<HealthState>,
+    /// The trainee's live durability gauge; `None` when in-memory.
+    pub(crate) durability: Option<Arc<DurabilityShared>>,
+    join: Mutex<Option<JoinHandle<()>>>,
+}
+
+impl Trainer {
+    /// Commit everything enqueued so far and wait for the step as
+    /// `admission` allows. The watchdog counts the request as a stale
+    /// epoch until the trainer completes it — also when the *wait*
+    /// timed out, since the flush stays queued; only a request that
+    /// never reached the trainer (channel closed) is un-counted.
+    pub(crate) fn flush(&self, admission: Admission) -> Result<FlushOutcome, ServeError> {
+        self.health.flush_requested();
+        let outcome = self.queue.request_flush(admission);
+        if matches!(outcome, Err(ServeError::Closed)) {
+            self.health.flush_unrequested();
+        }
+        outcome
+    }
+
+    /// Ask the trainer to exit (idempotent; does not wait).
+    pub(crate) fn stop(&self) {
+        self.queue.send_shutdown();
+    }
+
+    /// Wait for the trainer to exit. One that panicked already published
+    /// its last good epoch; surfacing the panic here would take the
+    /// server's read path down with it.
+    pub(crate) fn join(&self) {
+        let handle = lock(&self.join).take();
+        if let Some(handle) = handle {
+            let _ = handle.join();
+        }
+    }
+}
+
+/// The watchdog verdict over one session's trainers — degraded when
+/// *any* is, alive only when *every* one is, staleness and stall age
+/// from the worst — synced to the `glodyne_health_*` gauges.
+pub(crate) fn health_of<'a>(
+    trainers: impl IntoIterator<Item = &'a Trainer>,
+    telemetry: Option<&ServeTelemetry>,
+) -> HealthStats {
+    let mut agg = HealthStats {
+        degraded: false,
+        trainer_alive: true,
+        stale_epochs: 0,
+        stalled_ms: 0,
+    };
+    for trainer in trainers {
+        let one = trainer.health.evaluate(trainer.queue.depth());
+        agg.degraded |= one.degraded;
+        agg.trainer_alive &= one.trainer_alive;
+        agg.stale_epochs = agg.stale_epochs.max(one.stale_epochs);
+        agg.stalled_ms = agg.stalled_ms.max(one.stalled_ms);
+    }
+    if let Some(t) = telemetry {
+        t.sync_health_gauges(agg.degraded, agg.stale_epochs);
+    }
+    agg
+}
+
+/// Move `trainee` onto a trainer thread (`glodyne-trainer`, or
+/// `glodyne-trainer-{i}` for shard `i`). Its current state — anything
+/// ingested and flushed, or recovered, before the move — becomes the
+/// initially served epoch.
+pub(crate) fn spawn_trainer<T: Trainee>(
+    mut trainee: T,
+    shard: Option<usize>,
+    spec: &SessionSpec,
+) -> Trainer {
+    let telemetry = spec.telemetry.as_deref();
+    if let Some(t) = telemetry {
+        trainee.instrument(t);
+    }
+    let session = trainee.session_mut();
+    // The initial index is a full build (nothing to warm-start from, in
+    // memory or after a recovery); drain pre-spawn churn so the first
+    // trainer build's dirty set starts from this index, not from state
+    // it already covers.
+    let _ = session.take_dirty();
+    let epochs = EpochHandle::new(build_epoch(
+        session.steps() as u64,
+        session.embedding().clone(),
+        session.reports().last().copied(),
+        spec.ann.as_ref(),
+        None,
+        &[],
+    ));
+    let durability = trainee.durability().map(|(counters, provenance)| {
+        Arc::new(DurabilityShared {
+            counters: Mutex::new(counters),
+            recovered_from: provenance.map(str::to_owned),
+        })
+    });
+    let (queue, inbox) = bounded(
+        spec.queue_capacity,
+        telemetry.map(|t| Arc::clone(&t.queue_wait)),
+    );
+    if let Some(t) = telemetry {
+        epochs.set_freshness_histogram(Arc::clone(&t.freshness));
+    }
+    let stages = telemetry.map(|t| t.trainer_stages(shard));
+    let health = Arc::new(HealthState::new(spec.stall_after));
+    let name = shard.map_or("glodyne-trainer".into(), |i| format!("glodyne-trainer-{i}"));
+    let (publisher, ann, gauge, pulse) = (
+        epochs.clone(),
+        spec.ann,
+        durability.clone(),
+        Arc::clone(&health),
+    );
+    let join = thread::Builder::new()
+        .name(name)
+        .spawn(move || trainer_loop(trainee, &inbox, &publisher, ann, gauge, stages, &pulse))
+        .expect("spawn trainer thread");
+    Trainer {
+        queue,
+        epochs,
+        health,
+        durability,
+        join: Mutex::new(Some(join)),
+    }
+}
+
+/// The concurrent wrapper around a moved-away [`Trainee`].
 ///
 /// All methods take `&self`; the struct is shared across connection
 /// threads behind an `Arc`.
 pub struct ServingSession {
-    queue: IngestQueue,
-    epochs: EpochHandle,
-    trainer: Mutex<Option<JoinHandle<()>>>,
+    trainer: Trainer,
     ann: Option<AnnSettings>,
-    durability: Option<Arc<DurabilityShared>>,
     telemetry: Option<Arc<ServeTelemetry>>,
-    health: Arc<HealthState>,
 }
 
 impl ServingSession {
-    /// Move `session` onto a trainer thread and return the concurrent
-    /// handle. The session's current state (anything already ingested
-    /// and flushed before the move) becomes the initially served epoch.
-    pub fn spawn<E>(session: EmbedderSession<E>, queue_capacity: usize) -> ServingSession
-    where
-        E: DynamicEmbedder + Send + 'static,
-    {
-        match ServingSession::spawn_with_ann(session, queue_capacity, None) {
-            Ok(serving) => serving,
-            // With no ANN settings there is nothing to validate.
-            Err(_) => unreachable!("spawn without ANN settings cannot fail validation"),
-        }
-    }
-
-    /// Like [`ServingSession::spawn`], additionally maintaining an IVF
-    /// index per published epoch when `ann` is present. The index for
-    /// an epoch is built *on the trainer thread* right after the step
-    /// commits — readers keep answering from the previous epoch (and
-    /// its index) meanwhile, the same ≤ 1-epoch-lag model as the
-    /// embedding itself. Degenerate settings are rejected up front
-    /// (the fallible-config convention), never silently repaired.
-    pub fn spawn_with_ann<E>(
-        session: EmbedderSession<E>,
-        queue_capacity: usize,
-        ann: Option<AnnSettings>,
-    ) -> Result<ServingSession, ConfigError>
-    where
-        E: DynamicEmbedder + Send + 'static,
-    {
-        ServingSession::spawn_instrumented(session, queue_capacity, ann, None)
-    }
-
-    /// Like [`ServingSession::spawn_with_ann`], additionally wiring
-    /// every pipeline stage into `telemetry` when present: queue wait
-    /// and depth, trainer step phases, index build time, and the
-    /// epoch publish-to-first-read freshness lag. All recording is
-    /// wait-free; a `None` telemetry spawns an identical un-instrumented
-    /// session.
-    pub fn spawn_instrumented<E>(
-        mut session: EmbedderSession<E>,
-        queue_capacity: usize,
-        ann: Option<AnnSettings>,
-        telemetry: Option<Arc<ServeTelemetry>>,
-    ) -> Result<ServingSession, ConfigError>
-    where
-        E: DynamicEmbedder + Send + 'static,
-    {
-        if let Some(settings) = &ann {
-            settings.validate()?;
-        }
-        // The initial epoch's index is a full build (there is nothing
-        // to warm-start from); drain any pre-spawn churn so the first
-        // trainer build's dirty set starts from this index, not from
-        // state it already covers.
-        let _ = session.take_dirty();
-        let epochs = EpochHandle::new(build_epoch(
-            session.steps() as u64,
-            session.embedding().clone(),
-            session.reports().last().copied(),
-            ann.as_ref(),
-            None,
-            &[],
-        ));
-        let (queue, inbox) = bounded_instrumented(
-            queue_capacity,
-            telemetry.as_ref().map(|t| Arc::clone(&t.queue_wait)),
-        );
-        if let Some(t) = &telemetry {
-            epochs.set_freshness_histogram(Arc::clone(&t.freshness));
-        }
-        let stages = telemetry.as_ref().map(|t| t.trainer_stages());
-        let publisher = epochs.clone();
-        let health = Arc::new(HealthState::new(DEFAULT_STALL_AFTER));
-        let pulse = Arc::clone(&health);
-        let trainer = thread::Builder::new()
-            .name("glodyne-trainer".into())
-            .spawn(move || trainer_loop(session, inbox, publisher, ann, stages, pulse))
-            .expect("spawn trainer thread");
-        Ok(ServingSession {
-            queue,
-            epochs,
-            trainer: Mutex::new(Some(trainer)),
-            ann,
-            durability: None,
-            telemetry,
-            health,
-        })
-    }
-
-    /// Like [`ServingSession::spawn_with_ann`], but around a
+    /// Move `trainee` onto a trainer thread and return the concurrent
+    /// handle. An [`EmbedderSession`] serves in-memory; a
     /// [`DurableSession`] (from [`DurableSession::create`] or
-    /// [`DurableSession::recover`]): every ingested event is WAL-logged
-    /// before application, committed epochs are periodically frozen
-    /// into snapshots, and shutdown finalizes the lineage so a restart
-    /// replays nothing. `recovered_from` is the recovery report's
-    /// provenance string when this session was recovered, surfaced
-    /// through `stats`.
-    pub fn spawn_durable<E>(
-        durable: DurableSession<E>,
-        recovered_from: Option<String>,
-        queue_capacity: usize,
-        ann: Option<AnnSettings>,
-    ) -> Result<ServingSession, ConfigError>
-    where
-        E: CheckpointEmbedder + Send + 'static,
-    {
-        ServingSession::spawn_durable_instrumented(
-            durable,
-            recovered_from,
-            queue_capacity,
-            ann,
-            None,
-        )
-    }
-
-    /// [`ServingSession::spawn_durable`] with telemetry: everything
-    /// [`ServingSession::spawn_instrumented`] wires, plus WAL
-    /// append/fsync and snapshot write timings from the lineage.
-    pub fn spawn_durable_instrumented<E>(
-        mut durable: DurableSession<E>,
-        recovered_from: Option<String>,
-        queue_capacity: usize,
-        ann: Option<AnnSettings>,
-        telemetry: Option<Arc<ServeTelemetry>>,
-    ) -> Result<ServingSession, ConfigError>
-    where
-        E: CheckpointEmbedder + Send + 'static,
-    {
-        if let Some(settings) = &ann {
-            settings.validate()?;
-        }
-        if let Some(t) = &telemetry {
-            durable.set_timing(t.durable_timing());
-        }
-        // Durable recovery has no previous in-memory index, so the
-        // first build after a restart is always a full one.
-        let _ = durable.session_mut().take_dirty();
-        let session = durable.session();
-        let epochs = EpochHandle::new(build_epoch(
-            session.steps() as u64,
-            session.embedding().clone(),
-            session.reports().last().copied(),
-            ann.as_ref(),
-            None,
-            &[],
-        ));
-        let shared = Arc::new(DurabilityShared::new(durable.counters(), recovered_from));
-        let (queue, inbox) = bounded_instrumented(
-            queue_capacity,
-            telemetry.as_ref().map(|t| Arc::clone(&t.queue_wait)),
-        );
-        if let Some(t) = &telemetry {
-            epochs.set_freshness_histogram(Arc::clone(&t.freshness));
-        }
-        let stages = telemetry.as_ref().map(|t| t.trainer_stages());
-        let publisher = epochs.clone();
-        let gauge = Arc::clone(&shared);
-        let health = Arc::new(HealthState::new(DEFAULT_STALL_AFTER));
-        let pulse = Arc::clone(&health);
-        let trainer = thread::Builder::new()
-            .name("glodyne-trainer".into())
-            .spawn(move || {
-                trainer_loop_durable(durable, inbox, publisher, ann, gauge, stages, pulse)
-            })
-            .expect("spawn trainer thread");
+    /// [`DurableSession::recover`]) additionally WAL-logs every event
+    /// before applying it, freezes committed epochs into snapshots, and
+    /// finalizes the lineage on shutdown so a restart replays nothing.
+    pub fn spawn<T: Trainee>(trainee: T, spec: SessionSpec) -> Result<ServingSession, ConfigError> {
+        spec.validate()?;
         Ok(ServingSession {
-            queue,
-            epochs,
-            trainer: Mutex::new(Some(trainer)),
-            ann,
-            durability: Some(shared),
-            telemetry,
-            health,
+            trainer: spawn_trainer(trainee, None, &spec),
+            ann: spec.ann,
+            telemetry: spec.telemetry,
         })
     }
 
@@ -543,13 +677,13 @@ impl ServingSession {
 
     /// The currently served epoch (frozen; see [`EpochHandle::load`]).
     pub fn epoch(&self) -> Arc<EmbeddingEpoch> {
-        self.epochs.load()
+        self.trainer.epochs.load()
     }
 
     /// The served epoch for background observers: same `Arc`, but the
     /// freshness-lag stamp is left for the first *client* read.
     pub fn probe_epoch(&self) -> Arc<EmbeddingEpoch> {
-        self.epochs.load_untracked()
+        self.trainer.epochs.load_untracked()
     }
 
     /// The embedding vector of `node` in the served epoch, with the
@@ -615,95 +749,54 @@ impl ServingSession {
         Some((epoch.epoch, results))
     }
 
-    /// Enqueue events in order, blocking when the queue is full.
-    /// Returns how many were accepted (all, unless the trainer exits
-    /// mid-batch).
+    /// [`ServingSession::ingest_with`] under [`Admission::Block`].
     pub fn ingest(&self, events: &[GraphEvent]) -> Result<usize, ServeError> {
-        for (i, &event) in events.iter().enumerate() {
-            if let Err(e) = self.queue.send_event(event) {
-                return if i == 0 { Err(e) } else { Ok(i) };
-            }
-        }
-        Ok(events.len())
+        self.ingest_with(events, Admission::Block)
     }
 
-    /// Enqueue events without ever blocking: the first event that
-    /// finds the queue full sheds the remainder. A full queue on the
-    /// *first* event is [`ServeError::Overloaded`]; mid-batch it is a
-    /// partial accept (`Ok(i)` with `i < events.len()`), the same
-    /// partial-success convention blocking ingest uses when the
-    /// trainer exits mid-batch.
-    pub fn ingest_fast_fail(&self, events: &[GraphEvent]) -> Result<usize, ServeError> {
-        for (i, &event) in events.iter().enumerate() {
-            if let Err(e) = self.queue.try_send_event(event) {
-                return if i == 0 { Err(e) } else { Ok(i) };
-            }
-        }
-        Ok(events.len())
-    }
-
-    /// Enqueue events, blocking at most until `deadline`: a queue
-    /// still full at the deadline yields [`ServeError::DeadlineExceeded`]
-    /// (first event) or a partial accept (mid-batch).
-    pub fn ingest_deadline(
+    /// Enqueue events in order, each waiting for queue room as
+    /// `admission` allows. Returns how many were accepted: a refusal on
+    /// the *first* event is the error itself ([`ServeError::Overloaded`]
+    /// when shedding, [`ServeError::DeadlineExceeded`] at a deadline,
+    /// [`ServeError::Closed`] once the trainer is gone); mid-batch it is
+    /// a partial accept (`Ok(i)` with `i < events.len()`).
+    pub fn ingest_with(
         &self,
         events: &[GraphEvent],
-        deadline: Instant,
+        admission: Admission,
     ) -> Result<usize, ServeError> {
+        let queue = &self.trainer.queue;
         for (i, &event) in events.iter().enumerate() {
-            if let Err(e) = self.queue.send_event_deadline(event, deadline) {
+            let sent = queue
+                .enqueue_failpoint()
+                .and_then(|()| queue.send(0, event, admission));
+            if let Err(e) = sent {
                 return if i == 0 { Err(e) } else { Ok(i) };
             }
         }
         Ok(events.len())
+    }
+
+    /// [`ServingSession::flush_with`] under [`Admission::Block`].
+    pub fn flush(&self) -> Result<FlushOutcome, ServeError> {
+        self.flush_with(Admission::Block)
     }
 
     /// Commit everything enqueued so far and wait for the step to
     /// finish. (The *next* read observes the new epoch; the call
-    /// returning is the visibility barrier.)
-    pub fn flush(&self) -> Result<FlushOutcome, ServeError> {
-        self.health.flush_requested();
-        match self.queue.request_flush() {
-            // The request never reached the trainer: it will never
-            // complete, so it must not count as a stale epoch.
-            Err(e) => {
-                self.health.flush_unrequested();
-                Err(e)
-            }
-            ok => ok,
-        }
-    }
-
-    /// [`ServingSession::flush`], waiting for the commit ack at most
-    /// until `deadline`. On [`ServeError::DeadlineExceeded`] the flush
-    /// *stays queued* — the trainer will still commit it (and the
-    /// watchdog counts it as a stale epoch until it does); only the
-    /// wait is abandoned.
-    pub fn flush_deadline(&self, deadline: Instant) -> Result<FlushOutcome, ServeError> {
-        self.health.flush_requested();
-        match self.queue.request_flush_deadline(deadline) {
-            Err(ServeError::Closed) => {
-                self.health.flush_unrequested();
-                Err(ServeError::Closed)
-            }
-            other => other,
-        }
+    /// returning is the visibility barrier.) Under
+    /// [`Admission::Until`] the wait for the commit ack is abandoned at
+    /// the deadline with [`ServeError::DeadlineExceeded`]; the flush
+    /// *stays queued* — the trainer will still commit it, and the
+    /// watchdog counts it as a stale epoch until it does.
+    pub fn flush_with(&self, admission: Admission) -> Result<FlushOutcome, ServeError> {
+        self.trainer.flush(admission)
     }
 
     /// Evaluate the trainer watchdog right now (also syncs the
     /// `glodyne_health_*` Prometheus gauges when instrumented).
     pub fn health(&self) -> HealthStats {
-        let stats = self.health.evaluate(self.queue.depth());
-        if let Some(t) = &self.telemetry {
-            t.sync_health_gauges(stats.degraded, stats.stale_epochs);
-        }
-        stats
-    }
-
-    /// Tune how long the trainer may go silent — with work pending —
-    /// before [`ServingSession::health`] reports the session degraded.
-    pub fn set_stall_after(&self, stall_after: Duration) {
-        self.health.set_stall_after(stall_after);
+        health_of([&self.trainer], self.telemetry.as_deref())
     }
 
     /// Serving counters plus the served epoch's identity.
@@ -713,10 +806,10 @@ impl ServingSession {
             epoch: epoch.epoch,
             nodes: epoch.embedding.len(),
             dim: epoch.embedding.dim(),
-            queue_depth: self.queue.depth(),
-            queue_capacity: self.queue.capacity(),
-            queue_high_water: self.queue.depth_high_water(),
-            events_accepted: self.queue.accepted(),
+            queue_depth: self.trainer.queue.depth(),
+            queue_capacity: self.trainer.queue.capacity(),
+            queue_high_water: self.trainer.queue.depth_high_water(),
+            events_accepted: self.trainer.queue.accepted(),
             ann: self.ann.as_ref().and_then(|settings| {
                 epoch.index.as_ref().map(|index| AnnStats {
                     cells: index.cells(),
@@ -729,11 +822,14 @@ impl ServingSession {
                 })
             }),
             shards: None,
-            durability: self.durability.as_ref().map(|d| d.snapshot()),
-            telemetry: self
-                .telemetry
-                .as_ref()
-                .map(|t| t.stats(self.queue.depth(), self.queue.depth_high_water())),
+            durability: (self.trainer.durability.as_ref())
+                .map(|d| DurabilityStats::new(d.counters(), d.recovered_from.clone())),
+            telemetry: self.telemetry.as_ref().map(|t| {
+                t.stats(
+                    self.trainer.queue.depth(),
+                    self.trainer.queue.depth_high_water(),
+                )
+            }),
             health: Some(self.health()),
             rebalance: None,
         }
@@ -743,18 +839,8 @@ impl ServingSession {
     /// working off the last published epoch afterwards, writes return
     /// [`ServeError::Closed`].
     pub fn shutdown(&self) {
-        self.queue.send_shutdown();
-        let handle = self
-            .trainer
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
-        if let Some(handle) = handle {
-            // A trainer that panicked already published its last good
-            // epoch; surfacing the panic here would take the server's
-            // read path down with it.
-            let _ = handle.join();
-        }
+        self.trainer.stop();
+        self.trainer.join();
     }
 }
 
@@ -764,202 +850,98 @@ impl Drop for ServingSession {
     }
 }
 
-/// The trainer thread: apply events, publish an epoch (embedding plus
-/// its freshly built index, when ANN is on) after every committed
-/// step, acknowledge flushes in queue order. Shared verbatim by the
-/// sharded session (`crate::shard`), which runs one of these loops per
-/// shard.
-pub(crate) fn trainer_loop<E: DynamicEmbedder>(
-    mut session: EmbedderSession<E>,
-    inbox: TrainerInbox,
-    epochs: EpochHandle,
-    ann: Option<AnnSettings>,
-    stages: Option<TrainerStages>,
-    health: Arc<HealthState>,
-) {
-    // AssertUnwindSafe: on panic the session is dropped, never reused —
-    // readers keep the last *published* epoch, which a half-applied
-    // step can't have reached.
-    let run = catch_unwind(AssertUnwindSafe(|| {
-        run_trainer_loop(
-            &mut session,
-            &inbox,
-            &epochs,
-            ann.as_ref(),
-            stages.as_ref(),
-            &health,
-        );
-    }));
-    if run.is_err() {
-        health.mark_panicked();
-        eprintln!(
-            "glodyne-serve: trainer thread panicked; reads continue from the last published epoch"
-        );
-    }
-}
-
-fn run_trainer_loop<E: DynamicEmbedder>(
-    session: &mut EmbedderSession<E>,
+/// The trainer thread — the only loop in the crate that drains an
+/// inbox, whatever the mode: apply events, publish an epoch (embedding
+/// plus its freshly built index, when ANN is on) after every committed
+/// step, acknowledge flushes in queue order. What differs between
+/// in-memory and durable serving lives behind the [`Trainee`] hooks.
+/// Loop exit — explicit shutdown *or* every producer handle dropping —
+/// finishes the trainee cleanly; a panic finishes it as a crash.
+fn trainer_loop<T: Trainee>(
+    mut trainee: T,
     inbox: &TrainerInbox,
     epochs: &EpochHandle,
-    ann: Option<&AnnSettings>,
-    stages: Option<&TrainerStages>,
+    ann: Option<AnnSettings>,
+    gauge: Option<Arc<DurabilityShared>>,
+    stages: Option<TrainerStages>,
     health: &HealthState,
 ) {
-    while let Some(msg) = inbox.recv() {
-        glodyne_chaos::slow(glodyne_chaos::sites::TRAINER_STEP);
-        match msg {
-            TrainerMsg::Event { event, .. } => {
+    let (ann, stages) = (ann.as_ref(), stages.as_ref());
+    let sync_gauge = |trainee: &T| {
+        if let (Some(gauge), Some((counters, _))) = (&gauge, trainee.durability()) {
+            *lock(&gauge.counters) = counters;
+        }
+    };
+    // A committed step: publish it, then let the trainee snapshot.
+    let commit = |trainee: &mut T| {
+        publish(trainee.session_mut(), epochs, ann, stages);
+        if let Err(e) = trainee.committed() {
+            eprintln!("glodyne-serve: snapshot failed: {e}");
+        }
+    };
+    // AssertUnwindSafe: on panic the in-memory session is untrusted and
+    // never applied to again — readers keep the last *published* epoch,
+    // which a half-applied step can't have reached.
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        while let Some(msg) = inbox.recv() {
+            glodyne_chaos::slow(glodyne_chaos::sites::TRAINER_STEP);
+            match msg {
                 // The policy may commit on its own (timestamp / every-n
                 // boundaries); publish whenever it does.
-                if session.apply(event) {
-                    publish(session, epochs, ann, stages);
+                TrainerMsg::Event { seq, event, .. } => match trainee.apply(seq, event) {
+                    Ok(true) => commit(&mut trainee),
+                    Ok(false) => {}
+                    Err(e) => eprintln!("glodyne-serve: wal append failed: {e}"),
+                },
+                TrainerMsg::Flush(ack) => {
+                    let stepped = trainee.flush().unwrap_or_else(|e| {
+                        eprintln!("glodyne-serve: wal flush failed: {e}");
+                        false
+                    });
+                    if stepped {
+                        commit(&mut trainee);
+                    }
+                    health.flush_completed();
+                    let _ = ack.send(FlushOutcome {
+                        stepped,
+                        epoch: trainee.session_mut().steps() as u64,
+                    });
                 }
-            }
-            TrainerMsg::Flush(ack) => {
-                let stepped = session.flush().is_some();
-                if stepped {
-                    publish(session, epochs, ann, stages);
+                TrainerMsg::Checkpoint { seq, ack } => {
+                    if let Err(e) = trainee.checkpoint(seq) {
+                        eprintln!("glodyne-serve: barrier snapshot failed: {e}");
+                    }
+                    let _ = ack.send(());
                 }
-                health.flush_completed();
-                let _ = ack.send(FlushOutcome {
-                    stepped,
-                    epoch: session.steps() as u64,
-                });
+                TrainerMsg::Shutdown => break,
             }
-            // Barrier checkpoints only mean something durable; a
-            // non-durable trainer just acks so mixed fleets drain.
-            TrainerMsg::Checkpoint { ack, .. } => {
-                let _ = ack.send(());
-            }
-            TrainerMsg::Shutdown => break,
+            sync_gauge(&trainee);
+            health.beat();
         }
-        health.beat();
-    }
-}
-
-/// The durable trainer thread: every event is WAL-logged before it is
-/// applied, flushes log a boundary marker and honour the fsync policy,
-/// committed epochs periodically freeze into snapshots, and loop exit —
-/// explicit shutdown *or* every producer handle dropping — finalizes
-/// the lineage so a restart replays nothing. WAL/snapshot I/O errors
-/// are logged and serving continues: losing durability must not take
-/// the read path down.
-pub(crate) fn trainer_loop_durable<E: CheckpointEmbedder>(
-    mut durable: DurableSession<E>,
-    inbox: TrainerInbox,
-    epochs: EpochHandle,
-    ann: Option<AnnSettings>,
-    shared: Arc<DurabilityShared>,
-    stages: Option<TrainerStages>,
-    health: Arc<HealthState>,
-) {
-    // AssertUnwindSafe: on panic the in-memory session is untrusted
-    // and never touched again — the outer arm only seals the WAL
-    // (every *accepted* event is already logged) so recovery replays a
-    // committed prefix bit-exactly through the normal apply path.
-    let run = catch_unwind(AssertUnwindSafe(|| {
-        run_trainer_loop_durable(
-            &mut durable,
-            &inbox,
-            &epochs,
-            ann.as_ref(),
-            &shared,
-            stages.as_ref(),
-            &health,
-        );
     }));
     match run {
         Ok(()) => {
-            // Clean stop (or all producers gone): flush, fsync, final
-            // snapshot.
-            if let Err(e) = durable.finalize() {
+            if let Err(e) = trainee.finish(true) {
                 eprintln!("glodyne-serve: finalize failed: {e}");
             }
-            publish(
-                durable.session_mut(),
-                &epochs,
-                ann.as_ref(),
-                stages.as_ref(),
-            );
+            // Finishing may have committed one last step.
+            let session = trainee.session_mut();
+            if session.steps() as u64 != epochs.load_untracked().epoch {
+                publish(session, epochs, ann, stages);
+            }
         }
         Err(_) => {
             health.mark_panicked();
-            if let Err(e) = durable.seal() {
+            if let Err(e) = trainee.finish(false) {
                 eprintln!("glodyne-serve: wal seal after trainer panic failed: {e}");
             }
             eprintln!(
-                "glodyne-serve: trainer thread panicked; WAL sealed, reads continue degraded \
-                 from the last published epoch"
+                "glodyne-serve: trainer thread panicked; reads continue degraded from the last \
+                 published epoch"
             );
         }
     }
-    shared.update(durable.counters());
-}
-
-fn run_trainer_loop_durable<E: CheckpointEmbedder>(
-    durable: &mut DurableSession<E>,
-    inbox: &TrainerInbox,
-    epochs: &EpochHandle,
-    ann: Option<&AnnSettings>,
-    shared: &DurabilityShared,
-    stages: Option<&TrainerStages>,
-    health: &HealthState,
-) {
-    while let Some(msg) = inbox.recv() {
-        glodyne_chaos::slow(glodyne_chaos::sites::TRAINER_STEP);
-        match msg {
-            TrainerMsg::Event { seq, event, .. } => {
-                // Unsharded ingest sends seq 0: the lineage assigns its
-                // own. Sharded ingest stamps the router's client seq.
-                let seq = if seq == 0 {
-                    durable.last_seq() + 1
-                } else {
-                    seq
-                };
-                match durable.apply(seq, event) {
-                    Ok(stepped) => {
-                        if stepped {
-                            publish(durable.session_mut(), epochs, ann, stages);
-                            if let Err(e) = durable.maybe_snapshot() {
-                                eprintln!("glodyne-serve: snapshot failed: {e}");
-                            }
-                        }
-                    }
-                    Err(e) => eprintln!("glodyne-serve: wal append failed: {e}"),
-                }
-            }
-            TrainerMsg::Flush(ack) => {
-                let stepped = match durable.flush() {
-                    Ok(report) => report.is_some(),
-                    Err(e) => {
-                        eprintln!("glodyne-serve: wal flush failed: {e}");
-                        false
-                    }
-                };
-                if stepped {
-                    publish(durable.session_mut(), epochs, ann, stages);
-                    if let Err(e) = durable.maybe_snapshot() {
-                        eprintln!("glodyne-serve: snapshot failed: {e}");
-                    }
-                }
-                health.flush_completed();
-                let _ = ack.send(FlushOutcome {
-                    stepped,
-                    epoch: durable.session().steps() as u64,
-                });
-            }
-            TrainerMsg::Checkpoint { seq, ack } => {
-                if let Err(e) = durable.snapshot_at(seq) {
-                    eprintln!("glodyne-serve: barrier snapshot failed: {e}");
-                }
-                let _ = ack.send(());
-            }
-            TrainerMsg::Shutdown => break,
-        }
-        shared.update(durable.counters());
-        health.beat();
-    }
+    sync_gauge(&trainee);
 }
 
 fn publish<E: DynamicEmbedder>(
@@ -1024,30 +1006,11 @@ pub(crate) fn build_epoch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use glodyne::{EpochPolicy, GloDyNE, GloDyNEConfig};
-    use glodyne_embed::walks::WalkConfig;
-    use glodyne_embed::SgnsConfig;
+    use glodyne::{EpochPolicy, GloDyNE};
     use glodyne_graph::id::TimedEdge;
 
     fn tiny_model() -> GloDyNE {
-        let cfg = GloDyNEConfig {
-            alpha: 0.5,
-            walk: WalkConfig {
-                walks_per_node: 2,
-                walk_length: 8,
-                seed: 3,
-            },
-            sgns: SgnsConfig {
-                dim: 8,
-                window: 2,
-                negatives: 2,
-                epochs: 1,
-                parallel: false,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        GloDyNE::new(cfg).unwrap()
+        crate::tests::tiny_model(3, 0)
     }
 
     fn tiny_session(policy: EpochPolicy) -> EmbedderSession<GloDyNE> {
@@ -1062,7 +1025,8 @@ mod tests {
 
     #[test]
     fn ingest_flush_query_round_trip() {
-        let serving = ServingSession::spawn(tiny_session(EpochPolicy::Manual), 64);
+        let serving =
+            ServingSession::spawn(tiny_session(EpochPolicy::Manual), SessionSpec::new(64)).unwrap();
         assert_eq!(serving.epoch().epoch, 0);
         assert_eq!(serving.query(NodeId(0)).1, None);
 
@@ -1087,7 +1051,8 @@ mod tests {
 
     #[test]
     fn nearest_matches_the_shared_reference_contract() {
-        let serving = ServingSession::spawn(tiny_session(EpochPolicy::Manual), 64);
+        let serving =
+            ServingSession::spawn(tiny_session(EpochPolicy::Manual), SessionSpec::new(64)).unwrap();
         serving.ingest(&chain_events(8, 0)).unwrap();
         serving.flush().unwrap();
         let epoch = serving.epoch();
@@ -1102,7 +1067,11 @@ mod tests {
 
     #[test]
     fn policy_boundaries_publish_without_explicit_flush() {
-        let serving = ServingSession::spawn(tiny_session(EpochPolicy::EveryNEvents(4)), 64);
+        let serving = ServingSession::spawn(
+            tiny_session(EpochPolicy::EveryNEvents(4)),
+            SessionSpec::new(64),
+        )
+        .unwrap();
         serving.ingest(&chain_events(4, 0)).unwrap();
         // The 4th event crosses the boundary inside the trainer; wait
         // for the publish via the flush barrier (no-op step).
@@ -1114,7 +1083,8 @@ mod tests {
 
     #[test]
     fn shutdown_keeps_reads_and_fails_writes() {
-        let serving = ServingSession::spawn(tiny_session(EpochPolicy::Manual), 64);
+        let serving =
+            ServingSession::spawn(tiny_session(EpochPolicy::Manual), SessionSpec::new(64)).unwrap();
         serving.ingest(&chain_events(5, 0)).unwrap();
         serving.flush().unwrap();
         serving.shutdown();
@@ -1138,7 +1108,7 @@ mod tests {
             TimedEdge::new(NodeId(2), NodeId(3), 0),
         ]);
         session.flush().unwrap();
-        let serving = ServingSession::spawn(session, 16);
+        let serving = ServingSession::spawn(session, SessionSpec::new(16)).unwrap();
         let epoch = serving.epoch();
         assert_eq!(epoch.epoch, 1);
         assert!(epoch.report.is_some());
@@ -1147,7 +1117,8 @@ mod tests {
 
     #[test]
     fn stats_reflect_the_queue_and_epoch() {
-        let serving = ServingSession::spawn(tiny_session(EpochPolicy::Manual), 16);
+        let serving =
+            ServingSession::spawn(tiny_session(EpochPolicy::Manual), SessionSpec::new(16)).unwrap();
         serving.ingest(&chain_events(5, 0)).unwrap();
         serving.flush().unwrap();
         let stats = serving.stats();
@@ -1169,17 +1140,13 @@ mod tests {
     #[test]
     fn instrumented_session_records_stages_queue_and_freshness() {
         let hub = Arc::new(ServeTelemetry::new(u64::MAX));
-        let serving = ServingSession::spawn_instrumented(
+        let serving = ServingSession::spawn(
             tiny_session(EpochPolicy::Manual),
-            16,
-            Some(AnnSettings {
-                config: IvfConfig {
-                    cells: 2,
-                    ..Default::default()
-                },
-                default_nprobe: 2,
-            }),
-            Some(Arc::clone(&hub)),
+            SessionSpec {
+                ann: Some(ann_settings(2, 2)),
+                telemetry: Some(Arc::clone(&hub)),
+                ..SessionSpec::new(16)
+            },
         )
         .unwrap();
         serving.ingest(&chain_events(6, 0)).unwrap();
@@ -1207,14 +1174,7 @@ mod tests {
     }
 
     fn durable_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "glodyne-serve-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+        crate::tests::scratch_dir(&format!("session-{tag}"))
     }
 
     #[test]
@@ -1226,7 +1186,7 @@ mod tests {
             ..DurableConfig::default()
         };
         let durable = DurableSession::create(&dir, tiny_session(EpochPolicy::Manual), cfg).unwrap();
-        let serving = ServingSession::spawn_durable(durable, None, 64, None).unwrap();
+        let serving = ServingSession::spawn(durable, SessionSpec::new(64)).unwrap();
         serving.ingest(&chain_events(8, 0)).unwrap();
         assert!(serving.flush().unwrap().stepped);
         let stats = serving.stats();
@@ -1239,9 +1199,7 @@ mod tests {
         let (recovered, report) =
             DurableSession::recover(&dir, cfg, EpochPolicy::Manual, false, tiny_model).unwrap();
         assert_eq!(report.replayed_events, 0, "final snapshot covers the log");
-        let serving2 =
-            ServingSession::spawn_durable(recovered, Some(report.recovered_from.clone()), 64, None)
-                .unwrap();
+        let serving2 = ServingSession::spawn(recovered, SessionSpec::new(64)).unwrap();
         let (epoch_after, row_after) = serving2.query(NodeId(0));
         assert_eq!(epoch_after, epoch_before);
         let (a, b) = (row_before.unwrap(), row_after.unwrap());
@@ -1268,7 +1226,7 @@ mod tests {
         };
         let durable =
             DurableSession::create(&dir, tiny_session(EpochPolicy::EveryNEvents(4)), cfg).unwrap();
-        let serving = ServingSession::spawn_durable(durable, None, 16, None).unwrap();
+        let serving = ServingSession::spawn(durable, SessionSpec::new(16)).unwrap();
         serving.ingest(&chain_events(8, 0)).unwrap();
         serving.flush().unwrap(); // barrier: both policy epochs committed
         assert_eq!(serving.epoch().epoch, 2);
@@ -1288,6 +1246,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    fn spec_with_ann(queue_capacity: usize, settings: AnnSettings) -> SessionSpec {
+        SessionSpec {
+            ann: Some(settings),
+            ..SessionSpec::new(queue_capacity)
+        }
+    }
+
     fn ann_settings(cells: usize, nprobe: usize) -> AnnSettings {
         AnnSettings {
             config: IvfConfig {
@@ -1300,10 +1265,9 @@ mod tests {
 
     #[test]
     fn ann_epochs_publish_an_index_and_full_probe_is_exact() {
-        let serving = ServingSession::spawn_with_ann(
+        let serving = ServingSession::spawn(
             tiny_session(EpochPolicy::Manual),
-            64,
-            Some(ann_settings(4, 2)),
+            spec_with_ann(64, ann_settings(4, 2)),
         )
         .unwrap();
         assert_eq!(serving.ann(), Some(ann_settings(4, 2)));
@@ -1346,10 +1310,9 @@ mod tests {
         for quantize in [false, true] {
             let mut settings = ann_settings(3, 2);
             settings.config.quantize = quantize;
-            let serving = ServingSession::spawn_with_ann(
+            let serving = ServingSession::spawn(
                 tiny_session(EpochPolicy::Manual),
-                64,
-                Some(settings),
+                spec_with_ann(64, settings),
             )
             .unwrap();
             serving.ingest(&chain_events(9, 0)).unwrap();
@@ -1397,9 +1360,11 @@ mod tests {
         // stale threshold would always trip; disarm it to observe the
         // incremental path itself.
         settings.config.drift_stale_bp = 10_000;
-        let serving =
-            ServingSession::spawn_with_ann(tiny_session(EpochPolicy::Manual), 64, Some(settings))
-                .unwrap();
+        let serving = ServingSession::spawn(
+            tiny_session(EpochPolicy::Manual),
+            spec_with_ann(64, settings),
+        )
+        .unwrap();
         serving.ingest(&chain_events(8, 0)).unwrap();
         serving.flush().unwrap();
         let first = serving.stats().ann.expect("ann stats present");
@@ -1438,7 +1403,8 @@ mod tests {
 
     #[test]
     fn ann_disabled_session_returns_none() {
-        let serving = ServingSession::spawn(tiny_session(EpochPolicy::Manual), 8);
+        let serving =
+            ServingSession::spawn(tiny_session(EpochPolicy::Manual), SessionSpec::new(8)).unwrap();
         serving.ingest(&chain_events(4, 0)).unwrap();
         serving.flush().unwrap();
         assert_eq!(serving.ann(), None);
@@ -1451,22 +1417,27 @@ mod tests {
         // Zero tolerance, but no pending work: an idle trainer is not
         // a stalled trainer.
         let h = HealthState::new(Duration::ZERO);
-        std::thread::sleep(Duration::from_millis(2));
         let s = h.evaluate(0);
         assert!(!s.degraded);
         assert!(s.trainer_alive);
         assert_eq!(s.stale_epochs, 0);
         assert_eq!(s.stalled_ms, 0, "no pending work, no stall clock");
 
-        // Pending ingest + a silent heartbeat past the threshold.
+        // Pending ingest + a heartbeat that stays silent past the
+        // threshold — counted from the idle observation above, not
+        // from before the idle stretch.
+        std::thread::sleep(Duration::from_millis(2));
         let s = h.evaluate(3);
         assert!(s.degraded);
         assert!(s.trainer_alive, "stalled, not dead");
         assert!(s.stalled_ms >= 1);
 
-        // A generous threshold clears the verdict without a beat.
-        h.set_stall_after(Duration::from_secs(3600));
-        assert!(!h.evaluate(3).degraded);
+        // Under a generous threshold the same silence is no verdict.
+        assert!(
+            !HealthState::new(Duration::from_secs(3600))
+                .evaluate(3)
+                .degraded
+        );
 
         // Requested-but-uncommitted flush boundaries are stale epochs.
         h.flush_requested();
@@ -1486,9 +1457,12 @@ mod tests {
 
     #[test]
     fn live_session_surfaces_healthy_watchdog_in_stats() {
-        let serving = ServingSession::spawn(tiny_session(EpochPolicy::Manual), 64);
+        let serving =
+            ServingSession::spawn(tiny_session(EpochPolicy::Manual), SessionSpec::new(64)).unwrap();
         assert_eq!(
-            serving.ingest_fast_fail(&chain_events(6, 0)).unwrap(),
+            serving
+                .ingest_with(&chain_events(6, 0), Admission::Shed)
+                .unwrap(),
             6,
             "fast-fail accepts everything while the queue has room"
         );
@@ -1501,29 +1475,85 @@ mod tests {
         serving.shutdown();
     }
 
-    #[test]
-    fn deadline_ingest_and_flush_succeed_with_headroom() {
-        let serving = ServingSession::spawn(tiny_session(EpochPolicy::Manual), 64);
-        let deadline = Instant::now() + Duration::from_secs(30);
-        assert_eq!(
-            serving
-                .ingest_deadline(&chain_events(4, 0), deadline)
-                .unwrap(),
-            4
-        );
-        assert!(serving.flush_deadline(deadline).unwrap().stepped);
+    /// An epoch as a reader saw it: its id and every probed row's bits.
+    type ObservedEpoch = (u64, Vec<Option<Vec<u32>>>);
+
+    /// One script — events, a policy-triggered commit, flushes, a
+    /// barrier checkpoint, a stop with events still pending — driven
+    /// through the one trainer loop; returns every epoch observed at a
+    /// barrier (id + row bits) and every flush outcome.
+    fn run_contract_script<T: Trainee>(
+        trainee: T,
+        flush_before_stop: bool,
+    ) -> (Vec<ObservedEpoch>, Vec<FlushOutcome>) {
+        let serving = ServingSession::spawn(trainee, SessionSpec::new(16)).unwrap();
+        let observe = |serving: &ServingSession| {
+            let epoch = serving.epoch();
+            let rows = (0..12u32)
+                .map(|n| {
+                    let row = epoch.embedding.get(NodeId(n));
+                    row.map(|v| v.iter().map(|x| x.to_bits()).collect())
+                })
+                .collect();
+            (epoch.epoch, rows)
+        };
+        let mut epochs = vec![observe(&serving)];
+        let mut outcomes = Vec::new();
+        // Four events cross the EveryNEvents(4) boundary inside the
+        // trainer; the flush behind them is a no-step barrier.
+        serving.ingest(&chain_events(4, 0)).unwrap();
+        outcomes.push(serving.flush().unwrap());
+        epochs.push(observe(&serving));
+        // Three more (below the policy boundary) commit by flush.
+        let skips: Vec<GraphEvent> = (0..5)
+            .map(|i| GraphEvent::add_edge(NodeId(i), NodeId(i + 2), 1))
+            .collect();
+        serving.ingest(&skips[..3]).unwrap();
+        outcomes.push(serving.flush().unwrap());
+        epochs.push(observe(&serving));
+        // A barrier checkpoint is acked by every kind of trainee.
+        serving.trainer.queue.request_checkpoint(7).unwrap();
+        // Two events are still pending when the stop arrives.
+        serving.ingest(&skips[3..]).unwrap();
+        if flush_before_stop {
+            outcomes.push(serving.flush().unwrap());
+        }
         serving.shutdown();
-        // Past shutdown, the deadline paths fail like the blocking ones
-        // — and the never-delivered flush is not counted stale forever.
-        assert!(matches!(
-            serving.ingest_fast_fail(&chain_events(1, 9)),
-            Err(ServeError::Closed)
-        ));
-        assert!(matches!(
-            serving.flush_deadline(Instant::now() + Duration::from_secs(1)),
-            Err(ServeError::Closed)
-        ));
-        assert_eq!(serving.health().stale_epochs, 0);
+        epochs.push(observe(&serving));
+        (epochs, outcomes)
+    }
+
+    #[test]
+    fn one_trainer_loop_serves_both_trainees_bit_identically() {
+        use glodyne_durable::{DurableConfig, FsyncPolicy};
+        let policy = EpochPolicy::EveryNEvents(4);
+        let dir = durable_dir("contract");
+        let cfg = DurableConfig {
+            fsync: FsyncPolicy::Off,
+            ..DurableConfig::default()
+        };
+        let durable = DurableSession::create(&dir, tiny_session(policy), cfg).unwrap();
+        let (mem_epochs, mem_outcomes) = run_contract_script(tiny_session(policy), false);
+        let (dur_epochs, dur_outcomes) = run_contract_script(durable, false);
+
+        assert_eq!(mem_outcomes, dur_outcomes, "identical flush outcomes");
+        // (The first flush found the policy had already committed.)
+        let steps: Vec<_> = mem_outcomes.iter().map(|o| (o.stepped, o.epoch)).collect();
+        assert_eq!(steps, [(false, 1), (true, 2)]);
+        // Every epoch published while serving is the same epoch, bit
+        // for bit, whichever trainee the loop drove.
+        assert_eq!(mem_epochs[..3], dur_epochs[..3]);
+        assert_eq!(mem_epochs[2].0, 2);
+        // A clean stop: nothing to finish in memory (the pending events
+        // are dropped with the session), while the durable trainee's
+        // finalize commits them — and that step is published by the
+        // time `shutdown` returns.
+        assert_eq!(mem_epochs[3], mem_epochs[2]);
+        assert_eq!(dur_epochs[3].0, 3, "finalize step published");
+        // It is the step an explicit flush would have run.
+        let (flushed, _) = run_contract_script(tiny_session(policy), true);
+        assert_eq!(dur_epochs[3], flushed[3]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1534,12 +1564,11 @@ mod tests {
             ann_settings(4, 0).validate().unwrap_err().param(),
             "default_nprobe"
         );
-        // spawn_with_ann enforces the same validation — degenerate
-        // settings never reach a running trainer.
-        match ServingSession::spawn_with_ann(
+        // spawn enforces the same validation — degenerate settings
+        // never reach a running trainer.
+        match ServingSession::spawn(
             tiny_session(EpochPolicy::Manual),
-            8,
-            Some(ann_settings(4, 0)),
+            spec_with_ann(8, ann_settings(4, 0)),
         ) {
             Err(err) => assert_eq!(err.param(), "default_nprobe"),
             Ok(_) => panic!("degenerate AnnSettings must be rejected at spawn"),

@@ -2,13 +2,16 @@
 //! partition router — the concurrent, epoch-swapped form of
 //! `glodyne_shard::ShardedState`.
 //!
-//! Each shard reuses the unsharded machinery verbatim: its own bounded
-//! [`IngestQueue`], its own trainer thread running the same
-//! [`trainer_loop`](crate::session), and its own
-//! [`EpochHandle`] publishing an immutable [`EmbeddingEpoch`]
-//! (embedding + optional IVF index) after every committed step. What
-//! the sharded session adds is the routing layer in front and the
-//! fan-out merge behind:
+//! Each shard is one `spawn_trainer` call — the same function, the
+//! same `trainer_loop`, the same [`Trainee`] hooks as the unsharded
+//! session (`crate::session`): its own bounded queue, its own trainer
+//! thread, its own epoch handle publishing an immutable
+//! [`EmbeddingEpoch`] after every committed step. Whether the shards
+//! are in-memory or durable is, again, the trainees' type; whether the
+//! *router* is, is the [`RouterLineage`] handed to
+//! [`ShardedSession::spawn`] — a bare [`ShardConfig`], or what
+//! [`recover_sharded`] returned. What the sharded session adds is the
+//! routing layer in front and the fan-out merge behind:
 //!
 //! - **Writes** take the router's write lock just long enough to route
 //!   (cheap hash/partition-map lookups — never training) and then feed
@@ -30,23 +33,24 @@
 //! unsharded exact scan over the owner-filtered union of the shard
 //! epochs; ANN mode probes each shard's index and merges owned hits.
 
-use crate::epoch::{EmbeddingEpoch, EpochHandle};
+use crate::epoch::EmbeddingEpoch;
 use crate::error::ServeError;
-use crate::queue::{bounded_instrumented, FlushOutcome, IngestQueue};
+use crate::lock;
+use crate::queue::{Admission, FlushOutcome};
 use crate::session::{
-    build_epoch, trainer_loop, trainer_loop_durable, AnnSettings, AnnStats, DurabilityShared,
-    DurabilityStats, HealthState, HealthStats, RebalanceStats, ServeStats, DEFAULT_STALL_AFTER,
+    health_of, spawn_trainer, AnnSettings, AnnStats, DurabilityStats, HealthStats, RebalanceStats,
+    ServeStats, SessionSpec, Trainee, Trainer,
 };
 use crate::telemetry::ServeTelemetry;
 use glodyne::{EmbedderSession, EpochPolicy};
 use glodyne_ann::StorageMode;
 use glodyne_durable::{
     decode_session_payload, list_snapshots, load_snapshot, prune_snapshots, remove_all_segments,
-    replay_and_heal, write_snapshot, DurableConfig, DurableSession, FsyncPolicy, WalRecord,
-    WalWriter, PAYLOAD_ROUTER, PAYLOAD_SESSION,
+    replay_and_heal, write_snapshot, DurabilityCounters, DurableConfig, DurableSession,
+    FsyncPolicy, WalRecord, WalWriter, PAYLOAD_ROUTER, PAYLOAD_SESSION,
 };
 use glodyne_embed::traits::CheckpointEmbedder;
-use glodyne_embed::{ConfigError, DynamicEmbedder};
+use glodyne_embed::ConfigError;
 use glodyne_graph::state::{GraphEvent, GraphEventKind};
 use glodyne_graph::NodeId;
 use glodyne_shard::{fanout, ShardConfig, ShardRouter, ShardView};
@@ -54,8 +58,8 @@ use std::collections::VecDeque;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
-use std::thread::{self, JoinHandle};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::thread;
 use std::time::{Duration, Instant};
 
 /// One shard's slice of a `stats` response.
@@ -83,13 +87,6 @@ pub struct ShardEpochStats {
     pub ann_dirty_rows: Option<usize>,
 }
 
-/// One shard's write/read plumbing.
-struct ShardHandle {
-    queue: IngestQueue,
-    epochs: EpochHandle,
-    health: Arc<HealthState>,
-}
-
 /// The flush-scoped rebalance throttle. Drift rebalancing used to run
 /// inline on the ingest hot path; it now happens only at flush
 /// boundaries, and even there forwards at most `budget` migration
@@ -111,6 +108,16 @@ struct RebalanceControl {
     budget: usize,
 }
 
+/// How many of `queued` migration events one flush boundary may forward
+/// under a per-flush `budget` (`0` = unlimited).
+fn drain_quota(budget: usize, queued: usize) -> usize {
+    if budget == 0 {
+        queued
+    } else {
+        budget.min(queued)
+    }
+}
+
 impl RebalanceControl {
     fn new(budget: usize, pending: VecDeque<(u32, GraphEvent)>) -> Self {
         RebalanceControl {
@@ -121,24 +128,11 @@ impl RebalanceControl {
         }
     }
 
-    /// How many events a flush may forward right now.
-    fn drain_quota(&self, queued: usize) -> usize {
-        if self.budget == 0 {
-            queued
-        } else {
-            self.budget.min(queued)
-        }
-    }
-
     fn stats(&self) -> RebalanceStats {
         RebalanceStats {
             rebalance_batches: self.batches.load(Ordering::Relaxed),
             migrated_nodes: self.migrated.load(Ordering::Relaxed),
-            pending_migrations: self
-                .pending
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .len(),
+            pending_migrations: lock(&self.pending).len(),
         }
     }
 }
@@ -237,24 +231,13 @@ fn decode_router_payload(payload: &[u8]) -> Option<(&[u8], VecDeque<(u32, GraphE
 
 /// The session-level durability state of a sharded session: the
 /// authoritative router lineage (client-event WAL + `PAYLOAD_ROUTER`
-/// snapshots under `dir/router`) plus the per-shard lineage gauges.
+/// snapshots under `dir/router`).
 ///
 /// The router log records every *client* event, in acceptance order,
 /// with explicit flush markers; the per-shard WALs (`dir/shard-<i>`)
 /// are derived, regenerated at recovery by re-routing the router log —
 /// a crash can tear a shard WAL mid frame-group (one client event
 /// fanning out to several shards), so only the router log is trusted.
-/// A consistent cut restored from disk: the router, the rebalance
-/// throttle's pending migration queue, and every shard's `(session,
-/// epoch)`, all frozen at barrier `(seq, epoch)`.
-type RestoredBarrier<E> = (
-    ShardRouter,
-    VecDeque<(u32, GraphEvent)>,
-    Vec<(EmbedderSession<E>, u64)>,
-    u64,
-    u64,
-);
-
 struct ShardedDurable {
     router_dir: PathBuf,
     /// The router-lineage WAL. Appends happen under `write_order`, so
@@ -267,15 +250,233 @@ struct ShardedDurable {
     /// Epoch stamped on the newest barrier snapshot.
     last_snapshot_epoch: Mutex<Option<u64>>,
     recovered_from: Option<String>,
-    /// Per-shard lineage counters, fed by each durable trainer loop.
-    gauges: Vec<Arc<DurabilityShared>>,
+}
+
+/// Where a sharded session's router starts from — the value that makes
+/// sharded serving in-memory or durable. A bare [`ShardConfig`]
+/// converts into the in-memory case (fresh router, nothing on disk);
+/// [`recover_sharded`] returns the durable one together with the
+/// per-shard trainees it belongs to.
+pub struct RouterLineage {
+    cfg: ShardConfig,
+    /// The router and the rebalance throttle's undrained migration
+    /// queue as restored from disk; `None` starts both empty.
+    restored: Option<(ShardRouter, VecDeque<(u32, GraphEvent)>)>,
+    durable: Option<ShardedDurable>,
+}
+
+impl From<ShardConfig> for RouterLineage {
+    fn from(cfg: ShardConfig) -> Self {
+        RouterLineage {
+            cfg,
+            restored: None,
+            durable: None,
+        }
+    }
+}
+
+impl RouterLineage {
+    /// What recovery found on disk (`None` when the directory was
+    /// fresh, or the lineage is in-memory) — also surfaced through
+    /// `stats`.
+    pub fn recovered_from(&self) -> Option<&str> {
+        self.durable.as_ref()?.recovered_from.as_deref()
+    }
+}
+
+/// Where recovery starts from: the router, the rebalance throttle's
+/// pending migration queue, every shard's session with the epoch its
+/// snapshot was stamped with, and the barrier `(seq, epoch)` they were
+/// all frozen at — or everything empty and `None` on a fresh directory.
+type RecoveryBase<E> = (
+    ShardRouter,
+    VecDeque<(u32, GraphEvent)>,
+    Vec<(EmbedderSession<E>, Option<u64>)>,
+    Option<(u64, u64)>,
+);
+
+/// Open (or recover) the crash-recoverable sharded lineages rooted at
+/// `dir` — the router's in `dir/router`, shard `i`'s in `dir/shard-<i>`
+/// — and return one durable trainee per shard plus the router lineage,
+/// ready for [`ShardedSession::spawn`]. On a fresh directory everything
+/// starts empty; on an existing one it resumes from the newest *common
+/// barrier* — the highest sequence at which a valid router snapshot and
+/// a valid session snapshot in **every** shard directory coexist — then
+/// re-routes the router WAL suffix through the normal apply path
+/// (routing is deterministic, so the rebuilt placement, migrations, and
+/// shard states are bit-exact with the pre-crash run).
+///
+/// `make_embedder` receives the shard index and must rebuild each
+/// shard's embedder with the configuration the lineage was created
+/// with.
+pub fn recover_sharded<E, F>(
+    dir: &Path,
+    shard_cfg: ShardConfig,
+    durable_cfg: DurableConfig,
+    policy: EpochPolicy,
+    make_embedder: F,
+) -> io::Result<(Vec<DurableSession<E>>, RouterLineage)>
+where
+    E: CheckpointEmbedder + Send + 'static,
+    F: Fn(usize) -> E,
+{
+    let cfg_io = |e: ConfigError| io::Error::new(io::ErrorKind::InvalidInput, e.to_string());
+    let router_dir = dir.join("router");
+    std::fs::create_dir_all(&router_dir)?;
+    let shard_dirs: Vec<PathBuf> = (0..shard_cfg.shards)
+        .map(|i| dir.join(format!("shard-{i}")))
+        .collect();
+    for sdir in &shard_dirs {
+        std::fs::create_dir_all(sdir)?;
+    }
+    // Per-shard lineages snapshot *only* at barrier checkpoints: a
+    // shard-local periodic snapshot would sit at a sequence the other
+    // lineages never froze at, and its pruning could evict the common
+    // barrier snapshot recovery depends on.
+    let shard_durable_cfg = DurableConfig {
+        snapshot_every: 0,
+        ..durable_cfg
+    };
+
+    // Newest common barrier C*: walk router snapshots newest-first and
+    // accept the first whose sequence every shard can resume.
+    let mut restored: Option<RecoveryBase<E>> = None;
+    'candidates: for (seq, path) in list_snapshots(&router_dir)?.into_iter().rev() {
+        let Ok(snap) = load_snapshot(&path) else {
+            continue;
+        };
+        if snap.kind != PAYLOAD_ROUTER {
+            continue;
+        }
+        let Some((router_bytes, pending)) = decode_router_payload(&snap.payload) else {
+            continue;
+        };
+        let Ok(router) = ShardRouter::restore(shard_cfg, router_bytes) else {
+            continue;
+        };
+        let mut sessions = Vec::with_capacity(shard_dirs.len());
+        for (i, sdir) in shard_dirs.iter().enumerate() {
+            let Some((_, spath)) = list_snapshots(sdir)?.into_iter().find(|&(s, _)| s == seq)
+            else {
+                continue 'candidates;
+            };
+            let Ok(ssnap) = load_snapshot(&spath) else {
+                continue 'candidates;
+            };
+            if ssnap.kind != PAYLOAD_SESSION {
+                continue 'candidates;
+            }
+            let Ok((ckpt, embedding)) = decode_session_payload(&ssnap.payload) else {
+                continue 'candidates;
+            };
+            let Ok(session) = EmbedderSession::resume(make_embedder(i), policy, &ckpt, &embedding)
+            else {
+                continue 'candidates;
+            };
+            sessions.push((session, Some(ssnap.epoch)));
+        }
+        restored = Some((router, pending, sessions, Some((seq, snap.epoch))));
+        break;
+    }
+    let (mut router, mut pending, sessions, barrier) = match restored {
+        Some(base) => base,
+        None => {
+            let mut sessions = Vec::with_capacity(shard_dirs.len());
+            for i in 0..shard_dirs.len() {
+                let session = EmbedderSession::new(make_embedder(i), policy).map_err(cfg_io)?;
+                sessions.push((session.keep_full_graph(), None));
+            }
+            let router = ShardRouter::new(shard_cfg).map_err(cfg_io)?;
+            (router, VecDeque::new(), sessions, None)
+        }
+    };
+    let floor = barrier.map_or(0, |(seq, _)| seq);
+    let mut durables = Vec::with_capacity(sessions.len());
+    for ((session, shard_epoch), sdir) in sessions.into_iter().zip(&shard_dirs) {
+        // The shard WAL tail may be torn mid frame-group; replay of the
+        // authoritative router log rebuilds it deterministically.
+        remove_all_segments(sdir)?;
+        let frozen = shard_epoch.map(|epoch| (floor, epoch));
+        durables.push(DurableSession::attach(
+            sdir,
+            session,
+            shard_durable_cfg,
+            floor,
+            frozen,
+        )?);
+    }
+
+    // Re-route the router log suffix exactly as live ingest/flush would
+    // have: events route with no rebalancing; each flush boundary
+    // computes the drift rebalance and drains the pending queue under
+    // the same per-flush budget as the live run.
+    let replayed = replay_and_heal(&router_dir)?;
+    let mut last_seq = floor;
+    let mut replayed_events = 0u64;
+    for (seq, record) in &replayed.records {
+        if *seq <= floor {
+            continue;
+        }
+        match record {
+            WalRecord::Event(event) => {
+                for (shard, ev) in router.route(*event) {
+                    durables[shard as usize].apply(*seq, ev)?;
+                }
+                replayed_events += 1;
+            }
+            WalRecord::Flush => {
+                if let Some(rb) = router.maybe_rebalance() {
+                    pending.extend(rb.events);
+                }
+                for _ in 0..drain_quota(shard_cfg.rebalance_budget, pending.len()) {
+                    let (shard, ev) = pending.pop_front().expect("quota <= len");
+                    durables[shard as usize].apply(*seq, ev)?;
+                }
+                for durable in &mut durables {
+                    durable.flush()?;
+                }
+            }
+        }
+        last_seq = last_seq.max(*seq);
+    }
+    let recovered_from = match barrier {
+        Some((seq, epoch)) => Some(format!(
+            "barrier seq {seq} (epoch {epoch}) + {replayed_events} router events"
+        )),
+        None if !replayed.records.is_empty() => {
+            Some(format!("router wal replay only ({replayed_events} events)"))
+        }
+        None => None,
+    };
+    let wal = WalWriter::open(
+        &router_dir,
+        last_seq + 1,
+        durable_cfg.segment_bytes,
+        durable_cfg.fsync,
+    )?;
+    Ok((
+        durables,
+        RouterLineage {
+            cfg: shard_cfg,
+            restored: Some((router, pending)),
+            durable: Some(ShardedDurable {
+                router_dir,
+                wal: Mutex::new(wal),
+                cfg: durable_cfg,
+                seq: AtomicU64::new(last_seq),
+                last_snapshot_epoch: Mutex::new(barrier.map(|(_, epoch)| epoch)),
+                recovered_from,
+            }),
+        },
+    ))
 }
 
 /// The concurrent sharded session (see the module docs).
 pub struct ShardedSession {
     router: RwLock<ShardRouter>,
-    shards: Vec<ShardHandle>,
-    trainers: Mutex<Vec<JoinHandle<()>>>,
+    /// One trainer per shard: its queue, epochs, watchdog and (when
+    /// durable) lineage gauge.
+    shards: Vec<Trainer>,
     ann: Option<AnnSettings>,
     /// Serialises writers end-to-end (route *and* enqueue) so every
     /// shard queue receives events in global routing order — held
@@ -286,7 +487,7 @@ pub struct ShardedSession {
     /// Client events accepted (each counted once, however many shards
     /// it mirrored to).
     accepted: AtomicU64,
-    /// Durability lineages; `None` when serving in-memory.
+    /// The router lineage; `None` when serving in-memory.
     durable: Option<ShardedDurable>,
     /// Metrics hub; `None` when telemetry is disabled.
     telemetry: Option<Arc<ServeTelemetry>>,
@@ -295,404 +496,71 @@ pub struct ShardedSession {
 }
 
 impl ShardedSession {
-    /// Move one session per shard onto its own trainer thread. Every
-    /// session is switched to full-graph commits (a shard legitimately
-    /// holds disconnected halo fragments). `sessions.len()` must equal
-    /// `shard_cfg.shards`.
-    pub fn spawn<E>(
-        sessions: Vec<EmbedderSession<E>>,
-        shard_cfg: ShardConfig,
-        queue_capacity: usize,
-    ) -> Result<ShardedSession, ConfigError>
-    where
-        E: DynamicEmbedder + Send + 'static,
-    {
-        ShardedSession::spawn_with_ann(sessions, shard_cfg, queue_capacity, None)
-    }
-
-    /// Like [`ShardedSession::spawn`], additionally building an IVF
-    /// index per shard per published epoch (each on its shard's
-    /// trainer thread, same ≤ 1-epoch-lag model as the embeddings).
-    pub fn spawn_with_ann<E>(
-        sessions: Vec<EmbedderSession<E>>,
-        shard_cfg: ShardConfig,
-        queue_capacity: usize,
-        ann: Option<AnnSettings>,
-    ) -> Result<ShardedSession, ConfigError>
-    where
-        E: DynamicEmbedder + Send + 'static,
-    {
-        ShardedSession::spawn_instrumented(sessions, shard_cfg, queue_capacity, ann, None)
-    }
-
-    /// Like [`ShardedSession::spawn_with_ann`] with telemetry: each
-    /// shard's trainer records its step phases under a `shard="<i>"`
-    /// label (and into the global stage series), all queues share the
-    /// queue-wait histogram, and every shard's epoch handle feeds the
-    /// freshness-lag series.
-    pub fn spawn_instrumented<E>(
-        sessions: Vec<EmbedderSession<E>>,
-        shard_cfg: ShardConfig,
-        queue_capacity: usize,
-        ann: Option<AnnSettings>,
-        telemetry: Option<Arc<ServeTelemetry>>,
-    ) -> Result<ShardedSession, ConfigError>
-    where
-        E: DynamicEmbedder + Send + 'static,
-    {
-        if let Some(settings) = &ann {
-            settings.validate()?;
-        }
-        let router = ShardRouter::new(shard_cfg)?;
-        if sessions.len() != shard_cfg.shards {
+    /// Move one trainee per shard onto its own trainer thread behind
+    /// the router `lineage` describes: a [`ShardConfig`] for in-memory
+    /// serving (with [`EmbedderSession`] trainees, each switched to
+    /// full-graph commits), or the `(trainees, lineage)` pair
+    /// [`recover_sharded`] returns for crash-recoverable serving.
+    /// `trainees.len()` must equal the configured shard count.
+    ///
+    /// With telemetry, each shard's trainer records its step phases
+    /// under a `shard="<i>"` label (and into the global stage series),
+    /// all queues share the queue-wait histogram, every shard's epoch
+    /// handle feeds the freshness-lag series, and the router WAL and
+    /// every durable trainee report append/fsync/snapshot wall times.
+    pub fn spawn<T: Trainee>(
+        trainees: Vec<T>,
+        lineage: impl Into<RouterLineage>,
+        spec: SessionSpec,
+    ) -> Result<ShardedSession, ConfigError> {
+        spec.validate()?;
+        let RouterLineage {
+            cfg,
+            restored,
+            mut durable,
+        } = lineage.into();
+        let (router, pending) = match restored {
+            Some(restored) => restored,
+            None => (ShardRouter::new(cfg)?, VecDeque::new()),
+        };
+        if trainees.len() != cfg.shards {
             return Err(ConfigError::new(
                 "shards",
-                "one EmbedderSession per shard is required",
+                "one trainee (session) per shard is required",
             ));
         }
-        let mut shards = Vec::with_capacity(sessions.len());
-        let mut trainers = Vec::with_capacity(sessions.len());
-        for (i, session) in sessions.into_iter().enumerate() {
-            let mut session = session.keep_full_graph();
-            // The initial shard index is a full build; drain pre-spawn
-            // churn so the first incremental build starts from it.
-            let _ = session.take_dirty();
-            let epochs = EpochHandle::new(build_epoch(
-                session.steps() as u64,
-                session.embedding().clone(),
-                session.reports().last().copied(),
-                ann.as_ref(),
-                None,
-                &[],
-            ));
-            let (queue, inbox) = bounded_instrumented(
-                queue_capacity,
-                telemetry.as_ref().map(|t| Arc::clone(&t.queue_wait)),
-            );
-            if let Some(t) = &telemetry {
-                epochs.set_freshness_histogram(Arc::clone(&t.freshness));
-            }
-            let stages = telemetry.as_ref().map(|t| t.shard_trainer_stages(i));
-            let publisher = epochs.clone();
-            let health = Arc::new(HealthState::new(DEFAULT_STALL_AFTER));
-            let pulse = Arc::clone(&health);
-            let trainer = thread::Builder::new()
-                .name(format!("glodyne-trainer-{i}"))
-                .spawn(move || trainer_loop(session, inbox, publisher, ann, stages, pulse))
-                .expect("spawn shard trainer thread");
-            shards.push(ShardHandle {
-                queue,
-                epochs,
-                health,
-            });
-            trainers.push(trainer);
+        if let (Some(d), Some(t)) = (&mut durable, &spec.telemetry) {
+            d.wal
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner)
+                .set_timing(t.durable_timing());
         }
+        let shards = trainees
+            .into_iter()
+            .enumerate()
+            .map(|(i, trainee)| spawn_trainer(trainee.into_shard(), Some(i), &spec))
+            .collect();
         Ok(ShardedSession {
             router: RwLock::new(router),
             shards,
-            trainers: Mutex::new(trainers),
-            ann,
+            ann: spec.ann,
             write_order: Mutex::new(()),
             accepted: AtomicU64::new(0),
-            durable: None,
-            telemetry,
-            rebalance: RebalanceControl::new(shard_cfg.rebalance_budget, VecDeque::new()),
+            durable,
+            telemetry: spec.telemetry,
+            rebalance: RebalanceControl::new(cfg.rebalance_budget, pending),
         })
     }
 
-    /// Spawn (or recover) a crash-recoverable sharded session rooted at
-    /// `dir`: the router lineage lives in `dir/router`, shard `i`'s in
-    /// `dir/shard-<i>`. On a fresh directory this starts empty; on an
-    /// existing one it resumes from the newest *common barrier* — the
-    /// highest sequence at which a valid router snapshot and a valid
-    /// session snapshot in **every** shard directory coexist — then
-    /// re-routes the router WAL suffix through the normal ingest path
-    /// (routing is deterministic, so the rebuilt placement, migrations,
-    /// and shard states are bit-exact with the pre-crash run). Returns
-    /// the session and the recovery provenance (`None` when nothing
-    /// was on disk).
-    ///
-    /// `make_embedder` receives the shard index and must rebuild each
-    /// shard's embedder with the configuration the lineage was created
-    /// with.
-    #[allow(clippy::too_many_arguments)]
-    pub fn spawn_durable<E, F>(
-        dir: &Path,
-        shard_cfg: ShardConfig,
-        durable_cfg: DurableConfig,
-        policy: EpochPolicy,
-        queue_capacity: usize,
-        ann: Option<AnnSettings>,
-        make_embedder: F,
-    ) -> io::Result<(ShardedSession, Option<String>)>
-    where
-        E: CheckpointEmbedder + Send + 'static,
-        F: Fn(usize) -> E,
-    {
-        ShardedSession::spawn_durable_instrumented(
-            dir,
-            shard_cfg,
-            durable_cfg,
-            policy,
-            queue_capacity,
-            ann,
-            make_embedder,
-            None,
-        )
+    /// The router for a read (poison-tolerant, like [`lock`]).
+    fn routing(&self) -> RwLockReadGuard<'_, ShardRouter> {
+        self.router.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Like [`ShardedSession::spawn_durable`] with telemetry: on top of
-    /// the in-memory instrumentation, the router WAL and every shard's
-    /// durable lineage report append/fsync/snapshot wall times into the
-    /// shared durability histograms.
-    #[allow(clippy::too_many_arguments)]
-    pub fn spawn_durable_instrumented<E, F>(
-        dir: &Path,
-        shard_cfg: ShardConfig,
-        durable_cfg: DurableConfig,
-        policy: EpochPolicy,
-        queue_capacity: usize,
-        ann: Option<AnnSettings>,
-        make_embedder: F,
-        telemetry: Option<Arc<ServeTelemetry>>,
-    ) -> io::Result<(ShardedSession, Option<String>)>
-    where
-        E: CheckpointEmbedder + Send + 'static,
-        F: Fn(usize) -> E,
-    {
-        let cfg_io = |e: ConfigError| io::Error::new(io::ErrorKind::InvalidInput, e.to_string());
-        if let Some(settings) = &ann {
-            settings.validate().map_err(cfg_io)?;
-        }
-        let router_dir = dir.join("router");
-        std::fs::create_dir_all(&router_dir)?;
-        let shard_dirs: Vec<PathBuf> = (0..shard_cfg.shards)
-            .map(|i| dir.join(format!("shard-{i}")))
-            .collect();
-        for sdir in &shard_dirs {
-            std::fs::create_dir_all(sdir)?;
-        }
-        // Per-shard lineages snapshot *only* at barrier checkpoints: a
-        // shard-local periodic snapshot would sit at a sequence the
-        // other lineages never froze at, and its pruning could evict
-        // the common barrier snapshot recovery depends on.
-        let shard_durable_cfg = DurableConfig {
-            snapshot_every: 0,
-            ..durable_cfg
-        };
-
-        // Newest common barrier C*: walk router snapshots newest-first
-        // and accept the first whose sequence every shard can resume.
-        let mut restored: Option<RestoredBarrier<E>> = None;
-        'candidates: for (seq, path) in list_snapshots(&router_dir)?.into_iter().rev() {
-            let Ok(snap) = load_snapshot(&path) else {
-                continue;
-            };
-            if snap.kind != PAYLOAD_ROUTER {
-                continue;
-            }
-            let Some((router_bytes, pending)) = decode_router_payload(&snap.payload) else {
-                continue;
-            };
-            let Ok(router) = ShardRouter::restore(shard_cfg, router_bytes) else {
-                continue;
-            };
-            let mut sessions = Vec::with_capacity(shard_dirs.len());
-            for (i, sdir) in shard_dirs.iter().enumerate() {
-                let Some((_, spath)) = list_snapshots(sdir)?.into_iter().find(|&(s, _)| s == seq)
-                else {
-                    continue 'candidates;
-                };
-                let Ok(ssnap) = load_snapshot(&spath) else {
-                    continue 'candidates;
-                };
-                if ssnap.kind != PAYLOAD_SESSION {
-                    continue 'candidates;
-                }
-                let Ok((ckpt, embedding)) = decode_session_payload(&ssnap.payload) else {
-                    continue 'candidates;
-                };
-                let Ok(session) =
-                    EmbedderSession::resume(make_embedder(i), policy, &ckpt, &embedding)
-                else {
-                    continue 'candidates;
-                };
-                sessions.push((session, ssnap.epoch));
-            }
-            restored = Some((router, pending, sessions, seq, snap.epoch));
-            break;
-        }
-
-        let (mut router, mut pending, mut durables, barrier, initial_epoch) = match restored {
-            Some((router, pending, sessions, seq, epoch)) => {
-                let mut durables = Vec::with_capacity(sessions.len());
-                for (i, (session, shard_epoch)) in sessions.into_iter().enumerate() {
-                    // The shard WAL tail may be torn mid frame-group;
-                    // replay of the authoritative router log rebuilds
-                    // it deterministically.
-                    remove_all_segments(&shard_dirs[i])?;
-                    durables.push(DurableSession::attach(
-                        &shard_dirs[i],
-                        session,
-                        shard_durable_cfg,
-                        seq,
-                        Some((seq, shard_epoch)),
-                    )?);
-                }
-                (router, pending, durables, Some(seq), Some(epoch))
-            }
-            None => {
-                let router = ShardRouter::new(shard_cfg).map_err(cfg_io)?;
-                let mut durables = Vec::with_capacity(shard_dirs.len());
-                for (i, sdir) in shard_dirs.iter().enumerate() {
-                    let session = EmbedderSession::new(make_embedder(i), policy)
-                        .map_err(cfg_io)?
-                        .keep_full_graph();
-                    remove_all_segments(sdir)?;
-                    durables.push(DurableSession::attach(
-                        sdir,
-                        session,
-                        shard_durable_cfg,
-                        0,
-                        None,
-                    )?);
-                }
-                (router, VecDeque::new(), durables, None, None)
-            }
-        };
-
-        // Re-route the router log suffix exactly as live ingest/flush
-        // would have: events route with no rebalancing; each flush
-        // boundary computes the drift rebalance and drains the pending
-        // queue under the same per-flush budget as the live run.
-        let budget = shard_cfg.rebalance_budget;
-        let replayed = replay_and_heal(&router_dir)?;
-        let floor = barrier.unwrap_or(0);
-        let mut last_seq = floor;
-        let mut replayed_events = 0u64;
-        for (seq, record) in &replayed.records {
-            if *seq <= floor {
-                continue;
-            }
-            match record {
-                WalRecord::Event(event) => {
-                    for (shard, ev) in router.route(*event) {
-                        durables[shard as usize].apply(*seq, ev)?;
-                    }
-                    replayed_events += 1;
-                }
-                WalRecord::Flush => {
-                    if let Some(rb) = router.maybe_rebalance() {
-                        pending.extend(rb.events);
-                    }
-                    let drain = if budget == 0 {
-                        pending.len()
-                    } else {
-                        budget.min(pending.len())
-                    };
-                    for _ in 0..drain {
-                        let (shard, ev) = pending.pop_front().expect("drain <= len");
-                        durables[shard as usize].apply(*seq, ev)?;
-                    }
-                    for durable in &mut durables {
-                        durable.flush()?;
-                    }
-                }
-            }
-            last_seq = last_seq.max(*seq);
-        }
-        let recovered_from = match barrier {
-            Some(seq) => Some(format!(
-                "barrier seq {seq} (epoch {}) + {replayed_events} router events",
-                initial_epoch.unwrap_or(0)
-            )),
-            None if !replayed.records.is_empty() => {
-                Some(format!("router wal replay only ({replayed_events} events)"))
-            }
-            None => None,
-        };
-
-        let mut wal = WalWriter::open(
-            &router_dir,
-            last_seq + 1,
-            durable_cfg.segment_bytes,
-            durable_cfg.fsync,
-        )?;
-        if let Some(t) = &telemetry {
-            wal.set_timing(t.durable_timing());
-        }
-        let mut shards = Vec::with_capacity(durables.len());
-        let mut trainers = Vec::with_capacity(durables.len());
-        let mut gauges = Vec::with_capacity(durables.len());
-        for (i, mut durable) in durables.into_iter().enumerate() {
-            if let Some(t) = &telemetry {
-                durable.set_timing(t.durable_timing());
-            }
-            // Recovery has no previous in-memory index: full build.
-            let _ = durable.session_mut().take_dirty();
-            let session = durable.session();
-            let epochs = EpochHandle::new(build_epoch(
-                session.steps() as u64,
-                session.embedding().clone(),
-                session.reports().last().copied(),
-                ann.as_ref(),
-                None,
-                &[],
-            ));
-            let gauge = Arc::new(DurabilityShared::new(durable.counters(), None));
-            let (queue, inbox) = bounded_instrumented(
-                queue_capacity,
-                telemetry.as_ref().map(|t| Arc::clone(&t.queue_wait)),
-            );
-            if let Some(t) = &telemetry {
-                epochs.set_freshness_histogram(Arc::clone(&t.freshness));
-            }
-            let stages = telemetry.as_ref().map(|t| t.shard_trainer_stages(i));
-            let publisher = epochs.clone();
-            let feed = Arc::clone(&gauge);
-            let health = Arc::new(HealthState::new(DEFAULT_STALL_AFTER));
-            let pulse = Arc::clone(&health);
-            let trainer = thread::Builder::new()
-                .name(format!("glodyne-trainer-{i}"))
-                .spawn(move || {
-                    trainer_loop_durable(durable, inbox, publisher, ann, feed, stages, pulse)
-                })
-                .expect("spawn shard trainer thread");
-            shards.push(ShardHandle {
-                queue,
-                epochs,
-                health,
-            });
-            trainers.push(trainer);
-            gauges.push(gauge);
-        }
-        Ok((
-            ShardedSession {
-                router: RwLock::new(router),
-                shards,
-                trainers: Mutex::new(trainers),
-                ann,
-                write_order: Mutex::new(()),
-                accepted: AtomicU64::new(0),
-                telemetry,
-                rebalance: RebalanceControl::new(shard_cfg.rebalance_budget, pending),
-                durable: Some(ShardedDurable {
-                    router_dir,
-                    wal: Mutex::new(wal),
-                    cfg: durable_cfg,
-                    seq: AtomicU64::new(last_seq),
-                    last_snapshot_epoch: Mutex::new(initial_epoch),
-                    recovered_from: recovered_from.clone(),
-                    gauges,
-                }),
-            },
-            recovered_from,
-        ))
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
+    /// The router for a routing or rebalance decision — held only for
+    /// that (cheap) decision, never across a queue send.
+    fn routing_mut(&self) -> RwLockWriteGuard<'_, ShardRouter> {
+        self.router.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The session's ANN settings, when enabled.
@@ -700,9 +568,21 @@ impl ShardedSession {
         self.ann
     }
 
-    /// Route and enqueue events in order, blocking when a shard queue
-    /// is full. Returns how many *client* events were accepted (each
-    /// once, however many shards it mirrored to).
+    /// [`ShardedSession::ingest_with`] under [`Admission::Block`].
+    pub fn ingest(&self, events: &[GraphEvent]) -> Result<usize, ServeError> {
+        self.ingest_with(events, Admission::Block)
+    }
+
+    /// Route and enqueue events in order. Returns how many *client*
+    /// events were accepted (each once, however many shards it mirrored
+    /// to). Under [`Admission::Block`] a full shard queue back-pressures
+    /// the producer; the other modes refuse an event — *before* the
+    /// router WAL sees it — unless every shard queue has headroom for
+    /// its worst-case fan-out, at once ([`Admission::Shed`] →
+    /// [`ServeError::Overloaded`]) or once the deadline passes
+    /// ([`Admission::Until`] → [`ServeError::DeadlineExceeded`]). A
+    /// refusal of the first event is the error; mid-batch it is a
+    /// partial accept.
     ///
     /// Back-pressure never blocks reads: the router's write lock is
     /// held only for the (cheap) routing decision; the blocking queue
@@ -715,98 +595,58 @@ impl ShardedSession {
     ///
     /// Rebalancing never runs here: drift is drained at flush
     /// boundaries under [`ShardConfig::rebalance_budget`] (see
-    /// [`ShardedSession::flush`]), so the ingest hot path stays two
-    /// integer compares away from a pure route-and-enqueue.
-    pub fn ingest(&self, events: &[GraphEvent]) -> Result<usize, ServeError> {
-        let _order = self
-            .write_order
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        for (i, &event) in events.iter().enumerate() {
-            if let Err(e) = self.enqueue_failpoint() {
-                return if i == 0 { Err(e) } else { Ok(i) };
-            }
-            self.accept_event(event)?;
-        }
-        Ok(events.len())
-    }
-
-    /// [`ShardedSession::ingest`] that never blocks: an event is
-    /// refused — *before* the router WAL sees it — unless every shard
-    /// queue has headroom for its worst-case fan-out. The first refusal
-    /// is [`ServeError::Overloaded`]; mid-batch it is a partial accept.
-    pub fn ingest_fast_fail(&self, events: &[GraphEvent]) -> Result<usize, ServeError> {
-        let _order = self
-            .write_order
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        for (i, &event) in events.iter().enumerate() {
-            if let Some(e) = self.enqueue_failpoint().err().or_else(|| self.shed_check()) {
-                return if i == 0 { Err(e) } else { Ok(i) };
-            }
-            self.accept_event(event)?;
-        }
-        Ok(events.len())
-    }
-
-    /// [`ShardedSession::ingest`] that waits for queue headroom at most
-    /// until `deadline`, then gives up with
-    /// [`ServeError::DeadlineExceeded`] (first event) or a partial
-    /// accept (mid-batch).
-    pub fn ingest_deadline(
+    /// [`ShardedSession::flush_with`]), so the ingest hot path stays
+    /// two integer compares away from a pure route-and-enqueue.
+    pub fn ingest_with(
         &self,
         events: &[GraphEvent],
-        deadline: Instant,
+        admission: Admission,
     ) -> Result<usize, ServeError> {
-        let _order = self
-            .write_order
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let _order = lock(&self.write_order);
         for (i, &event) in events.iter().enumerate() {
-            if let Err(e) = self.enqueue_failpoint() {
+            if let Err(e) = self.admit(admission) {
                 return if i == 0 { Err(e) } else { Ok(i) };
-            }
-            while self.shed_check().is_some() {
-                if Instant::now() >= deadline {
-                    return if i == 0 {
-                        Err(ServeError::DeadlineExceeded)
-                    } else {
-                        Ok(i)
-                    };
-                }
-                thread::sleep(Duration::from_millis(1));
             }
             self.accept_event(event)?;
         }
         Ok(events.len())
     }
 
-    /// The `ingest.enqueue` failpoint, checked *before* the router WAL
-    /// append: shedding after the event is durable would let recovery
-    /// replay an event the live run never applied to any shard.
-    fn enqueue_failpoint(&self) -> Result<(), ServeError> {
+    /// Decide whether one more client event may enter, *before* the
+    /// router WAL append: shedding after the event is durable would let
+    /// recovery replay an event the live run never applied to any
+    /// shard. Callers hold `write_order`, so headroom only grows while
+    /// this waits (the trainer side only drains) and the blocking sends
+    /// that follow an `Ok` cannot stall.
+    fn admit(&self, admission: Admission) -> Result<(), ServeError> {
         if glodyne_chaos::shed(glodyne_chaos::sites::INGEST_ENQUEUE) {
-            let e = self.shed_check().unwrap_or(ServeError::Overloaded {
+            return Err(self.shed_check().unwrap_or(ServeError::Overloaded {
                 depth: self.shards.iter().map(|s| s.queue.depth()).sum(),
                 capacity: self.shards.first().map_or(0, |s| s.queue.capacity()),
-            });
-            return Err(e);
+            }));
+        }
+        if admission == Admission::Block {
+            return Ok(());
+        }
+        while let Some(full) = self.shed_check() {
+            match admission {
+                Admission::Until(at) if Instant::now() < at => {
+                    thread::sleep(Duration::from_millis(1));
+                }
+                Admission::Until(_) => return Err(ServeError::DeadlineExceeded),
+                _ => return Err(full),
+            }
         }
         Ok(())
     }
 
-    /// Overload pre-check for the non-blocking ingest modes: `Some`
-    /// when a shard queue cannot absorb one more event. Each client
-    /// event fans out to at most one copy per shard, so headroom of one
-    /// everywhere is sufficient; headroom only grows while
-    /// `write_order` is held (the trainer side only drains), so the
-    /// blocking sends that follow a `None` cannot stall.
+    /// Overload pre-check for the non-blocking admissions: `Some` when
+    /// a shard queue cannot absorb one more event. Each client event
+    /// fans out to at most one copy per shard, so headroom of one
+    /// everywhere is sufficient.
     fn shed_check(&self) -> Option<ServeError> {
         let full = self.shards.iter().find(|s| !s.queue.has_free(1))?;
-        Some(ServeError::Overloaded {
-            depth: full.queue.depth(),
-            capacity: full.queue.capacity(),
-        })
+        Some(full.queue.overloaded())
     }
 
     /// WAL-log (when durable), route, and enqueue one client event.
@@ -818,7 +658,7 @@ impl ShardedSession {
         let seq = match &self.durable {
             Some(d) => {
                 let next = d.seq.load(Ordering::Relaxed) + 1;
-                let mut wal = d.wal.lock().unwrap_or_else(PoisonError::into_inner);
+                let mut wal = lock(&d.wal);
                 if let Err(e) = wal.append(next, &event) {
                     eprintln!("glodyne-serve: router wal append failed: {e}");
                 }
@@ -828,16 +668,19 @@ impl ShardedSession {
             }
             None => 0,
         };
-        let routed = self
-            .router
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .route(event);
+        let routed = self.routing_mut().route(event);
         for (shard, ev) in routed {
-            self.shards[shard as usize].queue.send_event_seq(seq, ev)?;
+            self.shards[shard as usize]
+                .queue
+                .send(seq, ev, Admission::Block)?;
         }
         self.accepted.fetch_add(1, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// [`ShardedSession::flush_with`] under [`Admission::Block`].
+    pub fn flush(&self) -> Result<FlushOutcome, ServeError> {
+        self.flush_with(Admission::Block)
     }
 
     /// Queue any drifted-placement migrations, drain at most
@@ -849,34 +692,24 @@ impl ShardedSession {
     /// barrier snapshots, so recovery resumes the same backlog).
     /// `stepped` is true when any shard stepped; `epoch` is the
     /// maximum shard epoch after the flush.
-    pub fn flush(&self) -> Result<FlushOutcome, ServeError> {
-        self.flush_inner(None)
-    }
-
-    /// [`ShardedSession::flush`] that waits for each shard's commit
-    /// acknowledgement at most until `deadline`. The WAL marker and the
+    ///
+    /// Under [`Admission::Until`] each shard's commit acknowledgement
+    /// is awaited at most until the deadline. The WAL marker and the
     /// budgeted rebalance drain always happen (they never wait on the
     /// trainer); a deadline that fires mid-wait leaves the flush queued
     /// — the shards still commit, only this caller stops waiting — so
     /// the epoch staleness accounting stays truthful.
-    pub fn flush_deadline(&self, deadline: Instant) -> Result<FlushOutcome, ServeError> {
-        self.flush_inner(Some(deadline))
-    }
-
-    fn flush_inner(&self, deadline: Option<Instant>) -> Result<FlushOutcome, ServeError> {
+    pub fn flush_with(&self, admission: Admission) -> Result<FlushOutcome, ServeError> {
         {
             // Writer-order mutex for the send, router lock only for
             // the rebalance decision — reads stay unblocked.
-            let _order = self
-                .write_order
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
+            let _order = lock(&self.write_order);
             let seq = match &self.durable {
                 Some(d) => {
                     // Log the flush boundary so recovery replays the
                     // same rebalance-then-commit at the same point.
                     let seq = d.seq.load(Ordering::Relaxed);
-                    let mut wal = d.wal.lock().unwrap_or_else(PoisonError::into_inner);
+                    let mut wal = lock(&d.wal);
                     if let Err(e) = wal.append_flush(seq) {
                         eprintln!("glodyne-serve: router wal flush marker failed: {e}");
                     }
@@ -891,20 +724,11 @@ impl ShardedSession {
             };
             // Lock order: pending before router (barrier_checkpoint
             // matches), both under write_order.
-            let mut pending = self
-                .rebalance
-                .pending
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            if let Some(rb) = self
-                .router
-                .write()
-                .unwrap_or_else(PoisonError::into_inner)
-                .maybe_rebalance()
-            {
+            let mut pending = lock(&self.rebalance.pending);
+            if let Some(rb) = self.routing_mut().maybe_rebalance() {
                 pending.extend(rb.events);
             }
-            let quota = self.rebalance.drain_quota(pending.len());
+            let quota = drain_quota(self.rebalance.budget, pending.len());
             if quota > 0 {
                 self.rebalance.batches.fetch_add(1, Ordering::Relaxed);
                 self.rebalance
@@ -913,7 +737,9 @@ impl ShardedSession {
             }
             for _ in 0..quota {
                 let (shard, ev) = pending.pop_front().expect("quota <= pending.len()");
-                self.shards[shard as usize].queue.send_event_seq(seq, ev)?;
+                self.shards[shard as usize]
+                    .queue
+                    .send(seq, ev, Admission::Block)?;
             }
         }
         let mut outcome = FlushOutcome {
@@ -921,32 +747,13 @@ impl ShardedSession {
             epoch: 0,
         };
         for shard in &self.shards {
-            shard.health.flush_requested();
-            let one = match deadline {
-                None => shard.queue.request_flush(),
-                Some(at) => shard.queue.request_flush_deadline(at),
-            };
-            let one = match one {
-                Ok(one) => one,
-                Err(e) => {
-                    // Only a closed channel un-counts the request: a
-                    // timed-out flush is still queued and will complete.
-                    if matches!(e, ServeError::Closed) {
-                        shard.health.flush_unrequested();
-                    }
-                    return Err(e);
-                }
-            };
+            let one = shard.flush(admission)?;
             outcome.stepped |= one.stepped;
             outcome.epoch = outcome.epoch.max(one.epoch);
         }
         if let Some(d) = &self.durable {
             if d.cfg.snapshot_every > 0 {
-                let base = d
-                    .last_snapshot_epoch
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .unwrap_or(0);
+                let base = lock(&d.last_snapshot_epoch).unwrap_or(0);
                 if outcome.epoch.saturating_sub(base) >= d.cfg.snapshot_every {
                     if let Err(e) = self.barrier_checkpoint() {
                         eprintln!("glodyne-serve: barrier checkpoint failed: {e}");
@@ -968,26 +775,15 @@ impl ShardedSession {
         let Some(d) = &self.durable else {
             return Ok(());
         };
-        let _order = self
-            .write_order
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let _order = lock(&self.write_order);
         let seq = d.seq.load(Ordering::Relaxed);
         // Lock order: pending before router (flush matches). The
         // undrained migration backlog rides the router snapshot so
         // recovery resumes with the same queue instead of re-deriving
         // (and potentially re-applying) moves already committed.
         let payload = {
-            let pending = self
-                .rebalance
-                .pending
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            let router = self
-                .router
-                .read()
-                .unwrap_or_else(PoisonError::into_inner)
-                .export_state();
+            let pending = lock(&self.rebalance.pending);
+            let router = self.routing().export_state();
             encode_router_payload(&router, &pending)
         };
         // Checkpoint messages ride each shard queue behind everything
@@ -1012,13 +808,8 @@ impl ShardedSession {
         let floor = list_snapshots(&d.router_dir)?
             .first()
             .map_or(seq, |&(s, _)| s);
-        d.wal
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .prune_covered(floor)?;
-        *d.last_snapshot_epoch
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = Some(epoch);
+        lock(&d.wal).prune_covered(floor)?;
+        *lock(&d.last_snapshot_epoch) = Some(epoch);
         Ok(())
     }
 
@@ -1041,7 +832,7 @@ impl ShardedSession {
     /// The embedding vector of `node` in its owner shard's served
     /// epoch, with that epoch's id (0 when the node has no owner).
     pub fn query(&self, node: NodeId) -> (u64, Option<Vec<f32>>) {
-        let router = self.router.read().unwrap_or_else(PoisonError::into_inner);
+        let router = self.routing();
         let Some(shard) = router.owner(node) else {
             return (0, None);
         };
@@ -1090,11 +881,7 @@ impl ShardedSession {
     /// ([`ShardConfig::ann_overfetch`]): how many candidates each shard
     /// is asked for (`k * factor`) before halo filtering.
     fn ann_overfetch(&self) -> usize {
-        self.router
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .config()
-            .ann_overfetch
+        self.routing().config().ann_overfetch
     }
 
     /// [`ShardedSession::nearest`] for a whole batch: **one** router
@@ -1111,7 +898,7 @@ impl ShardedSession {
         nodes: &[NodeId],
         k: usize,
     ) -> (u64, Vec<Option<Vec<(NodeId, f32)>>>) {
-        let router = self.router.read().unwrap_or_else(PoisonError::into_inner);
+        let router = self.routing();
         let epochs = self.epochs();
         let views = Self::views(&epochs);
         let owner = |id: NodeId| router.owner(id);
@@ -1140,7 +927,7 @@ impl ShardedSession {
         let effective = nprobe
             .unwrap_or(settings.default_nprobe)
             .clamp(1, settings.config.cells);
-        let router = self.router.read().unwrap_or_else(PoisonError::into_inner);
+        let router = self.routing();
         let overfetch = router.config().ann_overfetch;
         let epochs = self.epochs();
         let views = Self::views(&epochs);
@@ -1185,7 +972,7 @@ impl ShardedSession {
     where
         F: FnOnce(&[ShardView<'_>], &dyn Fn(NodeId) -> Option<u32>, u64) -> Vec<(NodeId, f32)>,
     {
-        let router = self.router.read().unwrap_or_else(PoisonError::into_inner);
+        let router = self.routing();
         let epochs = self.epochs();
         let views = Self::views(&epochs);
         let owner = |id: NodeId| router.owner(id);
@@ -1203,7 +990,7 @@ impl ShardedSession {
 
     /// Aggregate counters plus the per-shard break-down.
     pub fn stats(&self) -> ServeStats {
-        let router = self.router.read().unwrap_or_else(PoisonError::into_inner);
+        let router = self.routing();
         let live_nodes = router.global().num_nodes();
         drop(router);
         let epochs = self.epochs();
@@ -1270,30 +1057,22 @@ impl ShardedSession {
             }),
             shards: Some(per_shard),
             durability: self.durable.as_ref().map(|d| {
-                let wal = d.wal.lock().unwrap_or_else(PoisonError::into_inner).stats();
-                let mut agg = DurabilityStats {
+                let wal = lock(&d.wal).stats();
+                let mut agg = DurabilityCounters {
                     wal_segments: wal.segments,
                     wal_bytes: wal.bytes,
-                    last_snapshot_epoch: *d
-                        .last_snapshot_epoch
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner),
-                    last_fsync_ms: wal
-                        .last_fsync
-                        .map(|at| Instant::now().saturating_duration_since(at).as_millis() as u64),
-                    recovered_from: d.recovered_from.clone(),
+                    last_snapshot_epoch: *lock(&d.last_snapshot_epoch),
+                    last_fsync: wal.last_fsync,
+                    last_seq: d.seq.load(Ordering::Relaxed),
                 };
-                for gauge in &d.gauges {
-                    let shard = gauge.snapshot();
+                for gauge in self.shards.iter().filter_map(|s| s.durability.as_ref()) {
+                    let shard = gauge.counters();
                     agg.wal_segments += shard.wal_segments;
                     agg.wal_bytes += shard.wal_bytes;
-                    // Most recent fsync across lineages = smallest age.
-                    agg.last_fsync_ms = match (agg.last_fsync_ms, shard.last_fsync_ms) {
-                        (Some(a), Some(b)) => Some(a.min(b)),
-                        (a, b) => a.or(b),
-                    };
+                    // The most recent fsync across lineages.
+                    agg.last_fsync = agg.last_fsync.max(shard.last_fsync);
                 }
-                agg
+                DurabilityStats::new(agg, d.recovered_from.clone())
             }),
             telemetry: self.telemetry.as_ref().map(|t| {
                 t.stats(
@@ -1314,32 +1093,7 @@ impl ShardedSession {
     /// shard is, alive only when *every* trainer is, staleness and
     /// stall age from the worst shard.
     pub fn health(&self) -> HealthStats {
-        let mut agg = HealthStats {
-            degraded: false,
-            trainer_alive: true,
-            stale_epochs: 0,
-            stalled_ms: 0,
-        };
-        for shard in &self.shards {
-            let one = shard.health.evaluate(shard.queue.depth());
-            agg.degraded |= one.degraded;
-            agg.trainer_alive &= one.trainer_alive;
-            agg.stale_epochs = agg.stale_epochs.max(one.stale_epochs);
-            agg.stalled_ms = agg.stalled_ms.max(one.stalled_ms);
-        }
-        if let Some(t) = &self.telemetry {
-            t.sync_health_gauges(agg.degraded, agg.stale_epochs);
-        }
-        agg
-    }
-
-    /// Tune how long every shard's trainer may sit on pending work
-    /// before the watchdog calls it stalled (default
-    /// [`DEFAULT_STALL_AFTER`]).
-    pub fn set_stall_after(&self, stall_after: Duration) {
-        for shard in &self.shards {
-            shard.health.set_stall_after(stall_after);
-        }
+        health_of(&self.shards, self.telemetry.as_deref())
     }
 
     /// The telemetry hub, when instrumentation is on.
@@ -1360,14 +1114,10 @@ impl ShardedSession {
             }
         }
         for shard in &self.shards {
-            shard.queue.send_shutdown();
+            shard.stop();
         }
-        let handles =
-            std::mem::take(&mut *self.trainers.lock().unwrap_or_else(PoisonError::into_inner));
-        for handle in handles {
-            // Same policy as the unsharded session: a trainer that
-            // panicked already published its last good epoch.
-            let _ = handle.join();
+        for shard in &self.shards {
+            shard.join();
         }
     }
 }
@@ -1381,30 +1131,10 @@ impl Drop for ShardedSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use glodyne::{EpochPolicy, GloDyNE, GloDyNEConfig, IvfConfig};
-    use glodyne_embed::walks::WalkConfig;
-    use glodyne_embed::SgnsConfig;
+    use glodyne::{EpochPolicy, GloDyNE, IvfConfig};
 
     fn tiny_model(seed: u64) -> GloDyNE {
-        let cfg = GloDyNEConfig {
-            alpha: 0.5,
-            walk: WalkConfig {
-                walks_per_node: 2,
-                walk_length: 8,
-                seed,
-            },
-            sgns: SgnsConfig {
-                dim: 8,
-                window: 2,
-                negatives: 2,
-                epochs: 1,
-                parallel: false,
-                seed,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        GloDyNE::new(cfg).unwrap()
+        crate::tests::tiny_model(seed, seed)
     }
 
     fn tiny_session(seed: u64) -> EmbedderSession<GloDyNE> {
@@ -1413,15 +1143,17 @@ mod tests {
 
     fn sharded(shards: usize, ann: Option<AnnSettings>) -> ShardedSession {
         let sessions = (0..shards).map(|s| tiny_session(s as u64)).collect();
-        ShardedSession::spawn_with_ann(
+        ShardedSession::spawn(
             sessions,
             ShardConfig {
                 shards,
                 min_partition_nodes: 8,
                 ..Default::default()
             },
-            64,
-            ann,
+            SessionSpec {
+                ann,
+                ..SessionSpec::new(64)
+            },
         )
         .unwrap()
     }
@@ -1444,7 +1176,7 @@ mod tests {
     #[test]
     fn session_count_must_match_shard_count() {
         let sessions = vec![tiny_session(0)];
-        match ShardedSession::spawn(sessions, ShardConfig::with_shards(2), 8) {
+        match ShardedSession::spawn(sessions, ShardConfig::with_shards(2), SessionSpec::new(8)) {
             Err(err) => assert_eq!(err.param(), "shards"),
             Ok(_) => panic!("one session per shard must be enforced"),
         }
@@ -1663,31 +1395,22 @@ mod tests {
     }
 
     fn durable_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "glodyne-shard-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+        crate::tests::scratch_dir(&format!("shard-{tag}"))
     }
 
     fn spawn_sharded_durable(dir: &Path, dcfg: DurableConfig) -> (ShardedSession, Option<String>) {
-        ShardedSession::spawn_durable(
-            dir,
-            ShardConfig {
-                shards: 2,
-                min_partition_nodes: 8,
-                ..Default::default()
-            },
-            dcfg,
-            EpochPolicy::Manual,
-            64,
-            None,
-            |i| tiny_model(i as u64),
-        )
-        .unwrap()
+        let shard_cfg = ShardConfig {
+            shards: 2,
+            min_partition_nodes: 8,
+            ..Default::default()
+        };
+        let (trainees, lineage) = recover_sharded(dir, shard_cfg, dcfg, EpochPolicy::Manual, |i| {
+            tiny_model(i as u64)
+        })
+        .unwrap();
+        let recovered = lineage.recovered_from().map(str::to_owned);
+        let serving = ShardedSession::spawn(trainees, lineage, SessionSpec::new(64)).unwrap();
+        (serving, recovered)
     }
 
     /// One node's (id, owner shard, epoch, row bits).

@@ -24,13 +24,14 @@
 //! `glodyne-telemetry` crate docs); the slow-query ring takes a short
 //! mutex but only for requests that already blew the latency budget.
 
+use crate::lock;
 use glodyne::StepReport;
 use glodyne_ann::{BuildKind, IvfIndex};
 use glodyne_durable::DurableTiming;
 use glodyne_telemetry::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 
 /// Wire commands with a latency series (order fixed for stable output).
 pub const WIRE_COMMANDS: [&str; 6] = [
@@ -294,36 +295,27 @@ impl ServeTelemetry {
         }
     }
 
-    /// The stage handles for the unsharded trainer.
-    pub(crate) fn trainer_stages(&self) -> TrainerStages {
+    /// The stage handles for one trainer: the global series and, for
+    /// shard `i`'s trainer, a `shard="<i>"`-labelled one per stage too
+    /// (the kind-split index-build series stays global either way — the
+    /// per-shard break-down is on the aggregate stage only).
+    pub(crate) fn trainer_stages(&self, shard: Option<usize>) -> TrainerStages {
+        let series = |stage: usize| {
+            let mut handles = vec![Arc::clone(&self.stages[stage])];
+            if let Some(shard) = shard {
+                handles.push(self.registry.histogram(
+                    "glodyne_stage_us",
+                    "Trainer pipeline stage wall time (micros)",
+                    &[("stage", STAGE_NAMES[stage]), ("shard", &shard.to_string())],
+                ));
+            }
+            handles
+        };
         TrainerStages {
-            select: vec![Arc::clone(&self.stages[0])],
-            walks: vec![Arc::clone(&self.stages[1])],
-            train: vec![Arc::clone(&self.stages[2])],
-            index_build: vec![Arc::clone(&self.stages[3])],
-            index_build_full: vec![Arc::clone(&self.index_build_kind[0])],
-            index_build_incremental: vec![Arc::clone(&self.index_build_kind[1])],
-        }
-    }
-
-    /// The stage handles for shard `shard`'s trainer: the global
-    /// series plus a `shard`-labelled one per stage.
-    pub(crate) fn shard_trainer_stages(&self, shard: usize) -> TrainerStages {
-        let shard_label = shard.to_string();
-        let labelled = STAGE_NAMES.map(|stage| {
-            self.registry.histogram(
-                "glodyne_stage_us",
-                "Trainer pipeline stage wall time (micros)",
-                &[("stage", stage), ("shard", &shard_label)],
-            )
-        });
-        TrainerStages {
-            select: vec![Arc::clone(&self.stages[0]), Arc::clone(&labelled[0])],
-            walks: vec![Arc::clone(&self.stages[1]), Arc::clone(&labelled[1])],
-            train: vec![Arc::clone(&self.stages[2]), Arc::clone(&labelled[2])],
-            index_build: vec![Arc::clone(&self.stages[3]), Arc::clone(&labelled[3])],
-            // Shard trainers feed the global kind-split series; the
-            // per-shard break-down stays on the aggregate stage only.
+            select: series(0),
+            walks: series(1),
+            train: series(2),
+            index_build: series(3),
             index_build_full: vec![Arc::clone(&self.index_build_kind[0])],
             index_build_incremental: vec![Arc::clone(&self.index_build_kind[1])],
         }
@@ -356,10 +348,7 @@ impl ServeTelemetry {
         }
         if micros >= self.slow_threshold_us {
             self.slow_total.inc();
-            let mut ring = self
-                .slow_ring
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
+            let mut ring = lock(&self.slow_ring);
             if ring.len() == SLOW_RING_CAPACITY {
                 ring.pop_front();
             }
@@ -430,13 +419,7 @@ impl ServeTelemetry {
                 runs: self.probes_run.get(),
                 latency: self.probe_latency.snapshot(),
             }),
-            slow: self
-                .slow_ring
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .iter()
-                .cloned()
-                .collect(),
+            slow: lock(&self.slow_ring).iter().cloned().collect(),
         }
     }
 }
@@ -531,7 +514,7 @@ mod tests {
     #[test]
     fn shard_stages_feed_both_series() {
         let t = ServeTelemetry::new(DEFAULT_SLOW_THRESHOLD_US);
-        let stages = t.shard_trainer_stages(1);
+        let stages = t.trainer_stages(Some(1));
         let report = StepReport {
             phases: glodyne::PhaseTimes {
                 select: std::time::Duration::from_micros(10),

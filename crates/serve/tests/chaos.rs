@@ -8,6 +8,10 @@
 //!   read surface stays byte-stable and no panic escapes a thread;
 //! - fast-fail ingest against a wedged trainer answers `overloaded`
 //!   immediately while a concurrent reader stays fast;
+//! - a write burst after an idle stretch longer than the stall
+//!   threshold is served, not refused as if the idle trainer were stuck;
+//! - every `Admission` answers a full queue behind a wedged trainer the
+//!   way its contract says, unsharded and sharded alike;
 //! - a crash (drop without finalize) under chaos recovers onto exactly
 //!   the committed event prefix, bit-exact with a clean control run of
 //!   that same prefix.
@@ -24,7 +28,11 @@ use glodyne_embed::SgnsConfig;
 use glodyne_graph::state::GraphEvent;
 use glodyne_graph::NodeId;
 use glodyne_serve::json::Json;
-use glodyne_serve::{json, Server, ServerConfig};
+use glodyne_serve::{
+    json, Admission, FlushOutcome, ServeError, ServeStats, Server, ServerConfig, ServingSession,
+    SessionSpec, ShardedSession,
+};
+use glodyne_shard::ShardConfig;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::{Mutex, PoisonError};
@@ -241,6 +249,229 @@ fn stalled_trainer_degrades_writes_reads_keep_serving() {
     server.join();
 }
 
+/// An idle trainer is not a stalled trainer. The trainer only beats
+/// after handling a message, so after an idle stretch longer than
+/// `stall_after_ms` its heartbeat is old — and a burst of pipelined
+/// writes used to find "work pending + old heartbeat" on the second
+/// request and be refused `degraded` although nothing was wrong.
+#[test]
+fn idle_then_write_is_not_refused() {
+    let _armed = Armed::lock();
+    let session = EmbedderSession::new(tiny_model(), EpochPolicy::Manual).unwrap();
+    let cfg = ServerConfig {
+        stall_after_ms: 100,
+        ..ServerConfig::default()
+    };
+    let server = Server::bind(session, "127.0.0.1:0", cfg).expect("bind");
+    let mut client = Client::connect(server.local_addr());
+    for round in 0..20u32 {
+        std::thread::sleep(Duration::from_millis(150));
+        // ingest, ingest, flush — written to the socket in one go, so
+        // the later requests are dispatched while the first batch is
+        // still queued.
+        let (a, b) = (100 * round, 100 * round + 50);
+        let burst = format!(
+            "{{\"cmd\":\"ingest\",\"edges\":[[{a},{b},{round}]]}}\n\
+             {{\"cmd\":\"ingest\",\"edges\":[[{b},{},{round}]]}}\n\
+             {{\"cmd\":\"flush\"}}\n",
+            b + 1,
+        );
+        client.writer.write_all(burst.as_bytes()).unwrap();
+        client.writer.flush().unwrap();
+        for _ in 0..3 {
+            let mut line = String::new();
+            client.reader.read_line(&mut line).expect("read response");
+            let response = json::parse(line.trim_end()).expect("structured response");
+            assert!(is_ok(&response), "round {round}: {response}");
+        }
+    }
+    server.request_shutdown();
+    server.join();
+}
+
+/// Either serving shape, behind the four calls the admission table makes.
+#[allow(clippy::large_enum_variant)] // one per scenario, never per message
+enum Serving {
+    Single(ServingSession),
+    Sharded(ShardedSession),
+}
+
+impl Serving {
+    /// `shards` in-memory trainers (1 = unsharded), `capacity`-bounded queues.
+    fn spawn(shards: usize, capacity: usize) -> Serving {
+        let mut sessions: Vec<_> = (0..shards)
+            .map(|_| EmbedderSession::new(tiny_model(), EpochPolicy::Manual).unwrap())
+            .collect();
+        let spec = SessionSpec::new(capacity);
+        if shards == 1 {
+            return Serving::Single(ServingSession::spawn(sessions.remove(0), spec).unwrap());
+        }
+        let shard_cfg = ShardConfig {
+            shards,
+            min_partition_nodes: 8,
+            ..Default::default()
+        };
+        Serving::Sharded(ShardedSession::spawn(sessions, shard_cfg, spec).unwrap())
+    }
+
+    fn ingest(&self, events: &[GraphEvent], admission: Admission) -> Result<usize, ServeError> {
+        match self {
+            Serving::Single(s) => s.ingest_with(events, admission),
+            Serving::Sharded(s) => s.ingest_with(events, admission),
+        }
+    }
+
+    fn flush(&self, admission: Admission) -> Result<FlushOutcome, ServeError> {
+        match self {
+            Serving::Single(s) => s.flush_with(admission),
+            Serving::Sharded(s) => s.flush_with(admission),
+        }
+    }
+
+    fn stats(&self) -> ServeStats {
+        match self {
+            Serving::Single(s) => s.stats(),
+            Serving::Sharded(s) => s.stats(),
+        }
+    }
+
+    fn shutdown(&self) {
+        match self {
+            Serving::Single(s) => s.shutdown(),
+            Serving::Sharded(s) => s.shutdown(),
+        }
+    }
+
+    /// Shed events one at a time into wedged trainers until a queue
+    /// refuses *and* every trainer that holds messages has reached the
+    /// stall (so no later pop can free a slot). Returns how many were
+    /// accepted.
+    fn fill(&self, next: &mut u32) -> u64 {
+        let mut accepted = 0;
+        loop {
+            let stats = self.stats();
+            let busy = match &stats.shards {
+                Some(shards) => shards.iter().filter(|s| s.events_accepted > 0).count(),
+                None => usize::from(stats.events_accepted > 0),
+            };
+            let settled = glodyne_chaos::fired(sites::TRAINER_STEP) == busy as u64;
+            match self.ingest(&chain(*next, 1), Admission::Shed) {
+                Ok(_) => (accepted, *next) = (accepted + 1, *next + 1),
+                Err(_) if settled => return accepted,
+                Err(_) => std::thread::sleep(Duration::from_millis(1)),
+            }
+        }
+    }
+}
+
+fn chain(from: u32, n: u32) -> Vec<GraphEvent> {
+    (from..from + n)
+        .map(|i| GraphEvent::add_edge(NodeId(i), NodeId(i + 1), 0))
+        .collect()
+}
+
+fn soon(ms: u64) -> Admission {
+    Admission::Until(Instant::now() + Duration::from_millis(ms))
+}
+
+fn wedge_trainers() {
+    glodyne_chaos::set(sites::TRAINER_STEP, Rule::Always(Action::Stall));
+}
+
+/// The admission table: `Admission × {single, sharded}`, one row per
+/// behaviour the per-variant `ingest_*` / `flush_*` tests used to pin.
+#[test]
+fn admission_table_over_single_and_sharded() {
+    let _armed = Armed::lock();
+    for shards in [1usize, 2] {
+        // ── Headroom: every admission accepts everything. ──
+        let serving = Serving::spawn(shards, 64);
+        assert_eq!(
+            serving.ingest(&chain(0, 6), Admission::Shed).unwrap(),
+            6,
+            "shed accepts everything while the queue has room"
+        );
+        assert!(serving.flush(Admission::Block).unwrap().stepped);
+        assert_eq!(serving.ingest(&chain(20, 4), soon(30_000)).unwrap(), 4);
+        assert!(serving.flush(soon(30_000)).unwrap().stepped);
+        // Past shutdown every admission fails like the blocking one —
+        // and the never-delivered flush is not counted stale forever.
+        serving.shutdown();
+        let admissions = [Admission::Block, Admission::Shed, soon(1_000)];
+        for (admission, edge) in admissions.into_iter().zip(40..) {
+            assert!(matches!(
+                serving.ingest(&chain(edge, 1), admission),
+                Err(ServeError::Closed)
+            ));
+            assert!(matches!(serving.flush(admission), Err(ServeError::Closed)));
+        }
+        assert_eq!(serving.stats().health.unwrap().stale_epochs, 0);
+
+        // ── Wedged trainers, queues of 2. ──
+        wedge_trainers();
+        let serving = Serving::spawn(shards, 2);
+        let mut next = 0u32;
+        // Shed mid-batch is a partial accept…
+        let partial = serving.ingest(&chain(next, 16), Admission::Shed).unwrap();
+        assert!(0 < partial && partial < 16, "partial accept, got {partial}");
+        next += 16;
+        let accepted = partial as u64 + serving.fill(&mut next);
+        // …and on the first event it is the error, carrying the full
+        // queue's gauge; the shed event is not half-accepted.
+        match serving.ingest(&chain(next, 3), Admission::Shed) {
+            Err(ServeError::Overloaded { depth, capacity }) => {
+                assert_eq!((depth, capacity), (2, 2));
+            }
+            other => panic!("expected overloaded, got {other:?}"),
+        }
+        assert_eq!(serving.stats().events_accepted, accepted);
+        // Until waits out its deadline against the same queues.
+        let start = Instant::now();
+        assert!(matches!(
+            serving.ingest(&chain(next, 3), soon(30)),
+            Err(ServeError::DeadlineExceeded)
+        ));
+        assert!(start.elapsed() >= Duration::from_millis(25));
+        assert_eq!(serving.stats().events_accepted, accepted);
+        // With a drain in flight the same calls succeed.
+        glodyne_chaos::disarm();
+        assert_eq!(serving.ingest(&chain(next, 3), soon(30_000)).unwrap(), 3);
+        assert!(serving.flush(Admission::Shed).unwrap().stepped);
+        serving.shutdown();
+
+        // ── Until mid-batch is a partial accept too. ──
+        wedge_trainers();
+        let serving = Serving::spawn(shards, 2);
+        let partial = serving.ingest(&chain(0, 16), soon(30)).unwrap();
+        assert!(0 < partial && partial < 16, "partial accept, got {partial}");
+        glodyne_chaos::disarm();
+        serving.shutdown();
+
+        // ── Flush under Until abandons the wait, not the flush. ──
+        wedge_trainers();
+        let serving = Serving::spawn(shards, 64);
+        serving.ingest(&chain(0, 6), Admission::Block).unwrap();
+        assert!(matches!(
+            serving.flush(soon(20)),
+            Err(ServeError::DeadlineExceeded)
+        ));
+        assert_eq!(
+            serving.stats().health.unwrap().stale_epochs,
+            1,
+            "the flush stays queued and counted stale"
+        );
+        glodyne_chaos::disarm();
+        while serving.stats().health.unwrap().stale_epochs > 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // The abandoned flush (plus, sharded, this one for the shards
+        // the early return never reached) committed.
+        serving.flush(Admission::Block).unwrap();
+        assert!(serving.stats().epoch >= 1);
+        serving.shutdown();
+    }
+}
+
 /// Durable serving under fsync + snapshot failures: writes keep being
 /// accepted (durability errors are absorbed, not escalated), reads
 /// never move off the published epoch, and nothing panics.
@@ -255,8 +486,8 @@ fn fsync_and_snapshot_failures_never_take_reads_down() {
     };
     let session = EmbedderSession::new(tiny_model(), EpochPolicy::Manual).unwrap();
     let durable = DurableSession::create(&dir, session, dcfg).unwrap();
-    let server = Server::bind_durable(durable, None, "127.0.0.1:0", ServerConfig::default())
-        .expect("bind durable");
+    let server =
+        Server::bind(durable, "127.0.0.1:0", ServerConfig::default()).expect("bind durable");
     let mut client = Client::connect(server.local_addr());
 
     assert!(is_ok(&client.round_trip(&seed_edges())));

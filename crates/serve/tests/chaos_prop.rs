@@ -16,7 +16,7 @@ use glodyne_embed::walks::WalkConfig;
 use glodyne_embed::SgnsConfig;
 use glodyne_graph::state::GraphEvent;
 use glodyne_graph::NodeId;
-use glodyne_serve::{ServeError, ServingSession};
+use glodyne_serve::{Admission, ServeError, ServingSession, SessionSpec};
 use proptest::prelude::*;
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -100,7 +100,7 @@ proptest! {
         let _armed = Armed::lock();
         let session =
             EmbedderSession::new(tiny_model(), EpochPolicy::EveryNEvents(8)).unwrap();
-        let serving = ServingSession::spawn(session, 4);
+        let serving = ServingSession::spawn(session, SessionSpec::new(4)).unwrap();
         // Seed one committed epoch before the chaos starts.
         for i in 0..6u32 {
             serving.ingest(&[GraphEvent::add_edge(NodeId(i), NodeId(i + 1), 0)]).unwrap();
@@ -119,7 +119,7 @@ proptest! {
                     // Shed or accept — either way a structured result.
                     let ev = GraphEvent::add_edge(NodeId(u32::from(*x)), NodeId(u32::from(*x) + 1), t);
                     t += 1;
-                    match serving.ingest_fast_fail(&[ev]) {
+                    match serving.ingest_with(&[ev], Admission::Shed) {
                         Ok(_) | Err(ServeError::Overloaded { .. }) => {}
                         Err(other) => prop_assert!(false, "unstructured ingest failure: {other}"),
                     }
@@ -127,7 +127,8 @@ proptest! {
                 1 => {
                     // Bounded flush: any outcome, but within the bound.
                     let started = Instant::now();
-                    let _ = serving.flush_deadline(Instant::now() + Duration::from_millis(200));
+                    let deadline = Instant::now() + Duration::from_millis(200);
+                    let _ = serving.flush_with(Admission::Until(deadline));
                     prop_assert!(
                         started.elapsed() < Duration::from_secs(10),
                         "deadline flush overstayed: {:?}",

@@ -7,7 +7,7 @@ use glodyne::{EmbedderSession, EpochPolicy, StepContext, StepReport};
 use glodyne_embed::{DynamicEmbedder, Embedding};
 use glodyne_graph::state::GraphEvent;
 use glodyne_graph::NodeId;
-use glodyne_serve::ServingSession;
+use glodyne_serve::{ServingSession, SessionSpec};
 use std::sync::mpsc::{Receiver, Sender};
 use std::time::{Duration, Instant};
 
@@ -59,7 +59,8 @@ fn gated_serving(policy: EpochPolicy, queue: usize) -> (ServingSession, Sender<(
     let session = EmbedderSession::new(embedder, policy)
         .unwrap()
         .keep_full_graph();
-    (ServingSession::spawn(session, queue), gate_tx, entered_rx)
+    let serving = ServingSession::spawn(session, SessionSpec::new(queue)).unwrap();
+    (serving, gate_tx, entered_rx)
 }
 
 fn chain(n: u32, t: u64) -> Vec<GraphEvent> {

@@ -17,7 +17,7 @@ use glodyne_durable::{DurableConfig, DurableSession, FsyncPolicy};
 use glodyne_embed::walks::WalkConfig;
 use glodyne_embed::SgnsConfig;
 use glodyne_serve::json::Json;
-use glodyne_serve::{json, Server, ServerConfig};
+use glodyne_serve::{json, recover_sharded, Server, ServerConfig};
 use glodyne_shard::ShardConfig;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -115,8 +115,8 @@ fn durable_server_restart_is_byte_exact_over_the_wire() {
     };
     let session = EmbedderSession::new(tiny_model(), EpochPolicy::Manual).unwrap();
     let durable = DurableSession::create(&dir, session, dcfg).unwrap();
-    let server = Server::bind_durable(durable, None, "127.0.0.1:0", ServerConfig::default())
-        .expect("bind durable server");
+    let server =
+        Server::bind(durable, "127.0.0.1:0", ServerConfig::default()).expect("bind durable server");
     let mut client = Client::connect(server.local_addr());
 
     let ingest = client.round_trip(
@@ -148,13 +148,8 @@ fn durable_server_restart_is_byte_exact_over_the_wire() {
         "clean shutdown must leave nothing to replay: {report:?}"
     );
     assert!(report.wal_clean);
-    let server = Server::bind_durable(
-        recovered,
-        Some(report.recovered_from.clone()),
-        "127.0.0.1:0",
-        ServerConfig::default(),
-    )
-    .expect("rebind durable server");
+    let server = Server::bind(recovered, "127.0.0.1:0", ServerConfig::default())
+        .expect("rebind durable server");
     let mut client = Client::connect(server.local_addr());
 
     assert_eq!(
@@ -188,16 +183,14 @@ fn sharded_durable_server_restart_is_byte_exact_over_the_wire() {
         ..DurableConfig::default()
     };
     let bind = |dir: &std::path::Path| {
-        Server::bind_sharded_durable(
-            dir,
-            shard_cfg,
-            dcfg,
-            EpochPolicy::Manual,
-            "127.0.0.1:0",
-            ServerConfig::default(),
-            |_| tiny_model(),
-        )
-        .expect("bind sharded durable server")
+        let (trainees, lineage) =
+            recover_sharded(dir, shard_cfg, dcfg, EpochPolicy::Manual, |_| tiny_model())
+                .expect("recover sharded lineages");
+        let recovered = lineage.recovered_from().map(str::to_owned);
+        let server =
+            Server::bind_sharded(trainees, lineage, "127.0.0.1:0", ServerConfig::default())
+                .expect("bind sharded durable server");
+        (server, recovered)
     };
     let (server, recovered) = bind(&dir);
     assert!(recovered.is_none(), "fresh directory");
@@ -298,13 +291,8 @@ fn corrupted_wal_tail_still_boots_and_serves() {
         DurableSession::recover(&dir, dcfg, EpochPolicy::EveryNEvents(4), false, tiny_model)
             .unwrap();
     assert!(!report.wal_clean, "the tail was torn: {report:?}");
-    let server = Server::bind_durable(
-        recovered,
-        Some(report.recovered_from.clone()),
-        "127.0.0.1:0",
-        ServerConfig::default(),
-    )
-    .expect("bind after corruption");
+    let server = Server::bind(recovered, "127.0.0.1:0", ServerConfig::default())
+        .expect("bind after corruption");
     let mut client = Client::connect(server.local_addr());
     let q = client.round_trip(r#"{"cmd":"query","node":0}"#);
     assert!(
