@@ -38,6 +38,16 @@ fn bench_partition(c: &mut Criterion) {
             },
         );
     }
+    // Step 1 at the size `bench_e2e`'s `serve_read` steps at
+    // (`partition.kway_ms` there): K = α·n = 1 200 parts.
+    let g = glodyne_datasets::community::planted_partition(12_000, 50, 7);
+    group.bench_with_input(
+        BenchmarkId::new("serving_planted_k1200", g.num_nodes()),
+        &g,
+        |b, g| {
+            b.iter(|| partition(g, &PartitionConfig::with_k(1_200)));
+        },
+    );
     group.finish();
 }
 

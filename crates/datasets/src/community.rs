@@ -1,5 +1,6 @@
-//! Community-structured generators: FBW (bursty localized activity) and
-//! the labelled SBM processes behind Cora/DBLP.
+//! Community-structured generators: FBW (bursty localized activity),
+//! the labelled SBM processes behind Cora/DBLP, and a static
+//! planted-partition graph for sizing Step 1 on its own.
 //!
 //! The FBW process is the one that manufactures the paper's central
 //! observation (Figure 1 d–f): "real-world dynamic networks usually have
@@ -8,7 +9,8 @@
 //! the rest receive no edges at all.
 
 use crate::growth::preferential_pick;
-use glodyne_graph::{DynamicNetwork, GraphBuilder, NodeId};
+use glodyne_graph::id::Edge;
+use glodyne_graph::{DynamicNetwork, GraphBuilder, NodeId, Snapshot};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -109,6 +111,37 @@ pub fn wall_posts(scale: f64, steps: usize, seed: u64) -> DynamicNetwork {
         net.push(builder.snapshot_lcc());
     }
     net
+}
+
+/// A static planted-partition graph: `n` nodes in consecutive
+/// communities of `community` nodes, every node linking to three random
+/// members of its own community and, one time in five, to one random
+/// node anywhere (mean degree ≈ 6.2 at `community` = 50). No node is
+/// isolated, so the snapshot has exactly `n` nodes. This is the graph
+/// the partitioner's scaling guard, its serving-size equality pin and
+/// its `cargo bench` row are all measured on.
+///
+/// # Panics
+/// If `community < 2` or `n` is not a multiple of it.
+pub fn planted_partition(n: u32, community: u32, seed: u64) -> Snapshot {
+    assert!(
+        community >= 2 && n.is_multiple_of(community),
+        "n must be whole communities of >= 2 nodes"
+    );
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut edges = Vec::with_capacity(n as usize * 4);
+    for v in 0..n {
+        let base = v - v % community;
+        for _ in 0..3 {
+            // any member of the community but v itself
+            let u = base + (v - base + 1 + rng.gen_range(0..community - 1)) % community;
+            edges.push(Edge::new(NodeId(v), NodeId(u)));
+        }
+        if rng.gen::<f64>() < 0.2 {
+            edges.push(Edge::new(NodeId(v), NodeId(rng.gen_range(0..n))));
+        }
+    }
+    Snapshot::from_edges(&edges, &[])
 }
 
 /// Labelled growing SBM used by the Cora and DBLP analogues. Returns the
@@ -236,6 +269,22 @@ pub fn labelled_sbm(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn planted_partition_has_every_node_and_mostly_internal_edges() {
+        let g = planted_partition(1_000, 50, 3);
+        assert_eq!(g.num_nodes(), 1_000);
+        let (mut internal, mut total) = (0usize, 0usize);
+        for v in 0..g.num_nodes() {
+            for &u in g.neighbors(v) {
+                total += 1;
+                internal += usize::from(g.node_id(v).0 / 50 == g.node_id(u as usize).0 / 50);
+            }
+        }
+        let mean_degree = total as f64 / 1_000.0;
+        assert!((5.0..7.0).contains(&mean_degree), "degree {mean_degree}");
+        assert!(internal * 10 > total * 9, "{internal} of {total} internal");
+    }
 
     #[test]
     fn wall_posts_have_inactive_communities() {

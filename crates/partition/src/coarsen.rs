@@ -152,14 +152,14 @@ fn coarsen_once(g: &WGraph, rng: &mut impl Rng) -> Option<Level> {
 
 /// Coarsen until at most `stop_at` nodes remain or shrinkage stalls.
 pub fn coarsen(finest: WGraph, stop_at: usize, rng: &mut impl Rng) -> Hierarchy {
-    let mut levels = Vec::new();
-    let mut current = finest.clone();
-    while current.len() > stop_at {
-        match coarsen_once(&current, rng) {
-            Some(level) => {
-                current = level.graph.clone();
-                levels.push(level);
-            }
+    let mut levels: Vec<Level> = Vec::new();
+    loop {
+        let current = levels.last().map_or(&finest, |l| &l.graph);
+        if current.len() <= stop_at {
+            break;
+        }
+        match coarsen_once(current, rng) {
+            Some(level) => levels.push(level),
             None => break,
         }
     }

@@ -9,12 +9,31 @@
 use crate::wgraph::WGraph;
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Produce a `k`-way assignment of `g`'s nodes (values in `0..k`),
 /// aiming for per-part weight at most `(1+epsilon)·W/k`.
 ///
 /// Any node left unassigned after region growing (disconnected leftovers)
 /// is placed in the lightest part, so the result always covers all nodes.
+///
+/// **Reset invariant:** `connection` is all-zero whenever a part starts
+/// growing. A node's entry first leaves zero at the moment it is pushed
+/// on the frontier (edge weights are ≥ 1), so `touched` — every node
+/// pushed during this growth, whether it was later absorbed, skipped as
+/// too heavy, or left on the frontier — is exactly the set to zero
+/// afterwards, and growing all `k` parts costs O(|V| + |E|) in resets
+/// rather than O(k·|V|).
+///
+/// The frontier pick itself stays a linear scan — its tie-break (the
+/// last of the equally connected frontier nodes) is part of the output —
+/// which is short where it matters: at the paper's K = α·|V| a region
+/// holds 1/α nodes.
+///
+/// The balance cap here rounds *down* (`floor`) while
+/// [`refine`](crate::refine::refine)'s rounds *up*; both are kept as they
+/// are, since changing either changes assignments.
 pub fn greedy_growing(g: &WGraph, k: usize, epsilon: f64, rng: &mut impl Rng) -> Vec<u32> {
     const UNASSIGNED: u32 = u32::MAX;
     let n = g.len();
@@ -34,6 +53,7 @@ pub fn greedy_growing(g: &WGraph, k: usize, epsilon: f64, rng: &mut impl Rng) ->
     // connection[v] = total edge weight from v into the region being grown
     let mut connection = vec![0u64; n];
     let mut frontier: Vec<u32> = Vec::new();
+    let mut touched: Vec<u32> = Vec::new();
 
     for part in 0..k as u32 {
         // Pick an unassigned seed (prefer shuffled order).
@@ -71,29 +91,34 @@ pub fn greedy_growing(g: &WGraph, k: usize, epsilon: f64, rng: &mut impl Rng) ->
                 break;
             }
             for &(u, ew) in &g.adj[v as usize] {
+                debug_assert!(ew >= 1, "zero-weight edge {v}-{u}");
                 if assignment[u as usize] == UNASSIGNED {
                     if connection[u as usize] == 0 {
                         frontier.push(u);
+                        touched.push(u);
                     }
                     connection[u as usize] += ew;
                 }
             }
         }
-        // Reset connection values touched during this growth.
-        for &v in &frontier {
+        for &v in &touched {
             connection[v as usize] = 0;
         }
-        for v in 0..n {
-            connection[v] = 0;
-        }
+        touched.clear();
     }
 
-    // Sweep up leftovers into the lightest parts.
+    // Sweep up leftovers into the lightest parts: a min-heap on
+    // (load, part) pops the lowest-numbered of the lightest parts, and
+    // only the part just added to changes its key.
+    let mut lightest: BinaryHeap<Reverse<(u64, u32)>> = (0..k as u32)
+        .map(|p| Reverse((loads[p as usize], p)))
+        .collect();
     for v in 0..n {
         if assignment[v] == UNASSIGNED {
-            let lightest = (0..k).min_by_key(|&p| loads[p]).unwrap();
-            assignment[v] = lightest as u32;
-            loads[lightest] += g.vwgt[v];
+            let mut top = lightest.peek_mut().expect("k >= 1 parts");
+            let Reverse((load, part)) = &mut *top;
+            assignment[v] = *part;
+            *load += g.vwgt[v];
         }
     }
     assignment

@@ -16,10 +16,24 @@
 //!    boundary Kernighan–Lin/Fiduccia–Mattheyses style gain moves that
 //!    respect the balance bound.
 //!
-//! Complexity is O(|V| + |E| + K log K) per the paper's §4.3 citation.
+//! Complexity is O(|V| + |E| + K log K) per the paper's §4.3 citation,
+//! and K = α·|V| grows with the graph, so no phase may walk a length-K
+//! (or length-|V|) array per node. Refinement and region growing keep
+//! their per-part / per-node connection arrays but record the entries a
+//! visit wrote in a *touched list*: the best destination is chosen among
+//! the touched parts only and only those entries are reset, which makes
+//! a visit O(deg(v)). The leftover sweep takes the lightest part from a
+//! min-heap keyed `(load, part)` — the K log K term. Both are
+//! assignment-for-assignment identical to the O(K)-per-node loops they
+//! replaced, which live on as the test-only `reference` module. One
+//! scan is left: region growing picks from its frontier linearly, which
+//! is bounded by the region's neighbourhood (a region is |V|/K = 1/α
+//! nodes at the paper's K) but not by a constant when K is small.
 
 pub mod coarsen;
 pub mod initial;
+#[cfg(test)]
+mod reference;
 pub mod refine;
 pub mod wgraph;
 
@@ -186,6 +200,17 @@ impl Partition {
 /// Degenerate cases are handled up front: `k <= 1` puts everything in one
 /// part; `k >= |V|` gives every node its own part.
 pub fn partition(g: &Snapshot, cfg: &PartitionConfig) -> Partition {
+    multilevel(g, cfg, initial::greedy_growing, refine::refine)
+}
+
+/// The three phases around a given region grower and refiner, so the
+/// tests can run the same pipeline over the reference pair.
+fn multilevel(
+    g: &Snapshot,
+    cfg: &PartitionConfig,
+    grow: impl Fn(&WGraph, usize, f64, &mut ChaCha8Rng) -> Vec<u32>,
+    refine: impl Fn(&WGraph, &mut [u32], usize, f64, usize),
+) -> Partition {
     let n = g.num_nodes();
     if n == 0 {
         return Partition {
@@ -216,12 +241,12 @@ pub fn partition(g: &Snapshot, cfg: &PartitionConfig) -> Partition {
 
     // Phase 2: initial partition on the coarsest graph.
     let coarsest = hierarchy.coarsest();
-    let mut assignment = initial::greedy_growing(coarsest, k, cfg.epsilon, &mut rng);
-    refine::refine(coarsest, &mut assignment, k, cfg.epsilon, cfg.refine_passes);
+    let mut assignment = grow(coarsest, k, cfg.epsilon, &mut rng);
+    refine(coarsest, &mut assignment, k, cfg.epsilon, cfg.refine_passes);
 
     // Phase 3: uncoarsen with refinement at each level.
     let assignment = hierarchy.project_to_finest(assignment, |graph, asg| {
-        refine::refine(graph, asg, k, cfg.epsilon, cfg.refine_passes);
+        refine(graph, asg, k, cfg.epsilon, cfg.refine_passes);
     });
 
     Partition { assignment, k }

@@ -9,6 +9,7 @@
 //! stays satisfied.
 
 use crate::wgraph::WGraph;
+use std::cmp::Reverse;
 
 /// Weighted edge cut of an assignment.
 pub fn edge_cut(g: &WGraph, assignment: &[u32]) -> u64 {
@@ -25,6 +26,20 @@ pub fn edge_cut(g: &WGraph, assignment: &[u32]) -> u64 {
 
 /// Run up to `passes` refinement passes in place. Each pass visits every
 /// node once; stops early when a pass makes no move.
+///
+/// A visit costs O(deg(v)), not O(K): `conn` is only written at the parts
+/// `v`'s neighbours live in, `touched` lists those parts, and the
+/// destination is chosen among them alone. A part with no neighbour of
+/// `v` has gain `−conn[home] ≤ 0` and could never be moved to, so leaving
+/// it out changes no assignment.
+///
+/// **Tie-break:** among eligible parts of equal gain the lowest part id
+/// wins. `touched` is in neighbour order, not part order, so the
+/// comparison carries the id explicitly.
+///
+/// The balance cap here rounds *up* (`ceil`) while
+/// [`greedy_growing`](crate::initial::greedy_growing)'s rounds *down*;
+/// both are kept as they are, since changing either changes assignments.
 pub fn refine(g: &WGraph, assignment: &mut [u32], k: usize, epsilon: f64, passes: usize) {
     if k <= 1 || g.is_empty() {
         return;
@@ -37,46 +52,39 @@ pub fn refine(g: &WGraph, assignment: &mut [u32], k: usize, epsilon: f64, passes
         loads[assignment[v] as usize] += g.vwgt[v];
     }
 
-    // connection weight from node v to each part, computed per node visit
+    // conn[p] = connection weight from the visited node to part p; zero
+    // outside `touched`, which is what makes `conn[p] == 0` mean "not
+    // listed yet" (edge weights are ≥ 1).
     let mut conn = vec![0u64; k];
+    let mut touched: Vec<u32> = Vec::new();
     for _ in 0..passes {
         let mut moved = false;
         for v in 0..g.len() {
             let home = assignment[v] as usize;
-            if g.adj[v].is_empty() {
-                continue;
+            for &p in &touched {
+                conn[p as usize] = 0;
             }
-            for c in conn.iter_mut() {
-                *c = 0;
-            }
-            let mut is_boundary = false;
+            touched.clear();
             for &(u, w) in &g.adj[v] {
-                let p = assignment[u as usize] as usize;
-                conn[p] += w;
-                if p != home {
-                    is_boundary = true;
+                debug_assert!(w >= 1, "zero-weight edge {v}-{u}");
+                let p = assignment[u as usize];
+                if conn[p as usize] == 0 {
+                    touched.push(p);
                 }
-            }
-            if !is_boundary {
-                continue;
+                conn[p as usize] += w;
             }
             let vw = g.vwgt[v];
-            // Best destination by gain, respecting the balance cap and
-            // never emptying the home part (Definition 5 requires K
-            // non-empty sub-networks for node selection).
-            let mut best: Option<(usize, i64)> = None;
-            for p in 0..k {
-                if p == home || loads[p] + vw > cap {
-                    continue;
-                }
-                let gain = conn[p] as i64 - conn[home] as i64;
-                match best {
-                    Some((_, bg)) if bg >= gain => {}
-                    _ => best = Some((p, gain)),
-                }
-            }
-            if let Some((p, gain)) = best {
-                if gain > 0 && loads[home] > vw {
+            // Best destination by gain (`conn[p] − conn[home]`, so by
+            // `conn[p]`), respecting the balance cap and never emptying
+            // the home part (Definition 5 requires K non-empty
+            // sub-networks for node selection).
+            let best = touched
+                .iter()
+                .map(|&p| p as usize)
+                .filter(|&p| p != home && loads[p] + vw <= cap)
+                .max_by_key(|&p| (conn[p], Reverse(p)));
+            if let Some(p) = best {
+                if conn[p] > conn[home] && loads[home] > vw {
                     assignment[v] = p as u32;
                     loads[home] -= vw;
                     loads[p] += vw;
