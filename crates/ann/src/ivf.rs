@@ -7,6 +7,7 @@ use glodyne_embed::embedding::{l2_norm, norm_cosine};
 use glodyne_embed::kernel::{dot_fast_multi, scaled_dot_fast};
 use glodyne_embed::{AlignedBuf, ConfigError, Embedding, TopKSelector};
 use glodyne_graph::NodeId;
+use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 /// Build-time parameters of an [`IvfIndex`].
@@ -16,7 +17,9 @@ pub struct IvfConfig {
     /// indexed rows at build time (an epoch smaller than `c` simply
     /// gets one row per cell).
     pub cells: usize,
-    /// Lloyd iterations of the k-means quantiser.
+    /// Lloyd iterations of a cold k-means build ([`IvfIndex::build`]).
+    /// A drift re-fit in [`IvfIndex::update_from`] runs one iteration
+    /// from the previous epoch's centroids instead, whatever this says.
     pub kmeans_iters: usize,
     /// Seed of the deterministic centroid initialisation.
     pub seed: u64,
@@ -33,20 +36,22 @@ pub struct IvfConfig {
     pub rerank_factor: usize,
     /// Drift trigger for [`IvfIndex::update_from`], in **basis points**
     /// (1/10000, an integer so the config keeps `Eq`): once the rows
-    /// reassigned since the last full k-means — this update's dirty
+    /// reassigned since the last full build — this update's dirty
     /// rows plus everything already patched before them — exceed this
-    /// fraction of the epoch, the warm-started centroids are considered
-    /// drifted and the update falls back to a full rebuild. In
-    /// `[1, 10000]`; the default 2500 refreshes after a quarter of the
-    /// epoch has churned.
+    /// fraction of the epoch, the kept centroids are considered
+    /// drifted and the update reassigns every row instead: a one-step
+    /// re-fit of the previous centroids, or a cold build when those
+    /// don't fit the epoch. In `[1, 10000]`; the default 2500 refreshes
+    /// after a quarter of the epoch has churned.
     pub drift_stale_bp: u32,
     /// Cell-imbalance drift trigger for [`IvfIndex::update_from`], in
     /// **tenths** (40 = 4.0×, an integer so the config keeps `Eq`):
     /// after patching, if the largest posting list exceeds this factor
     /// times the larger of the previous index's largest list and the
-    /// ideal mean (`n / cells`), churn has piled onto one stale
-    /// centroid and the update falls back to a full rebuild. Must be
-    /// ≥ 10 (1.0×).
+    /// ideal mean (`⌈n / cells⌉`), churn has piled onto one stale
+    /// centroid and the update re-fits every row. The same bound is
+    /// the re-fit's safety net: a re-fit whose largest list breaks it
+    /// is discarded for a cold build. Must be ≥ 10 (1.0×).
     pub drift_cell_factor_x10: u32,
 }
 
@@ -94,13 +99,15 @@ impl IvfConfig {
     }
 }
 
-/// How an [`IvfIndex`] came to be — a fresh k-means build or an
-/// incremental patch of the previous epoch's index
+/// How an [`IvfIndex`] came to be — every row assigned by k-means, or
+/// an incremental patch of the previous epoch's index
 /// ([`IvfIndex::update_from`]). Surfaced through `stats.ann` and the
 /// kind-labelled `index_build` telemetry histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BuildKind {
-    /// Full spherical k-means over every row.
+    /// Every row reassigned by spherical k-means — from cold seeds
+    /// ([`IvfIndex::build`]), or from the previous epoch's centroids
+    /// (the drift re-fit in [`IvfIndex::update_from`]).
     Full,
     /// Warm-started centroids, only dirty rows reassigned.
     Incremental,
@@ -182,6 +189,41 @@ pub struct BatchQuery<'a> {
     pub exclude: Option<NodeId>,
 }
 
+/// Lloyd iterations of the drift re-fit in [`IvfIndex::update_from`]:
+/// one assign → mean step from the previous epoch's centroids, then the
+/// final assignment — two O(n·c·d) passes where a cold build runs
+/// `kmeans_iters + 1` from seeds. Re-fits compound along an epoch
+/// chain, so after `kmeans_iters` re-fitted epochs the centroids have
+/// had at least a cold build's refinement. Deliberately not a config
+/// knob: `kmeans_iters` keeps meaning the cold budget.
+const REFIT_ITERS: usize = 1;
+
+/// One epoch's rows snapshotted in insertion order: the input of every
+/// clustering run and of the posting-list layout.
+struct Rows {
+    ids: Vec<NodeId>,
+    /// `n × dim`, row-major.
+    data: Vec<f32>,
+    norms: Vec<f32>,
+}
+
+impl Rows {
+    fn snapshot(embedding: &Embedding) -> Rows {
+        let dim = embedding.dim();
+        let n = embedding.len();
+        let mut ids = Vec::with_capacity(n);
+        let mut data = Vec::with_capacity(n * dim);
+        for (id, v) in embedding.iter() {
+            ids.push(id);
+            data.extend_from_slice(v);
+        }
+        let norms = (0..n)
+            .map(|i| l2_norm(&data[i * dim..(i + 1) * dim]))
+            .collect();
+        Rows { ids, data, norms }
+    }
+}
+
 /// An immutable IVF index over one epoch's [`Embedding`].
 ///
 /// Storage is fully flat, mirroring `WalkCorpus`: one row-major vector
@@ -219,17 +261,17 @@ pub struct IvfIndex {
     inv_centroid_norms: Vec<f32>,
     /// Wall-clock time [`IvfIndex::build`] took.
     build_time: Duration,
-    /// Whether this index came from a full k-means or an incremental
-    /// patch of the previous epoch's index.
+    /// Whether this index came from k-means over every row (cold or
+    /// re-fit) or an incremental patch of the previous epoch's index.
     build_kind: BuildKind,
     /// Rows this build reassigned (0 for a fresh full build; for
     /// [`IvfIndex::update_from`], the changed + added + removed rows it
     /// actually patched — or the dirty count that tripped a drift
     /// fallback).
     dirty_rows: usize,
-    /// Rows reassigned since the last full k-means, cumulative across
-    /// an incremental chain — the centroid-staleness measure behind
-    /// `drift_stale_bp`.
+    /// Rows reassigned since the last full build (cold or re-fit),
+    /// cumulative across an incremental chain — the centroid-staleness
+    /// measure behind `drift_stale_bp`.
     stale_rows: usize,
 }
 
@@ -266,23 +308,45 @@ impl IvfIndex {
             };
         }
         let c = config.cells.clamp(1, n);
-
-        // Snapshot the rows in insertion order.
-        let mut row_ids = Vec::with_capacity(n);
-        let mut data = Vec::with_capacity(n * dim);
-        for (id, v) in embedding.iter() {
-            row_ids.push(id);
-            data.extend_from_slice(v);
-        }
-        let row_norms: Vec<f32> = (0..n)
-            .map(|i| l2_norm(&data[i * dim..(i + 1) * dim]))
-            .collect();
-
+        let rows = Rows::snapshot(embedding);
+        let seeds = kmeans::seed_centroids(&rows.data, &rows.norms, dim, c, config.seed);
         let clustering =
-            kmeans::cluster(&data, &row_norms, dim, c, config.kmeans_iters, config.seed);
+            kmeans::cluster(&rows.data, &rows.norms, dim, c, seeds, config.kmeans_iters);
+        IvfIndex::lay_out(rows, clustering, dim, config, start)
+    }
 
-        // Counting sort into the flat per-cell arenas (stable, so rows
-        // keep their insertion order within a cell — deterministic).
+    /// The drift re-fit: one Lloyd step ([`REFIT_ITERS`]) from `prev`'s
+    /// centroids over every row of `embedding`, laid out like a cold
+    /// build. `None` when the re-fit's largest posting list breaks
+    /// `prev`'s cell-imbalance bound. The caller guarantees `prev` is
+    /// compatible: same dim and config, and exactly
+    /// `config.cells.clamp(1, n)` cells.
+    fn refit(prev: &IvfIndex, embedding: &Embedding, start: Instant) -> Option<IvfIndex> {
+        let rows = Rows::snapshot(embedding);
+        let clustering = kmeans::cluster(
+            &rows.data,
+            &rows.norms,
+            prev.dim,
+            prev.cells(),
+            prev.centroids.clone(),
+            REFIT_ITERS,
+        );
+        let index = IvfIndex::lay_out(rows, clustering, prev.dim, &prev.config, start);
+        (!prev.imbalanced(&index.cell_offsets, index.len())).then_some(index)
+    }
+
+    /// Counting-sort `rows` into flat per-cell arenas by `clustering`'s
+    /// assignment (stable, so rows keep their insertion order within a
+    /// cell — deterministic) and quantize them when configured.
+    fn lay_out(
+        rows: Rows,
+        clustering: kmeans::Clustering,
+        dim: usize,
+        config: &IvfConfig,
+        start: Instant,
+    ) -> IvfIndex {
+        let n = rows.ids.len();
+        let c = clustering.centroid_norms.len();
         let mut cell_offsets = vec![0u32; c + 1];
         for &cell in &clustering.assignment {
             cell_offsets[cell as usize + 1] += 1;
@@ -297,9 +361,9 @@ impl IvfIndex {
         for (i, &cell) in clustering.assignment.iter().enumerate() {
             let pos = cursor[cell as usize] as usize;
             cursor[cell as usize] += 1;
-            ids[pos] = row_ids[i];
-            norms[pos] = row_norms[i];
-            vectors[pos * dim..(pos + 1) * dim].copy_from_slice(&data[i * dim..(i + 1) * dim]);
+            ids[pos] = rows.ids[i];
+            norms[pos] = rows.norms[i];
+            vectors[pos * dim..(pos + 1) * dim].copy_from_slice(&rows.data[i * dim..(i + 1) * dim]);
         }
 
         // Quantization happens here, on the build (trainer) thread —
@@ -349,15 +413,33 @@ impl IvfIndex {
     /// is fine and merely reassigns more rows; additions and removals
     /// are detected from the embedding itself even when unlisted).
     ///
-    /// Falls back to [`IvfIndex::build`] — a full k-means rebuild —
-    /// when the warm start cannot apply (`prev` empty, dimensionality
-    /// or config changed) or when a **drift trigger** fires:
+    /// When a **drift trigger** fires —
     ///
     /// - *staleness*: cumulative reassigned rows since the last full
-    ///   k-means exceed `drift_stale_bp` basis points of the epoch, or
+    ///   build exceed `drift_stale_bp` basis points of the epoch, or
     /// - *cell imbalance*: the largest posting list after patching
     ///   exceeds `drift_cell_factor_x10 / 10 ×` the larger of `prev`'s
-    ///   largest list and the ideal mean.
+    ///   largest list and the ideal mean —
+    ///
+    /// every row is reassigned by a **re-fit** of `prev`'s centroids:
+    /// assign each row to the nearest of them, recompute the means
+    /// once, assign again. That is one Lloyd step (two assignment
+    /// passes, where a cold [`IvfIndex::build`] runs `kmeans_iters + 1`
+    /// from seeds) — the index follows the embedding the way GloDyNE's
+    /// Skip-Gram model at `t` starts from the one at `t − 1`. The
+    /// re-fit reports [`BuildKind::Full`], `stale_rows = 0` and the
+    /// churn that tripped it as `dirty_rows`. It falls back to a cold
+    /// build when its own largest list breaks the imbalance bound, or
+    /// when `prev` doesn't have exactly `config.cells` clamped to this
+    /// epoch's row count. A `prev` the warm start cannot use at all
+    /// (empty, other dimensionality or config) also builds cold.
+    ///
+    /// **Chain contract.** A re-fit index is a function of the epoch
+    /// *chain* (it starts from `prev`'s centroids), while the first
+    /// index after a spawn or a restart is cold — a function of the
+    /// embedding alone. Partial-probe answers (`nprobe < cells`) may
+    /// therefore differ across a restart; exact answers and full probes
+    /// (`nprobe = cells`) never do.
     ///
     /// SQ8 arenas **patch in place** under the same affine domain:
     /// survivor rows copy their codes byte for byte, changed rows
@@ -376,47 +458,62 @@ impl IvfIndex {
         let start = Instant::now();
         let dim = embedding.dim();
         let n = embedding.len();
+        // Warm start needs a compatible previous index: same build
+        // parameters, same dimensionality, and at least one centroid.
+        let warm = n > 0 && !prev.is_empty() && prev.dim == dim && prev.config == *config;
+        let c = prev.cells();
+        // Every row reassigned: re-fit `prev`'s centroids when they are
+        // exactly the cells a cold build would make, else build cold.
         let full = |dirty_rows: usize| {
-            let mut ix = IvfIndex::build(embedding, config);
+            let refit = (warm && c == config.cells.clamp(1, n))
+                .then(|| IvfIndex::refit(prev, embedding, start))
+                .flatten();
+            let mut ix = refit.unwrap_or_else(|| IvfIndex::build(embedding, config));
             ix.dirty_rows = dirty_rows;
             ix.build_time = start.elapsed();
             ix
         };
-        // Warm start needs a compatible previous index: same build
-        // parameters, same dimensionality, and at least one centroid.
-        if n == 0 || prev.is_empty() || prev.dim != dim || prev.config != *config {
+        if !warm {
             return full(dirty.len());
         }
-        let c = prev.cells();
+
+        // Membership tests below binary-search `dirty`; callers hand a
+        // drained set (ascending, distinct), anything else is sorted.
+        let dirty: Cow<'_, [NodeId]> = if dirty.windows(2).all(|w| w[0] < w[1]) {
+            Cow::Borrowed(dirty)
+        } else {
+            let mut ids = dirty.to_vec();
+            ids.sort_unstable();
+            ids.dedup();
+            Cow::Owned(ids)
+        };
+        let is_dirty = |id: &NodeId| dirty.binary_search(id).is_ok();
+
+        // Churn accounting, decided before any O(n) map is built (the
+        // drift path needs none): rows this update must reassign
+        // (added, or surviving and dirty) plus removals.
+        let mut surviving = 0usize;
+        let mut surviving_dirty = 0usize;
+        for id in &prev.ids {
+            if embedding.get(*id).is_some() {
+                surviving += 1;
+                surviving_dirty += usize::from(is_dirty(id));
+            }
+        }
+        let removed = prev.len() - surviving;
+        let dirty_rows = (n - surviving) + surviving_dirty + removed;
+        let stale_rows = prev.stale_rows + dirty_rows;
+        if (stale_rows as u64) * 10_000 > u64::from(config.drift_stale_bp) * n as u64 {
+            return full(dirty_rows);
+        }
 
         // Previous layout: id → (cell, prev arena row).
         let mut prev_pos = std::collections::HashMap::with_capacity(prev.ids.len());
-        for (j, _) in prev.centroid_norms.iter().enumerate() {
+        for j in 0..c {
             let (lo, hi) = prev.cell_bounds(j);
             for i in lo..hi {
                 prev_pos.insert(prev.ids[i], (j as u32, i as u32));
             }
-        }
-        let dirty_set: std::collections::HashSet<NodeId> = dirty.iter().copied().collect();
-
-        // Churn accounting before committing to the patch: rows this
-        // update must reassign (dirty or newly added) plus removals.
-        let mut surviving = 0usize;
-        let mut reassigned = 0usize;
-        for (id, _) in embedding.iter() {
-            let known = prev_pos.contains_key(&id);
-            if known {
-                surviving += 1;
-            }
-            if !known || dirty_set.contains(&id) {
-                reassigned += 1;
-            }
-        }
-        let removed = prev.len() - surviving;
-        let dirty_rows = reassigned + removed;
-        let stale_rows = prev.stale_rows + dirty_rows;
-        if (stale_rows as u64) * 10_000 > u64::from(config.drift_stale_bp) * n as u64 {
-            return full(dirty_rows);
         }
 
         // Assignment: survivors keep their cell, dirty/new rows go to
@@ -437,7 +534,7 @@ impl IvfIndex {
         let mut prev_row: Vec<u32> = Vec::with_capacity(if prev_arena.is_some() { n } else { 0 });
         let mut domain_drifted = false;
         for (id, v) in embedding.iter() {
-            let clean = !dirty_set.contains(&id);
+            let clean = !is_dirty(&id);
             let cell = match prev_pos.get(&id) {
                 Some(&(cell, row)) if clean => {
                     if prev_arena.is_some() {
@@ -474,19 +571,9 @@ impl IvfIndex {
             cell_offsets[j + 1] += cell_offsets[j];
         }
 
-        // Cell-imbalance drift trigger: compare the patched layout's
-        // largest posting list against what the last k-means produced.
-        let max_cell = |offsets: &[u32]| {
-            offsets
-                .windows(2)
-                .map(|w| (w[1] - w[0]) as usize)
-                .max()
-                .unwrap_or(0)
-        };
-        let baseline = max_cell(&prev.cell_offsets).max(n.div_ceil(c));
-        if max_cell(&cell_offsets) * 10
-            > baseline * u64::from(config.drift_cell_factor_x10) as usize
-        {
+        // Cell-imbalance drift trigger: churn piled onto one stale
+        // centroid.
+        if prev.imbalanced(&cell_offsets, n) {
             return full(dirty_rows);
         }
 
@@ -1024,6 +1111,22 @@ impl IvfIndex {
             .sort_unstable_by(glodyne_embed::rank_similarity);
     }
 
+    /// The cell-imbalance bound of [`IvfConfig::drift_cell_factor_x10`]
+    /// against this (previous) index: whether the layout `cell_offsets`
+    /// over `n` rows has a posting list longer than the factor times
+    /// the larger of this index's longest list and `⌈n / cells⌉`.
+    fn imbalanced(&self, cell_offsets: &[u32], n: usize) -> bool {
+        let max_cell = |offsets: &[u32]| {
+            offsets
+                .windows(2)
+                .map(|w| (w[1] - w[0]) as usize)
+                .max()
+                .unwrap_or(0)
+        };
+        let baseline = max_cell(&self.cell_offsets).max(n.div_ceil(self.cells()));
+        max_cell(cell_offsets) * 10 > baseline * self.config.drift_cell_factor_x10 as usize
+    }
+
     /// The posting-row bounds of cell `j`.
     #[inline]
     fn cell_bounds(&self, j: usize) -> (usize, usize) {
@@ -1065,6 +1168,13 @@ impl IvfIndex {
     /// to the row count; 0 for an empty index).
     pub fn cells(&self) -> usize {
         self.centroid_norms.len()
+    }
+
+    /// The node ids of cell `cell`'s posting list, in scan order.
+    /// Panics when `cell >= cells()`.
+    pub fn posting_list(&self, cell: usize) -> &[NodeId] {
+        let (lo, hi) = self.cell_bounds(cell);
+        &self.ids[lo..hi]
     }
 
     /// The probe width [`IvfIndex::search`] will actually use for a
@@ -1115,8 +1225,8 @@ impl IvfIndex {
         self.build_time
     }
 
-    /// Whether this index came from a full k-means
-    /// ([`IvfIndex::build`]) or an incremental patch
+    /// Whether this index came from k-means over every row (a cold
+    /// [`IvfIndex::build`] or a drift re-fit) or an incremental patch
     /// ([`IvfIndex::update_from`]) — what `stats.ann.build_kind`
     /// reports on the wire.
     pub fn build_kind(&self) -> BuildKind {
@@ -1129,7 +1239,7 @@ impl IvfIndex {
         self.dirty_rows
     }
 
-    /// Cumulative rows reassigned since the last full k-means — the
+    /// Cumulative rows reassigned since the last full build — the
     /// staleness measure the `drift_stale_bp` trigger compares against.
     pub fn stale_rows(&self) -> usize {
         self.stale_rows
@@ -1623,6 +1733,221 @@ mod tests {
             &a.search(q, 10, 2, Some(NodeId(4))),
             &b.search(q, 10, 2, Some(NodeId(4))),
         );
+    }
+
+    /// Every row of `e` (ids `0..n`) nudged by a small deterministic
+    /// offset — the serving regime, where SGNS touches nearly every row
+    /// per step.
+    fn perturb_all(e: &Embedding, salt: u64) -> Embedding {
+        let noise = pseudo_random_embedding(e.len() as u32, e.dim(), salt);
+        let mut out = Embedding::new(e.dim());
+        for (id, v) in e.iter() {
+            let row: Vec<f32> = v
+                .iter()
+                .zip(noise.get(id).unwrap())
+                .map(|(x, d)| x + 0.05 * d)
+                .collect();
+            out.set(id, &row);
+        }
+        out
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Two indexes are the same build: centroids, layout, cached norms
+    /// and posting storage, bit for bit.
+    fn assert_same_index(a: &IvfIndex, b: &IvfIndex) {
+        assert_eq!(bits(&a.centroids), bits(&b.centroids));
+        assert_eq!(bits(&a.centroid_norms), bits(&b.centroid_norms));
+        assert_eq!(a.cell_offsets, b.cell_offsets);
+        assert_eq!(a.ids, b.ids);
+        assert_eq!(bits(&a.norms), bits(&b.norms));
+        assert_eq!(bits(&a.inv_norms), bits(&b.inv_norms));
+        match (&a.storage, &b.storage) {
+            (PostingStorage::F32(x), PostingStorage::F32(y)) => assert_eq!(bits(x), bits(y)),
+            (PostingStorage::Sq8(x), PostingStorage::Sq8(y)) => {
+                let (xm, xs) = x.domain();
+                let (ym, ys) = y.domain();
+                assert_eq!(bits(&[xm, xs]), bits(&[ym, ys]));
+                assert_eq!(x.row(0, x.len()), y.row(0, y.len()));
+            }
+            _ => panic!("storage modes differ"),
+        }
+    }
+
+    #[test]
+    fn drift_refit_is_one_lloyd_step_from_the_previous_centroids() {
+        let dim = 6;
+        let e0 = pseudo_random_embedding(120, dim, 17);
+        let cfg = IvfConfig {
+            cells: 6,
+            ..Default::default()
+        };
+        let prev = IvfIndex::build(&e0, &cfg);
+        let e1 = perturb_all(&e0, 5);
+        let ix = IvfIndex::update_from(&prev, &e1, e1.ids(), &cfg);
+        assert_eq!(
+            ix.build_kind(),
+            BuildKind::Full,
+            "every row dirty trips staleness"
+        );
+        assert_eq!(ix.dirty_rows(), 120, "the tripping churn is reported");
+        assert_eq!(ix.stale_rows(), 0);
+
+        // The Lloyd step by hand: nearest of prev's centroids, the mean
+        // of each cell's members, then the final assignment.
+        let rows = Rows::snapshot(&e1);
+        let assign = |centroids: &[f32], norms: &[f32]| -> Vec<u32> {
+            (0..rows.ids.len())
+                .map(|i| {
+                    let row = &rows.data[i * dim..(i + 1) * dim];
+                    kmeans::nearest_centroid(row, rows.norms[i], dim, centroids, norms)
+                })
+                .collect()
+        };
+        let c = prev.cells();
+        let mut sums = vec![0.0f32; c * dim];
+        let mut counts = vec![0u32; c];
+        for (i, &cell) in assign(&prev.centroids, &prev.centroid_norms)
+            .iter()
+            .enumerate()
+        {
+            let cell = cell as usize;
+            for d in 0..dim {
+                sums[cell * dim + d] += rows.data[i * dim + d];
+            }
+            counts[cell] += 1;
+        }
+        let mut centroids = prev.centroids.clone();
+        for j in 0..c {
+            if counts[j] > 0 {
+                let inv = 1.0 / counts[j] as f32;
+                for d in 0..dim {
+                    centroids[j * dim + d] = sums[j * dim + d] * inv;
+                }
+            }
+        }
+        let norms: Vec<f32> = centroids.chunks(dim).map(l2_norm).collect();
+        assert_eq!(bits(&ix.centroids), bits(&centroids));
+        assert_eq!(bits(&ix.centroid_norms), bits(&norms));
+        let last = assign(&centroids, &norms);
+        for j in 0..c {
+            let members: Vec<NodeId> = (0..rows.ids.len())
+                .filter(|&i| last[i] as usize == j)
+                .map(|i| rows.ids[i])
+                .collect();
+            assert_eq!(ix.posting_list(j), members.as_slice(), "cell {j}");
+        }
+
+        // Not what a cold build of the same epoch makes...
+        let cold = IvfIndex::build(&e1, &cfg);
+        assert_ne!(bits(&ix.centroids), bits(&cold.centroids));
+        // ...but the same answers at full probe.
+        for probe in [0u32, 57, 119] {
+            let node = NodeId(probe);
+            let q = e1.get(node).unwrap();
+            assert_bit_exact(&ix.search(q, 10, c, Some(node)), &e1.top_k(node, 10));
+        }
+    }
+
+    #[test]
+    fn a_refit_resets_staleness_and_small_churn_patches_its_centroids() {
+        let e0 = pseudo_random_embedding(200, 6, 23);
+        let cfg = IvfConfig {
+            cells: 8,
+            ..Default::default()
+        };
+        let prev = IvfIndex::build(&e0, &cfg);
+        let e1 = perturb_all(&e0, 9);
+        let refit = IvfIndex::update_from(&prev, &e1, e1.ids(), &cfg);
+        assert_eq!(refit.build_kind(), BuildKind::Full);
+        assert_eq!(refit.stale_rows(), 0);
+
+        // 1 % of rows dirty: back to the incremental patch, on the
+        // re-fit's centroids.
+        let mut e2 = e1.clone();
+        e2.set(NodeId(4), &[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
+        e2.set(NodeId(150), &[0.0, 1.0, 0.0, 0.0, 0.0, 0.0]);
+        let next = IvfIndex::update_from(&refit, &e2, &[NodeId(4), NodeId(150)], &cfg);
+        assert_eq!(next.build_kind(), BuildKind::Incremental);
+        assert_eq!(next.dirty_rows(), 2);
+        assert_eq!(next.stale_rows(), 2);
+        assert_eq!(bits(&next.centroids), bits(&refit.centroids));
+    }
+
+    #[test]
+    fn incompatible_prev_drift_fallback_is_the_cold_build_bit_for_bit() {
+        let e = pseudo_random_embedding(40, 5, 12);
+        let e1 = perturb_all(&e, 3);
+        for quantize in [false, true] {
+            let cfg = IvfConfig {
+                cells: 8,
+                quantize,
+                ..Default::default()
+            };
+            let cold = IvfIndex::build(&e1, &cfg);
+            let other_dim = IvfIndex::build(&pseudo_random_embedding(40, 4, 12), &cfg);
+            let other_config = IvfIndex::build(&e, &IvfConfig { seed: 7, ..cfg });
+            // Same config, but 5 rows clamp it to 5 cells, not 8.
+            let fewer_cells = IvfIndex::build(&pseudo_random_embedding(5, 5, 12), &cfg);
+            assert_eq!(fewer_cells.cells(), 5);
+            for prev in [&other_dim, &other_config, &fewer_cells] {
+                let ix = IvfIndex::update_from(prev, &e1, e1.ids(), &cfg);
+                assert_eq!(ix.build_kind(), BuildKind::Full);
+                assert_same_index(&ix, &cold);
+            }
+        }
+    }
+
+    #[test]
+    fn a_refit_piled_onto_one_centroid_falls_back_cold() {
+        let dim = 6;
+        let e0 = pseudo_random_embedding(160, dim, 31);
+        // Both routes into the re-fit: the staleness trigger (every row
+        // dirty against a 25 % budget) and the imbalance trigger (the
+        // staleness budget disarmed, the patch piles up in cell 0).
+        for drift_stale_bp in [2500, 10_000] {
+            let cfg = IvfConfig {
+                cells: 8,
+                drift_stale_bp,
+                drift_cell_factor_x10: 20,
+                ..Default::default()
+            };
+            let prev = IvfIndex::build(&e0, &cfg);
+            let prev_max = (0..prev.cells())
+                .map(|j| prev.posting_list(j).len())
+                .max()
+                .unwrap();
+            assert!(prev_max * 2 < 160, "the bound must be breakable");
+            // Every row moved onto centroid 0.
+            let mut e1 = Embedding::new(dim);
+            for &id in e0.ids() {
+                e1.set(id, &prev.centroids[..dim]);
+            }
+            let ix = IvfIndex::update_from(&prev, &e1, e1.ids(), &cfg);
+            assert_eq!(ix.build_kind(), BuildKind::Full);
+            assert_eq!(ix.dirty_rows(), 160);
+            assert_same_index(&ix, &IvfIndex::build(&e1, &cfg));
+        }
+    }
+
+    #[test]
+    fn zero_dimensional_rows_build_and_refit_without_panicking() {
+        let mut e = Embedding::new(0);
+        for i in 0..10 {
+            e.set(NodeId(i), &[]);
+        }
+        let cfg = IvfConfig {
+            cells: 3,
+            ..Default::default()
+        };
+        let prev = IvfIndex::build(&e, &cfg);
+        assert_eq!(prev.cells(), 3);
+        let ix = IvfIndex::update_from(&prev, &e, e.ids(), &cfg);
+        assert_eq!(ix.build_kind(), BuildKind::Full);
+        assert_eq!(ix.len(), 10);
     }
 
     #[test]

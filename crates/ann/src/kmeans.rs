@@ -3,9 +3,11 @@
 //!
 //! Rows are assigned to the centroid of highest cosine similarity (the
 //! same guarded kernel the search path uses), centroids are the
-//! arithmetic mean of their members, and everything — including the
-//! initial centroid draw — is seeded through SplitMix64, so a given
-//! `(embedding, config)` pair always produces the same clustering.
+//! arithmetic mean of their members, and the Lloyd loop starts from
+//! whatever centroids the caller hands it: a SplitMix64-seeded draw
+//! ([`seed_centroids`]) for a cold build — so a given
+//! `(embedding, config)` pair always produces the same clustering — or
+//! the previous epoch's centroids for a warm re-fit.
 
 // The RNG and the similarity kernel are *shared* with `glodyne_embed`
 // — not re-implemented — so the determinism conventions and the
@@ -28,22 +30,24 @@ pub(crate) struct Clustering {
 }
 
 /// Cluster `n = norms.len()` rows of width `dim` (flat in `data`) into
-/// `c` cells with `iters` Lloyd iterations. `1 <= c <= n` is the
-/// caller's contract ([`IvfIndex::build`](crate::IvfIndex::build)
-/// clamps).
+/// `c` cells, starting from the `c × dim` matrix `centroids`, with
+/// `iters` Lloyd iterations plus a final assignment pass (`iters + 1`
+/// assignment passes in all). `1 <= c <= n` is the caller's contract
+/// ([`IvfIndex::build`](crate::IvfIndex::build) clamps; a re-fit
+/// requires the previous index to have exactly that many cells).
 pub(crate) fn cluster(
     data: &[f32],
     norms: &[f32],
     dim: usize,
     c: usize,
+    mut centroids: Vec<f32>,
     iters: usize,
-    seed: u64,
 ) -> Clustering {
     let n = norms.len();
     debug_assert!(c >= 1 && c <= n);
     debug_assert_eq!(data.len(), n * dim);
+    debug_assert_eq!(centroids.len(), c * dim);
 
-    let mut centroids = init_centroids(data, norms, dim, c, seed);
     let mut centroid_norms: Vec<f32> = (0..c)
         .map(|j| l2_norm(&centroids[j * dim..(j + 1) * dim]))
         .collect();
@@ -103,10 +107,16 @@ pub(crate) fn cluster(
     }
 }
 
-/// Draw `c` distinct seed rows, preferring rows with a finite norm when
-/// enough exist (a NaN seed centroid would attract nothing and waste a
-/// cell).
-fn init_centroids(data: &[f32], norms: &[f32], dim: usize, c: usize, seed: u64) -> Vec<f32> {
+/// The cold start: draw `c` distinct seed rows, preferring rows with a
+/// finite norm when enough exist (a NaN seed centroid would attract
+/// nothing and waste a cell).
+pub(crate) fn seed_centroids(
+    data: &[f32],
+    norms: &[f32],
+    dim: usize,
+    c: usize,
+    seed: u64,
+) -> Vec<f32> {
     let n = norms.len();
     let finite = norms.iter().filter(|n| n.is_finite()).count();
     let finite_only = finite >= c;

@@ -50,6 +50,141 @@ fn gaussian_embedding(n: usize, dim: usize, seed: u64) -> Embedding {
     emb
 }
 
+/// `n` rows around `clusters` random centres (components uniform in
+/// ±1, per-component noise uniform in ±0.3) — community-shaped like a
+/// trained embedding, so partial-probe recall means something.
+fn clustered_embedding(n: usize, dim: usize, clusters: usize, rng: &mut ChaCha8Rng) -> Embedding {
+    let centres: Vec<f32> = (0..clusters * dim)
+        .map(|_| rand::Rng::gen_range(&mut *rng, -1.0f32..1.0))
+        .collect();
+    let mut emb = Embedding::new(dim);
+    for i in 0..n {
+        let centre = &centres[(i % clusters) * dim..(i % clusters + 1) * dim];
+        let v: Vec<f32> = centre
+            .iter()
+            .map(|c| c + rand::Rng::gen_range(&mut *rng, -0.3f32..0.3))
+            .collect();
+        emb.set(NodeId(i as u32), &v);
+    }
+    emb
+}
+
+/// Recall@10 of `index` at `nprobe` against the exact scan, over every
+/// row as a probe.
+fn recall_at_10(index: &IvfIndex, emb: &Embedding, nprobe: usize) -> f64 {
+    let mut overlap = 0usize;
+    let mut expected = 0usize;
+    for &probe in emb.ids() {
+        let exact = emb.top_k(probe, 10);
+        let ann = index.search_in(emb, emb.get(probe).unwrap(), 10, nprobe, Some(probe));
+        expected += exact.len();
+        overlap += exact
+            .iter()
+            .filter(|(id, _)| ann.iter().any(|(aid, _)| aid == id))
+            .count();
+    }
+    overlap as f64 / expected.max(1) as f64
+}
+
+fn longest_posting_list(index: &IvfIndex) -> usize {
+    (0..index.cells())
+        .map(|j| index.posting_list(j).len())
+        .max()
+        .unwrap_or(0)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    /// The serving regime: 30 epochs, each perturbing ≥ 90 % of rows
+    /// and adding and removing ~1 %, in f32 and SQ8. Every epoch trips
+    /// the staleness trigger, so every index after the first is a
+    /// re-fit of the previous one's centroids. Every re-fit answers a
+    /// full probe bit-exactly like the exact scan; a second, identical
+    /// chain lays out identical posting lists; the longest list stays
+    /// inside the imbalance bound; and at the end recall@10 at
+    /// `nprobe = ⌈cells/10⌉` is within 0.02 of a cold build's.
+    #[test]
+    fn refit_chain_in_the_serving_regime(seed in 0u64..10_000) {
+        let (n, dim, k) = (800usize, 8usize, 10usize);
+        for quantize in [false, true] {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut emb = clustered_embedding(n, dim, 32, &mut rng);
+            let cfg = IvfConfig {
+                cells: 30,
+                quantize,
+                // A pool covering the epoch keeps SQ8 full probes exact.
+                rerank_factor: n.div_ceil(k) + 1,
+                ..Default::default()
+            };
+            let mut a = IvfIndex::build(&emb, &cfg);
+            let mut b = a.clone();
+            let mut next_id = n as u32;
+            for epoch in 0..30 {
+                let mut next = Embedding::new(dim);
+                let mut dirty = Vec::new();
+                for (id, v) in emb.iter() {
+                    let roll = rand::Rng::gen_range(&mut rng, 0.0f32..1.0);
+                    if roll < 0.01 {
+                        continue; // removed
+                    }
+                    if roll < 0.96 {
+                        let moved: Vec<f32> = v
+                            .iter()
+                            .map(|x| x + rand::Rng::gen_range(&mut rng, -0.05f32..0.05))
+                            .collect();
+                        next.set(id, &moved);
+                        dirty.push(id);
+                    } else {
+                        next.set(id, v);
+                    }
+                }
+                for _ in 0..n / 100 {
+                    let donor = next.ids()[rand::Rng::gen_range(&mut rng, 0..next.len())];
+                    let v = next.get(donor).unwrap().to_vec();
+                    next.set(NodeId(next_id), &v);
+                    next_id += 1;
+                }
+                prop_assert!(dirty.len() * 10 >= emb.len() * 9, "epoch {}: {} dirty", epoch, dirty.len());
+                emb = next;
+
+                let prev_longest = longest_posting_list(&a);
+                a = IvfIndex::update_from(&a, &emb, &dirty, &cfg);
+                b = IvfIndex::update_from(&b, &emb, &dirty, &cfg);
+                prop_assert_eq!(a.build_kind(), glodyne_ann::BuildKind::Full);
+                prop_assert_eq!(a.stale_rows(), 0);
+                prop_assert_eq!(a.cells(), cfg.cells);
+                for j in 0..a.cells() {
+                    prop_assert_eq!(a.posting_list(j), b.posting_list(j), "epoch {} cell {}", epoch, j);
+                }
+                let baseline = prev_longest.max(emb.len().div_ceil(a.cells()));
+                prop_assert!(
+                    longest_posting_list(&a) * 10 <= baseline * cfg.drift_cell_factor_x10 as usize,
+                    "epoch {}: longest list {} vs baseline {}", epoch, longest_posting_list(&a), baseline
+                );
+                for &probe in emb.ids().iter().step_by(37) {
+                    let q = emb.get(probe).unwrap();
+                    let ann = a.search_in(&emb, q, k, a.cells(), Some(probe));
+                    let exact = emb.top_k(probe, k);
+                    prop_assert_eq!(ann.len(), exact.len());
+                    for (x, y) in ann.iter().zip(&exact) {
+                        prop_assert_eq!(x.0, y.0);
+                        prop_assert_eq!(x.1.to_bits(), y.1.to_bits());
+                    }
+                }
+            }
+
+            let nprobe = cfg.cells.div_ceil(10);
+            let chain = recall_at_10(&a, &emb, nprobe);
+            let cold = recall_at_10(&IvfIndex::build(&emb, &cfg), &emb, nprobe);
+            prop_assert!(
+                chain >= cold - 0.02,
+                "quantize {}: chain recall@10 {} < cold {} - 0.02", quantize, chain, cold
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

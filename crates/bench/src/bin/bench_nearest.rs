@@ -12,14 +12,18 @@
 //! - the SQ8 tier: quantized-scan + exact-re-rank q/s, recall@10,
 //!   index bytes, and the compression ratio against f32 storage;
 //! - a batch sweep ({1, 16, 64} probes per `SearchScratch`) for both
-//!   storage modes, mirroring the serving layer's `nearest_batch`.
+//!   storage modes, mirroring the serving layer's `nearest_batch`;
+//! - two freshness rows: `update_from` at 1 % dirty rows (the
+//!   incremental patch) and at 100 % (the drift re-fit, the serving
+//!   regime), each against a cold build of the same epoch.
 //!
 //! A top-level `kernel` object reports the measured similarity-kernel
 //! bandwidth (GB/s) for the exact and the SIMD-shaped fast dot.
 //!
 //! `--assert-recall <t>` exits nonzero if any reported recall@10
-//! (f32 or SQ8) lands below `t` — CI's bench-smoke uses this to pin
-//! the quantized re-rank contract.
+//! against the exact top-10 (f32, SQ8, or the re-fit row) lands below
+//! `t` — CI's bench-smoke uses this to pin the quantized re-rank
+//! contract and the re-fit's quality.
 //!
 //! Two serving-observability sections ride the largest size tier:
 //!
@@ -170,6 +174,24 @@ struct IncrementalResult {
     build_kind: &'static str,
 }
 
+/// The serving regime's freshness axis: every row perturbed (SGNS
+/// touches ~all rows per step), so `update_from` trips its staleness
+/// trigger and re-fits the previous centroids with one Lloyd step —
+/// against a cold k-means build of the same epoch.
+struct RefitResult {
+    dirty_rows: usize,
+    cold_ms: f64,
+    refit_ms: f64,
+    /// `cold_ms / refit_ms`.
+    speedup: f64,
+    /// Recall@10 of the re-fit index against the exact top-10.
+    recall_at_10: f64,
+    /// Recall@10 of the cold build against the exact top-10.
+    cold_recall_at_10: f64,
+    /// `"full"`: the re-fit reassigns every row.
+    build_kind: &'static str,
+}
+
 struct SizeResult {
     n: usize,
     cells: usize,
@@ -193,6 +215,8 @@ struct SizeResult {
     batch_grouped: Vec<GroupedPoint>,
     // Incremental-maintenance axis (~1% dirty).
     incremental: IncrementalResult,
+    // Drift re-fit axis (every row dirty).
+    refit: RefitResult,
 }
 
 fn recall(exact: &[Vec<(NodeId, f32)>], approx: &[Vec<(NodeId, f32)>]) -> f64 {
@@ -256,26 +280,15 @@ fn grouped_qps(
     probes.len() as f64 / start.elapsed().as_secs_f64()
 }
 
-/// The freshness axis: perturb ~1% of rows (deterministically spread
-/// over the id space), then time a fresh full rebuild against an
-/// incremental `update_from` patch of `index`, and measure how much of
-/// the full build's top-10 the patched index reproduces at the same
-/// probe width.
-fn bench_incremental(
-    index: &IvfIndex,
-    emb: &Embedding,
-    cfg: &IvfConfig,
-    probes: &[NodeId],
-    nprobe: usize,
-    seed: u64,
-) -> IncrementalResult {
-    let n = emb.len();
-    let dirty_count = (n / 100).max(1);
-    let stride = (n / dirty_count).max(1);
+/// `emb` with `count` rows (every `n / count`-th id, deterministically
+/// spread over the id space) nudged by N(0, 0.05²) noise, plus the
+/// list of nudged ids.
+fn perturb(emb: &Embedding, count: usize, seed: u64) -> (Embedding, Vec<NodeId>) {
+    let stride = (emb.len() / count).max(1);
     let mut rng = SplitMix(seed ^ 0xD1F7_BEEF);
     let mut perturbed = emb.clone();
-    let mut dirty = Vec::with_capacity(dirty_count);
-    for i in 0..dirty_count {
+    let mut dirty = Vec::with_capacity(count);
+    for i in 0..count {
         let id = NodeId((i * stride) as u32);
         let mut row = perturbed.get(id).unwrap().to_vec();
         for x in &mut row {
@@ -284,6 +297,36 @@ fn bench_incremental(
         perturbed.set(id, &row);
         dirty.push(id);
     }
+    (perturbed, dirty)
+}
+
+/// Every probe's top-`K` through `index.search_in_with` at `nprobe`.
+fn answers(
+    index: &IvfIndex,
+    emb: &Embedding,
+    probes: &[NodeId],
+    nprobe: usize,
+) -> Vec<Vec<(NodeId, f32)>> {
+    let mut scratch = SearchScratch::new();
+    probes
+        .iter()
+        .map(|&p| index.search_in_with(emb, emb.get(p).unwrap(), K, nprobe, Some(p), &mut scratch))
+        .collect()
+}
+
+/// The freshness axis: perturb ~1% of rows, then time a fresh full
+/// rebuild against an incremental `update_from` patch of `index`, and
+/// measure how much of the full build's top-10 the patched index
+/// reproduces at the same probe width.
+fn bench_incremental(
+    index: &IvfIndex,
+    emb: &Embedding,
+    cfg: &IvfConfig,
+    probes: &[NodeId],
+    nprobe: usize,
+    seed: u64,
+) -> IncrementalResult {
+    let (perturbed, dirty) = perturb(emb, (emb.len() / 100).max(1), seed);
 
     let start = Instant::now();
     let full = IvfIndex::build(&perturbed, cfg);
@@ -292,23 +335,10 @@ fn bench_incremental(
     let incr = IvfIndex::update_from(index, &perturbed, &dirty, cfg);
     let build_incr_ms = start.elapsed().as_secs_f64() * 1e3;
 
-    let answers = |ix: &IvfIndex| -> Vec<Vec<(NodeId, f32)>> {
-        let mut scratch = SearchScratch::new();
-        probes
-            .iter()
-            .map(|&p| {
-                ix.search_in_with(
-                    &perturbed,
-                    perturbed.get(p).unwrap(),
-                    K,
-                    nprobe,
-                    Some(p),
-                    &mut scratch,
-                )
-            })
-            .collect()
-    };
-    let recall_at_10 = recall(&answers(&full), &answers(&incr));
+    let recall_at_10 = recall(
+        &answers(&full, &perturbed, probes, nprobe),
+        &answers(&incr, &perturbed, probes, nprobe),
+    );
     IncrementalResult {
         dirty_rows: incr.dirty_rows(),
         build_full_ms,
@@ -316,6 +346,38 @@ fn bench_incremental(
         speedup: build_full_ms / build_incr_ms.max(1e-9),
         recall_at_10,
         build_kind: incr.build_kind().as_str(),
+    }
+}
+
+/// The serving regime: perturb every row, then time a cold build
+/// against `update_from(index, .., all ids)` — the drift re-fit — and
+/// score both against the exact top-10 of the perturbed epoch.
+fn bench_refit(
+    index: &IvfIndex,
+    emb: &Embedding,
+    cfg: &IvfConfig,
+    probes: &[NodeId],
+    nprobe: usize,
+    seed: u64,
+) -> RefitResult {
+    let (perturbed, dirty) = perturb(emb, emb.len(), seed.wrapping_add(1));
+
+    let start = Instant::now();
+    let cold = IvfIndex::build(&perturbed, cfg);
+    let cold_ms = start.elapsed().as_secs_f64() * 1e3;
+    let start = Instant::now();
+    let refit = IvfIndex::update_from(index, &perturbed, &dirty, cfg);
+    let refit_ms = start.elapsed().as_secs_f64() * 1e3;
+
+    let exact: Vec<Vec<(NodeId, f32)>> = probes.iter().map(|&p| perturbed.top_k(p, K)).collect();
+    RefitResult {
+        dirty_rows: refit.dirty_rows(),
+        cold_ms,
+        refit_ms,
+        speedup: cold_ms / refit_ms.max(1e-9),
+        recall_at_10: recall(&exact, &answers(&refit, &perturbed, probes, nprobe)),
+        cold_recall_at_10: recall(&exact, &answers(&cold, &perturbed, probes, nprobe)),
+        build_kind: refit.build_kind().as_str(),
     }
 }
 
@@ -495,6 +557,7 @@ fn bench_one(n: usize, dim: usize, clusters: usize, queries: usize, seed: u64) -
         })
         .collect();
     let incremental = bench_incremental(&index, &emb, &cfg, &probes, nprobe, seed);
+    let refit = bench_refit(&index, &emb, &cfg, &probes, nprobe, seed);
 
     SizeResult {
         n,
@@ -514,6 +577,7 @@ fn bench_one(n: usize, dim: usize, clusters: usize, queries: usize, seed: u64) -
         batch,
         batch_grouped,
         incremental,
+        refit,
     }
 }
 
@@ -580,6 +644,18 @@ fn main() {
             inc.build_incr_ms,
             inc.speedup,
             inc.recall_at_10
+        );
+        let rf = &r.refit;
+        println!(
+            "          refit ({} dirty, {}): cold={:.1}ms  refit={:.1}ms  \
+             speedup={:.2}x  recall@10={:.4} (cold {:.4})",
+            rf.dirty_rows,
+            rf.build_kind,
+            rf.cold_ms,
+            rf.refit_ms,
+            rf.speedup,
+            rf.recall_at_10,
+            rf.cold_recall_at_10
         );
         results.push(r);
     }
@@ -675,6 +751,19 @@ fn main() {
             inc.recall_at_10,
             inc.build_kind,
         ));
+        let rf = &r.refit;
+        json.push_str(&format!(
+            "     \"refit\": {{\"dirty_rows\": {}, \"cold_ms\": {:.2}, \"refit_ms\": {:.2}, \
+             \"speedup\": {:.2}, \"recall_at_10\": {:.4}, \"cold_recall_at_10\": {:.4}, \
+             \"build_kind\": \"{}\"}},\n",
+            rf.dirty_rows,
+            rf.cold_ms,
+            rf.refit_ms,
+            rf.speedup,
+            rf.recall_at_10,
+            rf.cold_recall_at_10,
+            rf.build_kind,
+        ));
         json.push_str(&format!(
             "     \"sq8\": {{\"build_ms\": {:.2}, \"qps\": {:.1}, \"recall_at_10\": {:.4}, \
              \"index_bytes\": {}, \"compression\": {:.2}}},\n",
@@ -712,7 +801,7 @@ fn main() {
     if assert_recall > 0.0 {
         let worst = results
             .iter()
-            .flat_map(|r| [r.recall_at_10, r.sq8_recall_at_10])
+            .flat_map(|r| [r.recall_at_10, r.sq8_recall_at_10, r.refit.recall_at_10])
             .fold(f64::INFINITY, f64::min);
         if worst < assert_recall {
             eprintln!(

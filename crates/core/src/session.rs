@@ -87,8 +87,9 @@ struct AnnState {
     index: Option<IvfIndex>,
     /// The most recently built index, retained across commits as the
     /// warm start for [`IvfIndex::update_from`]: the next lazy build
-    /// reassigns only the rows the session's dirty set accumulated
-    /// instead of re-running k-means from zero.
+    /// reassigns only the rows the session's dirty set accumulated (or,
+    /// on drift, re-fits this index's centroids) instead of re-running
+    /// k-means from cold seeds.
     prev: Option<IvfIndex>,
     /// Index builds performed over the session's lifetime (telemetry;
     /// pins the build-on-first-query contract in tests).
@@ -349,9 +350,9 @@ impl<E: DynamicEmbedder> EmbedderSession<E> {
             ann.builds += 1;
             // Warm-start from the last built index when there is one:
             // only the rows the dirty set accumulated since that build
-            // are reassigned (`update_from` falls back to a full
-            // k-means on drift). A session that never built — or one
-            // resumed from a checkpoint — builds full.
+            // are reassigned (`update_from` re-fits the previous
+            // centroids over every row on drift). A session that never
+            // built — or one resumed from a checkpoint — builds cold.
             let dirty: Vec<NodeId> = std::mem::take(&mut self.dirty).into_iter().collect();
             ann.index = Some(match ann.prev.take() {
                 Some(prev) => IvfIndex::update_from(&prev, &self.latest, &dirty, &ann.config),

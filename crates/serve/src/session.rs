@@ -101,10 +101,12 @@ pub struct AnnStats {
     /// Resident bytes of the published index (summed across shards on
     /// sharded sessions) — the number `quantize` exists to shrink.
     pub index_bytes: usize,
-    /// How the published index was produced: `"full"` (k-means from
-    /// scratch) or `"incremental"` (warm-started from the previous
-    /// epoch's index, dirty rows reassigned). Sharded sessions report
-    /// `"incremental"` only when *every* shard's index was incremental.
+    /// How the published index was produced: `"full"` (every row
+    /// reassigned by k-means — from cold seeds, or re-fitted from the
+    /// previous epoch's centroids) or `"incremental"` (the previous
+    /// epoch's index patched, only dirty rows reassigned). Sharded
+    /// sessions report `"incremental"` only when *every* shard's index
+    /// was incremental.
     pub build_kind: &'static str,
     /// Rows the build actually reassigned (mutated, added, or removed
     /// since the previous index; summed across shards). A full build
@@ -979,10 +981,12 @@ fn publish<E: DynamicEmbedder>(
 /// Assemble one publishable epoch; the IVF build (when ANN is on)
 /// happens here, on the trainer thread, so it never blocks a reader.
 /// With a previous index the build is incremental — frozen centroids,
-/// only `dirty` rows reassigned — falling back to a full k-means
-/// rebuild when the index's drift triggers fire. The first epoch after
-/// spawn (and the first after a durable recovery, which has no
-/// previous in-memory index) always takes the full path.
+/// only `dirty` rows reassigned — or, when the index's drift triggers
+/// fire, a one-step k-means re-fit of the previous centroids over every
+/// row. The first epoch after spawn (and the first after a durable
+/// recovery, which has no previous in-memory index) is always a cold
+/// build, so partial-probe answers may differ across a restart while
+/// exact and full-probe answers do not (see `IvfIndex::update_from`).
 pub(crate) fn build_epoch(
     epoch: u64,
     embedding: Embedding,

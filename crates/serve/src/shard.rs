@@ -80,8 +80,9 @@ pub struct ShardEpochStats {
     /// Build time of the shard epoch's IVF index, when ANN is on and
     /// the epoch carries one.
     pub ann_build: Option<Duration>,
-    /// How the shard epoch's index was produced (`"full"` /
-    /// `"incremental"`), when it carries one.
+    /// How the shard epoch's index was produced (`"full"`: every row
+    /// reassigned by k-means, cold or re-fitted; `"incremental"`: dirty
+    /// rows patched), when it carries one.
     pub ann_build_kind: Option<&'static str>,
     /// Rows the shard's index build reassigned, when it carries one.
     pub ann_dirty_rows: Option<usize>,

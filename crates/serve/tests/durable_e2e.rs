@@ -10,14 +10,17 @@
 //!   responses are byte-identical JSON lines);
 //! - `stats` surfaces the `"durability"` object, including the
 //!   recovery provenance after a restart;
+//! - with ANN on, exact and full-probe `nearest` replies survive a
+//!   restart byte for byte, although the index before it was re-fitted
+//!   along the epoch chain and the one after it is built cold;
 //! - a corrupted WAL tail never panics the boot path.
 
-use glodyne::{EmbedderSession, EpochPolicy, GloDyNE, GloDyNEConfig};
+use glodyne::{EmbedderSession, EpochPolicy, GloDyNE, GloDyNEConfig, IvfConfig};
 use glodyne_durable::{DurableConfig, DurableSession, FsyncPolicy};
 use glodyne_embed::walks::WalkConfig;
 use glodyne_embed::SgnsConfig;
 use glodyne_serve::json::Json;
-use glodyne_serve::{json, recover_sharded, Server, ServerConfig};
+use glodyne_serve::{json, recover_sharded, AnnSettings, Server, ServerConfig};
 use glodyne_shard::ShardConfig;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -163,6 +166,115 @@ fn durable_server_restart_is_byte_exact_over_the_wire() {
         durability.get("recovered_from").and_then(Json::as_str),
         Some(report.recovered_from.as_str()),
         "{stats}"
+    );
+    server.request_shutdown();
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn ann_durable_server_restart_is_byte_exact_for_exact_and_full_probe_reads() {
+    const CELLS: usize = 4;
+    let dir = durable_dir("ann-restart");
+    let dcfg = DurableConfig {
+        fsync: FsyncPolicy::EveryFlush,
+        ..DurableConfig::default()
+    };
+    let server_cfg = || ServerConfig {
+        ann: Some(AnnSettings {
+            config: IvfConfig {
+                cells: CELLS,
+                ..Default::default()
+            },
+            default_nprobe: 1,
+        }),
+        ..ServerConfig::default()
+    };
+    // Exact and full-probe ANN replies: the surface a restart must
+    // reproduce. (Partial probes may differ: the index before the
+    // restart is a function of the epoch chain, the one after is cold.)
+    let ann_surface = |client: &mut Client| -> Vec<String> {
+        let mut lines = Vec::new();
+        for n in PROBES {
+            lines.push(client.round_trip_raw(&format!(
+                r#"{{"cmd":"nearest","node":{n},"k":5,"mode":"exact"}}"#
+            )));
+            lines.push(client.round_trip_raw(&format!(
+                r#"{{"cmd":"nearest","node":{n},"k":5,"mode":"ann","nprobe":{CELLS}}}"#
+            )));
+        }
+        lines
+    };
+    let ann_build = |client: &mut Client| {
+        let stats = client.round_trip(r#"{"cmd":"stats"}"#);
+        let ann = stats.get("ann").expect("ann stats").clone();
+        let kind = ann
+            .get("build_kind")
+            .and_then(Json::as_str)
+            .unwrap()
+            .to_owned();
+        let dirty = ann.get("dirty_rows").and_then(Json::as_u64).unwrap();
+        (kind, dirty)
+    };
+
+    let session = EmbedderSession::new(tiny_model(), EpochPolicy::Manual).unwrap();
+    let durable = DurableSession::create(&dir, session, dcfg).unwrap();
+    let server = Server::bind(durable, "127.0.0.1:0", server_cfg()).expect("bind durable server");
+    let mut client = Client::connect(server.local_addr());
+
+    // Three flushes of a growing path: every step rewrites nearly every
+    // row, so from the second flush on (the first has only the empty
+    // spawn index behind it) the staleness trigger re-fits the previous
+    // epoch's centroids. At 4 cells the re-fit cannot fall back cold —
+    // its longest list is at most n ≤ 4 · ⌈n / 4⌉, inside the bound — so
+    // a `"full"` build with dirty rows here *is* a re-fit.
+    let mut refits = 0;
+    for round in 0..3u32 {
+        let edges: Vec<String> = (0..8)
+            .map(|i| format!("[{},{},{round}]", round * 8 + i, round * 8 + i + 1))
+            .collect();
+        let ingest = client.round_trip(&format!(
+            r#"{{"cmd":"ingest","edges":[{}]}}"#,
+            edges.join(",")
+        ));
+        assert!(is_ok(&ingest), "{ingest}");
+        let flush = client.round_trip(r#"{"cmd":"flush"}"#);
+        assert_eq!(flush.get("stepped"), Some(&Json::Bool(true)), "{flush}");
+        let (kind, dirty) = ann_build(&mut client);
+        if round > 0 && kind == "full" && dirty > 0 {
+            refits += 1;
+        }
+    }
+    assert!(refits >= 1, "no flush re-fitted the index");
+
+    let before = ann_surface(&mut client);
+    let answered = before
+        .iter()
+        .filter(|l| l.contains(r#""mode":"ann""#) && l.contains(r#""ok":true"#))
+        .count();
+    assert_eq!(
+        answered, 3,
+        "every embedded probe answers in ANN mode: {before:?}"
+    );
+    let bye = client.round_trip(r#"{"cmd":"shutdown"}"#);
+    assert!(is_ok(&bye), "{bye}");
+    server.join();
+
+    let (recovered, report) =
+        DurableSession::recover(&dir, dcfg, EpochPolicy::Manual, false, tiny_model).unwrap();
+    assert_eq!(report.replayed_events, 0, "{report:?}");
+    let server =
+        Server::bind(recovered, "127.0.0.1:0", server_cfg()).expect("rebind durable server");
+    let mut client = Client::connect(server.local_addr());
+    assert_eq!(
+        ann_build(&mut client),
+        ("full".to_owned(), 0),
+        "the first index after a restart is cold"
+    );
+    assert_eq!(
+        ann_surface(&mut client),
+        before,
+        "exact and full-probe nearest replies must be byte-identical after restart"
     );
     server.request_shutdown();
     server.join();
