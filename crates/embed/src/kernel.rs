@@ -346,100 +346,212 @@ pub(crate) fn sigmoid_table(x: f32) -> f32 {
     }
 }
 
-/// One SGNS pair update (Eq. 9's gradient step for one `(centre,
-/// target)` sample): `g = (label − σ(centre · target)) · lr`, then
-/// element-wise `grad += g · target` (the centre's accumulated step,
-/// applied by the caller once all of the pair's targets are done) and
-/// `target += g · centre`, each `grad[i]` reading `target[i]` *before*
-/// it moves. The dot is [`dot_fast`] — the 8-lane order, not a scalar
-/// dependency chain — and σ is the 1024-bucket table word2vec uses, so
-/// the whole body is `dot_fast` plus two loops LLVM vectorises. Where
-/// AVX is detected at run time an intrinsics body does the same
-/// operations eight lanes at a time; a unit test pins both bodies bit
-/// for bit against the sequence written out.
+/// One centre's SGNS step (Eq. 9's gradient step for the pairs
+/// `(centre, slot)`, one per `dim`-float row of `slots`): slot 0 is the
+/// positive sample (label 1), every later slot a negative (label 0).
+/// For each slot `g_s = (label_s − σ(centre · t_s)) · lr`, then
+/// element-wise `a = Σ_s g_s · t_s` (each `t_s[i]` read *before* it
+/// moves), `t_s += g_s · centre`, and finally `row += a` — `row` is the
+/// model's copy of the centre, `centre` the caller's hoisted snapshot
+/// of it. The dot is [`dot_fast`] and σ the 1024-bucket table word2vec
+/// uses.
 ///
-/// `label` is 1 for the positive sample and 0 for a negative. All three
-/// slices must have the same length (`debug_assert` only, like the
-/// dots; a shorter `target` or `grad` panics or is updated short, never
-/// read out of bounds).
+/// This is bit for bit the per-pair loop it replaced: `live` sequential
+/// `(centre, t_s)` updates, slot by slot, each adding into a zeroed
+/// gradient that is added to `row` at the end (pinned against that
+/// loop, `sgns_pair`, in tests). Two facts make the reorder exact:
+///
+/// - **The dots are independent.** `centre` does not move until the
+///   end, and slot `s`'s row is written only by slot `s`, so slot `s`'s
+///   dot reads the same floats whether the slots before it have
+///   stepped or not. All `live` dots are taken in one pass over `d`,
+///   each in `dot_fast`'s lane order.
+/// - **The per-element operation sequence is unchanged.** The second
+///   pass walks `d` once and, for each element, runs the slots in slot
+///   order: `a` starts at `+0.0` (the zeroed gradient) and gets
+///   `a + g_s·t_s[i]` for s = 0, 1, …, then `t_s[i] + g_s·c[i]`, then
+///   `row[i] + a` — the same IEEE operations on the same operands, in
+///   the same order, as the gradient buffer saw. Mul and add, never
+///   FMA, which would round once where the loop rounded twice.
+///
+/// Where AVX is detected at run time and at most eight slots are live,
+/// an intrinsics body does this with one eight-lane accumulator per
+/// slot held in registers; otherwise the portable body, which is the
+/// definition, runs.
+///
+/// `slots.len()` must be a multiple of `centre.len()` and `row` must
+/// have `centre.len()` floats (`debug_assert` only, like the dots; a
+/// shorter `row` panics, a trailing partial slot is left alone, and
+/// nothing is read out of bounds).
 #[inline]
-pub fn sgns_pair(centre: &[f32], target: &mut [f32], grad: &mut [f32], label: f32, lr: f32) {
-    debug_assert_eq!(centre.len(), target.len());
-    debug_assert_eq!(centre.len(), grad.len());
+pub fn sgns_centre(centre: &[f32], slots: &mut [f32], row: &mut [f32], lr: f32) {
+    let dim = centre.len();
+    debug_assert_eq!(row.len(), dim);
+    debug_assert_eq!(slots.len() % dim.max(1), 0);
+    // Bounds the AVX bodies' raw row accesses to `dim` floats.
+    let row = &mut row[..dim];
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx") {
-        // SAFETY: the `avx` feature was just detected at runtime.
-        return unsafe { sgns_pair_avx(centre, target, grad, label, lr) };
+        let live = slots.len().checked_div(dim).unwrap_or(0);
+        // SAFETY: `avx` was just detected; `live · dim <= slots.len()`
+        // by the floor division and `row` was sliced to `dim` floats.
+        unsafe {
+            match live {
+                1 => return sgns_centre_avx::<1>(centre, slots, row, lr),
+                2 => return sgns_centre_avx::<2>(centre, slots, row, lr),
+                3 => return sgns_centre_avx::<3>(centre, slots, row, lr),
+                4 => return sgns_centre_avx::<4>(centre, slots, row, lr),
+                5 => return sgns_centre_avx::<5>(centre, slots, row, lr),
+                6 => return sgns_centre_avx::<6>(centre, slots, row, lr),
+                7 => return sgns_centre_avx::<7>(centre, slots, row, lr),
+                8 => return sgns_centre_avx::<8>(centre, slots, row, lr),
+                _ => {}
+            }
+        }
     }
-    sgns_pair_portable(centre, target, grad, label, lr);
+    sgns_centre_portable(centre, slots, row, lr);
 }
 
-/// Portable body of [`sgns_pair`], and its definition.
+/// The label of slot `s` in [`sgns_centre`]: the block's target first.
 #[inline]
-fn sgns_pair_portable(centre: &[f32], target: &mut [f32], grad: &mut [f32], label: f32, lr: f32) {
-    let g = (label - sigmoid_table(dot_fast(centre, target))) * lr;
-    for ((acc, t), &c) in grad.iter_mut().zip(target.iter_mut()).zip(centre) {
-        *acc += g * *t;
-        *t += g * c;
+fn slot_label(s: usize) -> f32 {
+    if s == 0 {
+        1.0
+    } else {
+        0.0
     }
 }
 
-/// AVX body of [`sgns_pair`]: the dot's eight lanes are one `vmulps` +
-/// `vaddps` per chunk and the two updates one each — the exact
-/// per-lane IEEE operations of the portable loops (not FMA, see
-/// [`dot_fast_x2_avx`]), finished by the same [`finish_lanes`]
-/// reduction, so every written float is bit-identical to
-/// [`sgns_pair_portable`]'s (pinned in tests). Shipped on evidence:
-/// on the paper profile it trains 1.35–1.5× the pairs per second of
-/// the portable body built for baseline x86-64 (SSE2), and the
-/// end-to-end `freshness_ms` followed.
+/// Portable body of [`sgns_centre`], and its definition: the dots slot
+/// by slot, then the updates element by element. Blocks of up to 16
+/// slots keep their `g`s on the stack; wider ones (16+ negatives, a
+/// configuration nothing here runs) allocate them.
+fn sgns_centre_portable(centre: &[f32], slots: &mut [f32], row: &mut [f32], lr: f32) {
+    let dim = centre.len();
+    let live = slots.len().checked_div(dim).unwrap_or(0);
+    let mut stack = [0.0f32; 16];
+    let mut heap = Vec::new();
+    let gs: &mut [f32] = if live <= stack.len() {
+        &mut stack[..live]
+    } else {
+        heap.resize(live, 0.0);
+        &mut heap
+    };
+    for (s, g) in gs.iter_mut().enumerate() {
+        let t = &slots[s * dim..(s + 1) * dim];
+        *g = (slot_label(s) - sigmoid_table(dot_fast(centre, t))) * lr;
+    }
+    for (i, (w, &c)) in row.iter_mut().zip(centre).enumerate() {
+        let mut a = 0.0f32;
+        for (s, &g) in gs.iter().enumerate() {
+            let t = &mut slots[s * dim + i];
+            a += g * *t;
+            *t += g * c;
+        }
+        *w += a;
+    }
+}
+
+/// AVX body of [`sgns_centre`] for exactly `N` live slots. Const-generic
+/// so the `N` dot accumulators and broadcast `g`s are fixed-size arrays
+/// LLVM keeps in registers (a prototype with a run-time slot count
+/// trained 9–27 % fewer pairs per second). Each accumulator sees `vmulps` + `vaddps`
+/// per chunk — `dot_fast`'s per-lane operations — and is finished by the
+/// same [`finish_lanes`]; the update pass does per chunk what the
+/// portable body does per element (mul + add, not FMA, see
+/// [`dot_fast_x2_avx`]), so every written float is bit-identical to
+/// [`sgns_centre_portable`]'s (pinned in tests).
 ///
 /// # Safety
-/// Caller must ensure the `avx` target feature is available.
+/// Caller must ensure the `avx` target feature is available,
+/// `slots.len() >= N · centre.len()` and `row.len() >= centre.len()`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-unsafe fn sgns_pair_avx(centre: &[f32], target: &mut [f32], grad: &mut [f32], label: f32, lr: f32) {
+unsafe fn sgns_centre_avx<const N: usize>(
+    centre: &[f32],
+    slots: &mut [f32],
+    row: &mut [f32],
+    lr: f32,
+) {
     use std::arch::x86_64::*;
-    let main = centre.len() - centre.len() % LANES;
-    let mut dot = _mm256_setzero_ps();
-    for (c, t) in centre[..main]
-        .chunks_exact(LANES)
-        .zip(target[..main].chunks_exact(LANES))
-    {
-        // SAFETY: `chunks_exact(LANES)` yields slices of exactly
-        // `LANES` floats, one unaligned 256-bit load each.
-        unsafe {
-            let prod = _mm256_mul_ps(_mm256_loadu_ps(c.as_ptr()), _mm256_loadu_ps(t.as_ptr()));
-            dot = _mm256_add_ps(dot, prod);
-        }
-    }
-    let mut acc = [0.0f32; LANES];
-    // SAFETY: `[f32; LANES]` holds exactly one 256-bit vector.
-    unsafe { _mm256_storeu_ps(acc.as_mut_ptr(), dot) };
-    let g = (label - sigmoid_table(finish_lanes(&acc, centre, target, main))) * lr;
+    let dim = centre.len();
+    let main = dim - dim % LANES;
+    let c = centre.as_ptr();
+    // Every slot pointer is derived from this one, so no reborrow of
+    // `slots` invalidates another slot's.
+    let t = slots.as_mut_ptr();
 
-    let gv = _mm256_set1_ps(g);
-    for ((a, t), c) in grad[..main]
-        .chunks_exact_mut(LANES)
-        .zip(target[..main].chunks_exact_mut(LANES))
-        .zip(centre[..main].chunks_exact(LANES))
-    {
-        // SAFETY: as above — every chunk is `LANES` floats, loaded and
-        // stored whole; `a`, `t` and `c` come from three distinct
-        // slices.
+    let mut dots = [_mm256_setzero_ps(); N];
+    let mut i = 0;
+    while i < main {
+        // SAFETY: `i + LANES <= main <= dim`, and slot `s < N` spans
+        // `t[s·dim..(s + 1)·dim]`, inside `slots` by the caller's
+        // contract.
         unsafe {
-            let tv = _mm256_loadu_ps(t.as_ptr());
-            let av = _mm256_add_ps(_mm256_loadu_ps(a.as_ptr()), _mm256_mul_ps(gv, tv));
-            _mm256_storeu_ps(a.as_mut_ptr(), av);
-            let cv = _mm256_loadu_ps(c.as_ptr());
-            _mm256_storeu_ps(t.as_mut_ptr(), _mm256_add_ps(tv, _mm256_mul_ps(gv, cv)));
+            let cv = _mm256_loadu_ps(c.add(i));
+            for s in 0..N {
+                let tv = _mm256_loadu_ps(t.add(s * dim + i));
+                dots[s] = _mm256_add_ps(dots[s], _mm256_mul_ps(cv, tv));
+            }
         }
+        i += LANES;
     }
-    for ((acc, t), &c) in grad[main..]
-        .iter_mut()
-        .zip(target[main..].iter_mut())
-        .zip(&centre[main..])
-    {
+    let mut g = [0.0f32; N];
+    let mut gv = [_mm256_setzero_ps(); N];
+    for s in 0..N {
+        let mut acc = [0.0f32; LANES];
+        // SAFETY: `[f32; LANES]` holds exactly one 256-bit vector, and
+        // slot `s` is `dim` floats inside `slots` (caller's contract);
+        // no `&mut` to it is live while this shared view is.
+        let slot = unsafe {
+            _mm256_storeu_ps(acc.as_mut_ptr(), dots[s]);
+            std::slice::from_raw_parts(t.add(s * dim), dim)
+        };
+        g[s] = (slot_label(s) - sigmoid_table(finish_lanes(&acc, centre, slot, main))) * lr;
+        gv[s] = _mm256_set1_ps(g[s]);
+    }
+
+    let r = row.as_mut_ptr();
+    let mut i = 0;
+    while i < main {
+        // SAFETY: as in the first pass, plus `row` has `dim` floats
+        // (caller's contract); `row` and `slots` are distinct borrows.
+        unsafe {
+            let cv = _mm256_loadu_ps(c.add(i));
+            let mut a = _mm256_setzero_ps();
+            for s in 0..N {
+                let p = t.add(s * dim + i);
+                let tv = _mm256_loadu_ps(p);
+                a = _mm256_add_ps(a, _mm256_mul_ps(gv[s], tv));
+                _mm256_storeu_ps(p, _mm256_add_ps(tv, _mm256_mul_ps(gv[s], cv)));
+            }
+            _mm256_storeu_ps(r.add(i), _mm256_add_ps(_mm256_loadu_ps(r.add(i)), a));
+        }
+        i += LANES;
+    }
+    for i in main..dim {
+        let mut a = 0.0f32;
+        for s in 0..N {
+            // SAFETY: `i < dim`, so `s·dim + i` is inside slot `s`.
+            let ts = unsafe { &mut *t.add(s * dim + i) };
+            a += g[s] * *ts;
+            *ts += g[s] * centre[i];
+        }
+        // SAFETY: `i < dim <= row.len()`; written through the same
+        // pointer the chunked loop used.
+        unsafe { *r.add(i) += a };
+    }
+}
+
+/// One SGNS pair update — the per-pair loop [`sgns_centre`] replaced,
+/// kept as the definition its pins compare against: `g = (label −
+/// σ(centre · target)) · lr`, then element-wise `grad += g · target`
+/// and `target += g · centre`, each `grad[i]` reading `target[i]`
+/// *before* it moves.
+#[cfg(test)]
+pub(crate) fn sgns_pair(centre: &[f32], target: &mut [f32], grad: &mut [f32], label: f32, lr: f32) {
+    let g = (label - sigmoid_table(dot_fast(centre, target))) * lr;
+    for ((acc, t), &c) in grad.iter_mut().zip(target.iter_mut()).zip(centre) {
         *acc += g * *t;
         *t += g * c;
     }
@@ -526,6 +638,10 @@ mod tests {
                 ((state >> 40) as f32) / 1e6 - 8.0
             })
             .collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     /// The fused dot/norm/norm loop `cosine` shipped with before it was
@@ -686,24 +802,63 @@ mod tests {
                     want_target[i] += g * centre[i];
                 }
 
-                type Body = fn(&[f32], &mut [f32], &mut [f32], f32, f32);
-                for (name, body) in [
-                    ("dispatched", sgns_pair as Body),
-                    ("portable", sgns_pair_portable as Body),
-                ] {
-                    let (mut got_target, mut got_grad) = (target.clone(), grad.clone());
-                    body(&centre, &mut got_target, &mut got_grad, label, lr);
-                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(
-                        bits(&got_target),
-                        bits(&want_target),
-                        "{name} dim={dim} salt={salt}"
-                    );
-                    assert_eq!(
-                        bits(&got_grad),
-                        bits(&want_grad),
-                        "{name} dim={dim} salt={salt}"
-                    );
+                let (mut got_target, mut got_grad) = (target.clone(), grad.clone());
+                sgns_pair(&centre, &mut got_target, &mut got_grad, label, lr);
+                assert_eq!(
+                    bits(&got_target),
+                    bits(&want_target),
+                    "dim={dim} salt={salt}"
+                );
+                assert_eq!(bits(&got_grad), bits(&want_grad), "dim={dim} salt={salt}");
+            }
+        }
+    }
+
+    #[test]
+    fn sgns_centre_is_live_sequential_sgns_pairs() {
+        // live = 9 is wider than any AVX body, so the dispatcher runs
+        // the portable one there.
+        for dim in [1usize, 7, 8, 9, 64, 128] {
+            for live in 1..=9u64 {
+                for salt in 0..6u64 {
+                    // Scales from "σ saturated" (most `g` are ±0, so
+                    // signed zeros flow through the gradient) down to
+                    // "σ mid-table".
+                    let scale = [1.0f32, 0.1, 0.02][salt as usize % 3];
+                    let scaled = |seed: u64| -> Vec<f32> {
+                        pseudo_random(dim, seed).iter().map(|x| x * scale).collect()
+                    };
+                    let seed = salt * 16 + live * 1000;
+                    let centre = scaled(seed);
+                    let slots: Vec<f32> = (1..=live).flat_map(|s| scaled(seed + s)).collect();
+                    // The model's row, not the hoisted copy: a kernel
+                    // that adds into the wrong one fails. A -0 turns
+                    // into +0 under a zero gradient, as it did.
+                    let mut row = pseudo_random(dim, seed + 15);
+                    row[0] = -0.0;
+                    let lr = 0.025 + salt as f32 * 1e-3;
+
+                    let (mut want_slots, mut want_row) = (slots.clone(), row.clone());
+                    let mut grad = vec![0.0f32; dim];
+                    for (s, target) in want_slots.chunks_exact_mut(dim).enumerate() {
+                        let label = if s == 0 { 1.0 } else { 0.0 };
+                        sgns_pair(&centre, target, &mut grad, label, lr);
+                    }
+                    for (w, g) in want_row.iter_mut().zip(&grad) {
+                        *w += g;
+                    }
+
+                    type Body = fn(&[f32], &mut [f32], &mut [f32], f32);
+                    for (name, body) in [
+                        ("dispatched", sgns_centre as Body),
+                        ("portable", sgns_centre_portable as Body),
+                    ] {
+                        let (mut got_slots, mut got_row) = (slots.clone(), row.clone());
+                        body(&centre, &mut got_slots, &mut got_row, lr);
+                        let at = format!("{name} dim={dim} live={live} salt={salt}");
+                        assert_eq!(bits(&got_slots), bits(&want_slots), "{at}");
+                        assert_eq!(bits(&got_row), bits(&want_row), "{at}");
+                    }
                 }
             }
         }

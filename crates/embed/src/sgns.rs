@@ -35,10 +35,15 @@
 //!    earlier one;
 //! 2. copies those ≤ `1 + q` output rows into per-range scratch;
 //! 3. runs each of the ≤ `2·window` centres through them with plain
-//!    **per-pair sequential SGD** — copy the centre row, then for each
-//!    scratch row [`kernel::sgns_pair`] (`dot_fast` → sigmoid table →
-//!    `g`; `grad += g·t`; `t += g·c`), then `centre += grad` — each
-//!    pair at its own position of the linear learning-rate schedule;
+//!    **per-pair sequential SGD**, one [`kernel::sgns_centre`] call per
+//!    centre: copy the centre row, take its ≤ `1 + q` dots against the
+//!    scratch rows in one pass over `d` (`dot_fast` order → sigmoid
+//!    table → `g`), then in a second pass apply every slot's `t += g·c`
+//!    and the centre's `Σ g·t`, slot by slot per element — bit for bit
+//!    the floats of running the slots one at a time (`grad += g·t`;
+//!    `t += g·c`; then `centre += grad`), because the dots do not
+//!    depend on each other. Each positive pair sits at its own position
+//!    of the linear learning-rate schedule;
 //! 4. adds each scratch row's movement (`new − copied`) back to the
 //!    shared output matrix.
 //!
@@ -63,15 +68,20 @@
 //! shared-negative word2vec implementation.
 //!
 //! Measured on the 2-core box this was written on (d = 64, 5
-//! negatives, Mpairs/s from `glodyne_bench::throughput`, per-pair loop
-//! → target blocks; the AVX body of `sgns_pair` is 1.35–1.5× of the
-//! second figure):
+//! negatives, Mpairs/s from `glodyne_bench::throughput`): the per-pair
+//! loop, then target blocks with one kernel call per slot, then one
+//! [`kernel::sgns_centre`] call per centre. The first column is PR 16's
+//! measurement; the other two are medians of interleaved runs from one
+//! session.
 //!
-//! | corpus | 1 thread | 2 threads |
-//! |---|---|---|
-//! | paper profile, n = 200 | 2.06 → 5.5 | 2.41 → 9.3 |
-//! | serving profile, n = 4 000 | 1.77 → 5.0 | 2.27 → 8.5 |
-//! | serving profile, n = 12 000 | 1.57 → 4.8 | 2.35 → 8.6 |
+//! | corpus, threads | per-pair loop | per slot | per centre |
+//! |---|---|---|---|
+//! | paper profile, n = 200, 1 | 2.06 | 5.61 | 8.14 |
+//! | paper profile, n = 200, 2 | 2.41 | 8.65 | 13.14 |
+//! | serving profile, n = 4 000, 1 | 1.77 | 5.15 | 6.39 |
+//! | serving profile, n = 4 000, 2 | 2.27 | 7.78 | 11.63 |
+//! | serving profile, n = 12 000, 1 | 1.57 | 4.80 | 6.69 |
+//! | serving profile, n = 12 000, 2 | 2.35 | 7.52 | 12.16 |
 //!
 //! Parallelism is word2vec-style Hogwild: threads update the shared
 //! matrices without locks. Races lose the occasional update, which SGD
@@ -304,6 +314,17 @@ impl SgnsModel {
     /// `0..num_walks` makes the run bit-exact reproducible. Inside a
     /// walk the unit of work is a target block — see the module doc.
     pub fn train_corpus(&mut self, corpus: &WalkCorpus) -> usize {
+        self.train_corpus_with(corpus, BlockScratch::pair)
+    }
+
+    /// [`SgnsModel::train_corpus`] with its per-centre step as a
+    /// parameter, so the tests can run this same pipeline over the
+    /// per-slot loop it replaced.
+    fn train_corpus_with(
+        &mut self,
+        corpus: &WalkCorpus,
+        pair: impl Fn(&mut BlockScratch, &mut [f32], usize, f32) + Sync,
+    ) -> usize {
         let Some(Prepared {
             rows,
             negatives,
@@ -360,7 +381,7 @@ impl SgnsModel {
                             }
                             let lr = learning_rate(cfg.initial_lr, done, inv_total);
                             done += 1;
-                            scratch.pair(input, rows[walk[ci] as usize] as usize, lr);
+                            pair(scratch, input, rows[walk[ci] as usize] as usize, lr);
                         }
                         scratch.scatter(output);
                     }
@@ -570,7 +591,6 @@ struct BlockScratch {
     /// The same rows as [`BlockScratch::gather`] copied them.
     copied: Vec<f32>,
     centre: Vec<f32>,
-    grad: Vec<f32>,
 }
 
 impl BlockScratch {
@@ -580,7 +600,6 @@ impl BlockScratch {
             work: vec![0.0; (1 + negatives) * dim],
             copied: vec![0.0; (1 + negatives) * dim],
             centre: vec![0.0; dim],
-            grad: vec![0.0; dim],
         }
     }
 
@@ -610,18 +629,11 @@ impl BlockScratch {
     fn pair(&mut self, input: &mut [f32], centre: usize, lr: f32) {
         let dim = self.centre.len();
         let centre_row = &mut input[centre * dim..(centre + 1) * dim];
-        // Hoisted copy: under Hogwild the six dots below see one
-        // version of the row even if another thread is writing it.
+        // Hoisted copy: under Hogwild the block's dots see one version
+        // of the row even if another thread is writing it.
         self.centre.copy_from_slice(centre_row);
-        self.grad.fill(0.0);
         let live = self.slot_rows.len() * dim;
-        for (slot, target) in self.work[..live].chunks_exact_mut(dim).enumerate() {
-            let label = if slot == 0 { 1.0 } else { 0.0 };
-            kernel::sgns_pair(&self.centre, target, &mut self.grad, label, lr);
-        }
-        for (w, g) in centre_row.iter_mut().zip(&self.grad) {
-            *w += g;
-        }
+        kernel::sgns_centre(&self.centre, &mut self.work[..live], centre_row, lr);
     }
 
     /// Close the block: add what each slot moved by (`new − copied`) to
@@ -785,6 +797,26 @@ mod tests {
         }
     }
 
+    impl BlockScratch {
+        /// `pair` as it was before `kernel::sgns_centre`, kept as the
+        /// reference the kernel is pinned against: one `sgns_pair` per
+        /// slot into a zeroed gradient, then `centre += grad`.
+        fn pair_reference(&mut self, input: &mut [f32], centre: usize, lr: f32) {
+            let dim = self.centre.len();
+            let centre_row = &mut input[centre * dim..(centre + 1) * dim];
+            self.centre.copy_from_slice(centre_row);
+            let mut grad = vec![0.0f32; dim];
+            let live = self.slot_rows.len() * dim;
+            for (slot, target) in self.work[..live].chunks_exact_mut(dim).enumerate() {
+                let label = if slot == 0 { 1.0 } else { 0.0 };
+                kernel::sgns_pair(&self.centre, target, &mut grad, label, lr);
+            }
+            for (w, g) in centre_row.iter_mut().zip(&grad) {
+                *w += g;
+            }
+        }
+    }
+
     /// `communities` ring lattices of 100 nodes, 4 neighbours a side,
     /// chained by one bridge edge each — the shape of the end-to-end
     /// benchmark's generated graphs.
@@ -886,6 +918,63 @@ mod tests {
             new >= old - 0.03,
             "target blocks MeanP@10 {new} vs per-pair reference {old}"
         );
+    }
+
+    #[test]
+    fn train_corpus_is_bit_identical_to_the_per_slot_loop() {
+        // Algorithm 1's shape — an offline stage over every node, then
+        // four warm-started steps from a tenth of them — on the paper
+        // profile (walks of 80 under a window of 10, so windows revisit
+        // nodes) and the serving one (20 and 5, three times the nodes).
+        // q = 9 gives blocks of up to ten slots, wider than any AVX
+        // body. Sized for an unoptimised test build.
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (profile, walk_length, window, communities) in
+            [("paper", 80, 10, 1), ("serving", 20, 5, 3)]
+        {
+            let g = ring_lattice_communities(communities);
+            let walk_cfg = |seed| crate::walks::WalkConfig {
+                walks_per_node: 1,
+                walk_length,
+                seed,
+            };
+            let mut corpora = vec![crate::walks::generate_corpus_all(&g, &walk_cfg(5))];
+            for step in 0..4u32 {
+                let starts: Vec<u32> = (0..g.num_nodes() as u32)
+                    .filter(|v| (v + step) % 10 == 0)
+                    .collect();
+                corpora.push(crate::walks::generate_corpus(
+                    &g,
+                    &starts,
+                    &walk_cfg(100 + step as u64),
+                ));
+            }
+            for dim in [7, 64] {
+                for negatives in [1, 5, 9] {
+                    let cfg = SgnsConfig {
+                        dim,
+                        window,
+                        negatives,
+                        epochs: 1,
+                        initial_lr: 0.025,
+                        seed: 3,
+                        parallel: false,
+                    };
+                    let mut kernel = SgnsModel::new(cfg.clone());
+                    let mut reference = SgnsModel::new(cfg);
+                    for (step, corpus) in corpora.iter().enumerate() {
+                        let at = format!("{profile} d={dim} q={negatives} step={step}");
+                        assert_eq!(
+                            kernel.train_corpus(corpus),
+                            reference.train_corpus_with(corpus, BlockScratch::pair_reference),
+                            "{at}"
+                        );
+                        assert_eq!(bits(&kernel.input), bits(&reference.input), "{at}");
+                        assert_eq!(bits(&kernel.output), bits(&reference.output), "{at}");
+                    }
+                }
+            }
+        }
     }
 
     /// One block, driven by hand: `slots` as the negative draw produced
