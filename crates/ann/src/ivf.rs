@@ -163,8 +163,8 @@ pub struct SearchScratch {
     cell_sims: Vec<(NodeId, f32)>,
     /// SQ8 candidate pool awaiting exact re-rank.
     pool: Vec<(NodeId, f32)>,
-    /// Cell-grouped batch scan: `(cell, query index)` probe pairs,
-    /// sorted by cell so each posting list is visited once per batch.
+    /// Grouped batch scan: `(cell, query index)` probe pairs, sorted by
+    /// cell so each posting list is visited once per batch.
     probe_pairs: Vec<(u32, u32)>,
 }
 
@@ -176,10 +176,9 @@ impl SearchScratch {
     }
 }
 
-/// One query of a cell-grouped batch scan
-/// ([`IvfIndex::search_batch`] / [`IvfIndex::search_in_batch`]): the
-/// query vector plus the per-query self-exclusion the single-query
-/// path takes as an argument.
+/// One query of a batch scan ([`IvfIndex::search_batch_with`] /
+/// [`IvfIndex::search_in_batch_with`]): the query vector plus the
+/// per-query self-exclusion the single-query path takes as an argument.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchQuery<'a> {
     /// The query vector (`dim` components).
@@ -821,27 +820,20 @@ impl IvfIndex {
         select.into_sorted()
     }
 
-    /// [`IvfIndex::search`] over a whole batch with the
-    /// **cell-grouped scan**: the batch's probed cells are grouped so
-    /// each posting list is swept once for *every* query probing it (a
-    /// queries×codes mini-kernel per row), instead of once per query.
-    /// A posting list probed by `q` queries is read from memory once
-    /// rather than `q` times — the batch finally amortizes scan
-    /// traffic. Per query the result is **bit-exact** with
-    /// [`IvfIndex::search_with`]: the per-row kernel expressions are
-    /// identical and [`TopKSelector`]'s total order makes the merged
-    /// result independent of scan order (property-pinned in
-    /// `tests/prop.rs`).
-    pub fn search_batch(
-        &self,
-        queries: &[BatchQuery<'_>],
-        k: usize,
-        nprobe: usize,
-    ) -> Vec<Vec<(NodeId, f32)>> {
-        self.search_batch_with(queries, k, nprobe, &mut SearchScratch::new())
-    }
-
-    /// [`IvfIndex::search_batch`] with caller-owned scratch.
+    /// [`IvfIndex::search_with`] over a whole batch, one scratch for all
+    /// of it; per query the result is **bit-exact** with the per-query
+    /// scan (property-pinned in `tests/prop.rs`).
+    ///
+    /// A batch is the per-query scan run once per query, except in the
+    /// one case where grouping was measured to pay: f32 storage, a
+    /// partial probe (`nprobe < cells`) and at least two queries. There
+    /// the batch's `(cell, query)` probe pairs are sorted by cell and
+    /// each probed posting list is swept once per group of up to four
+    /// queries through the fused kernel ([`dot_fast_multi`]), which
+    /// loads each row once for the whole group. The win is that shared
+    /// row load, not the posting-list reuse: a grouped sweep without
+    /// the fused kernel lost to the per-query loop. SQ8 storage, full
+    /// probes and one-query batches never beat the loop, so they run it.
     pub fn search_batch_with(
         &self,
         queries: &[BatchQuery<'_>],
@@ -849,131 +841,22 @@ impl IvfIndex {
         nprobe: usize,
         scratch: &mut SearchScratch,
     ) -> Vec<Vec<(NodeId, f32)>> {
-        if self.ids.is_empty() || k == 0 {
-            return queries.iter().map(|_| Vec::new()).collect();
-        }
         let nprobe = self.effective_nprobe(nprobe);
-        let full_probe = nprobe == self.cells();
-        let prep = self.prepare_batch(queries, nprobe, scratch);
-
-        let mut selectors: Vec<TopKSelector> =
-            (0..queries.len()).map(|_| TopKSelector::new(k)).collect();
         match &self.storage {
-            PostingStorage::F32(vectors) => {
-                self.scan_grouped(&scratch.probe_pairs, |lo, hi, run| {
-                    if full_probe {
-                        // Full probes are the bit-exactness surface:
-                        // the exact kernel, one query at a time.
-                        for &(_, qi) in run {
-                            let qi = qi as usize;
-                            let q = queries[qi];
-                            let select = &mut selectors[qi];
-                            for i in lo..hi {
-                                let id = self.ids[i];
-                                if q.exclude == Some(id) {
-                                    continue;
-                                }
-                                let row = &vectors[i * self.dim..(i + 1) * self.dim];
-                                select.push((
-                                    id,
-                                    norm_cosine(q.query, prep[qi].0, row, self.norms[i]),
-                                ));
-                            }
-                        }
-                        return;
-                    }
-                    // Partial probes: sweep the cell once per group of
-                    // up to 4 queries through the fused kernel — each
-                    // query's score is bit-identical to its standalone
-                    // `scaled_dot_fast`, the fusion only interleaves
-                    // independent accumulation chains.
-                    let mut rest = run;
-                    while !rest.is_empty() {
-                        let take = rest.len().min(4);
-                        let (group, tail) = rest.split_at(take);
-                        match take {
-                            4 => scan_fused::<4>(
-                                self,
-                                vectors,
-                                lo..hi,
-                                group,
-                                queries,
-                                &prep,
-                                &mut selectors,
-                            ),
-                            3 => scan_fused::<3>(
-                                self,
-                                vectors,
-                                lo..hi,
-                                group,
-                                queries,
-                                &prep,
-                                &mut selectors,
-                            ),
-                            2 => scan_fused::<2>(
-                                self,
-                                vectors,
-                                lo..hi,
-                                group,
-                                queries,
-                                &prep,
-                                &mut selectors,
-                            ),
-                            _ => scan_fused::<1>(
-                                self,
-                                vectors,
-                                lo..hi,
-                                group,
-                                queries,
-                                &prep,
-                                &mut selectors,
-                            ),
-                        }
-                        rest = tail;
-                    }
-                });
+            PostingStorage::F32(vectors) if queries.len() > 1 && k > 0 && nprobe < self.cells() => {
+                self.search_grouped(vectors, queries, k, nprobe, scratch)
             }
-            PostingStorage::Sq8(arena) => {
-                self.scan_grouped(&scratch.probe_pairs, |lo, hi, run| {
-                    for &(_, qi) in run {
-                        let qi = qi as usize;
-                        let q = queries[qi];
-                        let select = &mut selectors[qi];
-                        for i in lo..hi {
-                            let id = self.ids[i];
-                            if q.exclude == Some(id) {
-                                continue;
-                            }
-                            select.push((
-                                id,
-                                self.sq8_sim(arena, i, q.query, prep[qi].1, prep[qi].2),
-                            ));
-                        }
-                    }
-                });
-            }
+            _ => queries
+                .iter()
+                .map(|q| self.search_with(q.query, k, nprobe, q.exclude, scratch))
+                .collect(),
         }
-        selectors
-            .into_iter()
-            .map(TopKSelector::into_sorted)
-            .collect()
     }
 
-    /// [`IvfIndex::search_in`] over a whole batch: the cell-grouped
-    /// candidate scan of [`IvfIndex::search_batch`], then — for SQ8
-    /// storage — the same per-query exact re-rank as the single-query
-    /// path. Per query, bit-exact with [`IvfIndex::search_in_with`].
-    pub fn search_in_batch(
-        &self,
-        exact: &Embedding,
-        queries: &[BatchQuery<'_>],
-        k: usize,
-        nprobe: usize,
-    ) -> Vec<Vec<(NodeId, f32)>> {
-        self.search_in_batch_with(exact, queries, k, nprobe, &mut SearchScratch::new())
-    }
-
-    /// [`IvfIndex::search_in_batch`] with caller-owned scratch.
+    /// [`IvfIndex::search_in_with`] over a whole batch: the grouped
+    /// scan of [`IvfIndex::search_batch_with`] for f32 storage, the
+    /// per-query candidate scan + exact re-rank for SQ8. Per query,
+    /// bit-exact with [`IvfIndex::search_in_with`].
     pub fn search_in_batch_with(
         &self,
         exact: &Embedding,
@@ -982,111 +865,66 @@ impl IvfIndex {
         nprobe: usize,
         scratch: &mut SearchScratch,
     ) -> Vec<Vec<(NodeId, f32)>> {
-        let PostingStorage::Sq8(arena) = &self.storage else {
-            return self.search_batch_with(queries, k, nprobe, scratch);
-        };
-        if self.ids.is_empty() || k == 0 {
-            return queries.iter().map(|_| Vec::new()).collect();
+        match self.storage {
+            PostingStorage::F32(_) => self.search_batch_with(queries, k, nprobe, scratch),
+            PostingStorage::Sq8(_) => queries
+                .iter()
+                .map(|q| self.search_in_with(exact, q.query, k, nprobe, q.exclude, scratch))
+                .collect(),
         }
-        let nprobe = self.effective_nprobe(nprobe);
-        let prep = self.prepare_batch(queries, nprobe, scratch);
-
-        // Grouped candidate generation in the quantized domain, one
-        // rerank_factor·k pool selector per query.
-        let pool_k = self.config.rerank_factor.saturating_mul(k);
-        let mut pools: Vec<TopKSelector> = (0..queries.len())
-            .map(|_| TopKSelector::new(pool_k))
-            .collect();
-        self.scan_grouped(&scratch.probe_pairs, |lo, hi, run| {
-            for &(_, qi) in run {
-                let qi = qi as usize;
-                let q = queries[qi];
-                let pool = &mut pools[qi];
-                for i in lo..hi {
-                    let id = self.ids[i];
-                    if q.exclude == Some(id) {
-                        continue;
-                    }
-                    pool.push((id, self.sq8_sim(arena, i, q.query, prep[qi].1, prep[qi].2)));
-                }
-            }
-        });
-
-        // Per-query exact re-rank, identical to `search_in_with`.
-        pools
-            .into_iter()
-            .enumerate()
-            .map(|(qi, pool)| {
-                let q = queries[qi];
-                let qn = prep[qi].0;
-                let mut select = TopKSelector::new(k);
-                for (id, sq8_sim) in pool.into_sorted() {
-                    let sim = match (exact.get(id), exact.norm(id)) {
-                        (Some(row), Some(rn)) => norm_cosine(q.query, qn, row, rn),
-                        _ => sq8_sim,
-                    };
-                    select.push((id, sim));
-                }
-                select.into_sorted()
-            })
-            .collect()
     }
 
-    /// Shared batch preamble: per-query `(qn, inv_qn, qsum)` plus the
-    /// `(cell, query)` probe pairs sorted by cell into
-    /// `scratch.probe_pairs`. A query of the wrong dimensionality gets
-    /// no probe pairs (so its result stays empty, matching the
-    /// single-query contract).
-    fn prepare_batch(
+    /// The grouped f32 partial-probe scan behind
+    /// [`IvfIndex::search_batch_with`]. A query of the wrong
+    /// dimensionality gets no probe pairs, so its result stays empty,
+    /// matching the single-query contract.
+    fn search_grouped(
         &self,
+        vectors: &[f32],
         queries: &[BatchQuery<'_>],
+        k: usize,
         nprobe: usize,
         scratch: &mut SearchScratch,
-    ) -> Vec<(f32, f32, f32)> {
+    ) -> Vec<Vec<(NodeId, f32)>> {
         scratch.probe_pairs.clear();
-        let mut prep = Vec::with_capacity(queries.len());
+        let mut scan = Grouped {
+            index: self,
+            vectors,
+            queries,
+            inv_qns: Vec::with_capacity(queries.len()),
+        };
         for (qi, q) in queries.iter().enumerate() {
             if q.query.len() != self.dim {
-                prep.push((0.0, 0.0, 0.0));
+                scan.inv_qns.push(0.0);
                 continue;
             }
             let qn = l2_norm(q.query);
             let inv_qn = if qn == 0.0 { 0.0 } else { 1.0 / qn };
-            let qsum: f32 = q.query.iter().sum();
-            prep.push((qn, inv_qn, qsum));
+            scan.inv_qns.push(inv_qn);
             self.rank_cells(q.query, inv_qn, scratch);
             for &(cell, _) in scratch.cell_sims.iter().take(nprobe) {
                 scratch.probe_pairs.push((cell.0, qi as u32));
             }
         }
         scratch.probe_pairs.sort_unstable();
-        prep
-    }
 
-    /// Drive `body` over the sorted `(cell, query)` probe pairs one
-    /// cell at a time: for each probed cell, `body(lo, hi, run)` fires
-    /// once with the cell's posting-row bounds and the slice of pairs
-    /// (the queries probing that cell). The callee sweeps the rows
-    /// once per interested query — the first sweep pulls the posting
-    /// list out of memory, the rest hit cache (a `√n`-cell list is far
-    /// smaller than the arena), so a list probed by `q` queries costs
-    /// one memory pass instead of `q` while each sweep keeps the tight
-    /// single-query inner loop the kernel optimizes for.
-    fn scan_grouped<F>(&self, probe_pairs: &[(u32, u32)], mut body: F)
-    where
-        F: FnMut(usize, usize, &[(u32, u32)]),
-    {
-        let mut p = 0;
-        while p < probe_pairs.len() {
-            let cell = probe_pairs[p].0;
-            let mut end = p + 1;
-            while end < probe_pairs.len() && probe_pairs[end].0 == cell {
-                end += 1;
+        let mut selectors: Vec<TopKSelector> =
+            queries.iter().map(|_| TopKSelector::new(k)).collect();
+        for run in scratch.probe_pairs.chunk_by(|a, b| a.0 == b.0) {
+            let (lo, hi) = self.cell_bounds(run[0].0 as usize);
+            for group in run.chunks(4) {
+                match group.len() {
+                    4 => scan.sweep::<4>(lo..hi, group, &mut selectors),
+                    3 => scan.sweep::<3>(lo..hi, group, &mut selectors),
+                    2 => scan.sweep::<2>(lo..hi, group, &mut selectors),
+                    _ => scan.sweep::<1>(lo..hi, group, &mut selectors),
+                }
             }
-            let (lo, hi) = self.cell_bounds(cell as usize);
-            body(lo, hi, &probe_pairs[p..end]);
-            p = end;
         }
+        selectors
+            .into_iter()
+            .map(TopKSelector::into_sorted)
+            .collect()
     }
 
     /// Rank every cell by centroid similarity into
@@ -1246,38 +1084,45 @@ impl IvfIndex {
     }
 }
 
-/// One fused partial-probe sweep of posting rows `lo..hi` for the `N`
-/// queries in `group` (entries are `(cell, query)` probe pairs). Each
-/// row is loaded once and dotted against all `N` queries via
-/// [`dot_fast_multi`], whose per-slot result is bit-identical to a
-/// standalone `dot_fast` — so each query's score here matches the
-/// per-query scan's `scaled_dot_fast` to the bit, and the grouped path
-/// stays bit-exact while hiding FMA latency across independent
-/// accumulator chains.
-fn scan_fused<const N: usize>(
-    index: &IvfIndex,
-    vectors: &[f32],
-    rows: std::ops::Range<usize>,
-    group: &[(u32, u32)],
-    queries: &[BatchQuery<'_>],
-    prep: &[(f32, f32, f32)],
-    selectors: &mut [TopKSelector],
-) {
-    debug_assert_eq!(group.len(), N);
-    let qv: [&[f32]; N] = std::array::from_fn(|j| queries[group[j].1 as usize].query);
-    let dim = index.dim;
-    for i in rows {
-        let id = index.ids[i];
-        let row = &vectors[i * dim..(i + 1) * dim];
-        let dots = dot_fast_multi::<N>(qv, row);
-        for j in 0..N {
-            let qi = group[j].1 as usize;
-            if queries[qi].exclude == Some(id) {
-                continue;
+/// One batch of the grouped f32 scan: the arena, the queries and each
+/// query's inverse norm.
+struct Grouped<'a> {
+    index: &'a IvfIndex,
+    vectors: &'a [f32],
+    queries: &'a [BatchQuery<'a>],
+    inv_qns: Vec<f32>,
+}
+
+impl Grouped<'_> {
+    /// One fused sweep of posting rows `rows` for the `N` queries in
+    /// `group` (entries are `(cell, query)` probe pairs). Each row is
+    /// loaded once and dotted against all `N` queries via
+    /// [`dot_fast_multi`], whose per-slot result is bit-identical to a
+    /// standalone `dot_fast` — so each query's score here matches the
+    /// per-query scan's `scaled_dot_fast` to the bit, and the grouped
+    /// path stays bit-exact while hiding FMA latency across independent
+    /// accumulator chains.
+    fn sweep<const N: usize>(
+        &self,
+        rows: std::ops::Range<usize>,
+        group: &[(u32, u32)],
+        selectors: &mut [TopKSelector],
+    ) {
+        debug_assert_eq!(group.len(), N);
+        let qv: [&[f32]; N] = std::array::from_fn(|j| self.queries[group[j].1 as usize].query);
+        let (index, dim) = (self.index, self.index.dim);
+        for i in rows {
+            let id = index.ids[i];
+            let dots = dot_fast_multi::<N>(qv, &self.vectors[i * dim..(i + 1) * dim]);
+            for j in 0..N {
+                let qi = group[j].1 as usize;
+                if self.queries[qi].exclude == Some(id) {
+                    continue;
+                }
+                // Same scaling expression as the per-query kernel:
+                // `scaled_dot_fast` computes `dot_fast(q, row) * scale`.
+                selectors[qi].push((id, dots[j] * (self.inv_qns[qi] * index.inv_norms[i])));
             }
-            // Same scaling expression as the per-query kernel:
-            // `scaled_dot_fast` computes `dot_fast(q, row) * scale`.
-            selectors[qi].push((id, dots[j] * (prep[qi].1 * index.inv_norms[i])));
         }
     }
 }
@@ -1986,11 +1831,18 @@ mod tests {
                 exclude: Some(NodeId(1)),
             },
         ];
-        assert_eq!(ix.search_batch(&queries, 0, 2), vec![vec![], vec![]]);
-        let empty_ix = IvfIndex::build(&Embedding::new(4), &IvfConfig::default());
-        assert_eq!(empty_ix.search_batch(&queries, 5, 2), vec![vec![], vec![]]);
+        let scratch = &mut SearchScratch::new();
         assert_eq!(
-            empty_ix.search_in_batch(&e, &queries, 5, 2),
+            ix.search_batch_with(&queries, 0, 2, scratch),
+            vec![vec![], vec![]]
+        );
+        let empty_ix = IvfIndex::build(&Embedding::new(4), &IvfConfig::default());
+        assert_eq!(
+            empty_ix.search_batch_with(&queries, 5, 2, scratch),
+            vec![vec![], vec![]]
+        );
+        assert_eq!(
+            empty_ix.search_in_batch_with(&e, &queries, 5, 2, scratch),
             vec![vec![], vec![]]
         );
     }

@@ -3,7 +3,7 @@
 //! the exact scan's answers when every cell is probed.
 
 use glodyne_ann::sq8::Sq8Arena;
-use glodyne_ann::{BatchQuery, IvfConfig, IvfIndex};
+use glodyne_ann::{BatchQuery, IvfConfig, IvfIndex, SearchScratch};
 use glodyne_embed::{rank_similarity, reference_top_k, Embedding};
 use glodyne_graph::NodeId;
 use proptest::prelude::*;
@@ -416,7 +416,7 @@ proptest! {
         prop_assert!(index.stale_rows() > 0);
     }
 
-    /// The cell-grouped batch scan must be bit-exact per query with the
+    /// The batch scan (grouped or looped) must be bit-exact per query with the
     /// per-query scan — same hits, same scores to the bit — for both
     /// storage modes, partial and full probes, including queries that
     /// share cells, dimension-mismatched queries, and k > n.
@@ -448,7 +448,8 @@ proptest! {
             })
             .collect();
 
-        let grouped = index.search_in_batch(&emb, &queries, k, nprobe);
+        let scratch = &mut SearchScratch::new();
+        let grouped = index.search_in_batch_with(&emb, &queries, k, nprobe, scratch);
         prop_assert_eq!(grouped.len(), queries.len());
         for (q, batch_hits) in queries.iter().zip(&grouped) {
             let solo = index.search_in(&emb, q.query, k, nprobe, q.exclude);
@@ -460,7 +461,7 @@ proptest! {
         }
 
         // The storage-level batch entry point honours the same pin.
-        let grouped = index.search_batch(&queries, k, nprobe);
+        let grouped = index.search_batch_with(&queries, k, nprobe, scratch);
         for (q, batch_hits) in queries.iter().zip(&grouped) {
             let solo = index.search(q.query, k, nprobe, q.exclude);
             prop_assert_eq!(batch_hits.len(), solo.len());

@@ -330,9 +330,8 @@ pub fn stream(opts: &Opts) -> Result<String, CliError> {
 
     if let Some(nodes) = parse_query_nodes(opts)? {
         let k = opts.get("top-k", 10usize);
-        // One batched scan answers every probe (bit-exact with a
-        // per-node `nearest` loop). The ANN index is built once over
-        // the final embedding — the per-step rebuilds of
+        // Exact answers for every probe up front. The ANN index is
+        // built once over the final embedding — the per-step rebuilds of
         // `EmbedderSession::with_ann` only pay off when queries
         // interleave with steps (the serving layer) — and its scan
         // scratch is shared across the batch.

@@ -12,7 +12,7 @@
 //! first committed snapshot is the offline stage (`prev = None`), every
 //! later commit is an online step with the precomputed diff.
 
-use glodyne_ann::{IvfConfig, IvfIndex};
+use glodyne_ann::{BatchQuery, IvfConfig, IvfIndex, SearchScratch};
 use glodyne_embed::config::ConfigError;
 use glodyne_embed::traits::{CheckpointEmbedder, DynamicEmbedder, StepContext, StepReport};
 use glodyne_embed::Embedding;
@@ -256,13 +256,13 @@ impl<E: DynamicEmbedder> EmbedderSession<E> {
         self.latest.top_k(node, k)
     }
 
-    /// [`nearest`](EmbedderSession::nearest) for many nodes in one
-    /// pass: every stored row is streamed once and scored against all
-    /// queries while cache-hot. Results are positionally parallel to
-    /// `nodes` (empty for a node without an embedding) and bit-exact
-    /// with per-node `nearest` calls.
+    /// [`nearest`](EmbedderSession::nearest) for many nodes, positionally
+    /// parallel to `nodes` (empty for a node without an embedding).
     pub fn nearest_batch(&self, nodes: &[NodeId], k: usize) -> Vec<Vec<(NodeId, f32)>> {
-        self.latest.top_k_batch(nodes, k)
+        nodes
+            .iter()
+            .map(|&node| self.latest.top_k(node, k))
+            .collect()
     }
 
     /// Approximate `k` nearest neighbours of `node` from the session's
@@ -296,12 +296,11 @@ impl<E: DynamicEmbedder> EmbedderSession<E> {
     }
 
     /// [`nearest_approx`](EmbedderSession::nearest_approx) for many
-    /// nodes against one index build, answered with the **cell-grouped
-    /// batch scan**: the batch's probed cells are grouped so each
-    /// posting list is read once for every query probing it, instead
-    /// of once per query. Results are positionally parallel to `nodes`
-    /// (empty for a node without an embedding); bit-exact with
-    /// per-node `nearest_approx` calls in the same epoch.
+    /// nodes against one index build, through
+    /// [`IvfIndex::search_in_batch_with`] (grouped where that pays).
+    /// Results are positionally parallel to `nodes` (empty for a node
+    /// without an embedding); bit-exact with per-node `nearest_approx`
+    /// calls in the same epoch.
     pub fn nearest_batch_approx(
         &mut self,
         nodes: &[NodeId],
@@ -313,24 +312,17 @@ impl<E: DynamicEmbedder> EmbedderSession<E> {
             return Some(nodes.iter().map(|_| Vec::new()).collect());
         }
         let index = self.ann.as_ref()?.index.as_ref()?;
-        let mut slots = Vec::with_capacity(nodes.len());
-        let mut queries = Vec::with_capacity(nodes.len());
-        for (i, &node) in nodes.iter().enumerate() {
-            if let Some(query) = self.latest.get(node) {
-                slots.push(i);
-                queries.push(glodyne_ann::BatchQuery {
-                    query,
-                    exclude: Some(node),
-                });
-            }
-        }
-        let mut scratch = glodyne_ann::SearchScratch::new();
-        let grouped = index.search_in_batch_with(&self.latest, &queries, k, nprobe, &mut scratch);
-        let mut out = vec![Vec::new(); nodes.len()];
-        for (slot, hits) in slots.into_iter().zip(grouped) {
-            out[slot] = hits;
-        }
-        Some(out)
+        // An unknown node is an empty query, which the index answers
+        // with an empty list.
+        let queries: Vec<BatchQuery<'_>> = nodes
+            .iter()
+            .map(|&node| BatchQuery {
+                query: self.latest.get(node).unwrap_or_default(),
+                exclude: Some(node),
+            })
+            .collect();
+        let scratch = &mut SearchScratch::new();
+        Some(index.search_in_batch_with(&self.latest, &queries, k, nprobe, scratch))
     }
 
     /// Build the current epoch's ANN index if it is stale and return

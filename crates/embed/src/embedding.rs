@@ -143,38 +143,6 @@ impl Embedding {
         }
         select.into_sorted()
     }
-
-    /// [`Embedding::top_k`] for many query nodes in one pass: each
-    /// stored row is streamed through the cache **once** and scored
-    /// against every query while hot, instead of `nodes.len()` full
-    /// re-scans. Results are positionally parallel to `nodes`; a node
-    /// without an embedding yields an empty list, exactly like
-    /// `top_k`.
-    ///
-    /// Bit-exact with calling `top_k` per node: every candidate is
-    /// scored by the same exact kernel ([`norm_cosine`]) and selected
-    /// through the same [`TopKSelector`], and the selector's result is
-    /// scan-order-independent because [`rank_similarity`] is total.
-    pub fn top_k_batch(&self, nodes: &[NodeId], k: usize) -> Vec<Vec<(NodeId, f32)>> {
-        let queries: Vec<Option<(NodeId, &[f32], f32)>> = nodes
-            .iter()
-            .map(|&n| Some((n, self.get(n)?, self.norm(n)?)))
-            .collect();
-        if k == 0 {
-            return nodes.iter().map(|_| Vec::new()).collect();
-        }
-        let mut selects: Vec<TopKSelector> = nodes.iter().map(|_| TopKSelector::new(k)).collect();
-        for (id, v, vn) in self.iter_with_norms() {
-            for (slot, select) in queries.iter().zip(&mut selects) {
-                let Some((node, q, qn)) = *slot else { continue };
-                if id == node {
-                    continue;
-                }
-                select.push((id, norm_cosine(q, qn, v, vn)));
-            }
-        }
-        selects.into_iter().map(TopKSelector::into_sorted).collect()
-    }
 }
 
 /// Bounded top-`k` selection under the [`rank_similarity`] total order:
@@ -335,34 +303,6 @@ mod tests {
         e.set(NodeId(1), &[0.0, 1.0]);
         assert_eq!(e.len(), 1);
         assert_eq!(e.get(NodeId(1)), Some(&[0.0, 1.0][..]));
-    }
-
-    #[test]
-    fn top_k_batch_is_bit_exact_with_per_query_top_k() {
-        let mut e = Embedding::new(5);
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        for i in 0..60u32 {
-            let v: Vec<f32> = (0..5)
-                .map(|_| {
-                    state = state.wrapping_mul(0xd129_42e2_96fe_94e3).wrapping_add(1);
-                    ((state >> 40) as f32) / 1e6 - 8.0
-                })
-                .collect();
-            e.set(NodeId(i), &v);
-        }
-        let nodes = [NodeId(0), NodeId(17), NodeId(999), NodeId(42), NodeId(0)];
-        for k in [0usize, 1, 5, 60, 100] {
-            let batch = e.top_k_batch(&nodes, k);
-            assert_eq!(batch.len(), nodes.len());
-            for (&n, got) in nodes.iter().zip(&batch) {
-                let single = e.top_k(n, k);
-                assert_eq!(got.len(), single.len(), "node {n:?} k {k}");
-                for (a, b) in got.iter().zip(&single) {
-                    assert_eq!(a.0, b.0);
-                    assert_eq!(a.1.to_bits(), b.1.to_bits());
-                }
-            }
-        }
     }
 
     #[test]

@@ -88,9 +88,10 @@ pub fn dot_fast(a: &[f32], b: &[f32]) -> f32 {
 /// (regression-pinned in tests). What fusing buys is instruction-level
 /// parallelism: `N` independent accumulation chains interleave over
 /// one load of each `b` chunk, hiding the FMA latency a single chain
-/// stalls on. This is the mini-kernel under `glodyne-ann`'s
-/// cell-grouped batch scan, where one posting row is scored for every
-/// query probing its cell.
+/// stalls on. This is the mini-kernel under `glodyne-ann`'s grouped
+/// batch scan (f32 storage, partial probes), where one posting row is
+/// scored for every query probing its cell — the shared row load is
+/// the whole of that scan's win over the per-query loop.
 ///
 /// All `N` query slices must have `b`'s length (like `dot_fast`,
 /// enforced by `debug_assert` only).

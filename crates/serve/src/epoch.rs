@@ -9,9 +9,12 @@
 //! Reads therefore never wait on a step; they may observe state one
 //! epoch behind the write path, and never more.
 
+use crate::protocol::{ErrorKind, NearestMode};
+use crate::session::DEFAULT_NPROBE;
 use glodyne::StepReport;
-use glodyne_ann::IvfIndex;
+use glodyne_ann::{BatchQuery, IvfIndex, SearchScratch};
 use glodyne_embed::Embedding;
+use glodyne_graph::NodeId;
 use glodyne_telemetry::Histogram;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
@@ -19,7 +22,7 @@ use std::time::Instant;
 
 /// One node's ranked neighbour list — the unit every `nearest`
 /// surface returns.
-pub type Neighbours = Vec<(glodyne_graph::NodeId, f32)>;
+pub type Neighbours = Vec<(NodeId, f32)>;
 
 /// One frozen, immutable generation of the served embedding.
 #[derive(Debug, Clone)]
@@ -49,71 +52,89 @@ impl EmbeddingEpoch {
         }
     }
 
-    /// The `k` approximately-nearest neighbours of `node` within this
-    /// epoch, probing `nprobe` IVF cells (clamped to the index's cell
-    /// count). `None` when the epoch carries no index; empty hits for
-    /// a node without an embedding. Returns the *effective* probe
-    /// width alongside the hits — the single home of the ANN lookup
-    /// shared by [`ServingSession::nearest_ann`] and the wire
-    /// `dispatch`, so the two paths cannot diverge.
+    /// The `k` nearest neighbours of `node` within this epoch, read the
+    /// way `mode` says: the exact scan, or the IVF index probing
+    /// `nprobe` cells ([`DEFAULT_NPROBE`] when `None`, clamped to the
+    /// index's cell count). Returns the epoch id, the hits and — in ANN
+    /// mode — the *effective* probe width, the one the wire echoes. An
+    /// unknown node is [`ErrorKind::NotFound`] in either mode; ANN mode
+    /// on an epoch without an index is [`ErrorKind::Unavailable`]. Both
+    /// errors carry the epoch id too.
     ///
-    /// [`ServingSession::nearest_ann`]: crate::ServingSession::nearest_ann
-    pub fn search_ann(
+    /// The single home of the per-epoch read: the serving session, the
+    /// wire `dispatch` and the quality probe all answer through it.
+    pub fn nearest(
         &self,
-        node: glodyne_graph::NodeId,
+        node: NodeId,
         k: usize,
-        nprobe: usize,
-    ) -> Option<(Vec<(glodyne_graph::NodeId, f32)>, usize)> {
-        let index = self.index.as_ref()?;
-        let effective = index.effective_nprobe(nprobe);
-        // `search_in`: SQ8-quantized indexes re-rank against this
-        // epoch's own embedding (the exact rows the index was built
-        // from — they travel on the same Arc), so served scores always
-        // come from the exact kernel.
-        let hits = match self.embedding.get(node) {
-            Some(query) => index.search_in(&self.embedding, query, k, effective, Some(node)),
-            None => Vec::new(),
+        mode: NearestMode,
+    ) -> Result<(u64, Neighbours, Option<usize>), (u64, ErrorKind)> {
+        let Some(query) = self.embedding.get(node) else {
+            return Err((self.epoch, ErrorKind::NotFound));
         };
-        Some((hits, effective))
-    }
-
-    /// [`EmbeddingEpoch::search_ann`] for a whole batch of nodes
-    /// against this one frozen epoch: the caller acquires the epoch
-    /// Arc once, and the batch goes through the index's cell-grouped
-    /// scan — every probed posting list is streamed once for all the
-    /// queries probing it instead of once per query. Results are
-    /// positionally parallel to `nodes` (empty hits for unknown
-    /// nodes); each entry is bit-exact with the single-node call on
-    /// the same epoch.
-    pub fn search_ann_batch(
-        &self,
-        nodes: &[glodyne_graph::NodeId],
-        k: usize,
-        nprobe: usize,
-    ) -> Option<(Vec<Neighbours>, usize)> {
-        let index = self.index.as_ref()?;
-        let effective = index.effective_nprobe(nprobe);
-        // Unknown nodes never reach the index: slot `i` remembers which
-        // result position query `i` scatters back into.
-        let mut slots = Vec::with_capacity(nodes.len());
-        let mut queries = Vec::with_capacity(nodes.len());
-        for (pos, &node) in nodes.iter().enumerate() {
-            if let Some(query) = self.embedding.get(node) {
-                slots.push(pos);
-                queries.push(glodyne_ann::BatchQuery {
-                    query,
-                    exclude: Some(node),
-                });
+        match mode {
+            NearestMode::Exact => Ok((self.epoch, self.embedding.top_k(node, k), None)),
+            NearestMode::Ann { nprobe } => {
+                let index = self
+                    .index
+                    .as_ref()
+                    .ok_or((self.epoch, ErrorKind::Unavailable))?;
+                let nprobe = index.effective_nprobe(nprobe.unwrap_or(DEFAULT_NPROBE));
+                // `search_in`: SQ8-quantized indexes re-rank against
+                // this epoch's own embedding (the exact rows the index
+                // was built from — they travel on the same Arc), so
+                // served scores always come from the exact kernel.
+                let hits = index.search_in(&self.embedding, query, k, nprobe, Some(node));
+                Ok((self.epoch, hits, Some(nprobe)))
             }
         }
-        let mut scratch = glodyne_ann::SearchScratch::new();
-        let grouped =
-            index.search_in_batch_with(&self.embedding, &queries, k, effective, &mut scratch);
-        let mut results: Vec<Neighbours> = nodes.iter().map(|_| Vec::new()).collect();
-        for (slot, hits) in slots.into_iter().zip(grouped) {
-            results[slot] = hits;
-        }
-        Some((results, effective))
+    }
+
+    /// [`EmbeddingEpoch::nearest`] for a whole batch against this one
+    /// frozen epoch. Results are positionally parallel to `nodes`, with
+    /// `None` for an unknown node; each `Some` entry is bit-exact with
+    /// the single-node call. ANN mode answers through one
+    /// `IvfIndex::search_in_batch_with` call (grouped where that pays).
+    /// `None` — a request-level refusal — when ANN mode meets an epoch
+    /// without an index.
+    pub fn nearest_batch(
+        &self,
+        nodes: &[NodeId],
+        k: usize,
+        mode: NearestMode,
+    ) -> Option<(u64, Vec<Option<Neighbours>>, Option<usize>)> {
+        let (hits, nprobe): (Vec<Neighbours>, _) = match mode {
+            NearestMode::Exact => (
+                nodes
+                    .iter()
+                    .map(|&node| self.embedding.top_k(node, k))
+                    .collect(),
+                None,
+            ),
+            NearestMode::Ann { nprobe } => {
+                let index = self.index.as_ref()?;
+                let nprobe = index.effective_nprobe(nprobe.unwrap_or(DEFAULT_NPROBE));
+                // An unknown node is an empty query, which the index
+                // answers with an empty list.
+                let queries: Vec<BatchQuery<'_>> = nodes
+                    .iter()
+                    .map(|&node| BatchQuery {
+                        query: self.embedding.get(node).unwrap_or_default(),
+                        exclude: Some(node),
+                    })
+                    .collect();
+                let scratch = &mut SearchScratch::new();
+                let hits =
+                    index.search_in_batch_with(&self.embedding, &queries, k, nprobe, scratch);
+                (hits, Some(nprobe))
+            }
+        };
+        let results = nodes
+            .iter()
+            .zip(hits)
+            .map(|(&node, hits)| self.embedding.get(node).map(|_| hits))
+            .collect();
+        Some((self.epoch, results, nprobe))
     }
 }
 
@@ -220,7 +241,6 @@ impl EpochHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use glodyne_graph::NodeId;
 
     #[test]
     fn readers_keep_their_epoch_across_publishes() {

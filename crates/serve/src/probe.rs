@@ -16,6 +16,7 @@
 //! pinned seed by construction.
 
 use crate::epoch::EmbeddingEpoch;
+use crate::protocol::NearestMode;
 use crate::telemetry::ServeTelemetry;
 use glodyne_embed::ConfigError;
 use std::sync::Arc;
@@ -110,7 +111,10 @@ pub fn probe_recall(
         if exact.is_empty() {
             continue;
         }
-        let (approx, _) = epoch.search_ann(node, k, nprobe)?;
+        let mode = NearestMode::Ann {
+            nprobe: Some(nprobe),
+        };
+        let (_, approx, _) = epoch.nearest(node, k, mode).ok()?;
         let hits = approx
             .iter()
             .filter(|(id, _)| exact.iter().any(|(e, _)| e == id))

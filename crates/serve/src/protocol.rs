@@ -482,7 +482,9 @@ pub fn nearest_ann_line(
     nearest_line_with(epoch, node, neighbours, Some(nprobe))
 }
 
-fn nearest_line_with(
+/// Render a successful `nearest` in either mode: `nprobe` is the
+/// effective probe width in ANN mode, `None` in exact mode.
+pub(crate) fn nearest_line_with(
     epoch: u64,
     node: NodeId,
     neighbours: &[(NodeId, f32)],

@@ -14,7 +14,7 @@
 //! their clients disconnect — reads still work off the final epoch,
 //! writes get structured `shutting_down` errors.
 
-use crate::epoch::EmbeddingEpoch;
+use crate::epoch::{EmbeddingEpoch, Neighbours};
 use crate::error::ServeError;
 use crate::lock;
 use crate::probe::{run_probe_round, ProbeSettings};
@@ -175,104 +175,36 @@ impl Backend {
         }
     }
 
-    /// Exact `nearest`; the inner `None` distinguishes an unknown node
-    /// from a node with no neighbours.
-    fn nearest_exact(&self, node: NodeId, k: usize) -> (u64, Option<Vec<(NodeId, f32)>>) {
-        match self {
-            Backend::Single(s) => {
-                // One epoch load per request: the existence check, the
-                // scan, and the reported epoch id always agree.
-                let epoch = s.epoch();
-                match epoch.embedding.get(node) {
-                    Some(_) => (epoch.epoch, Some(epoch.embedding.top_k(node, k))),
-                    None => (epoch.epoch, None),
-                }
-            }
-            Backend::Sharded(s) => s.nearest(node, k),
-        }
-    }
-
-    /// ANN `nearest`; outer `None` means ANN is unavailable on this
-    /// server, inner `None` an unknown node. The `usize` is the probe
-    /// width to echo. An unknown node reports `not_found` even when
-    /// ANN is also unavailable — the pre-sharding wire order, which a
-    /// protocol regression test pins.
-    #[allow(clippy::type_complexity)]
-    fn nearest_ann(
+    /// One `nearest` read: the epoch id, the hits and the probe width
+    /// to echo (ANN mode), else `not_found` or `unavailable` with the
+    /// epoch id. An unknown node reports `not_found` even when ANN is
+    /// also unavailable — the pre-sharding wire order, which a protocol
+    /// regression test pins.
+    fn nearest(
         &self,
         node: NodeId,
         k: usize,
-        nprobe: Option<usize>,
-    ) -> Option<(u64, Option<Vec<(NodeId, f32)>>, usize)> {
+        mode: NearestMode,
+    ) -> Result<(u64, Neighbours, Option<usize>), (u64, ErrorKind)> {
         match self {
-            Backend::Single(s) => {
-                let epoch = s.epoch();
-                if epoch.embedding.get(node).is_none() {
-                    return Some((epoch.epoch, None, 0));
-                }
-                let settings = s.ann()?;
-                let requested = nprobe.unwrap_or(settings.default_nprobe);
-                let (hits, effective) = epoch.search_ann(node, k, requested)?;
-                Some((epoch.epoch, Some(hits), effective))
-            }
-            Backend::Sharded(s) => match s.nearest_ann(node, k, nprobe) {
-                // ANN disabled: still distinguish an unknown node.
-                None => match s.query(node) {
-                    (epoch, None) => Some((epoch, None, 0)),
-                    (_, Some(_)) => None,
-                },
-                answered => answered,
-            },
+            Backend::Single(s) => s.nearest(node, k, mode),
+            Backend::Sharded(s) => s.nearest(node, k, mode),
         }
     }
 
-    /// Exact `nearest` for a whole batch from one frozen view; a `None`
-    /// entry is an unknown probe (rendered `null`, not an error, so one
-    /// bad probe doesn't fail its batchmates).
-    #[allow(clippy::type_complexity)]
-    fn nearest_batch(&self, nodes: &[NodeId], k: usize) -> (u64, Vec<Option<Vec<(NodeId, f32)>>>) {
-        match self {
-            Backend::Single(s) => {
-                // One epoch load: the batch scan and every presence
-                // check read the same frozen state.
-                let epoch = s.epoch();
-                let results = epoch
-                    .embedding
-                    .top_k_batch(nodes, k)
-                    .into_iter()
-                    .zip(nodes)
-                    .map(|(hits, &node)| epoch.embedding.get(node).map(|_| hits))
-                    .collect();
-                (epoch.epoch, results)
-            }
-            Backend::Sharded(s) => s.nearest_batch(nodes, k),
-        }
-    }
-
-    /// ANN `nearest` for a whole batch; outer `None` means ANN is
-    /// unavailable on this server (a request-level error), inner `None`
-    /// an unknown probe.
-    #[allow(clippy::type_complexity)]
-    fn nearest_batch_ann(
+    /// `nearest` for a whole batch from one frozen view; a `None` entry
+    /// is an unknown probe (rendered `null`, not an error, so one bad
+    /// probe doesn't fail its batchmates), while `None` overall means
+    /// ANN is unavailable on this server (a request-level error).
+    fn nearest_batch(
         &self,
         nodes: &[NodeId],
         k: usize,
-        nprobe: Option<usize>,
-    ) -> Option<(u64, Vec<Option<Vec<(NodeId, f32)>>>, usize)> {
+        mode: NearestMode,
+    ) -> Option<(u64, Vec<Option<Neighbours>>, Option<usize>)> {
         match self {
-            Backend::Single(s) => {
-                let settings = s.ann()?;
-                let epoch = s.epoch();
-                let requested = nprobe.unwrap_or(settings.default_nprobe);
-                let (results, effective) = epoch.search_ann_batch(nodes, k, requested)?;
-                let results = results
-                    .into_iter()
-                    .zip(nodes)
-                    .map(|(hits, &node)| epoch.embedding.get(node).map(|_| hits))
-                    .collect();
-                Some((epoch.epoch, results, effective))
-            }
-            Backend::Sharded(s) => s.nearest_batch_ann(nodes, k, nprobe),
+            Backend::Single(s) => s.nearest_batch(nodes, k, mode),
+            Backend::Sharded(s) => s.nearest_batch(nodes, k, mode),
         }
     }
 
@@ -807,42 +739,20 @@ fn dispatch(
                 (epoch, None) => not_found(node, epoch),
             }
         }
-        Request::Nearest { node, k, mode } => match mode {
-            NearestMode::Exact => match serving.nearest_exact(node, k) {
-                (epoch, Some(neighbours)) => protocol::nearest_line(epoch, node, &neighbours),
-                (epoch, None) => not_found(node, epoch),
-            },
-            NearestMode::Ann { nprobe } => {
-                // The echoed probe width is what the scan *used*
-                // (clamped), not the raw request — clients tune
-                // recall/latency off this.
-                match serving.nearest_ann(node, k, nprobe) {
-                    Some((epoch, Some(neighbours), effective)) => {
-                        protocol::nearest_ann_line(epoch, node, &neighbours, effective)
-                    }
-                    Some((epoch, None, _)) => not_found(node, epoch),
-                    None => protocol::error_line(&ProtocolError {
-                        kind: ErrorKind::Unavailable,
-                        message: "ann index is not enabled on this server (start with --ann)"
-                            .into(),
-                    }),
-                }
+        // The echoed probe width is what the scan *used* (clamped), not
+        // the raw request — clients tune recall/latency off this.
+        Request::Nearest { node, k, mode } => match serving.nearest(node, k, mode) {
+            Ok((epoch, neighbours, nprobe)) => {
+                protocol::nearest_line_with(epoch, node, &neighbours, nprobe)
             }
+            Err((epoch, ErrorKind::NotFound)) => not_found(node, epoch),
+            Err(_) => ann_unavailable(),
         },
-        Request::NearestBatch { nodes, k, mode } => match mode {
-            NearestMode::Exact => {
-                let (epoch, results) = serving.nearest_batch(&nodes, k);
-                protocol::nearest_batch_line(epoch, &nodes, &results, None)
+        Request::NearestBatch { nodes, k, mode } => match serving.nearest_batch(&nodes, k, mode) {
+            Some((epoch, results, nprobe)) => {
+                protocol::nearest_batch_line(epoch, &nodes, &results, nprobe)
             }
-            NearestMode::Ann { nprobe } => match serving.nearest_batch_ann(&nodes, k, nprobe) {
-                Some((epoch, results, effective)) => {
-                    protocol::nearest_batch_line(epoch, &nodes, &results, Some(effective))
-                }
-                None => protocol::error_line(&ProtocolError {
-                    kind: ErrorKind::Unavailable,
-                    message: "ann index is not enabled on this server (start with --ann)".into(),
-                }),
-            },
+            None => ann_unavailable(),
         },
         Request::Ingest {
             events,
@@ -966,6 +876,13 @@ fn not_found(node: glodyne_graph::NodeId, epoch: u64) -> String {
     protocol::error_line(&ProtocolError {
         kind: ErrorKind::NotFound,
         message: format!("node {} has no embedding in epoch {epoch}", node.0),
+    })
+}
+
+fn ann_unavailable() -> String {
+    protocol::error_line(&ProtocolError {
+        kind: ErrorKind::Unavailable,
+        message: "ann index is not enabled on this server (start with --ann)".into(),
     })
 }
 

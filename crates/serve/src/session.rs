@@ -15,7 +15,8 @@
 //!   threshold, optional [`AnnSettings`], optional [`ServeTelemetry`]
 //!   hub — `Option`s, because they change what is built and recorded
 //!   around a step, not how the step runs.
-//! - how long a write may wait is an [`Admission`].
+//! - how long a write may wait is an [`Admission`], and how a `nearest`
+//!   reads — exact scan or IVF probe — is a [`NearestMode`] argument.
 //!
 //! [`ServingSession::spawn`] hands both to `spawn_trainer`, which moves
 //! the trainee onto a thread running `trainer_loop` (the sharded session
@@ -29,9 +30,10 @@
 //! [`EpochPolicy`](glodyne::EpochPolicy) crossed a boundary on its own or
 //! a flush forced one.
 
-use crate::epoch::{EmbeddingEpoch, EpochHandle};
+use crate::epoch::{EmbeddingEpoch, EpochHandle, Neighbours};
 use crate::error::ServeError;
 use crate::lock;
+use crate::protocol::{ErrorKind, NearestMode};
 use crate::queue::{bounded, Admission, FlushOutcome, IngestQueue, TrainerInbox, TrainerMsg};
 use crate::telemetry::{ServeTelemetry, TelemetryStats, TrainerStages};
 use glodyne::EmbedderSession;
@@ -695,60 +697,45 @@ impl ServingSession {
         (epoch.epoch, epoch.embedding.get(node).map(<[f32]>::to_vec))
     }
 
-    /// The `k` nearest neighbours of `node` in the served epoch, with
-    /// the epoch id — the same contract as
-    /// [`EmbedderSession::nearest`].
-    pub fn nearest(&self, node: NodeId, k: usize) -> (u64, Vec<(NodeId, f32)>) {
-        let epoch = self.epoch();
-        (epoch.epoch, epoch.embedding.top_k(node, k))
-    }
-
-    /// The `k` approximately-nearest neighbours of `node` from the
-    /// served epoch's IVF index, probing `nprobe` cells (the session's
-    /// default when `None`). Returns `None` when ANN is disabled;
-    /// empty results for an unknown node. One epoch load per call, so
-    /// the reported epoch id, the embedding, and the index always
-    /// agree.
-    pub fn nearest_ann(
+    /// The `k` nearest neighbours of `node` in the served epoch, read
+    /// the way `mode` says, with the session's default `nprobe` when an
+    /// ANN request names none — [`EmbeddingEpoch::nearest`] on one
+    /// epoch load, so the reported epoch id, the embedding and the
+    /// index always agree. Exact mode is the same contract as
+    /// [`EmbedderSession::nearest`]; ANN mode is `Unavailable` when the
+    /// session has no index.
+    pub fn nearest(
         &self,
         node: NodeId,
         k: usize,
-        nprobe: Option<usize>,
-    ) -> Option<(u64, Vec<(NodeId, f32)>)> {
-        let settings = self.ann?;
-        let epoch = self.epoch();
-        let (hits, _) = epoch
-            .search_ann(node, k, nprobe.unwrap_or(settings.default_nprobe))
-            .unwrap_or_default();
-        Some((epoch.epoch, hits))
+        mode: NearestMode,
+    ) -> Result<(u64, Neighbours, Option<usize>), (u64, ErrorKind)> {
+        self.epoch()
+            .nearest(node, k, self.with_default_nprobe(mode))
     }
 
-    /// [`ServingSession::nearest`] for a whole batch of nodes: the
-    /// epoch `Arc` is acquired **once**, every stored row is streamed
-    /// through the cache once for all queries, and the single epoch id
-    /// applies to every answer. Results are positionally parallel to
-    /// `nodes` (empty for unknown nodes) and bit-exact with per-node
-    /// `nearest` calls against the same epoch.
-    pub fn nearest_batch(&self, nodes: &[NodeId], k: usize) -> (u64, Vec<Vec<(NodeId, f32)>>) {
-        let epoch = self.epoch();
-        (epoch.epoch, epoch.embedding.top_k_batch(nodes, k))
-    }
-
-    /// [`ServingSession::nearest_ann`] for a whole batch: one epoch
-    /// acquisition, one index, shared scan scratch. `None` when ANN is
-    /// disabled; per-node results otherwise (empty for unknown nodes).
-    pub fn nearest_batch_ann(
+    /// [`ServingSession::nearest`] for a whole batch on one epoch load
+    /// ([`EmbeddingEpoch::nearest_batch`]): one epoch id for every
+    /// answer, `None` entries for unknown nodes, and `None` overall
+    /// when ANN mode meets a session without an index.
+    pub fn nearest_batch(
         &self,
         nodes: &[NodeId],
         k: usize,
-        nprobe: Option<usize>,
-    ) -> Option<(u64, Vec<crate::epoch::Neighbours>)> {
-        let settings = self.ann?;
-        let epoch = self.epoch();
-        let (results, _) = epoch
-            .search_ann_batch(nodes, k, nprobe.unwrap_or(settings.default_nprobe))
-            .unwrap_or_else(|| (nodes.iter().map(|_| Vec::new()).collect(), 0));
-        Some((epoch.epoch, results))
+        mode: NearestMode,
+    ) -> Option<(u64, Vec<Option<Neighbours>>, Option<usize>)> {
+        self.epoch()
+            .nearest_batch(nodes, k, self.with_default_nprobe(mode))
+    }
+
+    /// `mode` with the session's default probe width filled in.
+    fn with_default_nprobe(&self, mode: NearestMode) -> NearestMode {
+        match mode {
+            NearestMode::Ann { nprobe: None } => NearestMode::Ann {
+                nprobe: self.ann.map(|settings| settings.default_nprobe),
+            },
+            mode => mode,
+        }
     }
 
     /// [`ServingSession::ingest_with`] under [`Admission::Block`].
@@ -1042,7 +1029,7 @@ mod tests {
         let (epoch, vector) = serving.query(NodeId(0));
         assert_eq!(epoch, 1);
         assert_eq!(vector.unwrap().len(), 8);
-        let (_, near) = serving.nearest(NodeId(0), 3);
+        let (_, near, _) = serving.nearest(NodeId(0), 3, NearestMode::Exact).unwrap();
         assert!(!near.is_empty());
         assert!(near.iter().all(|&(id, _)| id != NodeId(0)));
 
@@ -1060,7 +1047,7 @@ mod tests {
         serving.ingest(&chain_events(8, 0)).unwrap();
         serving.flush().unwrap();
         let epoch = serving.epoch();
-        let (_, fast) = serving.nearest(NodeId(3), 5);
+        let (_, fast, _) = serving.nearest(NodeId(3), 5, NearestMode::Exact).unwrap();
         let spec = glodyne_embed::reference_top_k(&epoch.embedding, NodeId(3), 5);
         assert_eq!(fast.len(), spec.len());
         for (a, b) in fast.iter().zip(&spec) {
@@ -1287,21 +1274,31 @@ mod tests {
         assert_eq!(index.cells(), 4);
 
         // Full probe == the exact wire path, bit for bit.
-        let (e1, ann) = serving
-            .nearest_ann(NodeId(3), 5, Some(index.cells()))
-            .unwrap();
-        let (e2, exact) = serving.nearest(NodeId(3), 5);
+        let full = NearestMode::Ann {
+            nprobe: Some(index.cells()),
+        };
+        let (e1, ann, nprobe) = serving.nearest(NodeId(3), 5, full).unwrap();
+        assert_eq!(nprobe, Some(4));
+        let (e2, exact, none) = serving.nearest(NodeId(3), 5, NearestMode::Exact).unwrap();
+        assert_eq!(none, None, "exact reads echo no probe width");
         assert_eq!(e1, e2);
         assert_eq!(ann.len(), exact.len());
         for (a, b) in ann.iter().zip(&exact) {
             assert_eq!(a.0, b.0);
             assert_eq!(a.1.to_bits(), b.1.to_bits());
         }
-        // Default nprobe (None) and unknown nodes are well-formed.
-        let (_, some) = serving.nearest_ann(NodeId(3), 5, None).unwrap();
+        // Default nprobe (None) is the session's; unknown nodes are
+        // not-found in either mode.
+        let default = NearestMode::Ann { nprobe: None };
+        let (_, some, nprobe) = serving.nearest(NodeId(3), 5, default).unwrap();
         assert!(some.len() <= 5);
-        let (_, none) = serving.nearest_ann(NodeId(999), 5, None).unwrap();
-        assert!(none.is_empty());
+        assert_eq!(nprobe, Some(2), "session default nprobe");
+        for mode in [default, NearestMode::Exact] {
+            assert_eq!(
+                serving.nearest(NodeId(999), 5, mode),
+                Err((e1, ErrorKind::NotFound))
+            );
+        }
 
         let stats = serving.stats();
         let ann_stats = stats.ann.expect("ann stats surface the index");
@@ -1323,27 +1320,26 @@ mod tests {
             serving.flush().unwrap();
             // Trainer quiesced: single and batch reads see one epoch.
             let nodes = [NodeId(0), NodeId(4), NodeId(777), NodeId(2)];
-            let (be, batch) = serving.nearest_batch(&nodes, 5);
-            for (&n, got) in nodes.iter().zip(&batch) {
-                let (se, single) = serving.nearest(n, 5);
-                assert_eq!(be, se);
-                assert_eq!(got.len(), single.len());
-                for (a, b) in got.iter().zip(&single) {
-                    assert_eq!(a.0, b.0);
-                    assert_eq!(a.1.to_bits(), b.1.to_bits());
-                }
-            }
-            for nprobe in [None, Some(1), Some(usize::MAX)] {
-                let (be, batch) = serving.nearest_batch_ann(&nodes, 5, nprobe).unwrap();
+            let modes = [None, Some(1), Some(usize::MAX)].map(|nprobe| NearestMode::Ann { nprobe });
+            for mode in [NearestMode::Exact].into_iter().chain(modes) {
+                let (be, batch, beff) = serving.nearest_batch(&nodes, 5, mode).unwrap();
                 for (&n, got) in nodes.iter().zip(&batch) {
-                    let (se, single) = serving.nearest_ann(n, 5, nprobe).unwrap();
-                    assert_eq!(be, se);
+                    // The single-probe read of the same node: `None`
+                    // in the batch is `not_found` alone.
+                    let single = serving.nearest(n, 5, mode);
+                    let Some(got) = got else {
+                        assert_eq!(single, Err((be, ErrorKind::NotFound)));
+                        continue;
+                    };
+                    let (se, single, seff) = single.unwrap();
+                    assert_eq!((be, beff), (se, seff));
                     assert_eq!(got.len(), single.len(), "quantize={quantize}");
                     for (a, b) in got.iter().zip(&single) {
                         assert_eq!(a.0, b.0);
                         assert_eq!(a.1.to_bits(), b.1.to_bits());
                     }
                 }
+                assert_eq!(batch[2], None, "node 777 is unknown");
             }
             // Stats surface the storage mode and the arena shrink.
             let ann_stats = serving.stats().ann.expect("ann stats present");
@@ -1394,8 +1390,9 @@ mod tests {
 
         // The incremental index still answers the exact wire contract
         // at full probe, bit for bit.
-        let (e1, ann) = serving.nearest_ann(NodeId(2), 4, Some(3)).unwrap();
-        let (e2, exact) = serving.nearest(NodeId(2), 4);
+        let full = NearestMode::Ann { nprobe: Some(3) };
+        let (e1, ann, _) = serving.nearest(NodeId(2), 4, full).unwrap();
+        let (e2, exact, _) = serving.nearest(NodeId(2), 4, NearestMode::Exact).unwrap();
         assert_eq!(e1, e2);
         assert_eq!(ann.len(), exact.len());
         for (a, b) in ann.iter().zip(&exact) {
@@ -1412,7 +1409,17 @@ mod tests {
         serving.ingest(&chain_events(4, 0)).unwrap();
         serving.flush().unwrap();
         assert_eq!(serving.ann(), None);
-        assert!(serving.nearest_ann(NodeId(0), 3, None).is_none());
+        let ann = NearestMode::Ann { nprobe: None };
+        assert_eq!(
+            serving.nearest(NodeId(0), 3, ann),
+            Err((1, ErrorKind::Unavailable))
+        );
+        // An unknown node is not-found before it is unavailable.
+        assert_eq!(
+            serving.nearest(NodeId(999), 3, ann),
+            Err((1, ErrorKind::NotFound))
+        );
+        assert!(serving.nearest_batch(&[NodeId(0)], 3, ann).is_none());
         assert!(serving.epoch().index.is_none());
     }
 

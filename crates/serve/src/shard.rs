@@ -33,9 +33,10 @@
 //! unsharded exact scan over the owner-filtered union of the shard
 //! epochs; ANN mode probes each shard's index and merges owned hits.
 
-use crate::epoch::EmbeddingEpoch;
+use crate::epoch::{EmbeddingEpoch, Neighbours};
 use crate::error::ServeError;
 use crate::lock;
+use crate::protocol::{ErrorKind, NearestMode};
 use crate::queue::{Admission, FlushOutcome};
 use crate::session::{
     health_of, spawn_trainer, AnnSettings, AnnStats, DurabilityStats, HealthStats, RebalanceStats,
@@ -842,115 +843,103 @@ impl ShardedSession {
         (epoch.epoch, epoch.embedding.get(node).map(<[f32]>::to_vec))
     }
 
-    /// Exact global `k`-nearest: per-shard scans of owned rows merged
-    /// through the shared top-`k` heap — bit-exact with an unsharded
-    /// exact scan over the owner-filtered union of the shard epochs.
-    /// `(epoch, None)` when the node has no owned vector; the epoch id
-    /// is the owner shard's.
-    pub fn nearest(&self, node: NodeId, k: usize) -> (u64, Option<Vec<(NodeId, f32)>>) {
-        self.fanout(node, |views, owner, reporting| {
-            let _ = reporting;
-            fanout::nearest_exact(views, owner, node, k)
-        })
-    }
-
-    /// Approximate global `k`-nearest: probe each shard epoch's IVF
-    /// index with `nprobe` cells (the session default when `None`),
-    /// drop halo hits, merge. `None` when ANN is disabled on this
-    /// session. The inner option is `None` when the node has no owned
-    /// vector. The returned probe width is the request clamped to the
-    /// configured cell target (per-shard indexes may clamp tighter).
-    #[allow(clippy::type_complexity)]
-    pub fn nearest_ann(
+    /// Global `k`-nearest by `mode`, from one router read and one
+    /// snapshot of every shard epoch. Exact mode merges per-shard scans
+    /// of owned rows through the shared top-`k` heap — bit-exact with
+    /// an unsharded exact scan over the owner-filtered union of the
+    /// shard epochs. ANN mode probes each shard epoch's IVF index, drops
+    /// halo hits and merges; its probe width is the request (the
+    /// session default when `None`) clamped to the configured cell
+    /// target — per-shard indexes may clamp tighter. The epoch id is
+    /// the owner shard's (0 for a node without an owner). A node
+    /// without an owned vector is `NotFound`, which wins over the
+    /// `Unavailable` of ANN mode on a session without ANN.
+    pub fn nearest(
         &self,
         node: NodeId,
         k: usize,
-        nprobe: Option<usize>,
-    ) -> Option<(u64, Option<Vec<(NodeId, f32)>>, usize)> {
-        let settings = self.ann?;
-        let effective = nprobe
-            .unwrap_or(settings.default_nprobe)
-            .clamp(1, settings.config.cells);
-        let overfetch = self.ann_overfetch();
-        let (epoch, hits) = self.fanout(node, |views, owner, _| {
-            fanout::nearest_approx(views, owner, node, k, effective, overfetch)
-        });
-        Some((epoch, hits, effective))
-    }
-
-    /// The configured fan-out over-fetch factor
-    /// ([`ShardConfig::ann_overfetch`]): how many candidates each shard
-    /// is asked for (`k * factor`) before halo filtering.
-    fn ann_overfetch(&self) -> usize {
-        self.routing().config().ann_overfetch
+        mode: NearestMode,
+    ) -> Result<(u64, Neighbours, Option<usize>), (u64, ErrorKind)> {
+        let router = self.routing();
+        let epochs = self.epochs();
+        let owner = |id: NodeId| router.owner(id);
+        let Some(shard) = owner(node) else {
+            return Err((0, ErrorKind::NotFound));
+        };
+        let epoch = epochs[shard as usize].epoch;
+        if epochs[shard as usize].embedding.get(node).is_none() {
+            // Owned but not yet committed by its owner: still unknown
+            // to the read surface.
+            return Err((epoch, ErrorKind::NotFound));
+        }
+        let views = Self::views(&epochs);
+        match mode {
+            NearestMode::Exact => Ok((epoch, fanout::nearest_exact(&views, owner, node, k), None)),
+            NearestMode::Ann { nprobe } => {
+                let nprobe = self
+                    .ann_nprobe(nprobe)
+                    .ok_or((epoch, ErrorKind::Unavailable))?;
+                let overfetch = router.config().ann_overfetch;
+                let hits = fanout::nearest_approx(&views, owner, node, k, nprobe, overfetch);
+                Ok((epoch, hits, Some(nprobe)))
+            }
+        }
     }
 
     /// [`ShardedSession::nearest`] for a whole batch: **one** router
-    /// read and **one** epoch snapshot serve every query — the fan-out
-    /// views are built once per batch, not per node. The reported
+    /// read and **one** epoch snapshot serve every probe. The reported
     /// epoch is the maximum shard epoch of the snapshot (the same
-    /// session-level epoch `stats`/`flush` report); per-node `None`
-    /// still means "no owned vector", exactly like the single-node
-    /// call. Each `Some` entry is bit-exact with the single-node call
-    /// against the same frozen snapshot.
-    #[allow(clippy::type_complexity)]
+    /// session-level epoch `stats`/`flush` report); a `None` entry
+    /// means "no owned vector", exactly like the single-node
+    /// `NotFound`. Each `Some` entry is bit-exact with the single-node
+    /// call against the same frozen snapshot. `None` overall when ANN
+    /// mode meets a session without ANN.
     pub fn nearest_batch(
         &self,
         nodes: &[NodeId],
         k: usize,
-    ) -> (u64, Vec<Option<Vec<(NodeId, f32)>>>) {
+        mode: NearestMode,
+    ) -> Option<(u64, Vec<Option<Neighbours>>, Option<usize>)> {
+        let nprobe = match mode {
+            NearestMode::Exact => None,
+            NearestMode::Ann { nprobe } => Some(self.ann_nprobe(nprobe)?),
+        };
         let router = self.routing();
         let epochs = self.epochs();
         let views = Self::views(&epochs);
         let owner = |id: NodeId| router.owner(id);
+        let hits: Vec<Neighbours> = match nprobe {
+            None => nodes
+                .iter()
+                .map(|&node| fanout::nearest_exact(&views, owner, node, k))
+                .collect(),
+            Some(nprobe) => {
+                let overfetch = router.config().ann_overfetch;
+                fanout::nearest_approx_batch(&views, owner, nodes, k, nprobe, overfetch)
+            }
+        };
+        let owned = |node: NodeId| {
+            owner(node).is_some_and(|shard| epochs[shard as usize].embedding.get(node).is_some())
+        };
         let results = nodes
             .iter()
-            .map(|&node| {
-                let shard = owner(node)?;
-                epochs[shard as usize].embedding.get(node)?;
-                Some(fanout::nearest_exact(&views, owner, node, k))
-            })
+            .zip(hits)
+            .map(|(&node, hits)| owned(node).then_some(hits))
             .collect();
-        (epochs.iter().map(|e| e.epoch).max().unwrap_or(0), results)
+        let epoch = epochs.iter().map(|e| e.epoch).max().unwrap_or(0);
+        Some((epoch, results, nprobe))
     }
 
-    /// [`ShardedSession::nearest_ann`] for a whole batch: one router
-    /// read, one epoch snapshot, and scan scratch shared across every
-    /// query. `None` when ANN is disabled on this session.
-    #[allow(clippy::type_complexity)]
-    pub fn nearest_batch_ann(
-        &self,
-        nodes: &[NodeId],
-        k: usize,
-        nprobe: Option<usize>,
-    ) -> Option<(u64, Vec<Option<Vec<(NodeId, f32)>>>, usize)> {
+    /// The probe width of an ANN read: the request, else the session
+    /// default, clamped to the configured cell target. `None` when ANN
+    /// is disabled on this session.
+    fn ann_nprobe(&self, nprobe: Option<usize>) -> Option<usize> {
         let settings = self.ann?;
-        let effective = nprobe
-            .unwrap_or(settings.default_nprobe)
-            .clamp(1, settings.config.cells);
-        let router = self.routing();
-        let overfetch = router.config().ann_overfetch;
-        let epochs = self.epochs();
-        let views = Self::views(&epochs);
-        let owner = |id: NodeId| router.owner(id);
-        // One cell-grouped scan per shard serves the whole batch; the
-        // grouped fan-out is bit-exact per query with the single-node
-        // call, so only the known/unknown split happens here.
-        let grouped = fanout::nearest_approx_batch(&views, owner, nodes, k, effective, overfetch);
-        let results = nodes
-            .iter()
-            .zip(grouped)
-            .map(|(&node, hits)| {
-                let shard = owner(node)?;
-                epochs[shard as usize].embedding.get(node)?;
-                Some(hits)
-            })
-            .collect();
-        Some((
-            epochs.iter().map(|e| e.epoch).max().unwrap_or(0),
-            results,
-            effective,
-        ))
+        Some(
+            nprobe
+                .unwrap_or(settings.default_nprobe)
+                .clamp(1, settings.config.cells),
+        )
     }
 
     /// The fan-out views over one epoch snapshot.
@@ -964,29 +953,6 @@ impl ShardedSession {
                 index: epoch.index.as_ref(),
             })
             .collect()
-    }
-
-    /// Shared read-path skeleton: snapshot ownership and every shard
-    /// epoch once, report the owner shard's epoch id, and distinguish
-    /// "node unknown" (`None`) from "no candidates" (`Some(empty)`).
-    fn fanout<F>(&self, node: NodeId, run: F) -> (u64, Option<Vec<(NodeId, f32)>>)
-    where
-        F: FnOnce(&[ShardView<'_>], &dyn Fn(NodeId) -> Option<u32>, u64) -> Vec<(NodeId, f32)>,
-    {
-        let router = self.routing();
-        let epochs = self.epochs();
-        let views = Self::views(&epochs);
-        let owner = |id: NodeId| router.owner(id);
-        let Some(shard) = owner(node) else {
-            return (0, None);
-        };
-        let epoch_id = epochs[shard as usize].epoch;
-        if epochs[shard as usize].embedding.get(node).is_none() {
-            // Owned but not yet committed by its owner: still unknown
-            // to the read surface.
-            return (epoch_id, None);
-        }
-        (epoch_id, Some(run(&views, &owner, epoch_id)))
     }
 
     /// Aggregate counters plus the per-shard break-down.
@@ -1223,8 +1189,9 @@ mod tests {
         drop(router);
 
         for probe in [0u32, 5, 10, 15] {
-            let (_, hits) = serving.nearest(NodeId(probe), 6);
-            let hits = hits.expect("probe is owned and embedded");
+            let (_, hits, _) = serving
+                .nearest(NodeId(probe), 6, NearestMode::Exact)
+                .expect("probe is owned and embedded");
             let spec = union.top_k(NodeId(probe), 6);
             assert_eq!(hits.len(), spec.len());
             for (a, b) in hits.iter().zip(&spec) {
@@ -1232,8 +1199,11 @@ mod tests {
                 assert_eq!(a.1.to_bits(), b.1.to_bits());
             }
         }
-        let (_, missing) = serving.nearest(NodeId(999), 5);
-        assert!(missing.is_none(), "unknown probe is not-found, not empty");
+        assert_eq!(
+            serving.nearest(NodeId(999), 5, NearestMode::Exact),
+            Err((0, ErrorKind::NotFound)),
+            "unknown probe is not-found, not empty"
+        );
         serving.shutdown();
     }
 
@@ -1253,14 +1223,14 @@ mod tests {
         for epoch in serving.epochs() {
             assert!(epoch.index.is_some(), "each shard publishes its index");
         }
-        let (_, hits, nprobe) = serving.nearest_ann(NodeId(3), 5, None).unwrap();
-        assert_eq!(nprobe, 2, "session default nprobe");
-        let hits = hits.unwrap();
+        let mode = |nprobe| NearestMode::Ann { nprobe };
+        let (_, hits, nprobe) = serving.nearest(NodeId(3), 5, mode(None)).unwrap();
+        assert_eq!(nprobe, Some(2), "session default nprobe");
         assert!(!hits.is_empty());
         assert!(hits.iter().all(|&(id, _)| id != NodeId(3)));
         // Requested nprobe clamps to the configured cell target.
-        let (_, _, wide) = serving.nearest_ann(NodeId(3), 5, Some(999)).unwrap();
-        assert_eq!(wide, 4);
+        let (_, _, wide) = serving.nearest(NodeId(3), 5, mode(Some(999))).unwrap();
+        assert_eq!(wide, Some(4));
 
         // Every shard's epoch reports how its index was built, and the
         // session aggregate picks a kind plus the summed churn.
@@ -1273,7 +1243,17 @@ mod tests {
             .all(|s| s.ann_build_kind.is_some() && s.ann_dirty_rows.is_some()));
 
         let none = sharded(2, None);
-        assert!(none.nearest_ann(NodeId(0), 3, None).is_none());
+        none.ingest(&community_events()).unwrap();
+        none.flush().unwrap();
+        assert!(matches!(
+            none.nearest(NodeId(0), 3, mode(None)),
+            Err((_, ErrorKind::Unavailable))
+        ));
+        // An unknown node is not-found before it is unavailable.
+        assert_eq!(
+            none.nearest(NodeId(999), 3, mode(None)),
+            Err((0, ErrorKind::NotFound))
+        );
         serving.shutdown();
     }
 
@@ -1296,43 +1276,27 @@ mod tests {
             // communities (and so, typically, both shards).
             let nodes: Vec<NodeId> = [0u32, 5, 999, 10, 15].map(NodeId).to_vec();
 
-            // Exact batch ≡ per-query exact, bit for bit, with the
-            // None-vs-Some(empty) distinction preserved.
-            let (batch_epoch, batch) = serving.nearest_batch(&nodes, 6);
-            assert_eq!(batch.len(), nodes.len());
-            assert_eq!(batch_epoch, serving.stats().epoch);
-            for (&node, got) in nodes.iter().zip(&batch) {
-                let (_, single) = serving.nearest(node, 6);
-                match (got, &single) {
-                    (Some(g), Some(s)) => {
-                        assert_eq!(g.len(), s.len());
-                        for (a, b) in g.iter().zip(s) {
-                            assert_eq!(a.0, b.0);
-                            assert_eq!(a.1.to_bits(), b.1.to_bits());
-                        }
-                    }
-                    (None, None) => assert_eq!(node, NodeId(999)),
-                    _ => panic!("batch/single disagree on {node:?} presence"),
-                }
-            }
-
-            // ANN batch ≡ per-query ANN for narrow and saturating
-            // probes (scratch reuse must not change results).
-            for nprobe in [None, Some(1), Some(usize::MAX)] {
-                let (_, batch, eff) = serving.nearest_batch_ann(&nodes, 5, nprobe).unwrap();
+            // Batch ≡ per-query, bit for bit, in exact mode and for
+            // narrow and saturating ANN probes (scratch reuse must not
+            // change results), with the None-vs-Some(empty)
+            // distinction preserved.
+            let modes = [None, Some(1), Some(usize::MAX)].map(|nprobe| NearestMode::Ann { nprobe });
+            for mode in [NearestMode::Exact].into_iter().chain(modes) {
+                let (batch_epoch, batch, eff) = serving.nearest_batch(&nodes, 6, mode).unwrap();
+                assert_eq!(batch.len(), nodes.len());
+                assert_eq!(batch_epoch, serving.stats().epoch);
                 for (&node, got) in nodes.iter().zip(&batch) {
-                    let (_, single, single_eff) = serving.nearest_ann(node, 5, nprobe).unwrap();
-                    assert_eq!(eff, single_eff);
-                    match (got, &single) {
-                        (Some(g), Some(s)) => {
+                    match (got, serving.nearest(node, 6, mode)) {
+                        (Some(g), Ok((_, s, single_eff))) => {
+                            assert_eq!(eff, single_eff);
                             assert_eq!(g.len(), s.len());
-                            for (a, b) in g.iter().zip(s) {
+                            for (a, b) in g.iter().zip(&s) {
                                 assert_eq!(a.0, b.0);
                                 assert_eq!(a.1.to_bits(), b.1.to_bits());
                             }
                         }
-                        (None, None) => assert_eq!(node, NodeId(999)),
-                        _ => panic!("ann batch/single disagree on {node:?} presence"),
+                        (None, Err((_, ErrorKind::NotFound))) => assert_eq!(node, NodeId(999)),
+                        _ => panic!("batch/single disagree on {node:?} presence ({mode:?})"),
                     }
                 }
             }
@@ -1350,7 +1314,8 @@ mod tests {
 
             // ANN-disabled sessions refuse the batch too.
             let none = sharded(2, None);
-            assert!(none.nearest_batch_ann(&nodes, 5, None).is_none());
+            let ann = NearestMode::Ann { nprobe: None };
+            assert!(none.nearest_batch(&nodes, 5, ann).is_none());
             serving.shutdown();
         }
     }

@@ -16,7 +16,7 @@ use glodyne_embed::walks::WalkConfig;
 use glodyne_embed::SgnsConfig;
 use glodyne_graph::state::GraphEvent;
 use glodyne_graph::NodeId;
-use glodyne_serve::{Admission, ServeError, ServingSession, SessionSpec};
+use glodyne_serve::{Admission, NearestMode, ServeError, ServingSession, SessionSpec};
 use proptest::prelude::*;
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -140,7 +140,10 @@ proptest! {
                     let started = Instant::now();
                     let (epoch, _) = serving.query(NodeId(u32::from(*x % 8)));
                     prop_assert!(epoch >= 1, "published epoch lost");
-                    let (_, hits) = serving.nearest(NodeId(0), 3);
+                    let hits = serving
+                        .nearest(NodeId(0), 3, NearestMode::Exact)
+                        .map(|(_, hits, _)| hits)
+                        .unwrap_or_default();
                     prop_assert!(hits.len() <= 3);
                     prop_assert!(
                         started.elapsed() < Duration::from_secs(5),

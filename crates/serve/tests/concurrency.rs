@@ -7,7 +7,7 @@ use glodyne::{EmbedderSession, EpochPolicy, StepContext, StepReport};
 use glodyne_embed::{DynamicEmbedder, Embedding};
 use glodyne_graph::state::GraphEvent;
 use glodyne_graph::NodeId;
-use glodyne_serve::{ServingSession, SessionSpec};
+use glodyne_serve::{NearestMode, ServingSession, SessionSpec};
 use std::sync::mpsc::{Receiver, Sender};
 use std::time::{Duration, Instant};
 
@@ -97,7 +97,7 @@ fn reads_never_wait_on_a_training_step() {
         // immediately, answered from epoch 1.
         let t0 = Instant::now();
         let (epoch, v) = serving.query(NodeId(0));
-        let (epoch_n, near) = serving.nearest(NodeId(0), 3);
+        let (epoch_n, near, _) = serving.nearest(NodeId(0), 3, NearestMode::Exact).unwrap();
         let stats = serving.stats();
         let elapsed = t0.elapsed();
 

@@ -197,25 +197,29 @@ fn nearest_batch_matches_single_nearest_over_the_wire() {
             );
         }
 
-        // ANN batch at full probe width: agrees with single ANN calls
-        // and echoes the effective nprobe once for the whole batch.
-        let batch = client.round_trip(
-            r#"{"cmd":"nearest_batch","nodes":[0,3,6],"k":4,"mode":"ann","nprobe":1000}"#,
-        );
-        assert!(is_ok(&batch), "{batch}");
-        assert_eq!(batch.get("mode").and_then(Json::as_str), Some("ann"));
-        assert_eq!(batch.get("nprobe").and_then(Json::as_u64), Some(4));
-        let results = batch.get("results").and_then(Json::as_arr).unwrap();
-        for entry in results {
-            let node = entry.get("node").and_then(Json::as_u64).unwrap();
-            let single = client.round_trip(&format!(
-                r#"{{"cmd":"nearest","node":{node},"k":4,"mode":"ann","nprobe":1000}}"#
+        // ANN batch at full probe width (1000, echoed as the 4 cells)
+        // and at a partial one (1: the grouped f32 scan, the per-probe
+        // SQ8 loop): agrees with single ANN calls and echoes the
+        // effective nprobe once for the whole batch.
+        for (nprobe, echoed) in [(1000, 4), (1, 1)] {
+            let batch = client.round_trip(&format!(
+                r#"{{"cmd":"nearest_batch","nodes":[0,3,6],"k":4,"mode":"ann","nprobe":{nprobe}}}"#
             ));
-            assert_eq!(
-                entry.get("neighbours"),
-                single.get("neighbours"),
-                "node {node} (quantize={quantize})\n{batch}\n{single}"
-            );
+            assert!(is_ok(&batch), "{batch}");
+            assert_eq!(batch.get("mode").and_then(Json::as_str), Some("ann"));
+            assert_eq!(batch.get("nprobe").and_then(Json::as_u64), Some(echoed));
+            let results = batch.get("results").and_then(Json::as_arr).unwrap();
+            for entry in results {
+                let node = entry.get("node").and_then(Json::as_u64).unwrap();
+                let single = client.round_trip(&format!(
+                    r#"{{"cmd":"nearest","node":{node},"k":4,"mode":"ann","nprobe":{nprobe}}}"#
+                ));
+                assert_eq!(
+                    entry.get("neighbours"),
+                    single.get("neighbours"),
+                    "node {node} (quantize={quantize})\n{batch}\n{single}"
+                );
+            }
         }
 
         // Stats surface the storage mode the server was started with.

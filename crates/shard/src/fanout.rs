@@ -104,9 +104,8 @@ pub fn nearest_approx(
     )
 }
 
-/// [`nearest_approx`] with caller-owned scan scratch — the batched
-/// fan-out threads one scratch through every query of a batch.
-/// Per-shard scans go through `IvfIndex::search_in` against the
+/// [`nearest_approx`] with caller-owned scan scratch, reusable across
+/// calls. Per-shard scans go through `IvfIndex::search_in` against the
 /// shard's own embedding, so SQ8-quantized shards re-rank with the
 /// exact kernel before the merge.
 pub fn nearest_approx_with(
@@ -138,33 +137,15 @@ pub fn nearest_approx_with(
     select.into_sorted()
 }
 
-/// [`nearest_exact`] for a whole batch of probe nodes against **one**
-/// set of shard views: the caller snapshots router + epochs once, and
-/// every query of the batch reads the same frozen views. Results are
-/// positionally parallel to `nodes`; each entry is bit-exact with the
-/// corresponding single-query [`nearest_exact`] over the same views.
-pub fn nearest_exact_batch(
-    views: &[ShardView<'_>],
-    owner: impl Fn(NodeId) -> Option<u32>,
-    nodes: &[NodeId],
-    k: usize,
-) -> Vec<Vec<(NodeId, f32)>> {
-    nodes
-        .iter()
-        .map(|&node| nearest_exact(views, &owner, node, k))
-        .collect()
-}
-
 /// [`nearest_approx`] for a whole batch against one set of shard
-/// views, scanned **cell-grouped**: each shard's index groups the
-/// batch's probed cells and walks every posting list once for all
-/// queries probing it, instead of once per query. Per-query candidates
-/// come out of the grouped scan bit-identical to the per-query path
-/// (pinned in the ann crate), and each query's shard contributions
-/// merge through its own `k`-heap in the same view order as
-/// [`nearest_approx_with`] — so every entry is bit-exact with the
-/// corresponding single-query call over the same views. Positionally
-/// parallel to `nodes`; unowned probes yield empty entries.
+/// views: each shard answers the whole batch through
+/// `IvfIndex::search_in_batch_with` (grouped where that pays, per
+/// query otherwise — bit-identical either way, pinned in the ann
+/// crate), and each query's shard contributions merge through its own
+/// `k`-heap in the same view order as [`nearest_approx_with`] — so
+/// every entry is bit-exact with the corresponding single-query call
+/// over the same views. Positionally parallel to `nodes`; unowned
+/// probes yield empty entries.
 pub fn nearest_approx_batch(
     views: &[ShardView<'_>],
     owner: impl Fn(NodeId) -> Option<u32>,
@@ -173,33 +154,25 @@ pub fn nearest_approx_batch(
     nprobe: usize,
     overfetch: usize,
 ) -> Vec<Vec<(NodeId, f32)>> {
-    let mut results: Vec<Vec<(NodeId, f32)>> = nodes.iter().map(|_| Vec::new()).collect();
-    if k == 0 {
-        return results;
-    }
-    // Resolve owned query vectors once; unowned probes stay empty.
-    let mut slots = Vec::with_capacity(nodes.len());
-    let mut queries = Vec::with_capacity(nodes.len());
-    for (pos, &node) in nodes.iter().enumerate() {
-        if let Some((q, _)) = owned_query(views, &owner, node) {
-            slots.push(pos);
-            queries.push(BatchQuery {
-                query: q,
-                exclude: Some(node),
-            });
-        }
-    }
-    if queries.is_empty() {
-        return results;
-    }
+    // An unowned probe is an empty query, which every index answers
+    // with an empty list.
+    let queries: Vec<BatchQuery<'_>> = nodes
+        .iter()
+        .map(|&node| BatchQuery {
+            query: owned_query(views, &owner, node)
+                .map(|(q, _)| q)
+                .unwrap_or_default(),
+            exclude: Some(node),
+        })
+        .collect();
     let fetch = k.saturating_mul(overfetch.max(1));
-    let mut selectors: Vec<TopKSelector> = queries.iter().map(|_| TopKSelector::new(k)).collect();
+    let mut selectors: Vec<TopKSelector> = nodes.iter().map(|_| TopKSelector::new(k)).collect();
     let mut scratch = SearchScratch::new();
     for view in views {
         let Some(index) = view.index else { continue };
-        let grouped =
+        let hits =
             index.search_in_batch_with(view.embedding, &queries, fetch, nprobe, &mut scratch);
-        for (select, hits) in selectors.iter_mut().zip(grouped) {
+        for (select, hits) in selectors.iter_mut().zip(hits) {
             for (id, sim) in hits {
                 if owner(id) == Some(view.shard) {
                     select.push((id, sim));
@@ -207,10 +180,10 @@ pub fn nearest_approx_batch(
             }
         }
     }
-    for (slot, select) in slots.into_iter().zip(selectors) {
-        results[slot] = select.into_sorted();
-    }
-    results
+    selectors
+        .into_iter()
+        .map(TopKSelector::into_sorted)
+        .collect()
 }
 
 /// Materialise the sharded global view: every owned row of every

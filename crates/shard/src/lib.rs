@@ -30,9 +30,6 @@ pub mod fanout;
 pub mod router;
 pub mod state;
 
-pub use fanout::{
-    nearest_approx, nearest_approx_batch, nearest_exact, nearest_exact_batch, union_embedding,
-    ShardView,
-};
+pub use fanout::{nearest_approx, nearest_approx_batch, nearest_exact, union_embedding, ShardView};
 pub use router::{Rebalance, RouterStats, ShardConfig, ShardRouter};
 pub use state::ShardedState;
