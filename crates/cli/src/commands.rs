@@ -5,7 +5,7 @@ use crate::CliError;
 use glodyne::{EmbedderSession, EpochPolicy, GloDyNE, GloDyNEConfig, IvfConfig, StepReport};
 use glodyne_durable::{
     list_segments, list_snapshots, load_snapshot, replay, DurableConfig, DurableSession,
-    FsyncPolicy, WalRecord, PAYLOAD_ROUTER, PAYLOAD_SESSION,
+    FsyncPolicy, WalRecord, PAYLOAD_SESSION,
 };
 use glodyne_embed::persist;
 use glodyne_embed::traits::{run_over_reports, step_with, DynamicEmbedder};
@@ -16,10 +16,8 @@ use glodyne_graph::io::read_edge_stream;
 use glodyne_graph::{DynamicNetwork, NodeId};
 use glodyne_partition::{partition, PartitionConfig};
 use glodyne_serve::json::Json;
-use glodyne_serve::{
-    json, recover_sharded, AnnSettings, ProbeSettings, ServeError, Server, ServerConfig,
-};
-use glodyne_shard::{ShardConfig, ShardedState};
+use glodyne_serve::{json, AnnSettings, ProbeSettings, ServeError, Server, ServerConfig};
+use glodyne_shard::ShardConfig;
 use glodyne_tasks::gr::mean_precision_at_k;
 use glodyne_tasks::lp::{build_test_set, link_prediction_auc};
 use std::fs::File;
@@ -182,11 +180,20 @@ fn parse_query_nodes(opts: &Opts) -> Result<Option<Vec<NodeId>>, CliError> {
         .map(Some)
 }
 
-/// Shared `--shards`/`--shard-epsilon`/`--shard-seed`/`--drift`/
-/// `--ann-overfetch` parsing for `stream` and `serve`: `None` without
-/// `--shards` (or with `--shards 1`, the unsharded fast path). The
-/// partitioner seed defaults to the shared `--seed`; `--ann-overfetch`
-/// trades per-shard scan work for fan-out recall on halo-heavy graphs.
+/// Refuse `--shards N` (`N ≠ 1`) where only one shard can run, naming
+/// the flag and `why`.
+fn refuse_shards(opts: &Opts, why: &str) -> Result<(), CliError> {
+    match opts.get_opt::<usize>("shards")? {
+        Some(n) if n != 1 => Err(CliError::Usage(format!("--shards {n}: {why}"))),
+        _ => Ok(()),
+    }
+}
+
+/// `--shards`/`--shard-epsilon`/`--shard-seed`/`--drift`/
+/// `--ann-overfetch` parsing for `serve`: `None` without `--shards` (or
+/// with `--shards 1`, the unsharded fast path). The partitioner seed
+/// defaults to the shared `--seed`; `--ann-overfetch` trades per-shard
+/// scan work for fan-out recall on halo-heavy graphs.
 fn parse_shards(opts: &Opts) -> Result<Option<ShardConfig>, CliError> {
     let shards = opts.get_opt::<usize>("shards")?;
     let Some(shards) = shards.filter(|&s| s != 1) else {
@@ -290,6 +297,10 @@ fn parse_policy(opts: &Opts) -> Result<EpochPolicy, CliError> {
 /// `glodyne stream`: drive an [`EmbedderSession`] over the edge file
 /// event-by-event and report each committed step.
 pub fn stream(opts: &Opts) -> Result<String, CliError> {
+    refuse_shards(
+        opts,
+        "`stream` embeds in one session; shard a server with `serve --shards`",
+    )?;
     let input = opts.require("input")?;
     let mut events = load_stream(input)?;
     events.sort_by_key(|te| te.time);
@@ -299,9 +310,6 @@ pub fn stream(opts: &Opts) -> Result<String, CliError> {
     }
     let policy = parse_policy(opts)?;
     let ann = parse_ann(opts)?;
-    if let Some(shard_cfg) = parse_shards(opts)? {
-        return stream_sharded(opts, &events, policy, ann, shard_cfg);
-    }
     let model = GloDyNE::new(glodyne_config(opts)?)?;
     let mut session = EmbedderSession::new(model, policy)?;
 
@@ -457,82 +465,18 @@ fn stream_remote(opts: &Opts, addr: &str, events: &[TimedEdge]) -> Result<String
     Ok(out)
 }
 
-/// `glodyne stream --shards N`: drive a [`ShardedState`] — partition-
-/// routed per-shard sessions with halo-mirrored boundary edges — over
-/// the edge file and report the per-shard outcome; `--query` answers
-/// through the owner-filtered fan-out merge.
-fn stream_sharded(
-    opts: &Opts,
-    events: &[TimedEdge],
-    policy: EpochPolicy,
-    ann: Option<AnnSettings>,
-    shard_cfg: ShardConfig,
-) -> Result<String, CliError> {
-    let mut sessions = shard_sessions(&glodyne_config(opts)?, policy, shard_cfg.shards)?;
-    if let Some(settings) = &ann {
-        sessions = sessions
-            .into_iter()
-            .map(|session| session.with_ann(settings.config))
-            .collect::<Result<_, _>>()?;
-    }
-    let mut state = ShardedState::new(sessions, shard_cfg).map_err(CliError::Config)?;
-    state.ingest(events);
-    state.flush();
-
-    let mut out = String::new();
-    let rs = state.router().stats();
-    out.push_str(&format!(
-        "{} events -> {} steps across {} shards \
-         ({} live nodes, {} edges, {} rebalance(s))\n",
-        events.len(),
-        state.steps(),
-        shard_cfg.shards,
-        rs.nodes,
-        rs.edges,
-        rs.rebalances,
-    ));
-    for (shard, sess) in state.sessions().iter().enumerate() {
-        out.push_str(&format!(
-            "  shard {shard}: {} steps, {} embedded rows\n",
-            sess.steps(),
-            sess.embedding().len()
-        ));
-    }
-
-    if let Some(nodes) = parse_query_nodes(opts)? {
-        let k = opts.get("top-k", 10usize);
-        for &node in &nodes {
-            let query = node.0;
-            if state.query(node).is_none() {
-                out.push_str(&format!("node {query}: no embedding\n"));
-                continue;
-            }
-            out.push_str(&format!(
-                "nearest neighbours of {query} (sharded fan-out, exact):\n"
-            ));
-            for (id, sim) in state.nearest(node, k) {
-                out.push_str(&format!("  {:>10}  cos={sim:.4}\n", id.0));
-            }
-            if let Some(settings) = &ann {
-                let nprobe = settings.default_nprobe;
-                out.push_str(&format!(
-                    "nearest neighbours of {query} (sharded fan-out, ann nprobe={nprobe}):\n"
-                ));
-                for (id, sim) in state.nearest_approx(node, k, nprobe) {
-                    out.push_str(&format!("  {:>10}  cos={sim:.4}\n", id.0));
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
 /// Build and bind the serving process for `glodyne serve`, returning
 /// the running server plus the preamble to print before blocking.
 ///
 /// Split from [`serve`] so tests can bind port 0, read the actual
 /// address off the [`Server`], and drive the wire protocol directly.
 pub fn start_server(opts: &Opts) -> Result<(Server, String), CliError> {
+    if opts.get_opt::<String>("data-dir")?.is_some() {
+        refuse_shards(
+            opts,
+            "a sharded server serves in memory; drop --data-dir or use --shards 1",
+        )?;
+    }
     // Fault injection opt-in: GLODYNE_CHAOS="site=rule;..." arms the
     // failpoint registry for the whole process. Off (one relaxed
     // atomic load per site) unless the variable is set.
@@ -613,41 +557,15 @@ pub fn start_server(opts: &Opts) -> Result<(Server, String), CliError> {
     };
 
     let server = if let Some(shard_cfg) = shard_cfg {
-        // Sharded: the per-shard IVF indexes come from the serve layer
+        // Sharded, in memory (`--data-dir` was refused above): the
+        // per-shard IVF indexes come from the serve layer
         // (ServerConfig.ann), not the sessions.
-        let (server, recovered) = match &durable {
-            Some((dir, dcfg)) => {
-                let (trainees, lineage) =
-                    recover_sharded(dir, shard_cfg, *dcfg, policy, |i| shard_embedder(&mcfg, i))
-                        .map_err(|source| CliError::Io {
-                            context: "durable lineage failure".to_string(),
-                            source,
-                        })?;
-                let recovered = lineage.recovered_from().map(str::to_owned);
-                match &recovered {
-                    Some(provenance) => recovered_line(&mut preamble, provenance, true)?,
-                    None => preamble.push_str(&format!(
-                        "durable: fresh sharded lineage at {} \
-                         (fsync={}, snapshot every {} epoch(s))\n",
-                        dir.display(),
-                        dcfg.fsync,
-                        dcfg.snapshot_every,
-                    )),
-                }
-                let server = Server::bind_sharded(trainees, lineage, bind, cfg);
-                (server.map_err(bind_err)?, recovered)
-            }
-            None => {
-                let sessions = shard_sessions(&mcfg, policy, shard_cfg.shards)?;
-                let server = Server::bind_sharded(sessions, shard_cfg, bind, cfg);
-                (server.map_err(bind_err)?, None)
-            }
-        };
-        // Warm start rides the running session's router (so on a fresh
-        // durable lineage the edge file lands in the WAL too): ingest +
-        // flush complete before the preamble (and hence the operator's
+        let sessions = shard_sessions(&mcfg, policy, shard_cfg.shards)?;
+        let server = Server::bind_sharded(sessions, shard_cfg, bind, cfg).map_err(bind_err)?;
+        // Warm start rides the running session's router: ingest + flush
+        // complete before the preamble (and hence the operator's
         // go-ahead) is printed.
-        if let (None, Some(events)) = (&recovered, warm_start()?) {
+        if let Some(events) = warm_start()? {
             let gevents: Vec<glodyne_graph::GraphEvent> =
                 events.iter().map(|&te| te.into()).collect();
             let sharded = server.sharded().expect("sharded server");
@@ -657,15 +575,12 @@ pub fn start_server(opts: &Opts) -> Result<(Server, String), CliError> {
                 .map_err(|e| CliError::Usage(e.to_string()))?;
             let stats = server.stats();
             preamble.push_str(&format!(
-                "warm start: {} events -> epoch {} across {} shards",
+                "warm start: {} events -> epoch {} across {} shards, {} live nodes\n",
                 events.len(),
                 stats.epoch,
                 shard_cfg.shards,
+                stats.nodes,
             ));
-            if durable.is_none() {
-                preamble.push_str(&format!(", {} live nodes", stats.nodes));
-            }
-            preamble.push('\n');
         }
         preamble.push_str(&format!(
             "sharded: {} partition-routed shards (epsilon={} seed={}; \
@@ -1054,12 +969,12 @@ pub fn stats_cmd(opts: &Opts) -> Result<String, CliError> {
 
 /// One lineage directory's health: every snapshot's integrity, the WAL
 /// segment/record totals, and how much a restart would replay.
-fn inspect_lineage(label: &str, dir: &Path) -> Result<String, CliError> {
+fn inspect_lineage(dir: &Path) -> Result<String, CliError> {
     let ioerr = |source: std::io::Error| CliError::Io {
         context: format!("cannot inspect {}", dir.display()),
         source,
     };
-    let mut out = format!("[{label}]\n");
+    let mut out = String::from("[session]\n");
     let snapshots = list_snapshots(dir).map_err(&ioerr)?;
     let mut floor = 0u64;
     if snapshots.is_empty() {
@@ -1070,7 +985,6 @@ fn inspect_lineage(label: &str, dir: &Path) -> Result<String, CliError> {
             Ok(snap) => {
                 let kind = match snap.kind {
                     PAYLOAD_SESSION => "session",
-                    PAYLOAD_ROUTER => "router",
                     _ => "unknown",
                 };
                 floor = floor.max(snap.seq);
@@ -1124,35 +1038,8 @@ pub fn recover(opts: &Opts) -> Result<String, CliError> {
             dir.display()
         )));
     }
-    let mut out = String::new();
-    let router = dir.join("router");
-    if router.is_dir() {
-        out.push_str(&format!("sharded durable lineage at {}\n", dir.display()));
-        out.push_str(&inspect_lineage("router", &router)?);
-        let mut shards: Vec<(usize, PathBuf)> = std::fs::read_dir(&dir)
-            .map_err(|source| CliError::Io {
-                context: format!("cannot read {}", dir.display()),
-                source,
-            })?
-            .filter_map(|e| e.ok())
-            .filter_map(|e| {
-                let shard = e
-                    .file_name()
-                    .to_str()?
-                    .strip_prefix("shard-")?
-                    .parse::<usize>()
-                    .ok()?;
-                Some((shard, e.path()))
-            })
-            .collect();
-        shards.sort_unstable_by_key(|&(shard, _)| shard);
-        for (shard, path) in &shards {
-            out.push_str(&inspect_lineage(&format!("shard-{shard}"), path)?);
-        }
-    } else {
-        out.push_str(&format!("durable lineage at {}\n", dir.display()));
-        out.push_str(&inspect_lineage("session", &dir)?);
-    }
+    let mut out = format!("durable lineage at {}\n", dir.display());
+    out.push_str(&inspect_lineage(&dir)?);
     Ok(out)
 }
 
@@ -1492,51 +1379,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_command_sharded() {
-        let input = write_fixture("glodyne_cli_stream_sharded");
-        let mut args = vec![
-            "--input".into(),
-            input.display().to_string(),
-            "--policy".into(),
-            "manual".into(),
-            "--shards".into(),
-            "2".into(),
-            "--dim".into(),
-            "8".into(),
-            "--walks".into(),
-            "2".into(),
-            "--walk-length".into(),
-            "8".into(),
-            "--epochs".into(),
-            "1".into(),
-            "--query".into(),
-            "0".into(),
-            "--top-k".into(),
-            "3".into(),
-        ];
-        let out = stream(&Opts::parse(&args)).unwrap();
-        assert!(out.contains("across 2 shards"), "{out}");
-        assert!(out.contains("shard 0:"), "{out}");
-        assert!(out.contains("shard 1:"), "{out}");
-        assert!(
-            out.contains("nearest neighbours of 0 (sharded fan-out, exact)"),
-            "{out}"
-        );
-
-        // --shards 1 takes the unsharded fast path.
-        args[5] = "1".into();
-        let out = stream(&Opts::parse(&args)).unwrap();
-        assert!(out.contains("nearest neighbours of 0 (exact)"), "{out}");
-
-        // Degenerate shard parameters surface as config errors.
-        args[5] = "2".into();
-        args.extend(["--drift".into(), "0".into()]);
-        let err = stream(&Opts::parse(&args)).unwrap_err();
-        assert!(matches!(err, CliError::Config(_)), "{err}");
-        assert!(err.to_string().contains("drift"), "{err}");
-    }
-
-    #[test]
     fn serve_command_sharded() {
         use std::io::{BufRead, BufReader, Write};
         let input = write_fixture("glodyne_cli_serve_sharded");
@@ -1801,58 +1643,65 @@ mod tests {
     }
 
     #[test]
-    fn serve_command_sharded_durable_restart() {
-        use std::io::{BufRead, BufReader, Write};
-        let input = write_fixture("glodyne_cli_serve_shdur");
+    fn stream_and_serve_reject_shards_they_cannot_run() {
+        let input = write_fixture("glodyne_cli_shards_usage");
         let data_dir = std::env::temp_dir().join(format!(
-            "glodyne_cli_shdur_{}_{:?}",
+            "glodyne_cli_shards_usage_{}_{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&data_dir);
-        let mut args = durable_args(&input, &data_dir);
-        args.extend(["--shards".into(), "2".into()]);
-        let opts = Opts::parse(&args);
 
-        let round_trip = |server: &Server, req: &str| {
-            let stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let mut w = stream.try_clone().unwrap();
-            w.write_all(req.as_bytes()).unwrap();
-            w.write_all(b"\n").unwrap();
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            line
-        };
-
-        let (server, preamble) = start_server(&opts).unwrap();
+        // `serve --shards 2 --data-dir D`: a usage error naming both
+        // flags, refused before anything is bound or created.
+        let mut serve_args = durable_args(&input, &data_dir);
+        serve_args.extend(["--shards".into(), "2".into()]);
+        let err = start_server(&Opts::parse(&serve_args))
+            .err()
+            .expect("a sharded durable server is refused");
+        assert!(matches!(err, CliError::Usage(_)), "{err}");
+        let msg = err.to_string();
         assert!(
-            preamble.contains("durable: fresh sharded lineage"),
-            "{preamble}"
+            msg.contains("--shards 2") && msg.contains("--data-dir"),
+            "{msg}"
         );
-        assert!(preamble.contains("warm start"), "{preamble}");
-        let q_before = round_trip(&server, r#"{"cmd":"query","node":0}"#);
-        assert!(q_before.contains("\"ok\":true"), "{q_before}");
-        round_trip(&server, r#"{"cmd":"shutdown"}"#);
-        server.join();
+        assert!(!data_dir.exists(), "nothing created before the error");
 
-        let (server, preamble) = start_server(&opts).unwrap();
-        assert!(preamble.contains("durable: recovered from"), "{preamble}");
-        assert!(preamble.contains("warm start skipped"), "{preamble}");
-        let q_after = round_trip(&server, r#"{"cmd":"query","node":0}"#);
-        assert_eq!(q_before, q_after, "sharded restart must be bit-exact");
-        round_trip(&server, r#"{"cmd":"shutdown"}"#);
-        server.join();
+        // `stream --shards 2`: a usage error naming the flag.
+        let mut stream_args: Vec<String> = vec![
+            "--input".into(),
+            input.display().to_string(),
+            "--policy".into(),
+            "manual".into(),
+            "--shards".into(),
+            "2".into(),
+            "--dim".into(),
+            "8".into(),
+            "--walks".into(),
+            "2".into(),
+            "--walk-length".into(),
+            "8".into(),
+            "--epochs".into(),
+            "1".into(),
+            "--query".into(),
+            "0".into(),
+            "--top-k".into(),
+            "3".into(),
+        ];
+        let err = stream(&Opts::parse(&stream_args)).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err}");
+        assert!(err.to_string().contains("--shards 2"), "{err}");
 
-        let report = recover(&Opts::parse(&[
-            "--data-dir".into(),
-            data_dir.display().to_string(),
-        ]))
-        .unwrap();
-        assert!(report.contains("sharded durable lineage"), "{report}");
-        assert!(report.contains("[router]"), "{report}");
-        assert!(report.contains("[shard-0]"), "{report}");
-        assert!(report.contains("[shard-1]"), "{report}");
+        // `--shards 1` is the unsharded path on both commands.
+        stream_args[5] = "1".into();
+        let out = stream(&Opts::parse(&stream_args)).unwrap();
+        assert!(out.contains("nearest neighbours of 0 (exact)"), "{out}");
+        *serve_args.last_mut().unwrap() = "1".into();
+        let (server, preamble) = start_server(&Opts::parse(&serve_args)).unwrap();
+        assert!(preamble.contains("durable: fresh lineage"), "{preamble}");
+        assert!(!preamble.contains("sharded:"), "{preamble}");
+        server.request_shutdown();
+        server.join();
         let _ = std::fs::remove_dir_all(&data_dir);
     }
 

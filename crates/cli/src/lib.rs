@@ -111,8 +111,6 @@ USAGE:
   glodyne stream    --input <edges.txt> [--policy timestamp|every-n|manual]
                     [--every 1000] [--query <node>] [--top-k 10]
                     [--ann] [--cells 64] [--nprobe 8]
-                    [--shards N] [--shard-epsilon 0.1] [--shard-seed 0]
-                    [--drift 0.25] [--ann-overfetch 2]
                     [--alpha 0.1] [--dim 128] [--seed 0]
                     [--addr HOST:PORT] [--retry-budget 5]
   glodyne serve     [--bind 127.0.0.1:7878] [--threads 64] [--queue 1024]
@@ -152,15 +150,16 @@ Input: one `u v [timestamp]` edge per line; # and % comments ignored.
 With --ann, `stream` and `serve` additionally build an IVF index over
   each committed epoch (--cells coarse cells, --nprobe probe default);
   `serve` then accepts nearest requests with \"mode\":\"ann\".
-With --shards N, `stream` and `serve` partition the event stream into N
-  shards (min-cut partitioning, --shard-epsilon balance, re-partitioned
-  when more than a --drift fraction of nodes is hash-placed); each shard
-  trains its own session (its own trainer thread under `serve`),
+With --shards N, `serve` partitions the event stream into N shards
+  (min-cut partitioning, --shard-epsilon balance, re-partitioned when
+  more than a --drift fraction of nodes is hash-placed); each shard
+  trains its own in-memory session on its own trainer thread,
   cross-shard edges are mirrored to both sides as halo edges, `nearest`
   fans out across shards and merges owned hits (each shard over-fetched
   by --ann-overfetch before halo filtering: higher = better fan-out
   recall, more per-shard scan work), and `stats` reports a per-shard
-  \"shards\" array.
+  \"shards\" array. --shards 1 is the unsharded server; any other count
+  is a usage error with --data-dir, and on `stream`.
 With --data-dir, `serve` becomes crash-recoverable: every ingested
   event is appended to a segmented write-ahead log under the directory
   and committed epochs are periodically frozen into snapshot files.

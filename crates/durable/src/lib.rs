@@ -9,7 +9,7 @@
 //!   tail: the longest valid prefix, never a panic.
 //! - [`snapshot`] — atomic (`temp + rename`) containers freezing a
 //!   committed epoch: the session checkpoint plus its embedding via the
-//!   persist layer's binary format, or a shard router's state.
+//!   persist layer's binary format.
 //! - [`session`] — [`DurableSession`], the write-ahead wrapper around
 //!   [`glodyne::EmbedderSession`]: log, apply, periodically snapshot,
 //!   prune; recover by resuming the newest valid snapshot (falling back
@@ -33,10 +33,10 @@ pub use session::{
 };
 pub use snapshot::{
     list_snapshots, load_newest_valid, load_snapshot, prune_snapshots, write_snapshot,
-    SnapshotFile, PAYLOAD_ROUTER, PAYLOAD_SESSION,
+    SnapshotFile, PAYLOAD_SESSION,
 };
 pub use timing::DurableTiming;
 pub use wal::{
-    encode_flush_frame, encode_frame, list_segments, remove_all_segments, replay, replay_and_heal,
-    FsyncPolicy, ReplayedWal, WalRecord, WalStats, WalWriter,
+    encode_flush_frame, encode_frame, list_segments, replay, replay_and_heal, FsyncPolicy,
+    ReplayedWal, WalRecord, WalStats, WalWriter,
 };

@@ -195,7 +195,7 @@ pub struct DurableSession<E: CheckpointEmbedder> {
     last_snapshot_seq: Option<u64>,
     last_snapshot_epoch: Option<u64>,
     /// Provenance computed by [`DurableSession::recover`]; `None` on a
-    /// lineage this process created or attached.
+    /// lineage this process created.
     recovered_from: Option<String>,
     timing: Option<Arc<DurableTiming>>,
 }
@@ -227,35 +227,6 @@ impl<E: CheckpointEmbedder> DurableSession<E> {
         };
         durable.snapshot()?;
         Ok(durable)
-    }
-
-    /// Wrap an already-restored session without writing an initial
-    /// snapshot: the sharded recovery path resumes each shard from a
-    /// barrier snapshot it has *already* loaded, then replays the
-    /// authoritative router log through [`DurableSession::apply`] —
-    /// which needs the WAL open at `last_seq + 1` first.
-    /// `last_snapshot` is the `(seq, epoch)` of the snapshot the
-    /// session was restored from, if any, so periodic snapshot gating
-    /// and the duplicate-snapshot guard carry across the restart.
-    pub fn attach(
-        dir: &Path,
-        session: EmbedderSession<E>,
-        cfg: DurableConfig,
-        last_seq: u64,
-        last_snapshot: Option<(u64, u64)>,
-    ) -> io::Result<Self> {
-        let wal = WalWriter::open(dir, last_seq + 1, cfg.segment_bytes, cfg.fsync)?;
-        Ok(DurableSession {
-            session,
-            wal,
-            dir: dir.to_path_buf(),
-            cfg,
-            last_seq,
-            last_snapshot_seq: last_snapshot.map(|(seq, _)| seq),
-            last_snapshot_epoch: last_snapshot.map(|(_, epoch)| epoch),
-            recovered_from: None,
-            timing: None,
-        })
     }
 
     /// Attach I/O timing sinks (WAL append/fsync, snapshot writes).
@@ -371,9 +342,8 @@ impl<E: CheckpointEmbedder> DurableSession<E> {
 
     /// Log one event to the WAL, then apply it to the session — the
     /// write-ahead ordering that makes every applied event recoverable.
-    /// `seq` must be non-decreasing (sharded lineages legitimately
-    /// repeat a client sequence across a routed frame group). Returns
-    /// whether the event triggered an embedding step.
+    /// `seq` must be non-decreasing. Returns whether the event
+    /// triggered an embedding step.
     pub fn apply(&mut self, seq: u64, event: GraphEvent) -> io::Result<bool> {
         debug_assert!(seq >= self.last_seq, "WAL sequence went backwards");
         self.wal.append(seq, &event)?;
@@ -457,17 +427,6 @@ impl<E: CheckpointEmbedder> DurableSession<E> {
         Ok(())
     }
 
-    /// [`DurableSession::snapshot`] stamped with an externally chosen
-    /// sequence number `seq >= last_seq` — the sharded barrier
-    /// checkpoint, where every lineage must freeze at the *same*
-    /// client sequence even though each shard saw only its routed
-    /// subset of events.
-    pub fn snapshot_at(&mut self, seq: u64) -> io::Result<()> {
-        debug_assert!(seq >= self.last_seq, "snapshot sequence went backwards");
-        self.last_seq = self.last_seq.max(seq);
-        self.snapshot()
-    }
-
     /// Clean shutdown: flush the pending epoch, fsync the WAL, write a
     /// final snapshot. A restart from this directory replays zero
     /// events.
@@ -497,8 +456,8 @@ impl<E: CheckpointEmbedder> DurableSession<E> {
         &mut self.session
     }
 
-    /// Highest WAL sequence number appended or recovered — seed for
-    /// the ingest queue's sequence counter.
+    /// Highest WAL sequence number appended or recovered — the serving
+    /// trainer logs the next event at `last_seq() + 1`.
     pub fn last_seq(&self) -> u64 {
         self.last_seq
     }

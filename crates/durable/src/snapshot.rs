@@ -8,10 +8,9 @@
 //!             | u64 payload_len | payload | u32 crc32(all prior bytes)
 //! ```
 //!
-//! `payload_kind` selects the decoder: [`PAYLOAD_SESSION`] for a
-//! serialised `SessionCheckpoint` + embedding, [`PAYLOAD_ROUTER`] for a
-//! sharded router's node→shard map (the codec for which lives in the
-//! shard crate — this crate only stores the bytes).
+//! `payload_kind` selects the decoder. The one kind written is
+//! [`PAYLOAD_SESSION`], a serialised `SessionCheckpoint` + embedding;
+//! loaders skip a file of any other kind.
 //!
 //! Writes are atomic: the container is written to a temp file, fsynced,
 //! then renamed into place, and the directory is fsynced. A crash
@@ -31,8 +30,6 @@ pub const SNAPSHOT_MAGIC: &[u8; 4] = b"GDSS";
 pub const SNAPSHOT_VERSION: u32 = 1;
 /// Payload: a session checkpoint (graph + embedder state + embedding).
 pub const PAYLOAD_SESSION: u32 = 1;
-/// Payload: a shard router's state (codec owned by the shard crate).
-pub const PAYLOAD_ROUTER: u32 = 2;
 
 const HEADER_BYTES: usize = 36; // magic + version + seq + epoch + kind + len
 
@@ -43,7 +40,7 @@ pub struct SnapshotFile {
     pub seq: u64,
     /// Committed epoch at snapshot time.
     pub epoch: u64,
-    /// Payload discriminator ([`PAYLOAD_SESSION`] / [`PAYLOAD_ROUTER`]).
+    /// Payload discriminator ([`PAYLOAD_SESSION`]).
     pub kind: u32,
     /// Opaque payload bytes.
     pub payload: Vec<u8>,
@@ -229,7 +226,7 @@ mod tests {
     #[test]
     fn corruption_at_every_offset_never_panics() {
         let dir = tmp_dir("corrupt");
-        let path = write_snapshot(&dir, 5, 1, PAYLOAD_ROUTER, &[1, 2, 3, 4, 5]).unwrap();
+        let path = write_snapshot(&dir, 5, 1, 2, &[1, 2, 3, 4, 5]).unwrap();
         let clean = fs::read(&path).unwrap();
         for i in 0..clean.len() {
             let mut bytes = clean.clone();
@@ -266,7 +263,7 @@ mod tests {
     #[test]
     fn kind_mismatch_is_skipped() {
         let dir = tmp_dir("kind");
-        write_snapshot(&dir, 1, 1, PAYLOAD_ROUTER, b"router").unwrap();
+        write_snapshot(&dir, 1, 1, 2, b"other").unwrap();
         assert!(load_newest_valid(&dir, PAYLOAD_SESSION).unwrap().is_none());
         let _ = fs::remove_dir_all(&dir);
     }

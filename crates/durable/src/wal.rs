@@ -480,15 +480,6 @@ fn parse_segment(bytes: &[u8]) -> (Vec<(u64, WalRecord)>, usize) {
     }
 }
 
-/// Delete every WAL segment in `dir` (sharded recovery regenerates a
-/// shard's WAL suffix from the authoritative router log).
-pub fn remove_all_segments(dir: &Path) -> io::Result<()> {
-    for (_, path) in list_segments(dir)? {
-        fs::remove_file(path)?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

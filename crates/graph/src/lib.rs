@@ -30,7 +30,6 @@ pub mod io;
 pub mod snapshot;
 pub mod state;
 pub mod traversal;
-pub mod weighted;
 
 pub use builder::GraphBuilder;
 pub use diff::SnapshotDiff;

@@ -28,12 +28,10 @@
 //! threshold — `Option`s, because they only change what is built and
 //! recorded around a step. [`ServingSession::spawn`] packages both
 //! paths around one trainer; [`ShardedSession::spawn`] scales them out
-//! to `S` partition-routed shards, each one more call of the same
-//! spawn (`glodyne-shard` supplies the router and the owner-filtered
-//! fan-out merge; a [`RouterLineage`] — a bare `ShardConfig`, or what
-//! [`recover_sharded`] returned — says whether the router itself is
-//! durable); [`Server::bind`] / [`Server::bind_sharded`] expose either
-//! over TCP with a line-delimited JSON protocol (`query`, `nearest`,
+//! to `S` partition-routed in-memory shards, each one more call of the
+//! same spawn (`glodyne-shard` supplies the router and the
+//! owner-filtered fan-out merge); [`Server::bind`] /
+//! [`Server::bind_sharded`] expose either over TCP with a line-delimited JSON protocol (`query`, `nearest`,
 //! `ingest`, `flush`, `stats`, `shutdown`) — std-only, one thread per
 //! connection, no async runtime. See [`protocol`] for the wire format.
 
@@ -58,7 +56,7 @@ pub use session::{
     AnnSettings, AnnStats, DurabilityStats, HealthStats, RebalanceStats, ServeStats,
     ServingSession, SessionSpec, Trainee, DEFAULT_STALL_AFTER,
 };
-pub use shard::{recover_sharded, RouterLineage, ShardEpochStats, ShardedSession};
+pub use shard::{ShardEpochStats, ShardedSession};
 pub use telemetry::{
     DurabilityTelemetry, ProbeTelemetry, ServeTelemetry, SlowQuery, TelemetryStats,
 };

@@ -18,22 +18,11 @@ use std::time::{Duration, Instant};
 
 /// What the trainer sees on its inbox.
 pub(crate) enum TrainerMsg {
-    /// One graph event to apply. `seq` is the durable WAL sequence
-    /// number: `0` on non-durable and unsharded-durable sessions
-    /// (the trainer assigns its own), the client event's sequence on
-    /// sharded-durable sessions (every lineage logs the same number).
-    /// `queued` stamps enqueue time so the trainer can attribute queue
-    /// wait to telemetry.
-    Event {
-        seq: u64,
-        event: GraphEvent,
-        queued: Instant,
-    },
+    /// One graph event to apply. `queued` stamps enqueue time so the
+    /// trainer can attribute queue wait to telemetry.
+    Event { event: GraphEvent, queued: Instant },
     /// Commit now; reply with the outcome on the enclosed channel.
     Flush(mpsc::Sender<FlushOutcome>),
-    /// Durable barrier: freeze a snapshot stamped with this sequence
-    /// number, then ack. Non-durable trainers ack without snapshotting.
-    Checkpoint { seq: u64, ack: mpsc::Sender<()> },
     /// Drain nothing further and exit.
     Shutdown,
 }
@@ -116,27 +105,20 @@ pub(crate) fn bounded(
 
 impl IngestQueue {
     /// Enqueue one event under `admission`; [`ServeError::Closed`]
-    /// once the trainer exits. `seq` is the durable sequence number
-    /// (`0` = the trainer assigns its own).
+    /// once the trainer exits.
     ///
     /// The `ingest.enqueue` failpoint is *not* checked here: the
-    /// sessions check it before anything durable happens to the event
-    /// — on the sharded path that is the router WAL append, and
-    /// shedding after it would let recovery replay an event the live
-    /// run never applied.
-    pub fn send(
-        &self,
-        seq: u64,
-        event: GraphEvent,
-        admission: Admission,
-    ) -> Result<(), ServeError> {
+    /// sessions check it once per client event, before anything
+    /// happens to it — on the sharded path before the router records
+    /// it, since shedding one of its routed copies would leave that
+    /// shard behind the others.
+    pub fn send(&self, event: GraphEvent, admission: Admission) -> Result<(), ServeError> {
         loop {
             let depth = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
             // The high-water mark survives between polls: back-pressure
             // incidents show up in `stats` even after the queue drains.
             self.high_water.fetch_max(depth, Ordering::Relaxed);
             let msg = TrainerMsg::Event {
-                seq,
                 event,
                 queued: Instant::now(),
             };
@@ -201,16 +183,6 @@ impl IngestQueue {
         }
     }
 
-    /// Enqueue a durable barrier checkpoint stamped `seq` and wait for
-    /// the trainer to freeze (or skip, when non-durable) its snapshot.
-    pub(crate) fn request_checkpoint(&self, seq: u64) -> Result<(), ServeError> {
-        let (ack_tx, ack_rx) = mpsc::channel();
-        self.tx
-            .send(TrainerMsg::Checkpoint { seq, ack: ack_tx })
-            .map_err(|_| ServeError::Closed)?;
-        ack_rx.recv().map_err(|_| ServeError::Closed)
-    }
-
     /// Ask the trainer to exit; succeeds silently if it already has.
     pub(crate) fn send_shutdown(&self) {
         let _ = self.tx.send(TrainerMsg::Shutdown);
@@ -235,8 +207,8 @@ impl IngestQueue {
     /// Whether at least `n` slots are currently free (approximate, but
     /// conservative under a single writer: concurrent trainer drains
     /// only widen the headroom). The sharded fast-fail pre-check uses
-    /// this to refuse an event *before* WAL-logging it, so a shed event
-    /// is never half-accepted.
+    /// this to refuse an event *before* routing it, so a shed event is
+    /// never half-accepted.
     pub(crate) fn has_free(&self, n: usize) -> bool {
         self.capacity.saturating_sub(self.depth()) >= n
     }
@@ -274,8 +246,8 @@ mod tests {
     #[test]
     fn depth_and_accepted_track_flow() {
         let (q, inbox) = bounded(8, None);
-        q.send(0, ev(0), Admission::Block).unwrap();
-        q.send(0, ev(1), Admission::Block).unwrap();
+        q.send(ev(0), Admission::Block).unwrap();
+        q.send(ev(1), Admission::Block).unwrap();
         assert_eq!(q.depth(), 2);
         assert_eq!(q.accepted(), 2);
         assert!(matches!(inbox.recv(), Some(TrainerMsg::Event { .. })));
@@ -286,9 +258,9 @@ mod tests {
     #[test]
     fn high_water_mark_outlives_the_drain() {
         let (q, inbox) = bounded(8, None);
-        q.send(0, ev(0), Admission::Block).unwrap();
-        q.send(0, ev(1), Admission::Block).unwrap();
-        q.send(0, ev(2), Admission::Block).unwrap();
+        q.send(ev(0), Admission::Block).unwrap();
+        q.send(ev(1), Admission::Block).unwrap();
+        q.send(ev(2), Admission::Block).unwrap();
         assert_eq!(q.depth_high_water(), 3);
         for _ in 0..3 {
             inbox.recv();
@@ -299,7 +271,7 @@ mod tests {
             3,
             "high-water mark records the back-pressure peak after the fact"
         );
-        q.send(0, ev(3), Admission::Block).unwrap();
+        q.send(ev(3), Admission::Block).unwrap();
         assert_eq!(q.depth_high_water(), 3, "shallower refills don't move it");
     }
 
@@ -307,7 +279,7 @@ mod tests {
     fn instrumented_inbox_records_queue_wait() {
         let wait = Arc::new(Histogram::new());
         let (q, inbox) = bounded(8, Some(Arc::clone(&wait)));
-        q.send(0, ev(0), Admission::Block).unwrap();
+        q.send(ev(0), Admission::Block).unwrap();
         std::thread::sleep(Duration::from_millis(2));
         inbox.recv();
         assert_eq!(wait.count(), 1);
@@ -317,11 +289,11 @@ mod tests {
     #[test]
     fn full_queue_back_pressures_until_drained() {
         let (q, inbox) = bounded(2, None);
-        q.send(0, ev(0), Admission::Block).unwrap();
-        q.send(0, ev(1), Admission::Block).unwrap();
+        q.send(ev(0), Admission::Block).unwrap();
+        q.send(ev(1), Admission::Block).unwrap();
         // Third send must block until the consumer frees a slot.
         let q2 = q.clone();
-        let sender = std::thread::spawn(move || q2.send(0, ev(2), Admission::Block));
+        let sender = std::thread::spawn(move || q2.send(ev(2), Admission::Block));
         std::thread::sleep(Duration::from_millis(30));
         assert!(
             !sender.is_finished(),
@@ -332,26 +304,6 @@ mod tests {
         assert_eq!(q.accepted(), 3);
     }
 
-    #[test]
-    fn checkpoint_rides_behind_events_and_carries_its_seq() {
-        let (q, inbox) = bounded(8, None);
-        q.send(7, ev(0), Admission::Block).unwrap();
-        let q2 = q.clone();
-        let barrier = std::thread::spawn(move || q2.request_checkpoint(7));
-        match inbox.recv() {
-            Some(TrainerMsg::Event { seq, .. }) => assert_eq!(seq, 7),
-            _ => panic!("expected event message"),
-        }
-        match inbox.recv() {
-            Some(TrainerMsg::Checkpoint { seq, ack }) => {
-                assert_eq!(seq, 7);
-                ack.send(()).unwrap();
-            }
-            _ => panic!("expected checkpoint message"),
-        }
-        barrier.join().unwrap().unwrap();
-    }
-
     // What each `Admission` answers on a full queue with no trainer
     // draining it, and what it leaves behind. The session-level half —
     // `Admission × {single, sharded}` — is the table in `tests/chaos.rs`.
@@ -359,9 +311,9 @@ mod tests {
     #[test]
     fn try_send_sheds_on_full_and_reports_the_gauge() {
         let (q, inbox) = bounded(2, None);
-        q.send(0, ev(0), Admission::Shed).unwrap();
-        q.send(0, ev(1), Admission::Shed).unwrap();
-        match q.send(0, ev(2), Admission::Shed) {
+        q.send(ev(0), Admission::Shed).unwrap();
+        q.send(ev(1), Admission::Shed).unwrap();
+        match q.send(ev(2), Admission::Shed) {
             Err(ServeError::Overloaded { depth, capacity }) => {
                 assert_eq!(depth, 2);
                 assert_eq!(capacity, 2);
@@ -373,18 +325,18 @@ mod tests {
         assert!(!q.has_free(1));
         inbox.recv();
         assert!(q.has_free(1));
-        q.send(0, ev(3), Admission::Shed).unwrap();
+        q.send(ev(3), Admission::Shed).unwrap();
     }
 
     #[test]
     fn deadline_send_waits_then_gives_up() {
         let (q, inbox) = bounded(1, None);
-        q.send(0, ev(0), Admission::Block).unwrap();
+        q.send(ev(0), Admission::Block).unwrap();
         // No drain: the deadline expires against a full queue.
         let deadline = Instant::now() + Duration::from_millis(30);
         let start = Instant::now();
         assert!(matches!(
-            q.send(0, ev(1), Admission::Until(deadline)),
+            q.send(ev(1), Admission::Until(deadline)),
             Err(ServeError::DeadlineExceeded)
         ));
         assert!(start.elapsed() >= Duration::from_millis(25));
@@ -392,7 +344,7 @@ mod tests {
         let q2 = q.clone();
         let sender = std::thread::spawn(move || {
             let deadline = Instant::now() + Duration::from_secs(5);
-            q2.send(0, ev(2), Admission::Until(deadline))
+            q2.send(ev(2), Admission::Until(deadline))
         });
         std::thread::sleep(Duration::from_millis(10));
         inbox.recv();
@@ -431,7 +383,7 @@ mod tests {
         let (q, inbox) = bounded(2, None);
         drop(inbox);
         assert!(matches!(
-            q.send(0, ev(0), Admission::Block),
+            q.send(ev(0), Admission::Block),
             Err(ServeError::Closed)
         ));
         assert!(matches!(
@@ -445,7 +397,7 @@ mod tests {
     #[test]
     fn flush_rides_behind_events() {
         let (q, inbox) = bounded(8, None);
-        q.send(0, ev(0), Admission::Block).unwrap();
+        q.send(ev(0), Admission::Block).unwrap();
         let q2 = q.clone();
         let flusher = std::thread::spawn(move || q2.request_flush(Admission::Block));
         // The trainer side sees the event first, then the flush.

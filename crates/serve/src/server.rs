@@ -21,10 +21,13 @@ use crate::probe::{run_probe_round, ProbeSettings};
 use crate::protocol::{self, ErrorKind, NearestMode, ProtocolError, Request};
 use crate::queue::{Admission, FlushOutcome};
 use crate::session::{AnnSettings, ServeStats, ServingSession, SessionSpec, Trainee};
-use crate::shard::{RouterLineage, ShardedSession};
+use crate::shard::ShardedSession;
 use crate::telemetry::ServeTelemetry;
+use glodyne::EmbedderSession;
+use glodyne_embed::DynamicEmbedder;
 use glodyne_graph::state::GraphEvent;
 use glodyne_graph::NodeId;
+use glodyne_shard::ShardConfig;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -291,8 +294,7 @@ pub struct Server {
 impl Server {
     /// Move `trainee` into a [`ServingSession`] and serve it on `addr`
     /// (e.g. `"127.0.0.1:7878"`; port 0 picks a free port, see
-    /// [`Server::local_addr`]). An
-    /// [`EmbedderSession`](glodyne::EmbedderSession) serves in-memory;
+    /// [`Server::local_addr`]). An [`EmbedderSession`] serves in-memory;
     /// a [`DurableSession`](glodyne_durable::DurableSession) (created
     /// or recovered) serves crash-recoverably — the wire `shutdown`
     /// command then drains the ingest queue, fsyncs the WAL, and writes
@@ -310,22 +312,19 @@ impl Server {
         Server::bind_backend(Backend::Single(session), addr, &cfg)
     }
 
-    /// Serve partition-routed shards (one trainee and one trainer
-    /// thread each) behind the same wire protocol: events route through
-    /// a `glodyne-shard` [`ShardRouter`](glodyne_shard::ShardRouter),
-    /// `nearest` fans out across the shard epochs, and `stats` gains
-    /// the per-shard `"shards"` array. `lineage` is a
-    /// [`ShardConfig`](glodyne_shard::ShardConfig) for in-memory
-    /// serving, or — with the trainees — what
-    /// [`recover_sharded`](crate::recover_sharded) returned for
-    /// crash-recoverable serving (see [`ShardedSession::spawn`]).
-    pub fn bind_sharded<T: Trainee>(
-        trainees: Vec<T>,
-        lineage: impl Into<RouterLineage>,
+    /// Serve partition-routed in-memory shards (one session and one
+    /// trainer thread each) behind the same wire protocol: events route
+    /// through a `glodyne-shard` [`ShardRouter`](glodyne_shard::ShardRouter)
+    /// built from `shards`, `nearest` fans out across the shard epochs,
+    /// and `stats` gains the per-shard `"shards"` array (see
+    /// [`ShardedSession::spawn`]).
+    pub fn bind_sharded<E: DynamicEmbedder + Send + 'static>(
+        sessions: Vec<EmbedderSession<E>>,
+        shards: ShardConfig,
         addr: &str,
         cfg: ServerConfig,
     ) -> Result<Server, ServeError> {
-        let session = ShardedSession::spawn(trainees, lineage, cfg.session_spec())
+        let session = ShardedSession::spawn(sessions, shards, cfg.session_spec())
             .map_err(ServeError::Config)?;
         Server::bind_backend(Backend::Sharded(session), addr, &cfg)
     }

@@ -20,7 +20,8 @@
 //!
 //! [`ServingSession::spawn`] hands both to `spawn_trainer`, which moves
 //! the trainee onto a thread running `trainer_loop` (the sharded session
-//! calls the same function once per shard). From then on reads
+//! calls the same function once per shard, with in-memory trainees
+//! only). From then on reads
 //! ([`query`](ServingSession::query), [`nearest`](ServingSession::nearest),
 //! …) answer from the last *published* [`EmbeddingEpoch`] and never wait
 //! on training; writes ([`ingest`](ServingSession::ingest),
@@ -122,9 +123,9 @@ pub struct AnnStats {
 /// in-memory).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DurabilityStats {
-    /// Live WAL segment files (summed across lineages when sharded).
+    /// Live WAL segment files.
     pub wal_segments: u64,
-    /// Bytes across live WAL segments (summed when sharded).
+    /// Bytes across live WAL segments.
     pub wal_bytes: u64,
     /// Committed epoch of the newest snapshot barrier, if any.
     pub last_snapshot_epoch: Option<u64>,
@@ -153,8 +154,7 @@ impl DurabilityShared {
 }
 
 impl DurabilityStats {
-    /// The `stats` view of one lineage's counters (or several
-    /// lineages', summed by the caller).
+    /// The `stats` view of one lineage's counters.
     pub(crate) fn new(live: DurabilityCounters, recovered_from: Option<String>) -> Self {
         DurabilityStats {
             wal_segments: live.wal_segments,
@@ -366,21 +366,16 @@ pub trait Trainee: Send + Sized + 'static {
     fn session_mut(&mut self) -> &mut EmbedderSession<Self::Embedder>;
 
     /// Log (when durable), then apply one event; `Ok(true)` when the
-    /// session's policy committed a step. `seq` is the durable sequence
-    /// number: the router's client sequence on sharded ingest, `0`
-    /// ("assign your own") on unsharded ingest.
-    fn apply(&mut self, seq: u64, event: GraphEvent) -> io::Result<bool>;
+    /// session's policy committed a step.
+    fn apply(&mut self, event: GraphEvent) -> io::Result<bool>;
 
-    /// Commit the pending epoch; `Ok(true)` when a step actually ran.
-    fn flush(&mut self) -> io::Result<bool>;
+    /// Commit the pending epoch. Whether a step ran is read off the
+    /// session's step count, not this result: a durable flush can fail
+    /// its fsync *after* the step ran.
+    fn flush(&mut self) -> io::Result<()>;
 
     /// A step was just published (the periodic-snapshot hook).
     fn committed(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-
-    /// Barrier checkpoint: freeze the state, stamped with `seq`.
-    fn checkpoint(&mut self, _seq: u64) -> io::Result<()> {
         Ok(())
     }
 
@@ -400,12 +395,6 @@ pub trait Trainee: Send + Sized + 'static {
 
     /// Wire mode-specific I/O timings into the telemetry hub.
     fn instrument(&mut self, _telemetry: &ServeTelemetry) {}
-
-    /// Prepare to run as one shard of a
-    /// [`ShardedSession`](crate::ShardedSession).
-    fn into_shard(self) -> Self {
-        self
-    }
 }
 
 impl<E: DynamicEmbedder + Send + 'static> Trainee for EmbedderSession<E> {
@@ -415,24 +404,16 @@ impl<E: DynamicEmbedder + Send + 'static> Trainee for EmbedderSession<E> {
         self
     }
 
-    fn apply(&mut self, _seq: u64, event: GraphEvent) -> io::Result<bool> {
+    fn apply(&mut self, event: GraphEvent) -> io::Result<bool> {
         Ok(EmbedderSession::apply(self, event))
     }
 
-    fn flush(&mut self) -> io::Result<bool> {
-        Ok(EmbedderSession::flush(self).is_some())
-    }
-
-    /// A shard legitimately holds disconnected halo fragments, so it
-    /// commits the full graph, not the largest connected component.
-    fn into_shard(self) -> Self {
-        self.keep_full_graph()
+    fn flush(&mut self) -> io::Result<()> {
+        EmbedderSession::flush(self);
+        Ok(())
     }
 }
 
-/// `into_shard` stays the identity: a lineage fixes its own commit mode
-/// (`lcc_only` is part of every snapshot; flipping it would break
-/// bit-exact replay), and sharded recovery creates them full-graph.
 impl<E: CheckpointEmbedder + Send + 'static> Trainee for DurableSession<E> {
     type Embedder = E;
 
@@ -440,21 +421,17 @@ impl<E: CheckpointEmbedder + Send + 'static> Trainee for DurableSession<E> {
         DurableSession::session_mut(self)
     }
 
-    fn apply(&mut self, seq: u64, event: GraphEvent) -> io::Result<bool> {
-        let seq = if seq == 0 { self.last_seq() + 1 } else { seq };
+    fn apply(&mut self, event: GraphEvent) -> io::Result<bool> {
+        let seq = self.last_seq() + 1;
         DurableSession::apply(self, seq, event)
     }
 
-    fn flush(&mut self) -> io::Result<bool> {
-        Ok(DurableSession::flush(self)?.is_some())
+    fn flush(&mut self) -> io::Result<()> {
+        DurableSession::flush(self).map(|_| ())
     }
 
     fn committed(&mut self) -> io::Result<()> {
         self.maybe_snapshot().map(|_| ())
-    }
-
-    fn checkpoint(&mut self, seq: u64) -> io::Result<()> {
-        self.snapshot_at(seq)
     }
 
     /// Clean: flush, fsync, final snapshot — a restart replays nothing.
@@ -758,7 +735,7 @@ impl ServingSession {
         for (i, &event) in events.iter().enumerate() {
             let sent = queue
                 .enqueue_failpoint()
-                .and_then(|()| queue.send(0, event, admission));
+                .and_then(|()| queue.send(event, admission));
             if let Err(e) = sent {
                 return if i == 0 { Err(e) } else { Ok(i) };
             }
@@ -877,30 +854,29 @@ fn trainer_loop<T: Trainee>(
             match msg {
                 // The policy may commit on its own (timestamp / every-n
                 // boundaries); publish whenever it does.
-                TrainerMsg::Event { seq, event, .. } => match trainee.apply(seq, event) {
+                TrainerMsg::Event { event, .. } => match trainee.apply(event) {
                     Ok(true) => commit(&mut trainee),
                     Ok(false) => {}
                     Err(e) => eprintln!("glodyne-serve: wal append failed: {e}"),
                 },
                 TrainerMsg::Flush(ack) => {
-                    let stepped = trainee.flush().unwrap_or_else(|e| {
+                    // A step that ran is published and acked even when
+                    // the durable flush failed after it (a failed fsync):
+                    // the reply's epoch and the served epoch must agree.
+                    let before = trainee.session_mut().steps();
+                    if let Err(e) = trainee.flush() {
                         eprintln!("glodyne-serve: wal flush failed: {e}");
-                        false
-                    });
+                    }
+                    let epoch = trainee.session_mut().steps();
+                    let stepped = epoch != before;
                     if stepped {
                         commit(&mut trainee);
                     }
                     health.flush_completed();
                     let _ = ack.send(FlushOutcome {
                         stepped,
-                        epoch: trainee.session_mut().steps() as u64,
+                        epoch: epoch as u64,
                     });
-                }
-                TrainerMsg::Checkpoint { seq, ack } => {
-                    if let Err(e) = trainee.checkpoint(seq) {
-                        eprintln!("glodyne-serve: barrier snapshot failed: {e}");
-                    }
-                    let _ = ack.send(());
                 }
                 TrainerMsg::Shutdown => break,
             }
@@ -1489,10 +1465,10 @@ mod tests {
     /// An epoch as a reader saw it: its id and every probed row's bits.
     type ObservedEpoch = (u64, Vec<Option<Vec<u32>>>);
 
-    /// One script — events, a policy-triggered commit, flushes, a
-    /// barrier checkpoint, a stop with events still pending — driven
-    /// through the one trainer loop; returns every epoch observed at a
-    /// barrier (id + row bits) and every flush outcome.
+    /// One script — events, a policy-triggered commit, flushes, a stop
+    /// with events still pending — driven through the one trainer loop;
+    /// returns every epoch observed at a barrier (id + row bits) and
+    /// every flush outcome.
     fn run_contract_script<T: Trainee>(
         trainee: T,
         flush_before_stop: bool,
@@ -1522,8 +1498,6 @@ mod tests {
         serving.ingest(&skips[..3]).unwrap();
         outcomes.push(serving.flush().unwrap());
         epochs.push(observe(&serving));
-        // A barrier checkpoint is acked by every kind of trainee.
-        serving.trainer.queue.request_checkpoint(7).unwrap();
         // Two events are still pending when the stop arrives.
         serving.ingest(&skips[3..]).unwrap();
         if flush_before_stop {

@@ -20,8 +20,7 @@ use glodyne_durable::{DurableConfig, DurableSession, FsyncPolicy};
 use glodyne_embed::walks::WalkConfig;
 use glodyne_embed::SgnsConfig;
 use glodyne_serve::json::Json;
-use glodyne_serve::{json, recover_sharded, AnnSettings, Server, ServerConfig};
-use glodyne_shard::ShardConfig;
+use glodyne_serve::{json, AnnSettings, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -275,81 +274,6 @@ fn ann_durable_server_restart_is_byte_exact_for_exact_and_full_probe_reads() {
         ann_surface(&mut client),
         before,
         "exact and full-probe nearest replies must be byte-identical after restart"
-    );
-    server.request_shutdown();
-    server.join();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn sharded_durable_server_restart_is_byte_exact_over_the_wire() {
-    let dir = durable_dir("sharded");
-    let shard_cfg = ShardConfig {
-        shards: 2,
-        min_partition_nodes: 8,
-        ..Default::default()
-    };
-    let dcfg = DurableConfig {
-        fsync: FsyncPolicy::EveryFlush,
-        snapshot_every: 1,
-        ..DurableConfig::default()
-    };
-    let bind = |dir: &std::path::Path| {
-        let (trainees, lineage) =
-            recover_sharded(dir, shard_cfg, dcfg, EpochPolicy::Manual, |_| tiny_model())
-                .expect("recover sharded lineages");
-        let recovered = lineage.recovered_from().map(str::to_owned);
-        let server =
-            Server::bind_sharded(trainees, lineage, "127.0.0.1:0", ServerConfig::default())
-                .expect("bind sharded durable server");
-        (server, recovered)
-    };
-    let (server, recovered) = bind(&dir);
-    assert!(recovered.is_none(), "fresh directory");
-    let mut client = Client::connect(server.local_addr());
-
-    // Two tight communities and a bridge, enough for a rebalance.
-    let mut edges = Vec::new();
-    for c in 0..2u32 {
-        let base = c * 10;
-        for i in 0..10 {
-            for j in (i + 1)..10 {
-                edges.push(format!("[{},{},0]", base + i, base + j));
-            }
-        }
-    }
-    edges.push("[0,10,0]".to_string());
-    let ingest = client.round_trip(&format!(
-        r#"{{"cmd":"ingest","edges":[{}]}}"#,
-        edges.join(",")
-    ));
-    assert!(is_ok(&ingest), "{ingest}");
-    let flush = client.round_trip(r#"{"cmd":"flush"}"#);
-    assert!(is_ok(&flush), "{flush}");
-
-    let before = read_surface(&mut client);
-    let bye = client.round_trip(r#"{"cmd":"shutdown"}"#);
-    assert!(is_ok(&bye), "{bye}");
-    server.join();
-
-    let (server, recovered) = bind(&dir);
-    let provenance = recovered.expect("lineage found on restart");
-    assert!(
-        provenance.contains("+ 0 router events"),
-        "clean shutdown replays nothing: {provenance}"
-    );
-    let mut client = Client::connect(server.local_addr());
-    assert_eq!(
-        read_surface(&mut client),
-        before,
-        "sharded query/nearest responses must be byte-identical after restart"
-    );
-    let stats = client.round_trip(r#"{"cmd":"stats"}"#);
-    let durability = stats.get("durability").expect("durability key");
-    assert_eq!(
-        durability.get("recovered_from").and_then(Json::as_str),
-        Some(provenance.as_str()),
-        "{stats}"
     );
     server.request_shutdown();
     server.join();

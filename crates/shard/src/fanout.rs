@@ -83,8 +83,8 @@ pub fn nearest_exact(
 /// so halo hits don't crowd owned rows out of its contribution; a very
 /// boundary-heavy shard can still contribute fewer than `k` owned
 /// candidates — this path is approximate by contract; its recall is
-/// measured in `bench_shard`. Use [`nearest_exact`] for the exact
-/// guarantee.
+/// the end-to-end benchmark's `recall_at_10` on the sharded workload.
+/// Use [`nearest_exact`] for the exact guarantee.
 pub fn nearest_approx(
     views: &[ShardView<'_>],
     owner: impl Fn(NodeId) -> Option<u32>,

@@ -21,15 +21,13 @@
 //!   ownership, and everything merges through the shared
 //!   `TopKSelector` under `rank_similarity` — the exact path is
 //!   bit-exact with an unsharded scan of the owner-filtered union.
-//! - [`ShardedState`] is the synchronous composition (one
-//!   [`EmbedderSession`](glodyne::EmbedderSession) per shard); the
-//!   threaded, epoch-swapped version lives in `glodyne-serve` as
-//!   `ShardedSession`.
+//!
+//! The composition — one in-memory session and trainer thread per
+//! shard behind the router — lives in `glodyne-serve` as
+//! `ShardedSession`.
 
 pub mod fanout;
 pub mod router;
-pub mod state;
 
 pub use fanout::{nearest_approx, nearest_approx_batch, nearest_exact, union_embedding, ShardView};
 pub use router::{Rebalance, RouterStats, ShardConfig, ShardRouter};
-pub use state::ShardedState;

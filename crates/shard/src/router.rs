@@ -70,10 +70,7 @@ pub struct ShardConfig {
     /// per flush boundary when draining a drift rebalance (`0` means
     /// unlimited). Rebalancing is deferred to flush boundaries and
     /// spread across them under this budget, so a large re-partition
-    /// cannot monopolise the write path. Recovery replays flush
-    /// boundaries under the *same* budget, which is why this lives in
-    /// the shard config rather than a runtime setter: both runs must
-    /// agree for bit-exact recovery.
+    /// cannot monopolise the write path.
     pub rebalance_budget: usize,
     /// ANN fan-out over-fetch factor (>= 1): each shard's IVF index is
     /// asked for `k * ann_overfetch` candidates before the ownership
@@ -421,138 +418,6 @@ impl ShardRouter {
         self.last_moved = moved;
         Rebalance { events, moved }
     }
-    /// Serialise the router's full state — placement map, drift
-    /// counters, epoch clock, and the global mirror's edges — for a
-    /// durable snapshot (the `PAYLOAD_ROUTER` payload of the durable
-    /// crate's container format). [`ShardRouter::restore`] is the
-    /// exact inverse: a restored router routes every future event
-    /// identically to the original.
-    pub fn export_state(&self) -> Vec<u8> {
-        let mut placements: Vec<(NodeId, Placement)> =
-            self.placement.iter().map(|(&n, &p)| (n, p)).collect();
-        placements.sort_unstable_by_key(|&(n, _)| n);
-        let edges: Vec<_> = self.global.edges().collect();
-        let mut out = Vec::with_capacity(44 + placements.len() * 9 + edges.len() * 8);
-        out.extend_from_slice(ROUTER_MAGIC);
-        out.extend_from_slice(&ROUTER_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.time.to_le_bytes());
-        out.extend_from_slice(&self.rebalances.to_le_bytes());
-        out.extend_from_slice(&(self.last_moved as u64).to_le_bytes());
-        out.extend_from_slice(&(placements.len() as u32).to_le_bytes());
-        for (node, p) in placements {
-            out.extend_from_slice(&node.0.to_le_bytes());
-            out.extend_from_slice(&p.shard.to_le_bytes());
-            out.push(p.pinned as u8);
-        }
-        out.extend_from_slice(&(edges.len() as u32).to_le_bytes());
-        for e in edges {
-            out.extend_from_slice(&e.u.0.to_le_bytes());
-            out.extend_from_slice(&e.v.0.to_le_bytes());
-        }
-        out
-    }
-
-    /// Rebuild a router from [`ShardRouter::export_state`] bytes.
-    /// `cfg` must be the configuration the exporting router ran with.
-    /// Corrupt or truncated bytes yield `Err` — never a panic.
-    pub fn restore(cfg: ShardConfig, bytes: &[u8]) -> Result<Self, String> {
-        cfg.validate().map_err(|e| e.to_string())?;
-        let mut r = StateReader { bytes, pos: 0 };
-        if r.take(4)? != ROUTER_MAGIC {
-            return Err("bad router state magic".into());
-        }
-        if r.u32()? != ROUTER_VERSION {
-            return Err("unsupported router state version".into());
-        }
-        let time = r.u64()?;
-        let rebalances = r.u64()?;
-        let last_moved = r.u64()? as usize;
-        let n_placed = r.u32()? as usize;
-        if n_placed > bytes.len() / 9 {
-            return Err("placement count exceeds payload".into());
-        }
-        let mut placement = HashMap::with_capacity(n_placed);
-        let mut hash_placed = 0usize;
-        for _ in 0..n_placed {
-            let node = NodeId(r.u32()?);
-            let shard = r.u32()?;
-            if shard as usize >= cfg.shards {
-                return Err(format!("placement shard {shard} out of range"));
-            }
-            let pinned = match r.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err("bad pinned flag".into()),
-            };
-            if !pinned {
-                hash_placed += 1;
-            }
-            if placement
-                .insert(node, Placement { shard, pinned })
-                .is_some()
-            {
-                return Err("duplicate node in placement map".into());
-            }
-        }
-        let n_edges = r.u32()? as usize;
-        if n_edges > bytes.len() / 8 {
-            return Err("edge count exceeds payload".into());
-        }
-        let mut global = GraphState::new();
-        for _ in 0..n_edges {
-            let u = NodeId(r.u32()?);
-            let v = NodeId(r.u32()?);
-            if !global.add_edge(u, v) {
-                return Err("invalid edge in router state".into());
-            }
-        }
-        if r.pos != bytes.len() {
-            return Err("trailing bytes in router state".into());
-        }
-        Ok(ShardRouter {
-            cfg,
-            global,
-            placement,
-            hash_placed,
-            time,
-            rebalances,
-            last_moved,
-        })
-    }
-}
-
-const ROUTER_MAGIC: &[u8; 4] = b"GDRT";
-const ROUTER_VERSION: u32 = 1;
-
-/// Bounds-checked little-endian cursor for [`ShardRouter::restore`].
-struct StateReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> StateReader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or("router state truncated")?;
-        let out = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
 }
 
 /// The (up to two) owners hosting an edge.
@@ -769,65 +634,6 @@ mod tests {
         }
         assert!(!r.needs_rebalance());
         assert!(r.maybe_rebalance().is_none());
-    }
-
-    #[test]
-    fn export_restore_routes_identically() {
-        let cfg = ShardConfig {
-            shards: 3,
-            min_partition_nodes: 8,
-            ..Default::default()
-        };
-        let mut original = ShardRouter::new(cfg).unwrap();
-        for i in 0..40u32 {
-            original.route(GraphEvent::add_edge(
-                NodeId(i % 13),
-                NodeId(i + 5),
-                u64::from(i),
-            ));
-        }
-        original.rebalance();
-        for i in 0..10u32 {
-            original.route(GraphEvent::add_edge(NodeId(100 + i), NodeId(i), 50));
-        }
-
-        let bytes = original.export_state();
-        let mut restored = ShardRouter::restore(cfg, &bytes).unwrap();
-        assert_eq!(restored.stats(), original.stats());
-        assert_eq!(*restored.global(), *original.global());
-        assert_eq!(restored.needs_rebalance(), original.needs_rebalance());
-
-        // Every future event routes identically, including new-node
-        // hash placement and a full rebalance.
-        for i in 0..30u32 {
-            let ev = GraphEvent::add_edge(NodeId(200 + i), NodeId(i % 17), 60 + u64::from(i));
-            assert_eq!(original.route(ev), restored.route(ev));
-        }
-        let (a, b) = (original.rebalance(), restored.rebalance());
-        assert_eq!(a.moved, b.moved);
-        assert_eq!(a.events, b.events);
-    }
-
-    #[test]
-    fn restore_rejects_corrupt_state() {
-        let cfg = ShardConfig::with_shards(2);
-        let mut r = ShardRouter::new(cfg).unwrap();
-        for i in 0..10u32 {
-            r.route(GraphEvent::add_edge(NodeId(i), NodeId(i + 1), 0));
-        }
-        let bytes = r.export_state();
-        assert!(ShardRouter::restore(cfg, &[]).is_err());
-        for cut in 0..bytes.len() {
-            assert!(
-                ShardRouter::restore(cfg, &bytes[..cut]).is_err(),
-                "cut {cut}"
-            );
-        }
-        let mut bad_magic = bytes.clone();
-        bad_magic[0] = b'X';
-        assert!(ShardRouter::restore(cfg, &bad_magic).is_err());
-        // A shard index past the configured count is rejected.
-        assert!(ShardRouter::restore(ShardConfig::with_shards(1), &bytes).is_err());
     }
 
     #[test]
