@@ -62,6 +62,7 @@ use glodyne_embed::Embedding;
 use glodyne_graph::NodeId;
 use glodyne_serve::{probe_recall, EmbeddingEpoch};
 use glodyne_telemetry::Registry;
+use std::sync::Arc;
 use std::time::Instant;
 
 const K: usize = 10;
@@ -696,9 +697,9 @@ fn main() {
     );
     let epoch = EmbeddingEpoch {
         epoch: 1,
-        embedding: emb,
+        embedding: Arc::new(emb),
         report: None,
-        index: Some(index),
+        index: Some(Arc::new(index)),
     };
     let probed = probe_recall(&epoch, K, 32, seed.wrapping_add(1), nprobe)
         .expect("clustered epoch with an index is always measurable");

@@ -312,12 +312,16 @@ pub fn stream(opts: &Opts) -> Result<String, CliError> {
     let ann = parse_ann(opts)?;
     let model = GloDyNE::new(glodyne_config(opts)?)?;
     let mut session = EmbedderSession::new(model, policy)?;
+    // A flush only marks the index stale, so without `--query` nothing
+    // is built; with it, the one build is a cold one over the final
+    // embedding.
+    session.set_ann(ann.map(|settings| settings.config))?;
 
     let mut out = String::new();
     let mut t = 0usize;
     for &event in &events {
         if session.apply(event.into()) {
-            let r = session.reports()[t];
+            let r = session.last_report().expect("apply committed a step");
             let snap = session.last_snapshot().expect("committed snapshot");
             out.push_str(&report_line(t, snap.num_nodes(), snap.num_edges(), &r));
             out.push('\n');
@@ -338,44 +342,34 @@ pub fn stream(opts: &Opts) -> Result<String, CliError> {
 
     if let Some(nodes) = parse_query_nodes(opts)? {
         let k = opts.get("top-k", 10usize);
-        // Exact answers for every probe up front. The ANN index is
-        // built once over the final embedding — the per-step rebuilds of
-        // `EmbedderSession::with_ann` only pay off when queries
-        // interleave with steps (the serving layer) — and its scan
-        // scratch is shared across the batch.
         let exact = session.nearest_batch(&nodes, k);
-        let index = ann
-            .as_ref()
-            .map(|settings| glodyne::IvfIndex::build(session.embedding(), &settings.config));
-        let mut scratch = glodyne_ann::SearchScratch::new();
-        for (&node, hits) in nodes.iter().zip(&exact) {
+        // The session's own index answers the ANN block, at the
+        // effective probe width (the serve path's contract); SQ8
+        // indexes re-rank against the session's exact rows.
+        let approx = ann.and_then(|settings| {
+            let index = session.ensure_ann_index()?;
+            let (cells, nprobe) = (
+                index.cells(),
+                index.effective_nprobe(settings.default_nprobe),
+            );
+            let hits = session.nearest_batch_approx(&nodes, k, nprobe)?;
+            Some((cells, nprobe, hits))
+        });
+        for (i, (&node, hits)) in nodes.iter().zip(&exact).enumerate() {
             let query = node.0;
-            let Some(vector) = session.query(node) else {
+            if session.query(node).is_none() {
                 out.push_str(&format!("node {query}: no embedding\n"));
                 continue;
-            };
+            }
             out.push_str(&format!("nearest neighbours of {query} (exact):\n"));
             for &(id, sim) in hits {
                 out.push_str(&format!("  {:>10}  cos={sim:.4}\n", id.0));
             }
-            if let (Some(settings), Some(index)) = (&ann, &index) {
-                // Report the effective probe width, matching the serve
-                // path's contract; SQ8 indexes re-rank against the
-                // session's exact rows.
-                let nprobe = index.effective_nprobe(settings.default_nprobe);
-                let hits = index.search_in_with(
-                    session.embedding(),
-                    vector,
-                    k,
-                    nprobe,
-                    Some(node),
-                    &mut scratch,
-                );
+            if let Some((cells, nprobe, approx)) = &approx {
                 out.push_str(&format!(
-                    "nearest neighbours of {query} (ann, cells={} nprobe={nprobe}):\n",
-                    index.cells()
+                    "nearest neighbours of {query} (ann, cells={cells} nprobe={nprobe}):\n"
                 ));
-                for (id, sim) in hits {
+                for &(id, sim) in &approx[i] {
                     out.push_str(&format!("  {:>10}  cos={sim:.4}\n", id.0));
                 }
             }
@@ -1315,6 +1309,17 @@ mod tests {
             out.contains("nearest neighbours of 0 (ann, cells=4 nprobe=4)"),
             "{out}"
         );
+        // Probing every cell, the session's index answers exactly.
+        let block = |header: &str| -> Vec<&str> {
+            out.lines()
+                .skip_while(|line| !line.starts_with(header))
+                .skip(1)
+                .take_while(|line| line.starts_with("  "))
+                .collect()
+        };
+        let exact = block("nearest neighbours of 0 (exact)");
+        assert!(!exact.is_empty(), "{out}");
+        assert_eq!(exact, block("nearest neighbours of 0 (ann"), "{out}");
 
         // Degenerate ANN parameters surface as config errors.
         args.extend(["--cells".into(), "0".into()]);

@@ -73,5 +73,5 @@ pub use glodyne_embed::traits::{CheckpointEmbedder, PhaseTimes, StepContext, Ste
 pub use model::{GloDyNE, GloDyNEConfig, GloDyNEConfigBuilder};
 pub use reservoir::Reservoir;
 pub use select::Strategy;
-pub use session::{EmbedderSession, EpochPolicy, SessionCheckpoint};
+pub use session::{nearest_batch_in, EmbedderSession, EpochPolicy, SessionCheckpoint};
 pub use variants::{SgnsIncrement, SgnsRetrain, SgnsStatic};

@@ -11,6 +11,13 @@
 //! The offline/online split of Algorithm 1 falls out naturally: the
 //! first committed snapshot is the offline stage (`prev = None`), every
 //! later commit is an online step with the precomputed diff.
+//!
+//! The session is also the one owner of an epoch's vectors and its
+//! approximate-search index: the embedding and the [`IvfIndex`] live
+//! behind `Arc`s, the index is built (incrementally from the previous
+//! one) only by [`EmbedderSession::ensure_ann_index`], and a server
+//! publishes the same handles ([`EmbedderSession::share_epoch`])
+//! instead of copying them.
 
 use glodyne_ann::{BatchQuery, IvfConfig, IvfIndex, SearchScratch};
 use glodyne_embed::config::ConfigError;
@@ -19,6 +26,7 @@ use glodyne_embed::Embedding;
 use glodyne_graph::id::TimedEdge;
 use glodyne_graph::state::{GraphEvent, GraphState};
 use glodyne_graph::{NodeId, Snapshot};
+use std::sync::Arc;
 
 /// When a session turns buffered events into a snapshot boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,8 +56,9 @@ pub enum EpochPolicy {
 ///     .map(|i| TimedEdge::new(NodeId(i), NodeId(i + 1), (i / 10) as u64))
 ///     .collect();
 /// session.ingest(&stream); // two boundaries crossed (t=0->1, 1->2)
-/// session.flush();         // commit the final partial epoch
-/// assert_eq!(session.reports().len(), 3);
+/// let last = session.flush().unwrap(); // commit the final partial epoch
+/// assert_eq!(session.steps(), 3);
+/// assert!(last.trained_pairs > 0);
 /// assert!(session.query(NodeId(0)).is_some());
 /// ```
 pub struct EmbedderSession<E: DynamicEmbedder> {
@@ -58,8 +67,14 @@ pub struct EmbedderSession<E: DynamicEmbedder> {
     policy: EpochPolicy,
     lcc_only: bool,
     prev: Option<Snapshot>,
-    latest: Embedding,
-    reports: Vec<StepReport>,
+    /// Shared with every published epoch that still holds it; a commit
+    /// swaps in a new `Arc` instead of writing through this one.
+    latest: Arc<Embedding>,
+    /// Committed embedding steps.
+    steps: usize,
+    /// The most recent committed step's report (`None` before the first
+    /// commit, and after a resume until the next one).
+    last_report: Option<StepReport>,
     /// Effective events applied since the last commit.
     pending: usize,
     /// Highest timestamp seen so far (a running max, so an out-of-order
@@ -68,32 +83,27 @@ pub struct EmbedderSession<E: DynamicEmbedder> {
     /// Optional approximate-search state; see
     /// [`EmbedderSession::with_ann`].
     ann: Option<AnnState>,
-    /// Nodes whose embedding vector changed since the dirty set was
-    /// last drained — computed by diffing the live embedding at each
-    /// commit (bitwise row compare, so it is exact for any embedder,
-    /// not an estimate). Ordered so drains are deterministic. Fed to
-    /// [`IvfIndex::update_from`] by the lazy index maintenance and by
-    /// external trainers via [`EmbedderSession::take_dirty`].
-    dirty: std::collections::BTreeSet<NodeId>,
 }
 
-/// ANN configuration plus the lazily built index over the latest
-/// committed embedding. A commit only marks the index stale; the build
-/// happens on the first [`EmbedderSession::nearest_approx`] of the new
-/// epoch, so sessions that flush many times between queries pay for at
-/// most one build per *queried* epoch instead of one per flush.
+/// ANN configuration plus the index over the latest committed
+/// embedding. A commit only marks the index stale; the build happens on
+/// the next [`EmbedderSession::ensure_ann_index`], so a session that
+/// flushes many times between reads pays for one build per *read*
+/// epoch instead of one per flush.
 struct AnnState {
     config: IvfConfig,
-    index: Option<IvfIndex>,
+    index: Option<Arc<IvfIndex>>,
     /// The most recently built index, retained across commits as the
-    /// warm start for [`IvfIndex::update_from`]: the next lazy build
+    /// warm start for [`IvfIndex::update_from`]: the next build
     /// reassigns only the rows the session's dirty set accumulated (or,
     /// on drift, re-fits this index's centroids) instead of re-running
     /// k-means from cold seeds.
-    prev: Option<IvfIndex>,
-    /// Index builds performed over the session's lifetime (telemetry;
-    /// pins the build-on-first-query contract in tests).
-    builds: u64,
+    prev: Option<Arc<IvfIndex>>,
+    /// Nodes whose embedding vector changed since the last build —
+    /// computed by diffing the live embedding at each commit (bitwise
+    /// row compare, so it is exact for any embedder, not an estimate).
+    /// Ordered so builds are deterministic.
+    dirty: std::collections::BTreeSet<NodeId>,
 }
 
 impl<E: DynamicEmbedder> EmbedderSession<E> {
@@ -111,7 +121,7 @@ impl<E: DynamicEmbedder> EmbedderSession<E> {
                 "EveryNEvents requires n >= 1 (0 would commit on every event boundary check)",
             ));
         }
-        let latest = embedder.embedding();
+        let latest = Arc::new(embedder.embedding());
         Ok(EmbedderSession {
             embedder,
             state: GraphState::new(),
@@ -119,11 +129,11 @@ impl<E: DynamicEmbedder> EmbedderSession<E> {
             lcc_only: true,
             prev: None,
             latest,
-            reports: Vec::new(),
+            steps: 0,
+            last_report: None,
             pending: 0,
             current_time: None,
             ann: None,
-            dirty: std::collections::BTreeSet::new(),
         })
     }
 
@@ -135,22 +145,34 @@ impl<E: DynamicEmbedder> EmbedderSession<E> {
     }
 
     /// Maintain an [`IvfIndex`] over the live embedding and answer
-    /// [`nearest_approx`](EmbedderSession::nearest_approx) from it.
-    /// The index is built lazily — on the first `nearest_approx` after
-    /// each committed step, not at the flush itself — so a stream of
-    /// flushes with no queries in between costs nothing extra. The
-    /// exact [`nearest`](EmbedderSession::nearest) path is untouched.
-    /// Rejects an invalid `config` like every other constructor in
-    /// this workspace.
+    /// [`nearest_batch_approx`](EmbedderSession::nearest_batch_approx)
+    /// from it. A flush only marks the index stale; the build happens
+    /// on [`ensure_ann_index`](EmbedderSession::ensure_ann_index) (which
+    /// approximate reads call), so a stream of flushes with no reads in
+    /// between costs nothing extra. The exact
+    /// [`nearest`](EmbedderSession::nearest) path is untouched. Rejects
+    /// an invalid `config` like every other constructor in this
+    /// workspace.
     pub fn with_ann(mut self, config: IvfConfig) -> Result<Self, ConfigError> {
-        config.validate()?;
-        self.ann = Some(AnnState {
+        self.set_ann(Some(config))?;
+        Ok(self)
+    }
+
+    /// [`with_ann`](EmbedderSession::with_ann) on a session in place;
+    /// `None` switches approximate search off. Either way any index
+    /// built so far is dropped, so the next build is a cold one over
+    /// the live embedding.
+    pub fn set_ann(&mut self, config: Option<IvfConfig>) -> Result<(), ConfigError> {
+        if let Some(config) = &config {
+            config.validate()?;
+        }
+        self.ann = config.map(|config| AnnState {
             config,
             index: None,
             prev: None,
-            builds: 0,
+            dirty: Default::default(),
         });
-        Ok(self)
+        Ok(())
     }
 
     /// Apply one event; returns `true` if it triggered an embedding
@@ -214,7 +236,8 @@ impl<E: DynamicEmbedder> EmbedderSession<E> {
         // dirty set the incremental index maintenance reassigns.
         // Removed rows aren't listed: `IvfIndex::update_from` detects
         // them from the embedding itself.
-        let old = std::mem::replace(&mut self.latest, self.embedder.embedding());
+        let old = std::mem::replace(&mut self.latest, Arc::new(self.embedder.embedding()));
+        let mut dirty = self.ann.as_mut().map(|ann| &mut ann.dirty);
         report.dirty_rows = 0;
         for (id, v) in self.latest.iter() {
             let changed = match old.get(id) {
@@ -229,20 +252,23 @@ impl<E: DynamicEmbedder> EmbedderSession<E> {
             };
             if changed {
                 report.dirty_rows += 1;
-                self.dirty.insert(id);
+                if let Some(dirty) = &mut dirty {
+                    dirty.insert(id);
+                }
             }
         }
         if let Some(ann) = &mut self.ann {
             // Only mark the index stale; the (incremental) rebuild
-            // happens lazily on the first `nearest_approx` of the new
-            // epoch. The last built index is kept as the warm start.
+            // happens on the next `ensure_ann_index`. The last built
+            // index is kept as the warm start.
             if let Some(ix) = ann.index.take() {
                 ann.prev = Some(ix);
             }
         }
         self.prev = Some(snap);
         self.pending = 0;
-        self.reports.push(report);
+        self.steps += 1;
+        self.last_report = Some(report);
         Some(report)
     }
 
@@ -265,126 +291,53 @@ impl<E: DynamicEmbedder> EmbedderSession<E> {
             .collect()
     }
 
-    /// Approximate `k` nearest neighbours of `node` from the session's
-    /// [`IvfIndex`], probing `nprobe` coarse cells. `None` when ANN was
-    /// not enabled ([`EmbedderSession::with_ann`]); empty before the
-    /// first committed step or for a node with no embedding. At
-    /// `nprobe >= cells` this is bit-exact with
-    /// [`nearest`](EmbedderSession::nearest) — with SQ8 storage, given
-    /// a re-rank pool covering the epoch.
-    ///
-    /// The first call after a committed step builds the epoch's index
-    /// (hence `&mut self`); further calls in the same epoch reuse it.
-    /// Quantized indexes re-rank against the live embedding, so served
-    /// scores always come from the exact kernel.
-    pub fn nearest_approx(
-        &mut self,
-        node: NodeId,
-        k: usize,
-        nprobe: usize,
-    ) -> Option<Vec<(NodeId, f32)>> {
-        self.ann.as_ref()?;
-        if self.ensure_ann_index().is_none() {
-            // Enabled but nothing committed yet.
-            return Some(Vec::new());
-        }
-        let index = self.ann.as_ref()?.index.as_ref()?;
-        Some(match self.latest.get(node) {
-            Some(query) => index.search_in(&self.latest, query, k, nprobe, Some(node)),
-            None => Vec::new(),
-        })
-    }
-
-    /// [`nearest_approx`](EmbedderSession::nearest_approx) for many
-    /// nodes against one index build, through
-    /// [`IvfIndex::search_in_batch_with`] (grouped where that pays).
-    /// Results are positionally parallel to `nodes` (empty for a node
-    /// without an embedding); bit-exact with per-node `nearest_approx`
-    /// calls in the same epoch.
+    /// [`nearest_batch_in`] the session's [`IvfIndex`] (built first if
+    /// stale) and live embedding; `None` when ANN was not enabled
+    /// ([`EmbedderSession::with_ann`]). At `nprobe >= cells` this is
+    /// bit-exact with [`nearest`](EmbedderSession::nearest) — with SQ8
+    /// storage, given a re-rank pool covering the epoch.
     pub fn nearest_batch_approx(
         &mut self,
         nodes: &[NodeId],
         k: usize,
         nprobe: usize,
     ) -> Option<Vec<Vec<(NodeId, f32)>>> {
-        self.ann.as_ref()?;
-        if self.ensure_ann_index().is_none() {
-            return Some(nodes.iter().map(|_| Vec::new()).collect());
-        }
-        let index = self.ann.as_ref()?.index.as_ref()?;
-        // An unknown node is an empty query, which the index answers
-        // with an empty list.
-        let queries: Vec<BatchQuery<'_>> = nodes
-            .iter()
-            .map(|&node| BatchQuery {
-                query: self.latest.get(node).unwrap_or_default(),
-                exclude: Some(node),
-            })
-            .collect();
-        let scratch = &mut SearchScratch::new();
-        Some(index.search_in_batch_with(&self.latest, &queries, k, nprobe, scratch))
+        let (embedding, index) = self.share_epoch();
+        let index = index?;
+        Some(nearest_batch_in(&index, &embedding, nodes, k, nprobe))
     }
 
     /// Build the current epoch's ANN index if it is stale and return
-    /// it — the explicit form of the lazy build
-    /// [`nearest_approx`](EmbedderSession::nearest_approx) performs
-    /// implicitly (the sharded fan-out calls this before snapshotting
-    /// per-shard views). `None` when ANN is disabled or nothing has
-    /// committed yet.
+    /// it; `None` when ANN is disabled. The one place an epoch's index
+    /// is made: the first build is a cold k-means over the live
+    /// embedding (empty before the first commit), every later one
+    /// warm-starts from the previous index.
     pub fn ensure_ann_index(&mut self) -> Option<&IvfIndex> {
-        if self.reports.is_empty() {
-            // Nothing committed yet: don't burn a build on the empty
-            // embedding just because a query raced the first flush.
-            return None;
-        }
         let ann = self.ann.as_mut()?;
         if ann.index.is_none() {
-            ann.builds += 1;
             // Warm-start from the last built index when there is one:
             // only the rows the dirty set accumulated since that build
             // are reassigned (`update_from` re-fits the previous
             // centroids over every row on drift). A session that never
             // built — or one resumed from a checkpoint — builds cold.
-            let dirty: Vec<NodeId> = std::mem::take(&mut self.dirty).into_iter().collect();
-            ann.index = Some(match ann.prev.take() {
+            let dirty: Vec<NodeId> = std::mem::take(&mut ann.dirty).into_iter().collect();
+            ann.index = Some(Arc::new(match ann.prev.take() {
                 Some(prev) => IvfIndex::update_from(&prev, &self.latest, &dirty, &ann.config),
                 None => IvfIndex::build(&self.latest, &ann.config),
-            });
+            }));
         }
-        ann.index.as_ref()
+        ann.index.as_deref()
     }
 
-    /// Drain the accumulated dirty set: every node whose embedding
-    /// vector changed since the previous drain (or session start), in
-    /// ascending id order. External trainers hand this to
-    /// [`IvfIndex::update_from`] alongside the previous epoch's index;
-    /// the session's own lazy maintenance
-    /// ([`ensure_ann_index`](EmbedderSession::ensure_ann_index)) drains
-    /// the same set, so a session should have one index-building
-    /// consumer.
-    pub fn take_dirty(&mut self) -> Vec<NodeId> {
-        std::mem::take(&mut self.dirty).into_iter().collect()
-    }
-
-    /// Size of the accumulated dirty set (nodes changed since the last
-    /// [`take_dirty`](EmbedderSession::take_dirty) / lazy index build).
-    pub fn dirty_len(&self) -> usize {
-        self.dirty.len()
-    }
-
-    /// The ANN index of the current epoch, when enabled and already
-    /// built (a committed step marks it stale until the next
-    /// [`nearest_approx`](EmbedderSession::nearest_approx) or
-    /// [`ensure_ann_index`](EmbedderSession::ensure_ann_index)
-    /// rebuilds it).
-    pub fn ann_index(&self) -> Option<&IvfIndex> {
-        self.ann.as_ref()?.index.as_ref()
-    }
-
-    /// How many times the session has built its ANN index — with lazy
-    /// rebuilds this counts *queried* epochs, not flushes.
-    pub fn ann_builds(&self) -> u64 {
-        self.ann.as_ref().map_or(0, |ann| ann.builds)
+    /// The committed epoch as shared handles: the live embedding and,
+    /// when ANN is enabled, its index (built first if stale, as by
+    /// [`ensure_ann_index`](EmbedderSession::ensure_ann_index)). A
+    /// server publishes these instead of copying the rows; the session
+    /// never writes through them — a commit swaps in new ones.
+    pub fn share_epoch(&mut self) -> (Arc<Embedding>, Option<Arc<IvfIndex>>) {
+        self.ensure_ann_index();
+        let index = self.ann.as_ref().and_then(|ann| ann.index.clone());
+        (Arc::clone(&self.latest), index)
     }
 
     /// The live embedding (as of the last committed step).
@@ -392,14 +345,18 @@ impl<E: DynamicEmbedder> EmbedderSession<E> {
         &self.latest
     }
 
-    /// Every committed step's report, in order.
-    pub fn reports(&self) -> &[StepReport] {
-        &self.reports
-    }
-
     /// Number of committed embedding steps.
     pub fn steps(&self) -> usize {
-        self.reports.len()
+        self.steps
+    }
+
+    /// The most recent committed step's report — the one the committing
+    /// [`apply`](EmbedderSession::apply) or
+    /// [`flush`](EmbedderSession::flush) produced. `None` before the
+    /// first commit, and on a resumed session until its next one
+    /// (reports are not checkpointed).
+    pub fn last_report(&self) -> Option<StepReport> {
+        self.last_report
     }
 
     /// Effective (state-changing) events applied since the last commit
@@ -438,6 +395,31 @@ impl<E: DynamicEmbedder> EmbedderSession<E> {
     pub fn into_embedder(self) -> E {
         self.embedder
     }
+}
+
+/// The approximate `k` nearest neighbours of each of `nodes` among
+/// `embedding`'s rows, through `index` (built over `embedding`) probing
+/// `nprobe` coarse cells: one [`IvfIndex::search_in_batch_with`] call,
+/// grouped where that pays, each answer bit-exact with a single-query
+/// search. Positionally parallel to `nodes`; an unknown node is an
+/// empty query, which the index answers with an empty list. Quantized
+/// indexes re-rank against `embedding`, so scores always come from the
+/// exact kernel.
+pub fn nearest_batch_in(
+    index: &IvfIndex,
+    embedding: &Embedding,
+    nodes: &[NodeId],
+    k: usize,
+    nprobe: usize,
+) -> Vec<Vec<(NodeId, f32)>> {
+    let queries: Vec<BatchQuery<'_>> = nodes
+        .iter()
+        .map(|&node| BatchQuery {
+            query: embedding.get(node).unwrap_or_default(),
+            exclude: Some(node),
+        })
+        .collect();
+    index.search_in_batch_with(embedding, &queries, k, nprobe, &mut SearchScratch::new())
 }
 
 /// Everything beyond the embedding rows that a durable snapshot must
@@ -488,8 +470,8 @@ impl<E: CheckpointEmbedder> EmbedderSession<E> {
     /// The resumed session continues bit-exactly: its next committed
     /// epoch (over the same subsequent events, with deterministic
     /// training configured) equals what the uninterrupted session would
-    /// have produced. Step reports before the checkpoint are not
-    /// persisted — they refill with defaults so `steps()` stays honest.
+    /// have produced. Step reports are not persisted: `steps()` resumes
+    /// at the checkpoint's epoch, `last_report()` starts empty.
     pub fn resume(
         mut embedder: E,
         policy: EpochPolicy,
@@ -513,8 +495,8 @@ impl<E: CheckpointEmbedder> EmbedderSession<E> {
                 session.state.commit()
             });
         }
-        session.latest = session.embedder.embedding();
-        session.reports = vec![StepReport::default(); checkpoint.epoch as usize];
+        session.latest = Arc::new(session.embedder.embedding());
+        session.steps = checkpoint.epoch as usize;
         session.current_time = checkpoint.current_time;
         Ok(session)
     }
@@ -658,6 +640,19 @@ mod tests {
         assert!(near.iter().all(|&(id, _)| id != NodeId(2)), "self excluded");
     }
 
+    /// The session's current index as its shared handle.
+    fn shared_index<E: DynamicEmbedder>(s: &mut EmbedderSession<E>) -> Arc<IvfIndex> {
+        s.share_epoch().1.expect("ann enabled")
+    }
+
+    fn assert_same_hits(a: &[(NodeId, f32)], b: &[(NodeId, f32)]) {
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!(x.0, y.0);
+            assert_eq!(x.1.to_bits(), y.1.to_bits());
+        }
+    }
+
     #[test]
     fn ann_session_full_probe_matches_exact_nearest() {
         let cfg = IvfConfig {
@@ -668,34 +663,30 @@ mod tests {
             .unwrap()
             .with_ann(cfg)
             .unwrap();
-        assert!(s.ann_index().is_none(), "no index before the first step");
+        // Before the first step the index is built over the empty
+        // embedding, and answers every probe with an empty list.
+        assert!(s.ensure_ann_index().is_some_and(IvfIndex::is_empty));
         assert_eq!(
-            s.nearest_approx(NodeId(0), 3, 4),
-            Some(Vec::new()),
+            s.nearest_batch_approx(&[NodeId(0)], 3, 4),
+            Some(vec![Vec::new()]),
             "enabled but nothing committed yet"
         );
         s.ingest(&chain(&[0, 0, 0, 0, 0, 0, 0]));
         s.flush().unwrap();
-        assert!(
-            s.ann_index().is_none(),
-            "flush only marks the index stale; the first query builds it"
-        );
-        // Full probe: nprobe is clamped to the cell count inside search.
-        let approx = s.nearest_approx(NodeId(2), 5, usize::MAX).unwrap();
-        let index = s.ann_index().expect("index built by the first query");
+        let index = s.ensure_ann_index().expect("ann enabled");
         assert_eq!(index.len(), s.embedding().len());
-        let exact = s.nearest(NodeId(2), 5);
-        assert_eq!(approx.len(), exact.len());
-        for (a, b) in approx.iter().zip(&exact) {
-            assert_eq!(a.0, b.0);
-            assert_eq!(a.1.to_bits(), b.1.to_bits());
-        }
+        // Full probe: nprobe is clamped to the cell count inside search.
+        let approx = s.nearest_batch_approx(&[NodeId(2)], 5, usize::MAX).unwrap();
+        assert_same_hits(&approx[0], &s.nearest(NodeId(2), 5));
         // Low nprobe still returns well-formed, self-excluded results.
-        let partial = s.nearest_approx(NodeId(2), 5, 1).unwrap();
-        assert!(partial.len() <= 5);
-        assert!(partial.iter().all(|&(id, _)| id != NodeId(2)));
+        let partial = s.nearest_batch_approx(&[NodeId(2)], 5, 1).unwrap();
+        assert!(partial[0].len() <= 5);
+        assert!(partial[0].iter().all(|&(id, _)| id != NodeId(2)));
         // A node without an embedding searches empty, not a panic.
-        assert_eq!(s.nearest_approx(NodeId(999), 5, 2), Some(Vec::new()));
+        assert_eq!(
+            s.nearest_batch_approx(&[NodeId(999)], 5, 2),
+            Some(vec![Vec::new()])
+        );
     }
 
     #[test]
@@ -722,31 +713,27 @@ mod tests {
             // Exact batch ≡ per-query exact.
             let batch = s.nearest_batch(&nodes, 4);
             for (&n, got) in nodes.iter().zip(&batch) {
-                let single = s.nearest(n, 4);
-                assert_eq!(got.len(), single.len());
-                for (a, b) in got.iter().zip(&single) {
-                    assert_eq!(a.0, b.0);
-                    assert_eq!(a.1.to_bits(), b.1.to_bits());
-                }
+                assert_same_hits(got, &s.nearest(n, 4));
             }
             // ANN batch ≡ per-query ANN, same epoch, one index build.
+            let built = shared_index(&mut s);
             for nprobe in [1usize, usize::MAX] {
                 let batch = s.nearest_batch_approx(&nodes, 4, nprobe).unwrap();
                 for (&n, got) in nodes.iter().zip(&batch) {
-                    let single = s.nearest_approx(n, 4, nprobe).unwrap();
-                    assert_eq!(got.len(), single.len(), "quantize={quantize}");
-                    for (a, b) in got.iter().zip(&single) {
-                        assert_eq!(a.0, b.0);
-                        assert_eq!(a.1.to_bits(), b.1.to_bits());
-                    }
+                    let single = s.nearest_batch_approx(&[n], 4, nprobe).unwrap();
+                    assert_same_hits(got, &single[0]);
                 }
             }
-            assert_eq!(s.ann_builds(), 1, "the whole batch shares one build");
+            assert!(
+                Arc::ptr_eq(&built, &shared_index(&mut s)),
+                "the whole batch shares one build (quantize={quantize})"
+            );
         }
     }
 
     #[test]
-    fn ann_rebuild_is_lazy_and_counted() {
+    fn ann_rebuild_is_lazy_and_shared() {
+        use glodyne_ann::BuildKind;
         let cfg = IvfConfig {
             cells: 2,
             ..Default::default()
@@ -755,30 +742,34 @@ mod tests {
             .unwrap()
             .with_ann(cfg)
             .unwrap();
-        // A query before anything commits doesn't build.
-        assert_eq!(s.nearest_approx(NodeId(0), 3, 1), Some(Vec::new()));
-        assert_eq!(s.ann_builds(), 0);
-        // Three flushes with no queries in between: zero builds.
+        // Three flushes with no reads in between build nothing: the
+        // first build is then a cold one with no previous index to
+        // count churn against — a per-flush build would have left one.
         for round in 0..3u32 {
             s.ingest(&[TimedEdge::new(NodeId(round), NodeId(round + 1), 0)]);
             s.flush().unwrap();
         }
-        assert_eq!(s.ann_builds(), 0, "flushes alone must not build");
-        // First query of the epoch builds once; repeats reuse it.
-        s.nearest_approx(NodeId(0), 3, 2).unwrap();
-        s.nearest_approx(NodeId(1), 3, 2).unwrap();
-        assert_eq!(s.ann_builds(), 1, "one build per queried epoch");
-        // A new committed step invalidates; the next query rebuilds.
+        let first = s.ensure_ann_index().expect("ann enabled");
+        assert_eq!(first.build_kind(), BuildKind::Full);
+        assert_eq!(first.dirty_rows(), 0, "flushes alone must not build");
+        // Repeated reads of one epoch share its build.
+        let built = shared_index(&mut s);
+        s.nearest_batch_approx(&[NodeId(0)], 3, 2).unwrap();
+        assert!(Arc::ptr_eq(&built, &shared_index(&mut s)));
+        // A new committed step invalidates; the next read rebuilds.
         s.ingest(&[TimedEdge::new(NodeId(0), NodeId(9), 1)]);
         s.flush().unwrap();
-        assert!(s.ann_index().is_none());
-        s.nearest_approx(NodeId(0), 3, 2).unwrap();
-        assert_eq!(s.ann_builds(), 2);
+        let rebuilt = shared_index(&mut s);
+        assert!(!Arc::ptr_eq(&built, &rebuilt));
         // A no-op flush (nothing pending) must not invalidate.
         assert!(s.flush().is_none());
-        assert!(s.ann_index().is_some(), "no-step flush keeps the index");
-        s.nearest_approx(NodeId(0), 3, 2).unwrap();
-        assert_eq!(s.ann_builds(), 2);
+        assert!(
+            Arc::ptr_eq(&rebuilt, &shared_index(&mut s)),
+            "no-step flush keeps the index"
+        );
+        // The shared embedding is the session's own, not a copy.
+        let (embedding, _) = s.share_epoch();
+        assert!(std::ptr::eq(&*embedding, s.embedding()));
     }
 
     #[test]
@@ -797,62 +788,38 @@ mod tests {
             .unwrap();
         s.ingest(&chain(&[0, 0, 0, 0, 0, 0]));
         let r = s.flush().unwrap();
-        assert!(r.dirty_rows > 0, "the offline step dirties every row");
-        assert_eq!(r.dirty_rows, s.dirty_len());
-        s.nearest_approx(NodeId(0), 3, 2).unwrap();
-        let first = s.ann_index().unwrap();
+        assert_eq!(
+            r.dirty_rows,
+            s.embedding().len(),
+            "the offline step dirties every row"
+        );
+        let first = s.ensure_ann_index().unwrap();
         assert_eq!(first.build_kind(), BuildKind::Full, "cold start is full");
-        assert_eq!(s.dirty_len(), 0, "the build drained the dirty set");
 
-        // Next epoch: the lazy rebuild warm-starts from the first.
+        // Next epoch: the build warm-starts from the first and
+        // reassigns exactly the rows the step changed.
         s.ingest(&[TimedEdge::new(NodeId(0), NodeId(9), 1)]);
         let r = s.flush().unwrap();
         assert!(r.dirty_rows > 0);
-        let approx = s.nearest_approx(NodeId(2), 4, usize::MAX).unwrap();
-        let index = s.ann_index().unwrap();
+        let index = shared_index(&mut s);
         assert_eq!(index.build_kind(), BuildKind::Incremental);
         assert_eq!(index.len(), s.embedding().len());
-        assert!(index.dirty_rows() > 0);
-        // Full probe on the patched index ≡ the exact scan.
-        let exact = s.nearest(NodeId(2), 4);
-        assert_eq!(approx.len(), exact.len());
-        for (a, b) in approx.iter().zip(&exact) {
-            assert_eq!(a.0, b.0);
-            assert_eq!(a.1.to_bits(), b.1.to_bits());
-        }
-        assert_eq!(s.ann_builds(), 2);
-    }
-
-    #[test]
-    fn take_dirty_drains_the_diffed_churn() {
-        let mut s = EmbedderSession::new(tiny_model(), EpochPolicy::Manual).unwrap();
-        assert_eq!(s.take_dirty(), Vec::<NodeId>::new());
-        s.ingest(&chain(&[0, 0, 0, 0]));
-        let r = s.flush().unwrap();
-        let dirty = s.take_dirty();
-        assert_eq!(dirty.len(), r.dirty_rows);
         assert_eq!(
-            dirty.len(),
-            s.embedding().len(),
-            "offline step touches every row"
+            index.dirty_rows(),
+            r.dirty_rows,
+            "the build drained the dirty set"
         );
-        assert!(dirty.windows(2).all(|w| w[0] < w[1]), "sorted drain order");
-        assert_eq!(s.dirty_len(), 0);
-        // Dirty accumulates across un-drained commits.
-        s.ingest(&[TimedEdge::new(NodeId(0), NodeId(9), 1)]);
-        s.flush().unwrap();
-        s.ingest(&[TimedEdge::new(NodeId(1), NodeId(8), 2)]);
-        s.flush().unwrap();
-        let dirty = s.take_dirty();
-        assert!(!dirty.is_empty());
-        assert!(dirty.len() <= s.embedding().len());
+        // Full probe on the patched index ≡ the exact scan.
+        let approx = s.nearest_batch_approx(&[NodeId(2)], 4, usize::MAX).unwrap();
+        assert_same_hits(&approx[0], &s.nearest(NodeId(2), 4));
     }
 
     #[test]
     fn ann_disabled_and_invalid_configs() {
         let mut s = EmbedderSession::new(tiny_model(), EpochPolicy::Manual).unwrap();
-        assert_eq!(s.nearest_approx(NodeId(0), 3, 1), None, "ann not enabled");
-        assert!(s.ann_index().is_none());
+        assert!(s.ensure_ann_index().is_none(), "ann not enabled");
+        assert_eq!(s.nearest_batch_approx(&[NodeId(0)], 3, 1), None);
+        assert!(s.share_epoch().1.is_none());
         let bad = IvfConfig {
             cells: 0,
             ..Default::default()
@@ -864,6 +831,12 @@ mod tests {
             Err(err) => assert_eq!(err.param(), "cells"),
             Ok(_) => panic!("cells = 0 must be rejected"),
         }
+        // The in-place form rejects the same config and switches off.
+        assert_eq!(s.set_ann(Some(bad)).unwrap_err().param(), "cells");
+        s.set_ann(Some(IvfConfig::default())).unwrap();
+        assert!(s.ensure_ann_index().is_some());
+        s.set_ann(None).unwrap();
+        assert!(s.ensure_ann_index().is_none());
     }
 
     #[test]
@@ -913,6 +886,8 @@ mod tests {
         let mut r =
             EmbedderSession::resume(tiny_model(), EpochPolicy::Manual, &ckpt, &emb).unwrap();
         assert_eq!(r.steps(), s.steps());
+        assert!(s.last_report().is_some());
+        assert!(r.last_report().is_none(), "reports are not checkpointed");
         assert_eq!(r.current_time(), s.current_time());
         assert_eq!(r.graph(), s.graph());
 

@@ -1,7 +1,8 @@
 //! The epoch swap: immutable embedding snapshots published by the
 //! trainer, read lock-free-in-spirit by any number of threads.
 //!
-//! After each committed step the trainer wraps the frozen state in an
+//! After each committed step the trainer wraps the session's frozen
+//! state — the same `Arc`s the session holds, not copies — in an
 //! `Arc<EmbeddingEpoch>` and swaps it into the [`EpochHandle`]. Readers
 //! clone the `Arc` under a briefly-held read lock and then answer
 //! queries entirely from their private clone — a reader mid-`nearest`
@@ -11,8 +12,8 @@
 
 use crate::protocol::{ErrorKind, NearestMode};
 use crate::session::DEFAULT_NPROBE;
-use glodyne::StepReport;
-use glodyne_ann::{BatchQuery, IvfIndex, SearchScratch};
+use glodyne::{nearest_batch_in, StepReport};
+use glodyne_ann::IvfIndex;
 use glodyne_embed::Embedding;
 use glodyne_graph::NodeId;
 use glodyne_telemetry::Histogram;
@@ -30,15 +31,17 @@ pub struct EmbeddingEpoch {
     /// Monotone epoch id — the number of committed embedding steps
     /// behind this state (0 = nothing trained yet).
     pub epoch: u64,
-    /// The embedding as of this epoch.
-    pub embedding: Embedding,
+    /// The embedding as of this epoch, shared with the trainer's
+    /// session (which swaps in a new one at its next commit rather than
+    /// writing through this one).
+    pub embedding: Arc<Embedding>,
     /// The step that produced this epoch (`None` for epoch 0).
     pub report: Option<StepReport>,
-    /// IVF index over `embedding`, built once per epoch when the
-    /// serving session has ANN enabled — the index rides the same
-    /// `Arc` swap as the embedding, so a reader's epoch and index
-    /// always agree. `None` when ANN is disabled.
-    pub index: Option<IvfIndex>,
+    /// IVF index over `embedding`, built once per epoch by the
+    /// trainer's session when the serving session has ANN enabled —
+    /// the index rides the same swap as the embedding, so a reader's
+    /// epoch and index always agree. `None` when ANN is disabled.
+    pub index: Option<Arc<IvfIndex>>,
 }
 
 impl EmbeddingEpoch {
@@ -46,7 +49,7 @@ impl EmbeddingEpoch {
     pub fn initial(dim: usize) -> Self {
         EmbeddingEpoch {
             epoch: 0,
-            embedding: Embedding::new(dim),
+            embedding: Arc::new(Embedding::new(dim)),
             report: None,
             index: None,
         }
@@ -93,8 +96,8 @@ impl EmbeddingEpoch {
     /// [`EmbeddingEpoch::nearest`] for a whole batch against this one
     /// frozen epoch. Results are positionally parallel to `nodes`, with
     /// `None` for an unknown node; each `Some` entry is bit-exact with
-    /// the single-node call. ANN mode answers through one
-    /// `IvfIndex::search_in_batch_with` call (grouped where that pays).
+    /// the single-node call. ANN mode answers through
+    /// [`nearest_batch_in`] (grouped where that pays).
     /// `None` — a request-level refusal — when ANN mode meets an epoch
     /// without an index.
     pub fn nearest_batch(
@@ -114,18 +117,7 @@ impl EmbeddingEpoch {
             NearestMode::Ann { nprobe } => {
                 let index = self.index.as_ref()?;
                 let nprobe = index.effective_nprobe(nprobe.unwrap_or(DEFAULT_NPROBE));
-                // An unknown node is an empty query, which the index
-                // answers with an empty list.
-                let queries: Vec<BatchQuery<'_>> = nodes
-                    .iter()
-                    .map(|&node| BatchQuery {
-                        query: self.embedding.get(node).unwrap_or_default(),
-                        exclude: Some(node),
-                    })
-                    .collect();
-                let scratch = &mut SearchScratch::new();
-                let hits =
-                    index.search_in_batch_with(&self.embedding, &queries, k, nprobe, scratch);
+                let hits = nearest_batch_in(index, &self.embedding, nodes, k, nprobe);
                 (hits, Some(nprobe))
             }
         };
@@ -253,7 +245,7 @@ mod tests {
         emb.set(NodeId(1), &[1.0, 0.0]);
         handle.publish(EmbeddingEpoch {
             epoch: 1,
-            embedding: emb,
+            embedding: Arc::new(emb),
             report: Some(StepReport::default()),
             index: None,
         });
@@ -302,7 +294,7 @@ mod tests {
         let b = a.clone();
         a.publish(EmbeddingEpoch {
             epoch: 7,
-            embedding: Embedding::new(4),
+            embedding: Arc::new(Embedding::new(4)),
             report: None,
             index: None,
         });

@@ -156,9 +156,7 @@ pub(crate) fn run_probe_round(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::build_epoch;
-    use crate::AnnSettings;
-    use glodyne_ann::IvfConfig;
+    use glodyne_ann::{IvfConfig, IvfIndex};
     use glodyne_embed::Embedding;
     use glodyne_graph::NodeId;
 
@@ -171,14 +169,16 @@ mod tests {
                 .collect();
             emb.set(NodeId(i), &row);
         }
-        let settings = AnnSettings {
-            config: IvfConfig {
-                cells,
-                ..Default::default()
-            },
-            default_nprobe: cells,
+        let config = IvfConfig {
+            cells,
+            ..Default::default()
         };
-        build_epoch(1, emb, None, Some(&settings), None, &[])
+        EmbeddingEpoch {
+            epoch: 1,
+            index: Some(Arc::new(IvfIndex::build(&emb, &config))),
+            embedding: Arc::new(emb),
+            report: None,
+        }
     }
 
     #[test]
@@ -199,7 +199,7 @@ mod tests {
     #[test]
     fn unmeasurable_epochs_yield_none() {
         // No index at all.
-        let bare = build_epoch(0, Embedding::new(4), None, None, None, &[]);
+        let bare = EmbeddingEpoch::initial(4);
         assert_eq!(probe_recall(&bare, 5, 4, 1, 8), None);
         // Indexed but empty embedding.
         let empty = epoch_with_index(0, 4, 2);
@@ -215,7 +215,7 @@ mod tests {
             ..Default::default()
         };
         // Unmeasurable round: gauge and counter stay untouched.
-        let bare = Arc::new(build_epoch(0, Embedding::new(4), None, None, None, &[]));
+        let bare = Arc::new(EmbeddingEpoch::initial(4));
         run_probe_round(&[bare], &settings, 4, &telemetry);
         assert_eq!(telemetry.probes_run.get(), 0);
 

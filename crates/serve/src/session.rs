@@ -38,10 +38,10 @@ use crate::protocol::{ErrorKind, NearestMode};
 use crate::queue::{bounded, Admission, FlushOutcome, IngestQueue, TrainerInbox, TrainerMsg};
 use crate::telemetry::{ServeTelemetry, TelemetryStats, TrainerStages};
 use glodyne::EmbedderSession;
-use glodyne_ann::{IvfConfig, IvfIndex, StorageMode};
+use glodyne_ann::{IvfConfig, StorageMode};
 use glodyne_durable::{DurabilityCounters, DurableSession};
 use glodyne_embed::traits::CheckpointEmbedder;
-use glodyne_embed::{ConfigError, DynamicEmbedder, Embedding};
+use glodyne_embed::{ConfigError, DynamicEmbedder};
 use glodyne_graph::state::GraphEvent;
 use glodyne_graph::NodeId;
 use std::io;
@@ -58,9 +58,10 @@ pub const DEFAULT_QUEUE_CAPACITY: usize = 1024;
 pub const DEFAULT_NPROBE: usize = 8;
 
 /// Approximate-search settings for a serving session: when present,
-/// the trainer builds an [`IvfIndex`] after every committed step and
-/// publishes it inside the epoch, so `nearest` requests in `"ann"`
-/// mode are answered from the index.
+/// the trainee's session builds an [`IvfIndex`](glodyne_ann::IvfIndex)
+/// after every committed step and the trainer publishes it inside the
+/// epoch, so `nearest` requests in `"ann"` mode are answered from the
+/// index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnnSettings {
     /// IVF build parameters (cells, k-means iterations, seed).
@@ -459,9 +460,11 @@ impl<E: CheckpointEmbedder + Send + 'static> Trainee for DurableSession<E> {
 pub struct SessionSpec {
     /// Bound of the ingest queue (per shard when sharded).
     pub queue_capacity: usize,
-    /// When present, the trainer builds an [`IvfIndex`] per published
-    /// epoch, on its own thread right after the step commits — readers
-    /// keep answering from the previous epoch (and its index) meanwhile.
+    /// When present, the trainee's session is switched to approximate
+    /// search with these settings at spawn, and builds an
+    /// [`IvfIndex`](glodyne_ann::IvfIndex) per published epoch on the
+    /// trainer thread right after the step commits — readers keep
+    /// answering from the previous epoch (and its index) meanwhile.
     pub ann: Option<AnnSettings>,
     /// When present, every stage records into this hub (wait-free):
     /// queue wait and depth, step phases, index build, publish-to-
@@ -561,30 +564,24 @@ pub(crate) fn health_of<'a>(
 /// Move `trainee` onto a trainer thread (`glodyne-trainer`, or
 /// `glodyne-trainer-{i}` for shard `i`). Its current state — anything
 /// ingested and flushed, or recovered, before the move — becomes the
-/// initially served epoch.
+/// initially served epoch. The spec's ANN settings replace whatever the
+/// trainee's session had, so the first index is a cold build over that
+/// state (nothing to warm-start from, in memory or after a recovery),
+/// and every later one is patched from the one before — partial-probe
+/// answers may differ across a restart, exact and full-probe ones do
+/// not (see `IvfIndex::update_from`).
 pub(crate) fn spawn_trainer<T: Trainee>(
     mut trainee: T,
     shard: Option<usize>,
     spec: &SessionSpec,
-) -> Trainer {
+) -> Result<Trainer, ConfigError> {
     let telemetry = spec.telemetry.as_deref();
     if let Some(t) = telemetry {
         trainee.instrument(t);
     }
     let session = trainee.session_mut();
-    // The initial index is a full build (nothing to warm-start from, in
-    // memory or after a recovery); drain pre-spawn churn so the first
-    // trainer build's dirty set starts from this index, not from state
-    // it already covers.
-    let _ = session.take_dirty();
-    let epochs = EpochHandle::new(build_epoch(
-        session.steps() as u64,
-        session.embedding().clone(),
-        session.reports().last().copied(),
-        spec.ann.as_ref(),
-        None,
-        &[],
-    ));
+    session.set_ann(spec.ann.map(|settings| settings.config))?;
+    let epochs = EpochHandle::new(current_epoch(session));
     let durability = trainee.durability().map(|(counters, provenance)| {
         Arc::new(DurabilityShared {
             counters: Mutex::new(counters),
@@ -601,23 +598,18 @@ pub(crate) fn spawn_trainer<T: Trainee>(
     let stages = telemetry.map(|t| t.trainer_stages(shard));
     let health = Arc::new(HealthState::new(spec.stall_after));
     let name = shard.map_or("glodyne-trainer".into(), |i| format!("glodyne-trainer-{i}"));
-    let (publisher, ann, gauge, pulse) = (
-        epochs.clone(),
-        spec.ann,
-        durability.clone(),
-        Arc::clone(&health),
-    );
+    let (publisher, gauge, pulse) = (epochs.clone(), durability.clone(), Arc::clone(&health));
     let join = thread::Builder::new()
         .name(name)
-        .spawn(move || trainer_loop(trainee, &inbox, &publisher, ann, gauge, stages, &pulse))
+        .spawn(move || trainer_loop(trainee, &inbox, &publisher, gauge, stages, &pulse))
         .expect("spawn trainer thread");
-    Trainer {
+    Ok(Trainer {
         queue,
         epochs,
         health,
         durability,
         join: Mutex::new(Some(join)),
-    }
+    })
 }
 
 /// The concurrent wrapper around a moved-away [`Trainee`].
@@ -640,7 +632,7 @@ impl ServingSession {
     pub fn spawn<T: Trainee>(trainee: T, spec: SessionSpec) -> Result<ServingSession, ConfigError> {
         spec.validate()?;
         Ok(ServingSession {
-            trainer: spawn_trainer(trainee, None, &spec),
+            trainer: spawn_trainer(trainee, None, &spec)?,
             ann: spec.ann,
             telemetry: spec.telemetry,
         })
@@ -817,22 +809,22 @@ impl Drop for ServingSession {
 }
 
 /// The trainer thread — the only loop in the crate that drains an
-/// inbox, whatever the mode: apply events, publish an epoch (embedding
-/// plus its freshly built index, when ANN is on) after every committed
-/// step, acknowledge flushes in queue order. What differs between
-/// in-memory and durable serving lives behind the [`Trainee`] hooks.
+/// inbox, whatever the mode: apply events, publish an epoch (the
+/// session's embedding plus its freshly built index, when ANN is on)
+/// after every committed step, acknowledge flushes in queue order. What
+/// differs between in-memory and durable serving lives behind the
+/// [`Trainee`] hooks.
 /// Loop exit — explicit shutdown *or* every producer handle dropping —
 /// finishes the trainee cleanly; a panic finishes it as a crash.
 fn trainer_loop<T: Trainee>(
     mut trainee: T,
     inbox: &TrainerInbox,
     epochs: &EpochHandle,
-    ann: Option<AnnSettings>,
     gauge: Option<Arc<DurabilityShared>>,
     stages: Option<TrainerStages>,
     health: &HealthState,
 ) {
-    let (ann, stages) = (ann.as_ref(), stages.as_ref());
+    let stages = stages.as_ref();
     let sync_gauge = |trainee: &T| {
         if let (Some(gauge), Some((counters, _))) = (&gauge, trainee.durability()) {
             *lock(&gauge.counters) = counters;
@@ -840,7 +832,7 @@ fn trainer_loop<T: Trainee>(
     };
     // A committed step: publish it, then let the trainee snapshot.
     let commit = |trainee: &mut T| {
-        publish(trainee.session_mut(), epochs, ann, stages);
+        publish(trainee.session_mut(), epochs, stages);
         if let Err(e) = trainee.committed() {
             eprintln!("glodyne-serve: snapshot failed: {e}");
         }
@@ -892,7 +884,7 @@ fn trainer_loop<T: Trainee>(
             // Finishing may have committed one last step.
             let session = trainee.session_mut();
             if session.steps() as u64 != epochs.load_untracked().epoch {
-                publish(session, epochs, ann, stages);
+                publish(session, epochs, stages);
             }
         }
         Err(_) => {
@@ -912,60 +904,26 @@ fn trainer_loop<T: Trainee>(
 fn publish<E: DynamicEmbedder>(
     session: &mut EmbedderSession<E>,
     epochs: &EpochHandle,
-    ann: Option<&AnnSettings>,
     stages: Option<&TrainerStages>,
 ) {
-    // The previous epoch's index (loaded without consuming the
-    // freshness stamp — this is a trainer-side read, not a client's
-    // first sight of the epoch) warm-starts the incremental build;
-    // the session's dirty set says which rows it must reassign.
-    let dirty = if ann.is_some() {
-        session.take_dirty()
-    } else {
-        Vec::new()
-    };
-    let prev = epochs.load_untracked();
-    let epoch = build_epoch(
-        session.steps() as u64,
-        session.embedding().clone(),
-        session.reports().last().copied(),
-        ann,
-        prev.index.as_ref(),
-        &dirty,
-    );
+    let epoch = current_epoch(session);
     // Stage attribution happens on the trainer thread, before the swap:
     // by the time readers can see the epoch its cost is already booked.
     if let Some(stages) = stages {
-        stages.record(epoch.report.as_ref(), epoch.index.as_ref());
+        stages.record(epoch.report.as_ref(), epoch.index.as_deref());
     }
     epochs.publish(epoch);
 }
 
-/// Assemble one publishable epoch; the IVF build (when ANN is on)
-/// happens here, on the trainer thread, so it never blocks a reader.
-/// With a previous index the build is incremental — frozen centroids,
-/// only `dirty` rows reassigned — or, when the index's drift triggers
-/// fire, a one-step k-means re-fit of the previous centroids over every
-/// row. The first epoch after spawn (and the first after a durable
-/// recovery, which has no previous in-memory index) is always a cold
-/// build, so partial-probe answers may differ across a restart while
-/// exact and full-probe answers do not (see `IvfIndex::update_from`).
-pub(crate) fn build_epoch(
-    epoch: u64,
-    embedding: Embedding,
-    report: Option<glodyne::StepReport>,
-    ann: Option<&AnnSettings>,
-    prev_index: Option<&IvfIndex>,
-    dirty: &[glodyne_graph::NodeId],
-) -> EmbeddingEpoch {
-    let index = ann.map(|settings| match prev_index {
-        Some(prev) => IvfIndex::update_from(prev, &embedding, dirty, &settings.config),
-        None => IvfIndex::build(&embedding, &settings.config),
-    });
+/// The session's committed epoch, ready to publish: its own embedding
+/// and index handles, the index built first when ANN is on (here, on
+/// the trainer thread, so it never blocks a reader).
+fn current_epoch<E: DynamicEmbedder>(session: &mut EmbedderSession<E>) -> EmbeddingEpoch {
+    let (embedding, index) = session.share_epoch();
     EmbeddingEpoch {
-        epoch,
+        epoch: session.steps() as u64,
         embedding,
-        report,
+        report: session.last_report(),
         index,
     }
 }
@@ -974,6 +932,7 @@ pub(crate) fn build_epoch(
 mod tests {
     use super::*;
     use glodyne::{EpochPolicy, GloDyNE};
+    use glodyne_ann::IvfIndex;
     use glodyne_graph::id::TimedEdge;
 
     fn tiny_model() -> GloDyNE {
@@ -1240,7 +1199,7 @@ mod tests {
         assert_eq!(serving.ann(), Some(ann_settings(4, 2)));
         // The initial (empty) epoch already carries an (empty) index.
         let epoch = serving.epoch();
-        assert!(epoch.index.as_ref().is_some_and(IvfIndex::is_empty));
+        assert!(epoch.index.as_deref().is_some_and(IvfIndex::is_empty));
 
         serving.ingest(&chain_events(9, 0)).unwrap();
         serving.flush().unwrap();
@@ -1376,6 +1335,80 @@ mod tests {
             assert_eq!(a.1.to_bits(), b.1.to_bits());
         }
         serving.shutdown();
+    }
+
+    /// What pins an epoch's index: length, cells, how it was built,
+    /// the rows it reassigned and every posting list.
+    type IndexRecord = (usize, usize, &'static str, usize, Vec<Vec<NodeId>>);
+
+    fn index_record(index: &IvfIndex) -> IndexRecord {
+        let postings = (0..index.cells())
+            .map(|c| index.posting_list(c).to_vec())
+            .collect();
+        let kind = index.build_kind().as_str();
+        (
+            index.len(),
+            index.cells(),
+            kind,
+            index.dirty_rows(),
+            postings,
+        )
+    }
+
+    #[test]
+    fn served_chain_is_the_sessions_chain() {
+        // Four flushes, one of them after a node removal.
+        let script: Vec<Vec<GraphEvent>> = vec![
+            chain_events(8, 0),
+            (0..4)
+                .map(|i| GraphEvent::add_edge(NodeId(i), NodeId(i + 2), 1))
+                .collect(),
+            vec![GraphEvent::remove_node(NodeId(8), 2)],
+            (0..3)
+                .map(|i| GraphEvent::add_edge(NodeId(i + 3), NodeId(i + 9), 3))
+                .collect(),
+        ];
+        for quantize in [false, true] {
+            // The default drift trigger re-fits every epoch of a tiny
+            // graph; a disarmed one patches incrementally.
+            for drift_stale_bp in [IvfConfig::default().drift_stale_bp, 10_000] {
+                let mut settings = ann_settings(3, 2);
+                settings.config.quantize = quantize;
+                settings.config.drift_stale_bp = drift_stale_bp;
+                let serving = ServingSession::spawn(
+                    tiny_session(EpochPolicy::Manual),
+                    spec_with_ann(64, settings),
+                )
+                .unwrap();
+                let mut bare = tiny_session(EpochPolicy::Manual)
+                    .with_ann(settings.config)
+                    .unwrap();
+                let served = |serving: &ServingSession| {
+                    let epoch = serving.epoch();
+                    let index = epoch.index.as_deref().expect("ann enabled");
+                    (epoch.epoch, index_record(index))
+                };
+                let mut served_chain = vec![served(&serving)];
+                let mut bare_chain = vec![(0, index_record(bare.ensure_ann_index().unwrap()))];
+                for events in &script {
+                    serving.ingest(events).unwrap();
+                    assert!(serving.flush().unwrap().stepped);
+                    served_chain.push(served(&serving));
+                    for &event in events {
+                        bare.apply(event);
+                    }
+                    bare.flush().unwrap();
+                    let epoch = bare.steps() as u64;
+                    bare_chain.push((epoch, index_record(bare.ensure_ann_index().unwrap())));
+                }
+                assert_eq!(served_chain.len(), 5);
+                assert_eq!(
+                    served_chain, bare_chain,
+                    "quantize={quantize} drift_stale_bp={drift_stale_bp}"
+                );
+                serving.shutdown();
+            }
+        }
     }
 
     #[test]

@@ -176,7 +176,7 @@ impl ShardedSession {
             .into_iter()
             .enumerate()
             .map(|(i, session)| spawn_trainer(session.keep_full_graph(), Some(i), &spec))
-            .collect();
+            .collect::<Result<_, _>>()?;
         Ok(ShardedSession {
             router: RwLock::new(router),
             shards,
@@ -489,7 +489,7 @@ impl ShardedSession {
             .map(|(shard, epoch)| ShardView {
                 shard: shard as u32,
                 embedding: &epoch.embedding,
-                index: epoch.index.as_ref(),
+                index: epoch.index.as_deref(),
             })
             .collect()
     }
@@ -545,7 +545,7 @@ impl ShardedSession {
                 },
                 index_bytes: epochs
                     .iter()
-                    .filter_map(|e| e.index.as_ref())
+                    .filter_map(|e| e.index.as_deref())
                     .map(glodyne_ann::IvfIndex::index_bytes)
                     .sum(),
                 // A session-level "incremental" only when every shard

@@ -10,7 +10,7 @@
 //!
 //! Run: `cargo run --release --example streaming_social`
 
-use glodyne::{EmbedderSession, EpochPolicy, GloDyNE, GloDyNEConfig};
+use glodyne::{EmbedderSession, EpochPolicy, GloDyNE, GloDyNEConfig, StepReport};
 use glodyne_embed::walks::WalkConfig;
 use glodyne_embed::SgnsConfig;
 use glodyne_graph::GraphEvent;
@@ -73,8 +73,7 @@ fn main() {
         "day", "|V|", "K_sel", "step_ms", "LP AUC"
     );
     let mut aucs = Vec::new();
-    let mut report_day = |t: usize, session: &EmbedderSession<GloDyNE>| {
-        let r = session.reports()[t];
+    let mut report_day = |t: usize, session: &EmbedderSession<GloDyNE>, r: StepReport| {
         let ms = r.total_time().as_secs_f64() * 1e3;
         // Predict tomorrow's changes from today's live embeddings.
         let auc = if t + 1 < snaps.len() {
@@ -98,12 +97,13 @@ fn main() {
     let mut t = 0usize;
     for &ev in &events {
         if session.apply(ev) {
-            report_day(t, &session);
+            let r = session.last_report().expect("apply committed a step");
+            report_day(t, &session, r);
             t += 1;
         }
     }
-    if session.flush().is_some() {
-        report_day(t, &session);
+    if let Some(r) = session.flush() {
+        report_day(t, &session, r);
     }
 
     let mean_auc = aucs.iter().sum::<f64>() / aucs.len() as f64;

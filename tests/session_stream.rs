@@ -6,7 +6,7 @@
 
 use glodyne::{EmbedderSession, EpochPolicy, GloDyNE, GloDyNEConfig};
 use glodyne_baselines::{bcgd::BcgdConfig, dynline::DynLineConfig, BcgdLocal, DynLine};
-use glodyne_embed::traits::{run_over, run_over_reports, DynamicEmbedder};
+use glodyne_embed::traits::{run_over, run_over_reports, DynamicEmbedder, StepReport};
 use glodyne_embed::walks::WalkConfig;
 use glodyne_embed::{Embedding, SgnsConfig};
 use glodyne_graph::id::{NodeId, TimedEdge};
@@ -104,6 +104,23 @@ fn session_stream_equals_batch_run_over() {
     assert!(batch_gr > 0.0);
 }
 
+/// Stream every edge through `session` and flush the last epoch,
+/// keeping each step's report as the `apply` or `flush` that committed
+/// it hands it over.
+fn ingest_with_reports<E: DynamicEmbedder>(
+    session: &mut EmbedderSession<E>,
+    stream: &[TimedEdge],
+) -> Vec<StepReport> {
+    let mut reports = Vec::new();
+    for &te in stream {
+        if session.apply(te.into()) {
+            reports.extend(session.last_report());
+        }
+    }
+    reports.extend(session.flush());
+    reports
+}
+
 #[test]
 fn session_reports_are_populated() {
     let mut session = EmbedderSession::new(
@@ -111,14 +128,14 @@ fn session_reports_are_populated() {
         EpochPolicy::TimestampBoundary,
     )
     .unwrap();
-    session.ingest(&fixture_stream());
-    session.flush();
+    let reports = ingest_with_reports(&mut session, &fixture_stream());
     assert_eq!(session.steps(), 4, "four distinct timestamps");
-    let offline = &session.reports()[0];
+    assert_eq!(reports.len(), 4, "one report per committed step");
+    let offline = &reports[0];
     assert!(offline.trained_pairs > 0);
     assert!(offline.corpus_tokens > 0);
     assert!(offline.selected > 0);
-    for (t, r) in session.reports().iter().enumerate().skip(1) {
+    for (t, r) in reports.iter().enumerate().skip(1) {
         assert!(r.selected > 0, "step {t} selected nothing");
         assert!(r.corpus_tokens > 0, "step {t} walked nothing");
     }
@@ -182,9 +199,8 @@ fn baseline_inside_a_session() {
     })
     .unwrap();
     let mut session = EmbedderSession::new(model, EpochPolicy::TimestampBoundary).unwrap();
-    session.ingest(&fixture_stream());
-    session.flush();
+    let reports = ingest_with_reports(&mut session, &fixture_stream());
     assert_eq!(session.steps(), 4);
     assert!(session.query(NodeId(1)).is_some());
-    assert!(session.reports().iter().all(|r| r.selected > 0));
+    assert!(reports.iter().all(|r| r.selected > 0));
 }
