@@ -197,30 +197,16 @@ pub struct BatchQuery<'a> {
 /// knob: `kmeans_iters` keeps meaning the cold budget.
 const REFIT_ITERS: usize = 1;
 
-/// One epoch's rows snapshotted in insertion order: the input of every
-/// clustering run and of the posting-list layout.
-struct Rows {
-    ids: Vec<NodeId>,
-    /// `n × dim`, row-major.
-    data: Vec<f32>,
-    norms: Vec<f32>,
-}
-
-impl Rows {
-    fn snapshot(embedding: &Embedding) -> Rows {
-        let dim = embedding.dim();
-        let n = embedding.len();
-        let mut ids = Vec::with_capacity(n);
-        let mut data = Vec::with_capacity(n * dim);
-        for (id, v) in embedding.iter() {
-            ids.push(id);
-            data.extend_from_slice(v);
-        }
-        let norms = (0..n)
-            .map(|i| l2_norm(&data[i * dim..(i + 1) * dim]))
-            .collect();
-        Rows { ids, data, norms }
+/// The `c + 1` posting-list offsets of `assignment`'s counting sort.
+fn cell_offsets(assignment: &[u32], c: usize) -> Vec<u32> {
+    let mut offsets = vec![0u32; c + 1];
+    for &cell in assignment {
+        offsets[cell as usize + 1] += 1;
     }
+    for j in 0..c {
+        offsets[j + 1] += offsets[j];
+    }
+    offsets
 }
 
 /// An immutable IVF index over one epoch's [`Embedding`].
@@ -285,33 +271,13 @@ impl IvfIndex {
         let dim = embedding.dim();
         let n = embedding.len();
         if n == 0 {
-            return IvfIndex {
-                dim,
-                config: *config,
-                centroids: Vec::new(),
-                centroid_norms: Vec::new(),
-                cell_offsets: vec![0],
-                ids: Vec::new(),
-                storage: if config.quantize {
-                    PostingStorage::Sq8(Sq8Arena::quantize(&[]))
-                } else {
-                    PostingStorage::F32(AlignedBuf::new())
-                },
-                norms: Vec::new(),
-                inv_norms: Vec::new(),
-                inv_centroid_norms: Vec::new(),
-                build_time: start.elapsed(),
-                build_kind: BuildKind::Full,
-                dirty_rows: 0,
-                stale_rows: 0,
-            };
+            return IvfIndex::lay_out(embedding, Default::default(), config, None, start);
         }
         let c = config.cells.clamp(1, n);
-        let rows = Rows::snapshot(embedding);
-        let seeds = kmeans::seed_centroids(&rows.data, &rows.norms, dim, c, config.seed);
-        let clustering =
-            kmeans::cluster(&rows.data, &rows.norms, dim, c, seeds, config.kmeans_iters);
-        IvfIndex::lay_out(rows, clustering, dim, config, start)
+        let (data, norms) = (embedding.rows(), embedding.norms());
+        let seeds = kmeans::seed_centroids(data, norms, dim, c, config.seed);
+        let clustering = kmeans::cluster(data, norms, dim, c, seeds, config.kmeans_iters);
+        IvfIndex::lay_out(embedding, clustering, config, None, start)
     }
 
     /// The drift re-fit: one Lloyd step ([`REFIT_ITERS`]) from `prev`'s
@@ -321,56 +287,78 @@ impl IvfIndex {
     /// compatible: same dim and config, and exactly
     /// `config.cells.clamp(1, n)` cells.
     fn refit(prev: &IvfIndex, embedding: &Embedding, start: Instant) -> Option<IvfIndex> {
-        let rows = Rows::snapshot(embedding);
         let clustering = kmeans::cluster(
-            &rows.data,
-            &rows.norms,
+            embedding.rows(),
+            embedding.norms(),
             prev.dim,
             prev.cells(),
             prev.centroids.clone(),
             REFIT_ITERS,
         );
-        let index = IvfIndex::lay_out(rows, clustering, prev.dim, &prev.config, start);
+        let index = IvfIndex::lay_out(embedding, clustering, &prev.config, None, start);
         (!prev.imbalanced(&index.cell_offsets, index.len())).then_some(index)
     }
 
-    /// Counting-sort `rows` into flat per-cell arenas by `clustering`'s
-    /// assignment (stable, so rows keep their insertion order within a
-    /// cell — deterministic) and quantize them when configured.
+    /// Counting-sort `embedding`'s rows into flat per-cell arenas by
+    /// `clustering`'s assignment (stable, so rows keep their insertion
+    /// order within a cell — deterministic). SQ8 storage quantizes the
+    /// laid-out rows under a fresh domain or, given `patch` — a
+    /// previous arena and each row's code row in it, `u32::MAX` for a
+    /// row to encode — copies those codes and encodes the rest under
+    /// that arena's domain.
     fn lay_out(
-        rows: Rows,
+        embedding: &Embedding,
         clustering: kmeans::Clustering,
-        dim: usize,
         config: &IvfConfig,
+        patch: Option<(&Sq8Arena, &[u32])>,
         start: Instant,
     ) -> IvfIndex {
-        let n = rows.ids.len();
+        let (dim, n) = (embedding.dim(), embedding.len());
+        let row = |i: usize| &embedding.rows()[i * dim..(i + 1) * dim];
         let c = clustering.centroid_norms.len();
-        let mut cell_offsets = vec![0u32; c + 1];
-        for &cell in &clustering.assignment {
-            cell_offsets[cell as usize + 1] += 1;
-        }
-        for j in 0..c {
-            cell_offsets[j + 1] += cell_offsets[j];
-        }
+        let cell_offsets = cell_offsets(&clustering.assignment, c);
         let mut cursor: Vec<u32> = cell_offsets[..c].to_vec();
         let mut ids = vec![NodeId(0); n];
-        let mut vectors = AlignedBuf::<f32>::zeroed(n * dim);
         let mut norms = vec![0.0f32; n];
+        let mut positions = vec![0usize; n];
         for (i, &cell) in clustering.assignment.iter().enumerate() {
             let pos = cursor[cell as usize] as usize;
             cursor[cell as usize] += 1;
-            ids[pos] = rows.ids[i];
-            norms[pos] = rows.norms[i];
-            vectors[pos * dim..(pos + 1) * dim].copy_from_slice(&rows.data[i * dim..(i + 1) * dim]);
+            ids[pos] = embedding.ids()[i];
+            norms[pos] = embedding.norms()[i];
+            positions[i] = pos;
         }
 
         // Quantization happens here, on the build (trainer) thread —
         // readers only ever see the finished arena.
-        let storage = if config.quantize {
-            PostingStorage::Sq8(Sq8Arena::quantize(&vectors))
-        } else {
-            PostingStorage::F32(vectors)
+        let storage = match patch {
+            Some((arena, prev_row)) => {
+                let (min, scale) = arena.domain();
+                let mut codes = vec![0u8; n * dim];
+                for (i, &pos) in positions.iter().enumerate() {
+                    let dst = &mut codes[pos * dim..(pos + 1) * dim];
+                    match prev_row[i] {
+                        u32::MAX => {
+                            for (code, &x) in dst.iter_mut().zip(row(i)) {
+                                *code = arena.encode(x);
+                            }
+                        }
+                        prev => dst.copy_from_slice(arena.row(prev as usize, dim)),
+                    }
+                }
+                PostingStorage::Sq8(Sq8Arena::from_codes(codes, min, scale))
+            }
+            None => {
+                let mut vectors = AlignedBuf::<f32>::zeroed(n * dim);
+                for (i, &pos) in positions.iter().enumerate() {
+                    vectors[pos * dim..(pos + 1) * dim].copy_from_slice(row(i));
+                }
+                if config.quantize {
+                    PostingStorage::Sq8(Sq8Arena::quantize(&vectors))
+                } else {
+                    PostingStorage::F32(vectors)
+                }
+            }
         };
 
         let inv = |n: &f32| if *n == 0.0 { 0.0 } else { 1.0 / *n };
@@ -476,8 +464,9 @@ impl IvfIndex {
             return full(dirty.len());
         }
 
-        // Membership tests below binary-search `dirty`; callers hand a
-        // drained set (ascending, distinct), anything else is sorted.
+        // Membership tests below binary-search `dirty`; the session
+        // hands a sorted diff (ascending, distinct), anything else is
+        // sorted here.
         let dirty: Cow<'_, [NodeId]> = if dirty.windows(2).all(|w| w[0] < w[1]) {
             Cow::Borrowed(dirty)
         } else {
@@ -520,8 +509,6 @@ impl IvfIndex {
         // embedding insertion order, exactly like `build`, so the
         // within-cell order matches what a fresh build with the same
         // assignment would produce — deterministic.
-        let mut row_ids = Vec::with_capacity(n);
-        let mut data = Vec::with_capacity(n * dim);
         let mut assignment = Vec::with_capacity(n);
         // SQ8 in-place patch bookkeeping: prev arena row of each
         // survivor (u32::MAX = changed row, quantize fresh), and
@@ -532,7 +519,7 @@ impl IvfIndex {
         };
         let mut prev_row: Vec<u32> = Vec::with_capacity(if prev_arena.is_some() { n } else { 0 });
         let mut domain_drifted = false;
-        for (id, v) in embedding.iter() {
+        for (i, (id, v)) in embedding.iter().enumerate() {
             let clean = !is_dirty(&id);
             let cell = match prev_pos.get(&id) {
                 Some(&(cell, row)) if clean => {
@@ -548,109 +535,37 @@ impl IvfIndex {
                     }
                     kmeans::nearest_centroid(
                         v,
-                        l2_norm(v),
+                        embedding.norms()[i],
                         dim,
                         &prev.centroids,
                         &prev.centroid_norms,
                     )
                 }
             };
-            row_ids.push(id);
-            data.extend_from_slice(v);
             assignment.push(cell);
-        }
-
-        // Counting sort into the new flat layout (same recipe as
-        // `build`).
-        let mut cell_offsets = vec![0u32; c + 1];
-        for &cell in &assignment {
-            cell_offsets[cell as usize + 1] += 1;
-        }
-        for j in 0..c {
-            cell_offsets[j + 1] += cell_offsets[j];
         }
 
         // Cell-imbalance drift trigger: churn piled onto one stale
         // centroid.
-        if prev.imbalanced(&cell_offsets, n) {
+        if prev.imbalanced(&cell_offsets(&assignment, c), n) {
             return full(dirty_rows);
         }
 
-        let mut cursor: Vec<u32> = cell_offsets[..c].to_vec();
-        let mut ids = vec![NodeId(0); n];
-        let mut positions = vec![0u32; n];
-        for (i, &cell) in assignment.iter().enumerate() {
-            let pos = cursor[cell as usize] as usize;
-            cursor[cell as usize] += 1;
-            ids[pos] = row_ids[i];
-            positions[i] = pos as u32;
-        }
-        let mut norms = vec![0.0f32; n];
-        for (i, &pos) in positions.iter().enumerate() {
-            norms[pos as usize] = l2_norm(&data[i * dim..(i + 1) * dim]);
-        }
-
-        let storage = match prev_arena {
-            None => {
-                let mut vectors = AlignedBuf::<f32>::zeroed(n * dim);
-                for (i, &pos) in positions.iter().enumerate() {
-                    let pos = pos as usize;
-                    vectors[pos * dim..(pos + 1) * dim]
-                        .copy_from_slice(&data[i * dim..(i + 1) * dim]);
-                }
-                PostingStorage::F32(vectors)
-            }
-            Some(_) if domain_drifted => {
-                // Min/max domain drift: re-quantize every cell from the
-                // gathered f32 rows under a fresh domain.
-                let mut vectors = vec![0.0f32; n * dim];
-                for (i, &pos) in positions.iter().enumerate() {
-                    let pos = pos as usize;
-                    vectors[pos * dim..(pos + 1) * dim]
-                        .copy_from_slice(&data[i * dim..(i + 1) * dim]);
-                }
-                PostingStorage::Sq8(Sq8Arena::quantize(&vectors))
-            }
-            Some(arena) => {
-                // In-place patch under the inherited domain: survivors
-                // copy codes byte for byte, changed rows encode fresh.
-                let (min, scale) = arena.domain();
-                let mut codes = vec![0u8; n * dim];
-                for (i, &pos) in positions.iter().enumerate() {
-                    let pos = pos as usize;
-                    let dst = &mut codes[pos * dim..(pos + 1) * dim];
-                    match prev_row[i] {
-                        u32::MAX => {
-                            for (code, &x) in dst.iter_mut().zip(&data[i * dim..(i + 1) * dim]) {
-                                *code = arena.encode(x);
-                            }
-                        }
-                        row => dst.copy_from_slice(arena.row(row as usize, dim)),
-                    }
-                }
-                PostingStorage::Sq8(Sq8Arena::from_codes(codes, min, scale))
-            }
-        };
-
-        let inv = |n: &f32| if *n == 0.0 { 0.0 } else { 1.0 / *n };
-        let inv_norms = norms.iter().map(inv).collect();
-        let norms = if config.quantize { Vec::new() } else { norms };
-        IvfIndex {
-            dim,
-            config: *config,
+        let clustering = kmeans::Clustering {
             centroids: prev.centroids.clone(),
             centroid_norms: prev.centroid_norms.clone(),
-            cell_offsets,
-            ids,
-            storage,
-            norms,
-            inv_norms,
-            inv_centroid_norms: prev.inv_centroid_norms.clone(),
-            build_time: start.elapsed(),
-            build_kind: BuildKind::Incremental,
-            dirty_rows,
-            stale_rows,
-        }
+            assignment,
+        };
+        // Min/max domain drift re-quantizes every cell under a fresh
+        // domain; otherwise survivors keep their codes byte for byte.
+        let patch = prev_arena
+            .filter(|_| !domain_drifted)
+            .map(|arena| (arena, prev_row.as_slice()));
+        let mut index = IvfIndex::lay_out(embedding, clustering, config, patch, start);
+        index.build_kind = BuildKind::Incremental;
+        index.dirty_rows = dirty_rows;
+        index.stale_rows = stale_rows;
+        index
     }
 
     /// The `k` cosine-nearest indexed rows to `query`, probing the
@@ -1006,6 +921,11 @@ impl IvfIndex {
     /// to the row count; 0 for an empty index).
     pub fn cells(&self) -> usize {
         self.centroid_norms.len()
+    }
+
+    /// The `cells × dim` centroid matrix, row-major.
+    pub fn centroids(&self) -> &[f32] {
+        &self.centroids
     }
 
     /// The node ids of cell `cell`'s posting list, in scan order.
@@ -1643,12 +1563,12 @@ mod tests {
 
         // The Lloyd step by hand: nearest of prev's centroids, the mean
         // of each cell's members, then the final assignment.
-        let rows = Rows::snapshot(&e1);
+        let (ids, data) = (e1.ids(), e1.rows());
         let assign = |centroids: &[f32], norms: &[f32]| -> Vec<u32> {
-            (0..rows.ids.len())
+            (0..ids.len())
                 .map(|i| {
-                    let row = &rows.data[i * dim..(i + 1) * dim];
-                    kmeans::nearest_centroid(row, rows.norms[i], dim, centroids, norms)
+                    let row = &data[i * dim..(i + 1) * dim];
+                    kmeans::nearest_centroid(row, l2_norm(row), dim, centroids, norms)
                 })
                 .collect()
         };
@@ -1661,7 +1581,7 @@ mod tests {
         {
             let cell = cell as usize;
             for d in 0..dim {
-                sums[cell * dim + d] += rows.data[i * dim + d];
+                sums[cell * dim + d] += data[i * dim + d];
             }
             counts[cell] += 1;
         }
@@ -1679,9 +1599,9 @@ mod tests {
         assert_eq!(bits(&ix.centroid_norms), bits(&norms));
         let last = assign(&centroids, &norms);
         for j in 0..c {
-            let members: Vec<NodeId> = (0..rows.ids.len())
+            let members: Vec<NodeId> = (0..ids.len())
                 .filter(|&i| last[i] as usize == j)
-                .map(|i| rows.ids[i])
+                .map(|i| ids[i])
                 .collect();
             assert_eq!(ix.posting_list(j), members.as_slice(), "cell {j}");
         }

@@ -20,6 +20,7 @@ use glodyne_embed::kernel::norm_cosine_fast;
 use glodyne_embed::walks::splitmix64_next;
 
 /// The result of one clustering run over `n` rows.
+#[derive(Default)]
 pub(crate) struct Clustering {
     /// `c × dim` centroid matrix, row-major.
     pub centroids: Vec<f32>,

@@ -107,7 +107,6 @@ fn dense_report(start: Instant, updated_nodes: usize, samples: usize) -> StepRep
         selected: updated_nodes,
         trained_pairs: samples,
         corpus_tokens: 0,
-        dirty_rows: 0,
     }
 }
 

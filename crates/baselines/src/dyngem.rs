@@ -201,7 +201,6 @@ impl DynamicEmbedder for DynGem {
             selected: curr.num_nodes(),
             trained_pairs: curr.num_nodes() * self.cfg.epochs,
             corpus_tokens: 0,
-            dirty_rows: 0,
         }
     }
 

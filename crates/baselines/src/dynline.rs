@@ -199,7 +199,6 @@ impl DynamicEmbedder for DynLine {
             selected: train_set.len(),
             trained_pairs: train_set.len() * self.cfg.samples_per_node,
             corpus_tokens: 0,
-            dirty_rows: 0,
         }
     }
 

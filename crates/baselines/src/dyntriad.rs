@@ -214,7 +214,6 @@ impl DynamicEmbedder for DynTriad {
             selected,
             trained_pairs: edges.len() * self.cfg.epochs,
             corpus_tokens: 0,
-            dirty_rows: 0,
         }
     }
 

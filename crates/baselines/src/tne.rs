@@ -207,7 +207,6 @@ impl DynamicEmbedder for TNE {
             selected,
             trained_pairs: pairs,
             corpus_tokens: corpus.num_tokens(),
-            dirty_rows: 0,
         }
     }
 

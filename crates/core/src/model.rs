@@ -191,7 +191,6 @@ impl GloDyNE {
             selected: g0.num_nodes(),
             trained_pairs: pairs,
             corpus_tokens: corpus.num_tokens(),
-            dirty_rows: 0,
         }
     }
 
@@ -241,7 +240,6 @@ impl GloDyNE {
             selected: selected.len(),
             trained_pairs: pairs,
             corpus_tokens: corpus.num_tokens(),
-            dirty_rows: 0,
         }
     }
 }

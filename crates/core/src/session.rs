@@ -17,7 +17,9 @@
 //! behind `Arc`s, the index is built (incrementally from the previous
 //! one) only by [`EmbedderSession::ensure_ann_index`], and a server
 //! publishes the same handles ([`EmbedderSession::share_epoch`])
-//! instead of copying them.
+//! instead of copying them. A commit never looks at the rows: which of
+//! them changed is decided once per build, by diffing the live
+//! embedding against the one the previous index was built over.
 
 use glodyne_ann::{BatchQuery, IvfConfig, IvfIndex, SearchScratch};
 use glodyne_embed::config::ConfigError;
@@ -85,25 +87,16 @@ pub struct EmbedderSession<E: DynamicEmbedder> {
     ann: Option<AnnState>,
 }
 
-/// ANN configuration plus the index over the latest committed
-/// embedding. A commit only marks the index stale; the build happens on
-/// the next [`EmbedderSession::ensure_ann_index`], so a session that
-/// flushes many times between reads pays for one build per *read*
+/// ANN configuration plus the most recently built index and the
+/// embedding it was built over. The index is current while that
+/// embedding is the session's live one; a commit swaps in a new
+/// embedding and so makes it stale without touching it, and the next
+/// [`EmbedderSession::ensure_ann_index`] builds from it — a session
+/// that flushes many times between reads pays for one build per *read*
 /// epoch instead of one per flush.
 struct AnnState {
     config: IvfConfig,
-    index: Option<Arc<IvfIndex>>,
-    /// The most recently built index, retained across commits as the
-    /// warm start for [`IvfIndex::update_from`]: the next build
-    /// reassigns only the rows the session's dirty set accumulated (or,
-    /// on drift, re-fits this index's centroids) instead of re-running
-    /// k-means from cold seeds.
-    prev: Option<Arc<IvfIndex>>,
-    /// Nodes whose embedding vector changed since the last build —
-    /// computed by diffing the live embedding at each commit (bitwise
-    /// row compare, so it is exact for any embedder, not an estimate).
-    /// Ordered so builds are deterministic.
-    dirty: std::collections::BTreeSet<NodeId>,
+    built: Option<(Arc<IvfIndex>, Arc<Embedding>)>,
 }
 
 impl<E: DynamicEmbedder> EmbedderSession<E> {
@@ -146,8 +139,9 @@ impl<E: DynamicEmbedder> EmbedderSession<E> {
 
     /// Maintain an [`IvfIndex`] over the live embedding and answer
     /// [`nearest_batch_approx`](EmbedderSession::nearest_batch_approx)
-    /// from it. A flush only marks the index stale; the build happens
-    /// on [`ensure_ann_index`](EmbedderSession::ensure_ann_index) (which
+    /// from it. A flush only leaves the index stale; the build — and
+    /// the diff that tells it which rows changed — happens on
+    /// [`ensure_ann_index`](EmbedderSession::ensure_ann_index) (which
     /// approximate reads call), so a stream of flushes with no reads in
     /// between costs nothing extra. The exact
     /// [`nearest`](EmbedderSession::nearest) path is untouched. Rejects
@@ -168,9 +162,7 @@ impl<E: DynamicEmbedder> EmbedderSession<E> {
         }
         self.ann = config.map(|config| AnnState {
             config,
-            index: None,
-            prev: None,
-            dirty: Default::default(),
+            built: None,
         });
         Ok(())
     }
@@ -222,7 +214,7 @@ impl<E: DynamicEmbedder> EmbedderSession<E> {
         } else {
             self.state.commit()
         };
-        let mut report = match self.prev.take() {
+        let report = match self.prev.take() {
             None => self.embedder.step(StepContext::initial(&snap)),
             Some(prev) => {
                 // Lazy diff: methods that read ΔE^t get it computed
@@ -231,40 +223,8 @@ impl<E: DynamicEmbedder> EmbedderSession<E> {
                     .step(StepContext::transition_lazy(&prev, &snap))
             }
         };
-        // Diff the live embedding across the step (bitwise per row, so
-        // NaN components don't read as perpetual churn) — the exact
-        // dirty set the incremental index maintenance reassigns.
-        // Removed rows aren't listed: `IvfIndex::update_from` detects
-        // them from the embedding itself.
-        let old = std::mem::replace(&mut self.latest, Arc::new(self.embedder.embedding()));
-        let mut dirty = self.ann.as_mut().map(|ann| &mut ann.dirty);
-        report.dirty_rows = 0;
-        for (id, v) in self.latest.iter() {
-            let changed = match old.get(id) {
-                Some(prev_row) => {
-                    prev_row.len() != v.len()
-                        || prev_row
-                            .iter()
-                            .zip(v)
-                            .any(|(a, b)| a.to_bits() != b.to_bits())
-                }
-                None => true,
-            };
-            if changed {
-                report.dirty_rows += 1;
-                if let Some(dirty) = &mut dirty {
-                    dirty.insert(id);
-                }
-            }
-        }
-        if let Some(ann) = &mut self.ann {
-            // Only mark the index stale; the (incremental) rebuild
-            // happens on the next `ensure_ann_index`. The last built
-            // index is kept as the warm start.
-            if let Some(ix) = ann.index.take() {
-                ann.prev = Some(ix);
-            }
-        }
+        // A new `Arc`, so any index built over the old one is stale.
+        self.latest = Arc::new(self.embedder.embedding());
         self.prev = Some(snap);
         self.pending = 0;
         self.steps += 1;
@@ -311,22 +271,35 @@ impl<E: DynamicEmbedder> EmbedderSession<E> {
     /// it; `None` when ANN is disabled. The one place an epoch's index
     /// is made: the first build is a cold k-means over the live
     /// embedding (empty before the first commit), every later one
-    /// warm-starts from the previous index.
+    /// warm-starts from the previous index through
+    /// [`IvfIndex::update_from`].
+    ///
+    /// The rows a warm start reassigns come from the session's one
+    /// diff, run here once per build however many commits came between:
+    /// the live rows whose bits differ from, or are absent in, the
+    /// embedding the previous index was built over, in ascending id
+    /// order (`update_from` finds removed rows itself). So a row whose
+    /// bits change and return to exactly their old value between two
+    /// builds stays clean, where a diff at every commit would have
+    /// reassigned it.
     pub fn ensure_ann_index(&mut self) -> Option<&IvfIndex> {
         let ann = self.ann.as_mut()?;
-        if ann.index.is_none() {
-            // Warm-start from the last built index when there is one:
-            // only the rows the dirty set accumulated since that build
-            // are reassigned (`update_from` re-fits the previous
-            // centroids over every row on drift). A session that never
-            // built — or one resumed from a checkpoint — builds cold.
-            let dirty: Vec<NodeId> = std::mem::take(&mut ann.dirty).into_iter().collect();
-            ann.index = Some(Arc::new(match ann.prev.take() {
-                Some(prev) => IvfIndex::update_from(&prev, &self.latest, &dirty, &ann.config),
+        let current = |(_, over): &(Arc<IvfIndex>, Arc<Embedding>)| Arc::ptr_eq(over, &self.latest);
+        if !ann.built.as_ref().is_some_and(current) {
+            // A session that never built — or one resumed from a
+            // checkpoint — builds cold.
+            let index = match &ann.built {
+                Some((prev, over)) => IvfIndex::update_from(
+                    prev,
+                    &self.latest,
+                    &changed_rows(over, &self.latest),
+                    &ann.config,
+                ),
                 None => IvfIndex::build(&self.latest, &ann.config),
-            }));
+            };
+            ann.built = Some((Arc::new(index), Arc::clone(&self.latest)));
         }
-        ann.index.as_deref()
+        ann.built.as_ref().map(|(index, _)| &**index)
     }
 
     /// The committed epoch as shared handles: the live embedding and,
@@ -336,8 +309,11 @@ impl<E: DynamicEmbedder> EmbedderSession<E> {
     /// never writes through them — a commit swaps in new ones.
     pub fn share_epoch(&mut self) -> (Arc<Embedding>, Option<Arc<IvfIndex>>) {
         self.ensure_ann_index();
-        let index = self.ann.as_ref().and_then(|ann| ann.index.clone());
-        (Arc::clone(&self.latest), index)
+        let built = self.ann.as_ref().and_then(|ann| ann.built.as_ref());
+        (
+            Arc::clone(&self.latest),
+            built.map(|(index, _)| index.clone()),
+        )
     }
 
     /// The live embedding (as of the last committed step).
@@ -395,6 +371,22 @@ impl<E: DynamicEmbedder> EmbedderSession<E> {
     pub fn into_embedder(self) -> E {
         self.embedder
     }
+}
+
+/// The ids of `new`'s rows that are absent from `old` or differ from it
+/// in any bit (so NaN components don't read as perpetual churn), in
+/// ascending order.
+fn changed_rows(old: &Embedding, new: &Embedding) -> Vec<NodeId> {
+    fn bits(v: &[f32]) -> impl Iterator<Item = u32> + '_ {
+        v.iter().map(|x| x.to_bits())
+    }
+    let mut changed: Vec<NodeId> = new
+        .iter()
+        .filter(|&(id, v)| old.get(id).is_none_or(|prev| bits(prev).ne(bits(v))))
+        .map(|(id, _)| id)
+        .collect();
+    changed.sort_unstable();
+    changed
 }
 
 /// The approximate `k` nearest neighbours of each of `nodes` among
@@ -508,6 +500,7 @@ mod tests {
     use crate::model::{GloDyNE, GloDyNEConfig};
     use glodyne_embed::walks::WalkConfig;
     use glodyne_embed::SgnsConfig;
+    use std::collections::BTreeSet;
 
     fn tiny_model() -> GloDyNE {
         GloDyNE::new(GloDyNEConfig {
@@ -786,32 +779,145 @@ mod tests {
             .unwrap()
             .with_ann(cfg)
             .unwrap();
+        // Epoch 0's index, over the empty embedding (as a server
+        // publishes it), is what the first commit's build counts
+        // against.
+        assert!(s.ensure_ann_index().unwrap().is_empty());
         s.ingest(&chain(&[0, 0, 0, 0, 0, 0]));
-        let r = s.flush().unwrap();
-        assert_eq!(
-            r.dirty_rows,
-            s.embedding().len(),
-            "the offline step dirties every row"
-        );
+        s.flush().unwrap();
+        let n = s.embedding().len();
         let first = s.ensure_ann_index().unwrap();
+        assert_eq!(first.dirty_rows(), n, "the offline step dirties every row");
         assert_eq!(first.build_kind(), BuildKind::Full, "cold start is full");
 
         // Next epoch: the build warm-starts from the first and
         // reassigns exactly the rows the step changed.
+        let before = s.share_epoch().0;
         s.ingest(&[TimedEdge::new(NodeId(0), NodeId(9), 1)]);
-        let r = s.flush().unwrap();
-        assert!(r.dirty_rows > 0);
+        s.flush().unwrap();
+        let changed = s
+            .embedding()
+            .iter()
+            .filter(|&(id, v)| before.get(id).is_none_or(|old| bits(old) != bits(v)))
+            .count();
         let index = shared_index(&mut s);
+        assert!(index.dirty_rows() > 0);
         assert_eq!(index.build_kind(), BuildKind::Incremental);
         assert_eq!(index.len(), s.embedding().len());
         assert_eq!(
             index.dirty_rows(),
-            r.dirty_rows,
-            "the build drained the dirty set"
+            changed,
+            "the build reassigned exactly the changed rows"
         );
         // Full probe on the patched index ≡ the exact scan.
         let approx = s.nearest_batch_approx(&[NodeId(2)], 4, usize::MAX).unwrap();
         assert_same_hits(&approx[0], &s.nearest(NodeId(2), 4));
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The diff the session used to run at every commit, accumulated
+    /// into a dirty set until the next build drained it: the reference
+    /// for the build-time [`changed_rows`].
+    fn per_commit_diff(old: &Embedding, new: &Embedding, dirty: &mut BTreeSet<NodeId>) {
+        for (id, v) in new.iter() {
+            let changed = match old.get(id) {
+                Some(prev) => prev.len() != v.len() || bits(prev) != bits(v),
+                None => true,
+            };
+            if changed {
+                dirty.insert(id);
+            }
+        }
+    }
+
+    #[test]
+    fn build_time_diff_is_the_accumulated_per_commit_diff() {
+        use glodyne_ann::BuildKind;
+        use glodyne_graph::state::GraphEvent;
+        let add = |pairs: &[(u32, u32)], t| {
+            let events = pairs
+                .iter()
+                .map(|&(a, b)| GraphEvent::add_edge(NodeId(a), NodeId(b), t));
+            Some(events.collect::<Vec<_>>())
+        };
+        // `Some(events)` is one flush, `None` one build: three flushes
+        // between two builds, one of them a node removal.
+        let script = [
+            add(
+                &[
+                    (0, 1),
+                    (1, 2),
+                    (2, 3),
+                    (3, 4),
+                    (4, 5),
+                    (5, 6),
+                    (6, 7),
+                    (7, 8),
+                ],
+                0,
+            ),
+            None,
+            add(&[(0, 2), (1, 3), (2, 4)], 1),
+            Some(vec![GraphEvent::remove_node(NodeId(8), 2)]),
+            add(&[(3, 9), (4, 10), (5, 11)], 3),
+            None,
+            add(&[(9, 12), (0, 6)], 4),
+            None,
+        ];
+        for quantize in [false, true] {
+            for drift_stale_bp in [IvfConfig::default().drift_stale_bp, 10_000] {
+                let cfg = IvfConfig {
+                    cells: 3,
+                    quantize,
+                    drift_stale_bp,
+                    ..Default::default()
+                };
+                let mut s = EmbedderSession::new(tiny_model(), EpochPolicy::Manual)
+                    .unwrap()
+                    .with_ann(cfg)
+                    .unwrap();
+                // Epoch 0's index, over the empty embedding.
+                let (mut over, index) = s.share_epoch();
+                let mut prev = index.unwrap();
+                let mut reference = BTreeSet::new();
+                let mut kinds = Vec::new();
+                for step in &script {
+                    if let Some(events) = step {
+                        let old = Arc::clone(&s.latest);
+                        for &event in events {
+                            s.apply(event);
+                        }
+                        s.flush().unwrap();
+                        per_commit_diff(&old, &s.latest, &mut reference);
+                        continue;
+                    }
+                    // A build: its diff is the union of the commits'
+                    // diffs, and its index is `update_from` over it.
+                    let (live, index) = s.share_epoch();
+                    let index = index.unwrap();
+                    let dirty: Vec<NodeId> = std::mem::take(&mut reference).into_iter().collect();
+                    assert_eq!(changed_rows(&over, &live), dirty);
+                    let want = IvfIndex::update_from(&prev, &live, &dirty, &cfg);
+                    let what = format!("quantize={quantize} drift_stale_bp={drift_stale_bp}");
+                    assert_eq!(index.dirty_rows(), want.dirty_rows(), "{what}");
+                    assert_eq!(index.build_kind(), want.build_kind(), "{what}");
+                    assert_eq!(bits(index.centroids()), bits(want.centroids()), "{what}");
+                    assert_eq!(index.cells(), want.cells(), "{what}");
+                    for c in 0..want.cells() {
+                        assert_eq!(index.posting_list(c), want.posting_list(c), "{what}");
+                    }
+                    kinds.push(index.build_kind());
+                    (over, prev) = (live, index);
+                }
+                assert_eq!(kinds.len(), 3);
+                if drift_stale_bp == 10_000 {
+                    assert!(kinds.contains(&BuildKind::Incremental));
+                }
+            }
+        }
     }
 
     #[test]

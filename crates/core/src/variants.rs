@@ -52,7 +52,6 @@ fn walk_all_and_train(curr: &Snapshot, walk_cfg: &WalkConfig, model: &mut SgnsMo
         selected: curr.num_nodes(),
         trained_pairs: pairs,
         corpus_tokens: corpus.num_tokens(),
-        dirty_rows: 0,
     }
 }
 

@@ -108,6 +108,17 @@ impl Embedding {
         &self.ids
     }
 
+    /// Every vector as one `len × dim` row-major slice, row `i` being
+    /// `ids()[i]`'s.
+    pub fn rows(&self) -> &[f32] {
+        &self.data
+    }
+
+    /// The cached L2 norms, parallel to [`ids`](Embedding::ids).
+    pub fn norms(&self) -> &[f32] {
+        &self.norms
+    }
+
     /// Cosine similarity between two embedded nodes; `None` if either is
     /// missing. Zero vectors yield similarity 0.
     pub fn cosine(&self, a: NodeId, b: NodeId) -> Option<f32> {

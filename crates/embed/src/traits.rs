@@ -129,13 +129,6 @@ pub struct StepReport {
     /// Total tokens in the walk corpus trained on this step. 0 for
     /// walk-free methods.
     pub corpus_tokens: usize,
-    /// Rows of the live embedding whose vector actually changed across
-    /// this step (mutated or newly added) — the churn the incremental
-    /// ANN maintenance reassigns. Methods report 0; drivers that can
-    /// diff the embedding (`EmbedderSession` in `glodyne-core`) fill
-    /// it in at commit time, so it is exact rather than an estimate
-    /// like `selected`.
-    pub dirty_rows: usize,
 }
 
 impl StepReport {

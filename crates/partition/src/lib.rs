@@ -245,9 +245,15 @@ fn multilevel(
     refine(coarsest, &mut assignment, k, cfg.epsilon, cfg.refine_passes);
 
     // Phase 3: uncoarsen with refinement at each level.
-    let assignment = hierarchy.project_to_finest(assignment, |graph, asg| {
+    let mut assignment = hierarchy.project_to_finest(assignment, |graph, asg| {
         refine(graph, asg, k, cfg.epsilon, cfg.refine_passes);
     });
+    // Restore the balance bound where projection broke it, then win
+    // back what the forced moves cost the cut, under the bound.
+    let finest = &hierarchy.finest;
+    if refine::rebalance(finest, &mut assignment, k, cfg.epsilon) {
+        refine(finest, &mut assignment, k, cfg.epsilon, cfg.refine_passes);
+    }
 
     Partition { assignment, k }
 }
@@ -300,6 +306,29 @@ mod tests {
                 part.len()
             );
         }
+    }
+
+    #[test]
+    fn multilevel_path_keeps_the_balance_bound_at_mid_range_k() {
+        // The largest snapshot of `standard_suite(4.0, 1)`'s DBLP
+        // analogue (the suite seeds DBLP with `seed + 2`): projection
+        // left a part of 487 nodes against a cap of 306 at K = 16.
+        let d = glodyne_datasets::dblp(4.0, 3);
+        let g = d
+            .network
+            .snapshots()
+            .iter()
+            .max_by_key(|s| s.num_nodes())
+            .unwrap();
+        let cfg = PartitionConfig::with_k(16);
+        let p = partition(g, &cfg);
+        let cap = ((1.0 + cfg.epsilon) * g.num_nodes() as f64 / 16.0).ceil() as usize;
+        let sizes: Vec<usize> = p.parts().iter().map(Vec::len).collect();
+        assert_eq!(sizes.len(), 16);
+        assert!(
+            sizes.iter().all(|&s| (1..=cap).contains(&s)),
+            "{sizes:?} vs cap {cap}"
+        );
     }
 
     #[test]

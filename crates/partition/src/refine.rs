@@ -10,6 +10,7 @@
 
 use crate::wgraph::WGraph;
 use std::cmp::Reverse;
+use std::collections::BTreeSet;
 
 /// Weighted edge cut of an assignment.
 pub fn edge_cut(g: &WGraph, assignment: &[u32]) -> u64 {
@@ -24,18 +25,71 @@ pub fn edge_cut(g: &WGraph, assignment: &[u32]) -> u64 {
     cut
 }
 
+/// The balance cap `⌈(1 + ε)·W/K⌉` (at least 1) and each part's load.
+fn cap_and_loads(g: &WGraph, assignment: &[u32], k: usize, epsilon: f64) -> (u64, Vec<u64>) {
+    let cap = ((1.0 + epsilon) * g.total_weight() as f64 / k as f64)
+        .ceil()
+        .max(1.0);
+    let mut loads = vec![0u64; k];
+    for v in 0..g.len() {
+        loads[assignment[v] as usize] += g.vwgt[v];
+    }
+    (cap as u64, loads)
+}
+
+/// One node's connection weight to each part its neighbours live in.
+/// `conn` is zero outside `touched`, which is what makes `conn[p] == 0`
+/// mean "not listed yet" (edge weights are ≥ 1); a scan resets only the
+/// entries the previous one wrote, so it costs O(deg(v)), not O(K).
+struct Conn {
+    conn: Vec<u64>,
+    touched: Vec<u32>,
+}
+
+impl Conn {
+    fn new(k: usize) -> Conn {
+        Conn {
+            conn: vec![0; k],
+            touched: Vec::new(),
+        }
+    }
+
+    fn scan(&mut self, g: &WGraph, assignment: &[u32], v: usize) {
+        for &p in &self.touched {
+            self.conn[p as usize] = 0;
+        }
+        self.touched.clear();
+        for &(u, w) in &g.adj[v] {
+            debug_assert!(w >= 1, "zero-weight edge {v}-{u}");
+            let p = assignment[u as usize];
+            if self.conn[p as usize] == 0 {
+                self.touched.push(p);
+            }
+            self.conn[p as usize] += w;
+        }
+    }
+
+    /// The best-connected scanned part other than `home` that takes
+    /// `vw` more without exceeding `cap`. Ties go to the lowest part
+    /// id: `touched` is in neighbour order, not part order, so the
+    /// comparison carries the id explicitly.
+    fn best(&self, home: usize, vw: u64, loads: &[u64], cap: u64) -> Option<usize> {
+        self.touched
+            .iter()
+            .map(|&p| p as usize)
+            .filter(|&p| p != home && loads[p] + vw <= cap)
+            .max_by_key(|&p| (self.conn[p], Reverse(p)))
+    }
+}
+
 /// Run up to `passes` refinement passes in place. Each pass visits every
 /// node once; stops early when a pass makes no move.
 ///
-/// A visit costs O(deg(v)), not O(K): `conn` is only written at the parts
-/// `v`'s neighbours live in, `touched` lists those parts, and the
-/// destination is chosen among them alone. A part with no neighbour of
-/// `v` has gain `−conn[home] ≤ 0` and could never be moved to, so leaving
-/// it out changes no assignment.
-///
-/// **Tie-break:** among eligible parts of equal gain the lowest part id
-/// wins. `touched` is in neighbour order, not part order, so the
-/// comparison carries the id explicitly.
+/// A visit costs O(deg(v)), not O(K): the destination is chosen among
+/// the parts `v`'s neighbours live in (`Conn`). A part with no
+/// neighbour of `v` has gain `−conn[home] ≤ 0` and could never be moved
+/// to, so leaving it out changes no assignment. Among eligible parts of
+/// equal gain the lowest part id wins.
 ///
 /// The balance cap here rounds *up* (`ceil`) while
 /// [`greedy_growing`](crate::initial::greedy_growing)'s rounds *down*;
@@ -44,47 +98,20 @@ pub fn refine(g: &WGraph, assignment: &mut [u32], k: usize, epsilon: f64, passes
     if k <= 1 || g.is_empty() {
         return;
     }
-    let total = g.total_weight();
-    let cap = ((1.0 + epsilon) * total as f64 / k as f64).ceil().max(1.0) as u64;
-
-    let mut loads = vec![0u64; k];
-    for v in 0..g.len() {
-        loads[assignment[v] as usize] += g.vwgt[v];
-    }
-
-    // conn[p] = connection weight from the visited node to part p; zero
-    // outside `touched`, which is what makes `conn[p] == 0` mean "not
-    // listed yet" (edge weights are ≥ 1).
-    let mut conn = vec![0u64; k];
-    let mut touched: Vec<u32> = Vec::new();
+    let (cap, mut loads) = cap_and_loads(g, assignment, k, epsilon);
+    let mut conn = Conn::new(k);
     for _ in 0..passes {
         let mut moved = false;
         for v in 0..g.len() {
             let home = assignment[v] as usize;
-            for &p in &touched {
-                conn[p as usize] = 0;
-            }
-            touched.clear();
-            for &(u, w) in &g.adj[v] {
-                debug_assert!(w >= 1, "zero-weight edge {v}-{u}");
-                let p = assignment[u as usize];
-                if conn[p as usize] == 0 {
-                    touched.push(p);
-                }
-                conn[p as usize] += w;
-            }
+            conn.scan(g, assignment, v);
             let vw = g.vwgt[v];
             // Best destination by gain (`conn[p] − conn[home]`, so by
             // `conn[p]`), respecting the balance cap and never emptying
             // the home part (Definition 5 requires K non-empty
             // sub-networks for node selection).
-            let best = touched
-                .iter()
-                .map(|&p| p as usize)
-                .filter(|&p| p != home && loads[p] + vw <= cap)
-                .max_by_key(|&p| (conn[p], Reverse(p)));
-            if let Some(p) = best {
-                if conn[p] > conn[home] && loads[home] > vw {
+            if let Some(p) = conn.best(home, vw, &loads, cap) {
+                if conn.conn[p] > conn.conn[home] && loads[home] > vw {
                     assignment[v] = p as u32;
                     loads[home] -= vw;
                     loads[p] += vw;
@@ -96,6 +123,43 @@ pub fn refine(g: &WGraph, assignment: &mut [u32], k: usize, epsilon: f64, passes
             break;
         }
     }
+}
+
+/// Enforce Eq. 2's bound on the finest graph after refinement, which
+/// only ever *keeps* the bound and so cannot restore one that
+/// projection broke. One pass in node order moves each node of a part
+/// still over the cap to the under-cap part it is best connected to (as
+/// [`refine`] picks), or, with none, to the lightest part (ties toward
+/// the lowest id). Returns whether it moved anything; with no part over
+/// the cap it does nothing. O(|V| + |E| + K log K); the lightest-part
+/// fallback relies on unit node weights, under which a part over the
+/// cap leaves the lightest one under it.
+pub fn rebalance(g: &WGraph, assignment: &mut [u32], k: usize, epsilon: f64) -> bool {
+    if k <= 1 || g.is_empty() {
+        return false;
+    }
+    let (cap, mut loads) = cap_and_loads(g, assignment, k, epsilon);
+    if loads.iter().all(|&l| l <= cap) {
+        return false;
+    }
+    let mut by_load: BTreeSet<(u64, usize)> = (0..k).map(|p| (loads[p], p)).collect();
+    let mut conn = Conn::new(k);
+    for v in 0..g.len() {
+        let (home, vw) = (assignment[v] as usize, g.vwgt[v]);
+        if loads[home] <= cap {
+            continue;
+        }
+        conn.scan(g, assignment, v);
+        let lightest = by_load.first().expect("k >= 2 parts").1;
+        let p = conn.best(home, vw, &loads, cap).unwrap_or(lightest);
+        by_load.remove(&(loads[home], home));
+        by_load.remove(&(loads[p], p));
+        assignment[v] = p as u32;
+        loads[home] -= vw;
+        loads[p] += vw;
+        by_load.extend([(loads[home], home), (loads[p], p)]);
+    }
+    true
 }
 
 #[cfg(test)]
@@ -162,6 +226,24 @@ mod tests {
         refine(&g, &mut a, 2, 5.0, 10);
         let part1 = a.iter().filter(|&&p| p == 1).count();
         assert!(part1 >= 1, "part 1 must stay non-empty");
+    }
+
+    #[test]
+    fn rebalance_empties_over_cap_parts_and_leaves_balanced_ones() {
+        let g = two_cliques_with_bridge();
+        let cap = (1.1_f64 * 12.0 / 3.0).ceil() as usize;
+        // Ten nodes in part 0 against a cap of 5.
+        let mut a = vec![0u32; 12];
+        a[5] = 1;
+        a[11] = 2;
+        assert!(rebalance(&g, &mut a, 3, 0.1));
+        for p in 0..3 {
+            let size = a.iter().filter(|&&x| x == p).count();
+            assert!((1..=cap).contains(&size), "part {p} holds {size}");
+        }
+        let before = a.clone();
+        assert!(!rebalance(&g, &mut a, 3, 0.1), "nothing over the cap");
+        assert_eq!(a, before);
     }
 
     #[test]

@@ -846,11 +846,14 @@ fn trainer_loop<T: Trainee>(
             match msg {
                 // The policy may commit on its own (timestamp / every-n
                 // boundaries); publish whenever it does.
-                TrainerMsg::Event { event, .. } => match trainee.apply(event) {
-                    Ok(true) => commit(&mut trainee),
-                    Ok(false) => {}
-                    Err(e) => eprintln!("glodyne-serve: wal append failed: {e}"),
-                },
+                TrainerMsg::Event { event, .. } => {
+                    match trainee.apply(event) {
+                        Ok(true) => commit(&mut trainee),
+                        Ok(false) => {}
+                        Err(e) => eprintln!("glodyne-serve: wal append failed: {e}"),
+                    }
+                    sync_gauge(&trainee);
+                }
                 TrainerMsg::Flush(ack) => {
                     // A step that ran is published and acked even when
                     // the durable flush failed after it (a failed fsync):
@@ -864,6 +867,9 @@ fn trainer_loop<T: Trainee>(
                     if stepped {
                         commit(&mut trainee);
                     }
+                    // Before the ack: a `stats` sent after the reply
+                    // must see this flush's WAL and snapshot.
+                    sync_gauge(&trainee);
                     health.flush_completed();
                     let _ = ack.send(FlushOutcome {
                         stepped,
@@ -872,7 +878,6 @@ fn trainer_loop<T: Trainee>(
                 }
                 TrainerMsg::Shutdown => break,
             }
-            sync_gauge(&trainee);
             health.beat();
         }
     }));
@@ -1169,6 +1174,31 @@ mod tests {
                 .unwrap();
         assert_eq!(report.replayed_events, 0);
         assert_eq!(recovered.session().steps(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn durability_stats_after_a_flush_reply_include_that_flush() {
+        use glodyne_durable::{DurableConfig, FsyncPolicy};
+        let dir = durable_dir("gauge");
+        let cfg = DurableConfig {
+            fsync: FsyncPolicy::Off,
+            snapshot_every: 1,
+            ..DurableConfig::default()
+        };
+        let durable = DurableSession::create(&dir, tiny_session(EpochPolicy::Manual), cfg).unwrap();
+        let serving = ServingSession::spawn(durable, SessionSpec::new(64)).unwrap();
+        serving.ingest(&chain_events(6, 0)).unwrap();
+        for t in 1..=40u32 {
+            let reply = serving.flush().unwrap();
+            assert!(reply.stepped);
+            let dur = serving.stats().durability.unwrap();
+            assert_eq!(dur.last_snapshot_epoch, Some(reply.epoch), "flush {t}");
+            serving
+                .ingest(&[GraphEvent::add_edge(NodeId(t), NodeId(t + 6), u64::from(t))])
+                .unwrap();
+        }
+        serving.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
