@@ -77,8 +77,10 @@ impl Wire {
     }
 
     fn round_trip(&mut self, request: &str) -> json::Json {
-        self.writer.write_all(request.as_bytes()).unwrap();
-        self.writer.write_all(b"\n").unwrap();
+        // The line and its newline in one write: one segment on the wire.
+        self.writer
+            .write_all(format!("{request}\n").as_bytes())
+            .unwrap();
         self.writer.flush().unwrap();
         let mut line = String::new();
         self.reader.read_line(&mut line).expect("read response");

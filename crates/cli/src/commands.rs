@@ -744,8 +744,10 @@ fn wire_roundtrip(addr: &str, request: &str) -> Result<Json, CliError> {
         .set_read_timeout(Some(std::time::Duration::from_secs(10)))
         .map_err(conn_err)?;
     let mut writer = stream.try_clone().map_err(conn_err)?;
-    writer.write_all(request.as_bytes()).map_err(conn_err)?;
-    writer.write_all(b"\n").map_err(conn_err)?;
+    // The line and its newline in one write: one segment on the wire.
+    writer
+        .write_all(format!("{request}\n").as_bytes())
+        .map_err(conn_err)?;
     let mut line = String::new();
     BufReader::new(stream)
         .read_line(&mut line)

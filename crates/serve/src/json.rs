@@ -35,20 +35,6 @@ pub enum Json {
 }
 
 impl Json {
-    /// A number carrying an `f32` losslessly: the value serialises to
-    /// `f32`'s shortest round-trip decimal (not the `f64` widening's
-    /// long tail). Non-finite values become `Null`.
-    pub fn num_f32(x: f32) -> Json {
-        if x.is_finite() {
-            // The shortest decimal for an f32 re-parses exactly (it is
-            // never a rounding tie), so going through the string keeps
-            // both the wire form short and the value bit-faithful.
-            Json::Num(format!("{x}").parse().unwrap_or(x as f64))
-        } else {
-            Json::Null
-        }
-    }
-
     /// Object field lookup (last occurrence wins); `None` for non-objects.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -145,6 +131,18 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
 }
 
 use fmt::Write as _;
+
+/// Append an `f32` as a JSON number: `f32`'s shortest round-trip
+/// decimal (not the `f64` widening's long tail), or `null` when the
+/// value is not finite. The shortest decimal re-parses to the same
+/// bits, so the wire form is both short and faithful.
+pub(crate) fn write_f32(out: &mut String, x: f32) {
+    if x.is_finite() {
+        let _ = write!(out, "{x}");
+    } else {
+        out.push_str("null");
+    }
+}
 
 /// A positioned parse failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -542,11 +540,15 @@ mod tests {
 
     #[test]
     fn f32_numbers_stay_short_and_faithful() {
-        let j = Json::num_f32(0.3);
-        assert_eq!(j.to_string(), "0.3");
-        let parsed = parse(&j.to_string()).unwrap().as_f64().unwrap() as f32;
+        let mut out = String::new();
+        write_f32(&mut out, 0.3);
+        assert_eq!(out, "0.3");
+        let parsed = parse(&out).unwrap().as_f64().unwrap() as f32;
         assert_eq!(parsed.to_bits(), 0.3f32.to_bits());
-        assert_eq!(Json::num_f32(f32::NAN), Json::Null);
-        assert_eq!(Json::num_f32(f32::INFINITY), Json::Null);
+        for x in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            out.clear();
+            write_f32(&mut out, x);
+            assert_eq!(out, "null", "{x}");
+        }
     }
 }

@@ -30,6 +30,16 @@
 //! or dead trainer turns writes into `kind:"degraded"` while reads
 //! keep answering from the last published epoch (see the `stats`
 //! response's `health` object).
+//!
+//! Encoding: the hot read replies — `query`, `nearest` in both modes and
+//! `nearest_batch` — are written straight into the connection's reply
+//! buffer by `write_query`, `write_nearest` and `write_nearest_batch`,
+//! with no [`Json`] tree and one `Display` per number (each `f32` as its
+//! shortest round-trip decimal, `null` when not finite). Their bytes are
+//! identical to the tree encoding they replaced, which the tests keep as
+//! a byte reference (for integers below 2^53, the tree's exact `f64`
+//! range; a node id is a `u32`). Cold replies (`stats`, `ingest`, `flush`, errors)
+//! still build a `Json` tree.
 
 use crate::json::{self, Json};
 use crate::queue::FlushOutcome;
@@ -38,7 +48,7 @@ use crate::telemetry::TelemetryStats;
 use glodyne_graph::state::GraphEvent;
 use glodyne_graph::NodeId;
 use glodyne_telemetry::HistogramSnapshot;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Cap on one request line; longer lines are rejected with a
 /// `too_large` error without buffering the payload.
@@ -451,24 +461,105 @@ pub fn error_line(err: &ProtocolError) -> String {
     .to_string()
 }
 
+/// Append a successful `query` reply to `out`.
+pub(crate) fn write_query(out: &mut String, epoch: u64, node: NodeId, vector: &[f32]) {
+    let _ = write!(
+        out,
+        r#"{{"ok":true,"cmd":"query","epoch":{epoch},"node":{},"vector":["#,
+        node.0
+    );
+    for (i, &x) in vector.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        json::write_f32(out, x);
+    }
+    out.push_str("]}");
+}
+
+/// Append a successful `nearest` reply in either mode to `out`:
+/// `nprobe` is the effective probe width in ANN mode, `None` in exact
+/// mode.
+pub(crate) fn write_nearest(
+    out: &mut String,
+    epoch: u64,
+    node: NodeId,
+    neighbours: &[(NodeId, f32)],
+    nprobe: Option<usize>,
+) {
+    let _ = write!(
+        out,
+        r#"{{"ok":true,"cmd":"nearest","epoch":{epoch},"node":{}"#,
+        node.0
+    );
+    write_mode(out, nprobe);
+    out.push_str(r#","neighbours":"#);
+    write_hits(out, neighbours);
+    out.push('}');
+}
+
+/// Append a successful `nearest_batch` reply to `out` (arguments as in
+/// [`nearest_batch_line`]).
+pub(crate) fn write_nearest_batch(
+    out: &mut String,
+    epoch: u64,
+    nodes: &[NodeId],
+    results: &[Option<Vec<(NodeId, f32)>>],
+    nprobe: Option<usize>,
+) {
+    let _ = write!(out, r#"{{"ok":true,"cmd":"nearest_batch","epoch":{epoch}"#);
+    write_mode(out, nprobe);
+    out.push_str(r#","results":["#);
+    for (i, (node, hits)) in nodes.iter().zip(results).enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, r#"{{"node":{},"neighbours":"#, node.0);
+        match hits {
+            None => out.push_str("null"),
+            Some(hits) => write_hits(out, hits),
+        }
+        out.push('}');
+    }
+    out.push_str("]}");
+}
+
+/// The `"mode"` key, and `"nprobe"` after it in ANN mode.
+fn write_mode(out: &mut String, nprobe: Option<usize>) {
+    match nprobe {
+        None => out.push_str(r#","mode":"exact""#),
+        Some(nprobe) => {
+            let _ = write!(out, r#","mode":"ann","nprobe":{nprobe}"#);
+        }
+    }
+}
+
+/// A hit list as `[[id,sim],...]`.
+fn write_hits(out: &mut String, hits: &[(NodeId, f32)]) {
+    out.push('[');
+    for (i, &(id, sim)) in hits.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "[{},", id.0);
+        json::write_f32(out, sim);
+        out.push(']');
+    }
+    out.push(']');
+}
+
 /// Render a successful `query`.
 pub fn query_line(epoch: u64, node: NodeId, vector: &[f32]) -> String {
-    ok_obj(
-        "query",
-        vec![
-            ("epoch".to_string(), Json::Num(epoch as f64)),
-            ("node".to_string(), Json::Num(node.0 as f64)),
-            (
-                "vector".to_string(),
-                Json::Arr(vector.iter().map(|&x| Json::num_f32(x)).collect()),
-            ),
-        ],
-    )
+    let mut out = String::new();
+    write_query(&mut out, epoch, node, vector);
+    out
 }
 
 /// Render a successful exact-mode `nearest`.
 pub fn nearest_line(epoch: u64, node: NodeId, neighbours: &[(NodeId, f32)]) -> String {
-    nearest_line_with(epoch, node, neighbours, None)
+    let mut out = String::new();
+    write_nearest(&mut out, epoch, node, neighbours, None);
+    out
 }
 
 /// Render a successful ANN-mode `nearest`, echoing the effective
@@ -479,92 +570,26 @@ pub fn nearest_ann_line(
     neighbours: &[(NodeId, f32)],
     nprobe: usize,
 ) -> String {
-    nearest_line_with(epoch, node, neighbours, Some(nprobe))
+    let mut out = String::new();
+    write_nearest(&mut out, epoch, node, neighbours, Some(nprobe));
+    out
 }
 
-/// Render a successful `nearest` in either mode: `nprobe` is the
-/// effective probe width in ANN mode, `None` in exact mode.
-pub(crate) fn nearest_line_with(
-    epoch: u64,
-    node: NodeId,
-    neighbours: &[(NodeId, f32)],
-    nprobe: Option<usize>,
-) -> String {
-    let mut rest = vec![
-        ("epoch".to_string(), Json::Num(epoch as f64)),
-        ("node".to_string(), Json::Num(node.0 as f64)),
-        (
-            "mode".to_string(),
-            Json::Str(if nprobe.is_some() { "ann" } else { "exact" }.to_string()),
-        ),
-    ];
-    if let Some(nprobe) = nprobe {
-        rest.push(("nprobe".to_string(), Json::Num(nprobe as f64)));
-    }
-    rest.push((
-        "neighbours".to_string(),
-        Json::Arr(
-            neighbours
-                .iter()
-                .map(|&(id, sim)| Json::Arr(vec![Json::Num(id.0 as f64), Json::num_f32(sim)]))
-                .collect(),
-        ),
-    ));
-    ok_obj("nearest", rest)
-}
-
-/// Render a successful `nearest_batch`. `results` is positionally
-/// parallel to `nodes`; a `None` entry renders as `"neighbours":null`
-/// (the batch analogue of the single-path `not_found` — one unknown
-/// probe must not fail its batchmates). `nprobe` is the effective probe
-/// width in ANN mode, `None` in exact mode.
+/// Render a successful `nearest_batch`. `results` is
+/// positionally parallel to `nodes`; a `None` entry renders as
+/// `"neighbours":null` (the batch analogue of the single-path
+/// `not_found` — one unknown probe must not fail its batchmates).
+/// `nprobe` is the effective probe width in ANN mode, `None` in exact
+/// mode.
 pub fn nearest_batch_line(
     epoch: u64,
     nodes: &[NodeId],
     results: &[Option<Vec<(NodeId, f32)>>],
     nprobe: Option<usize>,
 ) -> String {
-    let mut rest = vec![
-        ("epoch".to_string(), Json::Num(epoch as f64)),
-        (
-            "mode".to_string(),
-            Json::Str(if nprobe.is_some() { "ann" } else { "exact" }.to_string()),
-        ),
-    ];
-    if let Some(nprobe) = nprobe {
-        rest.push(("nprobe".to_string(), Json::Num(nprobe as f64)));
-    }
-    rest.push((
-        "results".to_string(),
-        Json::Arr(
-            nodes
-                .iter()
-                .zip(results)
-                .map(|(&node, hits)| {
-                    Json::Obj(vec![
-                        ("node".to_string(), Json::Num(node.0 as f64)),
-                        (
-                            "neighbours".to_string(),
-                            match hits {
-                                None => Json::Null,
-                                Some(hits) => Json::Arr(
-                                    hits.iter()
-                                        .map(|&(id, sim)| {
-                                            Json::Arr(vec![
-                                                Json::Num(id.0 as f64),
-                                                Json::num_f32(sim),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            },
-                        ),
-                    ])
-                })
-                .collect(),
-        ),
-    ));
-    ok_obj("nearest_batch", rest)
+    let mut out = String::new();
+    write_nearest_batch(&mut out, epoch, nodes, results, nprobe);
+    out
 }
 
 /// Render a successful `ingest`.
@@ -1563,5 +1588,272 @@ mod tests {
             "{line}"
         );
         json::parse(&line).unwrap();
+    }
+
+    /// SplitMix64: a seeded stream for the random replies below.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Half raw bit patterns (NaN, infinities and subnormals included),
+    /// half values in [-1, 1) like the similarities and vector entries
+    /// a server sends.
+    fn random_f32(state: &mut u64) -> f32 {
+        let r = splitmix(state);
+        if r & 1 == 0 {
+            f32::from_bits((r >> 32) as u32)
+        } else {
+            ((r >> 40) as f32 / (1u64 << 24) as f32) * 2.0 - 1.0
+        }
+    }
+
+    /// Epochs, ids and probe widths below 2^53: the reference carried
+    /// every integer as an `f64`, which is exact only up to there.
+    fn random_int(state: &mut u64) -> u64 {
+        splitmix(state) >> (11 + splitmix(state) % 53)
+    }
+
+    fn random_hits(state: &mut u64, len: usize) -> Vec<(NodeId, f32)> {
+        (0..len)
+            .map(|_| (NodeId(splitmix(state) as u32), random_f32(state)))
+            .collect()
+    }
+
+    fn write_f32_str(x: f32) -> String {
+        let mut out = String::new();
+        json::write_f32(&mut out, x);
+        out
+    }
+
+    /// Every hot reply writer is byte-equal to the `Json`-tree encoder
+    /// it replaced, over random epochs, ids, vectors and hit lists.
+    #[test]
+    fn reply_writers_match_the_json_tree_reference() {
+        let mut state = 41;
+        for _ in 0..200 {
+            let epoch = random_int(&mut state);
+            let node = NodeId(splitmix(&mut state) as u32);
+            let nprobe = Some(random_int(&mut state) as usize);
+            for len in [0, 1, 64] {
+                let vector: Vec<f32> = (0..len).map(|_| random_f32(&mut state)).collect();
+                assert_eq!(
+                    query_line(epoch, node, &vector),
+                    reference::query_line(epoch, node, &vector)
+                );
+            }
+            for len in [0, 10] {
+                let hits = random_hits(&mut state, len);
+                for nprobe in [None, nprobe] {
+                    let mut out = String::new();
+                    write_nearest(&mut out, epoch, node, &hits, nprobe);
+                    assert_eq!(
+                        out,
+                        reference::nearest_line_with(epoch, node, &hits, nprobe)
+                    );
+                }
+                assert_eq!(
+                    nearest_line(epoch, node, &hits),
+                    reference::nearest_line_with(epoch, node, &hits, None)
+                );
+                assert_eq!(
+                    nearest_ann_line(epoch, node, &hits, 4),
+                    reference::nearest_line_with(epoch, node, &hits, Some(4))
+                );
+            }
+            let probes = (splitmix(&mut state) % 6) as usize;
+            let nodes: Vec<NodeId> = (0..probes)
+                .map(|_| NodeId(splitmix(&mut state) as u32))
+                .collect();
+            let results: Vec<Option<Vec<(NodeId, f32)>>> = (0..probes)
+                .map(|_| match splitmix(&mut state) % 3 {
+                    0 => None,
+                    1 => Some(Vec::new()),
+                    _ => Some(random_hits(&mut state, 10)),
+                })
+                .collect();
+            for nprobe in [None, nprobe] {
+                assert_eq!(
+                    nearest_batch_line(epoch, &nodes, &results, nprobe),
+                    reference::nearest_batch_line(epoch, &nodes, &results, nprobe)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn special_floats_match_the_reference() {
+        let mut specials = vec![
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::from_bits(0x007F_FFFF),
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+            f32::EPSILON,
+            1.0,
+            -1.0,
+        ];
+        for centre in [1e-7f32, -1e-7, 1e7, -1e7] {
+            let bits = centre.to_bits();
+            specials.extend((bits - 64..=bits + 64).map(f32::from_bits));
+        }
+        for &x in &specials {
+            assert_eq!(
+                write_f32_str(x),
+                reference::num_f32(x).to_string(),
+                "bits {:#010x}",
+                x.to_bits()
+            );
+        }
+        let hits: Vec<(NodeId, f32)> = specials.iter().map(|&x| (NodeId(3), x)).collect();
+        assert_eq!(
+            query_line(1, NodeId(2), &specials),
+            reference::query_line(1, NodeId(2), &specials)
+        );
+        assert_eq!(
+            nearest_line(1, NodeId(2), &hits),
+            reference::nearest_line_with(1, NodeId(2), &hits, None)
+        );
+    }
+
+    /// The f32 writer against the reference's format → parse → format
+    /// round trip on every `stride`-th bit pattern from `start` to `end`;
+    /// returns how many finite values it compared.
+    fn sweep_f32_bits(start: u32, end: u32, stride: usize) -> usize {
+        let mut compared = 0;
+        let mut out = String::new();
+        for bits in (start..=end).step_by(stride) {
+            let x = f32::from_bits(bits);
+            if !x.is_finite() {
+                continue;
+            }
+            out.clear();
+            json::write_f32(&mut out, x);
+            assert_eq!(out, reference::num_f32(x).to_string(), "bits {bits:#010x}");
+            compared += 1;
+        }
+        compared
+    }
+
+    #[test]
+    fn f32_writer_matches_the_reference_on_a_strided_sweep() {
+        assert!(sweep_f32_bits(0, u32::MAX, 4_099) > 1_000_000);
+    }
+
+    /// About 42M finite bit patterns plus 11M values in the similarity
+    /// range; run optimised with
+    /// `cargo test --release -p glodyne-serve --lib -- --ignored f32_writer_matches_the_reference_on_a_wide_sweep`.
+    #[test]
+    #[ignore = "wide sweep: ~40 s optimised"]
+    fn f32_writer_matches_the_reference_on_a_wide_sweep() {
+        assert!(sweep_f32_bits(0, u32::MAX, 101) > 42_000_000);
+        assert!(sweep_f32_bits(0.01f32.to_bits(), 0.9f32.to_bits(), 5) > 10_000_000);
+    }
+}
+
+/// The `Json`-tree encoders the direct reply writers replaced: the byte
+/// reference the writers are pinned to.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// The old `f32` number: format, re-parse as `f64`, format again.
+    pub(super) fn num_f32(x: f32) -> Json {
+        if x.is_finite() {
+            Json::Num(format!("{x}").parse().unwrap_or(x as f64))
+        } else {
+            Json::Null
+        }
+    }
+
+    pub(super) fn query_line(epoch: u64, node: NodeId, vector: &[f32]) -> String {
+        ok_obj(
+            "query",
+            vec![
+                ("epoch".to_string(), Json::Num(epoch as f64)),
+                ("node".to_string(), Json::Num(node.0 as f64)),
+                (
+                    "vector".to_string(),
+                    Json::Arr(vector.iter().map(|&x| num_f32(x)).collect()),
+                ),
+            ],
+        )
+    }
+
+    fn hits_json(hits: &[(NodeId, f32)]) -> Json {
+        Json::Arr(
+            hits.iter()
+                .map(|&(id, sim)| Json::Arr(vec![Json::Num(id.0 as f64), num_f32(sim)]))
+                .collect(),
+        )
+    }
+
+    fn mode_pairs(nprobe: Option<usize>) -> Vec<(String, Json)> {
+        let mut pairs = vec![(
+            "mode".to_string(),
+            Json::Str(if nprobe.is_some() { "ann" } else { "exact" }.to_string()),
+        )];
+        if let Some(nprobe) = nprobe {
+            pairs.push(("nprobe".to_string(), Json::Num(nprobe as f64)));
+        }
+        pairs
+    }
+
+    pub(super) fn nearest_line_with(
+        epoch: u64,
+        node: NodeId,
+        neighbours: &[(NodeId, f32)],
+        nprobe: Option<usize>,
+    ) -> String {
+        let mut rest = vec![
+            ("epoch".to_string(), Json::Num(epoch as f64)),
+            ("node".to_string(), Json::Num(node.0 as f64)),
+        ];
+        rest.extend(mode_pairs(nprobe));
+        rest.push(("neighbours".to_string(), hits_json(neighbours)));
+        ok_obj("nearest", rest)
+    }
+
+    pub(super) fn nearest_batch_line(
+        epoch: u64,
+        nodes: &[NodeId],
+        results: &[Option<Vec<(NodeId, f32)>>],
+        nprobe: Option<usize>,
+    ) -> String {
+        let mut rest = vec![("epoch".to_string(), Json::Num(epoch as f64))];
+        rest.extend(mode_pairs(nprobe));
+        rest.push((
+            "results".to_string(),
+            Json::Arr(
+                nodes
+                    .iter()
+                    .zip(results)
+                    .map(|(&node, hits)| {
+                        Json::Obj(vec![
+                            ("node".to_string(), Json::Num(node.0 as f64)),
+                            (
+                                "neighbours".to_string(),
+                                match hits {
+                                    None => Json::Null,
+                                    Some(hits) => hits_json(hits),
+                                },
+                            ),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ));
+        ok_obj("nearest_batch", rest)
     }
 }

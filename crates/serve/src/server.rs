@@ -575,19 +575,25 @@ impl Drop for SlotPermit {
 }
 
 /// One request line read off the socket.
-enum LineRead {
-    /// A complete line (newline stripped, `\r\n` tolerated).
-    Data(Vec<u8>),
+enum LineRead<'a> {
+    /// A complete line (newline stripped, `\r\n` tolerated), borrowed
+    /// from the connection's line buffer.
+    Data(&'a [u8]),
     /// The line exceeded the cap and was discarded up to its newline.
     Oversized,
     /// Clean end of stream.
     Eof,
 }
 
-/// Read one `\n`-terminated line without ever buffering more than
-/// `max` bytes of it.
-fn read_line_limited<R: BufRead>(reader: &mut R, max: usize) -> io::Result<LineRead> {
-    let mut acc: Vec<u8> = Vec::new();
+/// Read one `\n`-terminated line into `acc` (cleared first) without
+/// ever buffering more than `max` bytes of it. `acc` is the
+/// connection's buffer, reused line after line.
+fn read_line_limited<'a, R: BufRead>(
+    reader: &mut R,
+    max: usize,
+    acc: &'a mut Vec<u8>,
+) -> io::Result<LineRead<'a>> {
+    acc.clear();
     loop {
         let buf = reader.fill_buf()?;
         if buf.is_empty() {
@@ -662,27 +668,30 @@ fn handle_connection(
     let max_line = policy.max_line;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
+    // One request buffer and one reply buffer for the connection's
+    // whole life, so neither is allocated again per request.
+    let mut line_buf = Vec::new();
+    let mut reply = String::new();
     loop {
         glodyne_chaos::fail_io(glodyne_chaos::sites::SOCKET_READ)?;
-        let line = match read_line_limited(&mut reader, max_line)? {
+        reply.clear();
+        let line = match read_line_limited(&mut reader, max_line, &mut line_buf)? {
             LineRead::Eof => return Ok(()),
             LineRead::Oversized => {
-                respond(
-                    &mut writer,
-                    &protocol::error_line(&ProtocolError {
-                        kind: ErrorKind::TooLarge,
-                        message: format!("request line exceeds {max_line} bytes"),
-                    }),
-                )?;
+                reply.push_str(&protocol::error_line(&ProtocolError {
+                    kind: ErrorKind::TooLarge,
+                    message: format!("request line exceeds {max_line} bytes"),
+                }));
+                respond(&mut writer, &mut reply)?;
                 continue;
             }
             LineRead::Data(bytes) => bytes,
         };
-        let Ok(text) = std::str::from_utf8(&line) else {
-            respond(
-                &mut writer,
-                &protocol::error_line(&ProtocolError::bad("request is not valid utf-8")),
-            )?;
+        let Ok(text) = std::str::from_utf8(line) else {
+            reply.push_str(&protocol::error_line(&ProtocolError::bad(
+                "request is not valid utf-8",
+            )));
+            respond(&mut writer, &mut reply)?;
             continue;
         };
         if text.trim().is_empty() {
@@ -691,14 +700,15 @@ fn handle_connection(
         let request = match protocol::parse_request(text) {
             Ok(request) => request,
             Err(e) => {
-                respond(&mut writer, &protocol::error_line(&e))?;
+                reply.push_str(&protocol::error_line(&e));
+                respond(&mut writer, &mut reply)?;
                 continue;
             }
         };
         let wants_shutdown = request == Request::Shutdown;
         let wire = wire_command(&request);
         let started = Instant::now();
-        let response = dispatch(request, serving, shutdown, policy);
+        dispatch(request, serving, shutdown, policy, &mut reply);
         if let (Some(telemetry), Some((cmd, nodes))) = (serving.telemetry(), wire) {
             telemetry.observe_request(
                 cmd,
@@ -707,7 +717,7 @@ fn handle_connection(
                 started.elapsed().as_micros().min(u64::MAX as u128) as u64,
             );
         }
-        respond(&mut writer, &response)?;
+        respond(&mut writer, &mut reply)?;
         if wants_shutdown {
             initiate_shutdown(shutdown, local);
             return Ok(());
@@ -715,26 +725,30 @@ fn handle_connection(
     }
 }
 
-fn respond(writer: &mut TcpStream, line: &str) -> io::Result<()> {
+/// Send one reply line and its newline in one write, so a `nodelay`
+/// socket puts the whole line in one segment.
+fn respond(writer: &mut TcpStream, reply: &mut String) -> io::Result<()> {
     glodyne_chaos::fail_io(glodyne_chaos::sites::SOCKET_WRITE)?;
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
+    reply.push('\n');
+    writer.write_all(reply.as_bytes())?;
     writer.flush()
 }
 
-/// Turn one request into one response line.
+/// Append the reply to one request to `out`: the hot reads are written
+/// in place, every other reply is rendered and copied in.
 fn dispatch(
     request: Request,
     serving: &Backend,
     shutdown: &AtomicBool,
     policy: ConnPolicy,
-) -> String {
-    match request {
+    out: &mut String,
+) {
+    let line = match request {
         Request::Query { node } => {
             // The backend resolves the lookup and the reported epoch id
             // from one frozen view, even mid-publish.
             match serving.query(node) {
-                (epoch, Some(v)) => protocol::query_line(epoch, node, &v),
+                (epoch, Some(v)) => return protocol::write_query(out, epoch, node, &v),
                 (epoch, None) => not_found(node, epoch),
             }
         }
@@ -742,44 +756,34 @@ fn dispatch(
         // the raw request — clients tune recall/latency off this.
         Request::Nearest { node, k, mode } => match serving.nearest(node, k, mode) {
             Ok((epoch, neighbours, nprobe)) => {
-                protocol::nearest_line_with(epoch, node, &neighbours, nprobe)
+                return protocol::write_nearest(out, epoch, node, &neighbours, nprobe)
             }
             Err((epoch, ErrorKind::NotFound)) => not_found(node, epoch),
             Err(_) => ann_unavailable(),
         },
         Request::NearestBatch { nodes, k, mode } => match serving.nearest_batch(&nodes, k, mode) {
             Some((epoch, results, nprobe)) => {
-                protocol::nearest_batch_line(epoch, &nodes, &results, nprobe)
+                return protocol::write_nearest_batch(out, epoch, &nodes, &results, nprobe)
             }
             None => ann_unavailable(),
         },
         Request::Ingest {
             events,
             deadline_ms,
-        } => {
-            if shutdown.load(Ordering::SeqCst) {
-                return shutting_down();
-            }
-            if let Some(line) = degraded_write_rejection(serving) {
-                return line;
-            }
-            match serving.ingest(&events, admission(deadline_ms, policy)) {
+        } => match write_refusal(serving, shutdown) {
+            Some(line) => line,
+            None => match serving.ingest(&events, admission(deadline_ms, policy)) {
                 Ok(accepted) => protocol::ingest_line(accepted),
                 Err(e) => write_error_line(e, serving),
-            }
-        }
-        Request::Flush { deadline_ms } => {
-            if shutdown.load(Ordering::SeqCst) {
-                return shutting_down();
-            }
-            if let Some(line) = degraded_write_rejection(serving) {
-                return line;
-            }
-            match serving.flush(admission(deadline_ms, policy)) {
+            },
+        },
+        Request::Flush { deadline_ms } => match write_refusal(serving, shutdown) {
+            Some(line) => line,
+            None => match serving.flush(admission(deadline_ms, policy)) {
                 Ok(outcome) => protocol::flush_line(outcome),
                 Err(e) => write_error_line(e, serving),
-            }
-        }
+            },
+        },
         Request::Stats => protocol::stats_line(&serving.stats()),
         Request::Metrics => match serving.telemetry() {
             Some(telemetry) => {
@@ -795,7 +799,18 @@ fn dispatch(
             }),
         },
         Request::Shutdown => protocol::shutdown_line(),
+    };
+    out.push_str(&line);
+}
+
+/// `Some(error line)` when a write must be refused before it reaches
+/// the queue: the server is shutting down, or the watchdog says the
+/// trainer is degraded.
+fn write_refusal(serving: &Backend, shutdown: &AtomicBool) -> Option<String> {
+    if shutdown.load(Ordering::SeqCst) {
+        return Some(shutting_down());
     }
+    degraded_write_rejection(serving)
 }
 
 /// The telemetry name and touched-node count of a request, `None` for
@@ -897,23 +912,23 @@ mod tests {
     use super::*;
     use std::io::Cursor;
 
-    fn line(input: &[u8], max: usize) -> (LineRead, Cursor<Vec<u8>>) {
+    fn line<'a>(input: &[u8], max: usize, acc: &'a mut Vec<u8>) -> LineRead<'a> {
         let mut cur = Cursor::new(input.to_vec());
         let mut reader = BufReader::with_capacity(4, &mut cur); // tiny buffer: force refills
-        let out = read_line_limited(&mut reader, max).unwrap();
-        drop(reader);
-        (out, cur)
+        read_line_limited(&mut reader, max, acc).unwrap()
     }
 
     #[test]
     fn reads_lines_and_strips_terminators() {
-        let (l, _) = line(b"hello\nrest", 100);
+        // One buffer throughout, as a connection reuses it.
+        let acc = &mut Vec::new();
+        let l = line(b"hello\nrest", 100, acc);
         assert!(matches!(l, LineRead::Data(d) if d == b"hello"));
-        let (l, _) = line(b"crlf\r\nx", 100);
+        let l = line(b"crlf\r\nx", 100, acc);
         assert!(matches!(l, LineRead::Data(d) if d == b"crlf"));
-        let (l, _) = line(b"", 100);
+        let l = line(b"", 100, acc);
         assert!(matches!(l, LineRead::Eof));
-        let (l, _) = line(b"no newline at eof", 100);
+        let l = line(b"no newline at eof", 100, acc);
         assert!(matches!(l, LineRead::Data(d) if d == b"no newline at eof"));
     }
 
@@ -922,25 +937,27 @@ mod tests {
         let input = b"aaaaaaaaaaaaaaaaaaaa\nnext\n";
         let mut cur = Cursor::new(input.to_vec());
         let mut reader = BufReader::with_capacity(4, &mut cur);
+        let acc = &mut Vec::new();
         assert!(matches!(
-            read_line_limited(&mut reader, 8).unwrap(),
+            read_line_limited(&mut reader, 8, acc).unwrap(),
             LineRead::Oversized
         ));
         // The stream resynchronises on the following line.
         assert!(matches!(
-            read_line_limited(&mut reader, 8).unwrap(),
+            read_line_limited(&mut reader, 8, acc).unwrap(),
             LineRead::Data(d) if d == b"next"
         ));
         // Oversized with no trailing newline at all: clean EOF after.
-        let (l, _) = line(b"bbbbbbbbbbbbbbbbbb", 4);
+        let l = line(b"bbbbbbbbbbbbbbbbbb", 4, acc);
         assert!(matches!(l, LineRead::Oversized));
     }
 
     #[test]
     fn exact_cap_is_not_oversized() {
-        let (l, _) = line(b"12345678\n", 8);
+        let acc = &mut Vec::new();
+        let l = line(b"12345678\n", 8, acc);
         assert!(matches!(l, LineRead::Data(d) if d == b"12345678"));
-        let (l, _) = line(b"123456789\n", 8);
+        let l = line(b"123456789\n", 8, acc);
         assert!(matches!(l, LineRead::Oversized));
     }
 

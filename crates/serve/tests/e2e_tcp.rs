@@ -59,6 +59,15 @@ impl Client {
         self.reader.read_line(&mut line).expect("read response");
         json::parse(line.trim_end()).unwrap_or_else(|e| panic!("bad response {line:?}: {e}"))
     }
+
+    /// Read one raw response line, newline stripped.
+    fn recv_line(&mut self) -> String {
+        let mut line = String::new();
+        self.reader.read_line(&mut line).expect("read response");
+        assert!(line.ends_with('\n'), "unterminated response {line:?}");
+        line.pop();
+        line
+    }
 }
 
 fn field_u64(v: &Json, key: &str) -> u64 {
@@ -363,6 +372,101 @@ fn sharded_wire_session() {
         assert!(sh.get("nodes").is_some());
         assert!(sh.get("queue_depth").is_some());
         assert!(sh.get("ann_build_ms").is_some());
+    }
+
+    let bye = client.round_trip(r#"{"cmd":"shutdown"}"#);
+    assert!(is_ok(&bye));
+    server.join();
+}
+
+/// A pipeline of hot reads, error paths and a cold reply sent in one
+/// write gets, line for line, the replies the same requests get one at
+/// a time on fresh connections: the connection's reused request and
+/// reply buffers carry nothing from one line into the next.
+#[test]
+fn pipelined_replies_equal_one_at_a_time_replies() {
+    let max_line = 256;
+    let cfg = ServerConfig {
+        max_line_bytes: max_line,
+        ann: Some(AnnSettings {
+            config: IvfConfig {
+                cells: 4,
+                ..Default::default()
+            },
+            default_nprobe: 2,
+        }),
+        ..ServerConfig::default()
+    };
+    let server = Server::bind(tiny_session(), "127.0.0.1:0", cfg).unwrap();
+    let addr = server.local_addr();
+    let mut client = Client::connect(addr);
+    client.round_trip(
+        r#"{"cmd":"ingest","edges":[[0,1,0],[1,2,0],[2,3,0],[3,4,0],[4,5,0],[5,6,0],[6,7,0]]}"#,
+    );
+    let flush = client.round_trip(r#"{"cmd":"flush"}"#);
+    assert!(is_ok(&flush), "{flush}");
+
+    let over_cap = format!(
+        r#"{{"cmd":"query","pad":"{}","node":2}}"#,
+        "x".repeat(max_line)
+    );
+    let requests = [
+        r#"{"cmd":"query","node":2}"#,
+        r#"{"cmd":"nearest","node":3,"k":4}"#,
+        r#"{"cmd":"nearest","node":3,"k":4,"mode":"ann","nprobe":2}"#,
+        r#"{"cmd":"nearest_batch","nodes":[1,404,5],"k":3}"#,
+        r#"{"cmd":"query","node":404}"#,
+        "{nope",
+        over_cap.as_str(),
+        r#"{"cmd":"stats"}"#,
+    ];
+    let alone: Vec<String> = requests
+        .iter()
+        .map(|request| {
+            let mut one = Client::connect(addr);
+            one.writer
+                .write_all(format!("{request}\n").as_bytes())
+                .unwrap();
+            one.recv_line()
+        })
+        .collect();
+    let kinds: Vec<Option<String>> = alone
+        .iter()
+        .map(|line| {
+            let v = json::parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            v.get("kind").and_then(Json::as_str).map(str::to_string)
+        })
+        .collect();
+    assert_eq!(
+        kinds,
+        [
+            None,
+            None,
+            None,
+            None,
+            Some("not_found".to_string()),
+            Some("bad_request".to_string()),
+            Some("too_large".to_string()),
+            None,
+        ],
+        "{alone:#?}"
+    );
+    assert!(
+        alone[2].contains(r#""mode":"ann","nprobe":2"#),
+        "{}",
+        alone[2]
+    );
+    assert!(
+        alone[3].contains(r#"{"node":404,"neighbours":null}"#),
+        "{}",
+        alone[3]
+    );
+
+    let mut pipelined = Client::connect(addr);
+    let batch: String = requests.iter().map(|r| format!("{r}\n")).collect();
+    pipelined.writer.write_all(batch.as_bytes()).unwrap();
+    for (request, expected) in requests.iter().zip(&alone) {
+        assert_eq!(&pipelined.recv_line(), expected, "reply to {request}");
     }
 
     let bye = client.round_trip(r#"{"cmd":"shutdown"}"#);
