@@ -5,7 +5,7 @@ use crate::kmeans;
 use crate::sq8::Sq8Arena;
 use glodyne_embed::embedding::{l2_norm, norm_cosine};
 use glodyne_embed::kernel::{dot_fast_multi, scaled_dot_fast};
-use glodyne_embed::{AlignedBuf, ConfigError, Embedding, TopKSelector};
+use glodyne_embed::{ConfigError, Embedding, TopKSelector};
 use glodyne_graph::NodeId;
 use std::borrow::Cow;
 use std::time::{Duration, Instant};
@@ -144,12 +144,11 @@ impl StorageMode {
     }
 }
 
-/// The posting-list arena in one of the two storage modes. The f32
-/// arena is cache-line aligned: partial-probe scans sweep it with the
-/// SIMD-shaped fast kernel.
+/// The posting-list arena in one of the two storage modes. Partial-probe
+/// scans sweep the f32 arena with the SIMD-shaped fast kernel.
 #[derive(Debug, Clone)]
 enum PostingStorage {
-    F32(AlignedBuf<f32>),
+    F32(Vec<f32>),
     Sq8(Sq8Arena),
 }
 
@@ -349,7 +348,7 @@ impl IvfIndex {
                 PostingStorage::Sq8(Sq8Arena::from_codes(codes, min, scale))
             }
             None => {
-                let mut vectors = AlignedBuf::<f32>::zeroed(n * dim);
+                let mut vectors = vec![0.0f32; n * dim];
                 for (i, &pos) in positions.iter().enumerate() {
                     vectors[pos * dim..(pos + 1) * dim].copy_from_slice(row(i));
                 }

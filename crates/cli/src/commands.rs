@@ -9,7 +9,7 @@ use glodyne_durable::{
 };
 use glodyne_embed::persist;
 use glodyne_embed::traits::{run_over_reports, step_with, DynamicEmbedder};
-use glodyne_embed::walks::WalkConfig;
+use glodyne_embed::walks::{splitmix64_next, WalkConfig};
 use glodyne_embed::SgnsConfig;
 use glodyne_graph::id::TimedEdge;
 use glodyne_graph::io::read_edge_stream;
@@ -693,15 +693,6 @@ struct Backoff {
     rng: u64,
 }
 
-/// SplitMix64 step: cheap, decent jitter without a rand dependency.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 impl Backoff {
     const BASE_MS: u64 = 100;
     const CAP_DOUBLINGS: u32 = 6; // 100ms .. 6.4s
@@ -725,7 +716,7 @@ impl Backoff {
         let full = Self::BASE_MS << self.attempt.min(Self::CAP_DOUBLINGS);
         self.attempt += 1;
         let half = (full / 2).max(1);
-        let jitter = splitmix64(&mut self.rng) % half;
+        let jitter = splitmix64_next(&mut self.rng) % half;
         Some(std::time::Duration::from_millis(half + jitter))
     }
 }

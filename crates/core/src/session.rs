@@ -366,11 +366,6 @@ impl<E: DynamicEmbedder> EmbedderSession<E> {
     pub fn embedder(&self) -> &E {
         &self.embedder
     }
-
-    /// Consume the session, returning the embedder.
-    pub fn into_embedder(self) -> E {
-        self.embedder
-    }
 }
 
 /// The ids of `new`'s rows that are absent from `old` or differ from it

@@ -2,7 +2,7 @@
 //! analogue. In the paper AS733 is the only dataset with node deletions,
 //! which is what makes DynLINE and tNE "n/a" on it (§5.2).
 
-use glodyne_graph::{DynamicNetwork, GraphBuilder, NodeId};
+use glodyne_graph::{DynamicNetwork, GraphState, NodeId};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
@@ -16,7 +16,7 @@ pub fn router_mesh(scale: f64, steps: usize, seed: u64) -> DynamicNetwork {
     let n0 = ((300.0 * scale) as u32).max(40);
     let core = (n0 / 5).max(8); // backbone routers never churn
 
-    let mut builder = GraphBuilder::new();
+    let mut graph = GraphState::new();
     let mut next_id = 0u32;
     let mut alive: Vec<u32> = Vec::new();
 
@@ -27,32 +27,30 @@ pub fn router_mesh(scale: f64, steps: usize, seed: u64) -> DynamicNetwork {
     }
     for i in 0..core {
         let j = (i + 1) % core;
-        builder.add_edge(NodeId(alive[i as usize]), NodeId(alive[j as usize]));
+        graph.add_edge(NodeId(alive[i as usize]), NodeId(alive[j as usize]));
         // chord
         let k = (i + core / 2) % core;
-        builder.add_edge(NodeId(alive[i as usize]), NodeId(alive[k as usize]));
+        graph.add_edge(NodeId(alive[i as usize]), NodeId(alive[k as usize]));
     }
 
     // Leaf routers attach to 1–3 existing routers.
-    let attach = |builder: &mut GraphBuilder,
-                  alive: &mut Vec<u32>,
-                  next_id: &mut u32,
-                  rng: &mut ChaCha8Rng| {
-        let v = *next_id;
-        *next_id += 1;
-        let links = rng.gen_range(1..=3usize);
-        for _ in 0..links {
-            let u = alive[rng.gen_range(0..alive.len())];
-            builder.add_edge(NodeId(v), NodeId(u));
-        }
-        alive.push(v);
-    };
+    let attach =
+        |graph: &mut GraphState, alive: &mut Vec<u32>, next_id: &mut u32, rng: &mut ChaCha8Rng| {
+            let v = *next_id;
+            *next_id += 1;
+            let links = rng.gen_range(1..=3usize);
+            for _ in 0..links {
+                let u = alive[rng.gen_range(0..alive.len())];
+                graph.add_edge(NodeId(v), NodeId(u));
+            }
+            alive.push(v);
+        };
     for _ in core..n0 {
-        attach(&mut builder, &mut alive, &mut next_id, &mut rng);
+        attach(&mut graph, &mut alive, &mut next_id, &mut rng);
     }
 
     let mut net = DynamicNetwork::default();
-    net.push(builder.snapshot_lcc());
+    net.push(graph.commit_lcc());
 
     for _ in 1..steps {
         // Deletions: ~2% of non-core routers drop out.
@@ -61,7 +59,7 @@ pub fn router_mesh(scale: f64, steps: usize, seed: u64) -> DynamicNetwork {
         let mut shuffled = deletable;
         shuffled.shuffle(&mut rng);
         for &v in shuffled.iter().take(drop_n) {
-            builder.remove_node(NodeId(v));
+            graph.remove_node(NodeId(v));
             alive.retain(|&a| a != v);
         }
         // Link failures: ~1% of edges, biased toward *peripheral* links
@@ -69,8 +67,8 @@ pub fn router_mesh(scale: f64, steps: usize, seed: u64) -> DynamicNetwork {
         // leaf connections while the backbone persists, which is what
         // makes deletions partially predictable (the paper's LP task
         // treats deleted edges as negatives).
-        let snap_now = builder.snapshot();
-        let mut edges: Vec<_> = builder.edges().collect();
+        let snap_now = graph.commit();
+        let mut edges: Vec<_> = graph.edges().collect();
         let deg_of = |id: NodeId| {
             snap_now
                 .local_of(id)
@@ -86,18 +84,18 @@ pub fn router_mesh(scale: f64, steps: usize, seed: u64) -> DynamicNetwork {
             if e.u.0 < core && e.v.0 < core {
                 continue;
             }
-            builder.remove_edge(e.u, e.v);
+            graph.remove_edge(e.u, e.v);
         }
         // Additions: ~3% new routers plus fresh links.
         let add_n = ((alive.len() as f64) * 0.03).ceil() as usize;
         for _ in 0..add_n {
-            attach(&mut builder, &mut alive, &mut next_id, &mut rng);
+            attach(&mut graph, &mut alive, &mut next_id, &mut rng);
         }
         // New peerings mostly close triangles (ASes peer with their
         // neighbours' neighbours), with a small random component —
         // that topological locality is what makes future links
         // predictable from embeddings (the paper's LP task).
-        let snap_mid = builder.snapshot();
+        let snap_mid = graph.commit();
         let relink = ((alive.len() as f64) * 0.05).ceil() as usize;
         for _ in 0..relink {
             if rng.gen::<f64>() < 0.8 {
@@ -117,17 +115,17 @@ pub fn router_mesh(scale: f64, steps: usize, seed: u64) -> DynamicNetwork {
                 }
                 let lc = ns_b[rng.gen_range(0..ns_b.len())] as usize;
                 if lc != la {
-                    builder.add_edge(snap_mid.node_id(la), snap_mid.node_id(lc));
+                    graph.add_edge(snap_mid.node_id(la), snap_mid.node_id(lc));
                 }
             } else {
                 let a = alive[rng.gen_range(0..alive.len())];
                 let b = alive[rng.gen_range(0..alive.len())];
                 if a != b {
-                    builder.add_edge(NodeId(a), NodeId(b));
+                    graph.add_edge(NodeId(a), NodeId(b));
                 }
             }
         }
-        net.push(builder.snapshot_lcc());
+        net.push(graph.commit_lcc());
     }
     net
 }

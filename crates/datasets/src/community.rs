@@ -10,7 +10,7 @@
 
 use crate::growth::preferential_pick;
 use glodyne_graph::id::Edge;
-use glodyne_graph::{DynamicNetwork, GraphBuilder, NodeId, Snapshot};
+use glodyne_graph::{DynamicNetwork, GraphState, NodeId, Snapshot};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -26,7 +26,7 @@ pub fn wall_posts(scale: f64, steps: usize, seed: u64) -> DynamicNetwork {
     let n0 = (n_comm * per_comm) as u32;
 
     let comm_of = |v: u32| (v as usize) / per_comm;
-    let mut builder = GraphBuilder::new();
+    let mut graph = GraphState::new();
     let mut deg = vec![0u32; n0 as usize];
 
     // Intra-community backbone + initial posts.
@@ -34,7 +34,7 @@ pub fn wall_posts(scale: f64, steps: usize, seed: u64) -> DynamicNetwork {
         let base = (c * per_comm) as u32;
         for i in 1..per_comm as u32 {
             let u = base + rng.gen_range(0..i);
-            if builder.add_edge(NodeId(base + i), NodeId(u)) {
+            if graph.add_edge(NodeId(base + i), NodeId(u)) {
                 deg[(base + i) as usize] += 1;
                 deg[u as usize] += 1;
             }
@@ -42,7 +42,7 @@ pub fn wall_posts(scale: f64, steps: usize, seed: u64) -> DynamicNetwork {
         for _ in 0..per_comm * 2 {
             let a = base + rng.gen_range(0..per_comm as u32);
             let b = base + rng.gen_range(0..per_comm as u32);
-            if a != b && builder.add_edge(NodeId(a), NodeId(b)) {
+            if a != b && graph.add_edge(NodeId(a), NodeId(b)) {
                 deg[a as usize] += 1;
                 deg[b as usize] += 1;
             }
@@ -52,14 +52,14 @@ pub fn wall_posts(scale: f64, steps: usize, seed: u64) -> DynamicNetwork {
     for c in 0..n_comm {
         let a = (c * per_comm) as u32;
         let b = (((c + 1) % n_comm) * per_comm) as u32;
-        if builder.add_edge(NodeId(a), NodeId(b)) {
+        if graph.add_edge(NodeId(a), NodeId(b)) {
             deg[a as usize] += 1;
             deg[b as usize] += 1;
         }
     }
 
     let mut net = DynamicNetwork::default();
-    net.push(builder.snapshot_lcc());
+    net.push(graph.commit_lcc());
 
     // Stable activity profile: a third of communities are "hot" and post
     // most steps; the rest wake rarely — that persistence is what creates
@@ -83,7 +83,7 @@ pub fn wall_posts(scale: f64, steps: usize, seed: u64) -> DynamicNetwork {
                 total_nodes += 1;
                 deg.push(0);
                 let u = base + rng.gen_range(0..per_comm as u32);
-                if builder.add_edge(NodeId(v), NodeId(u)) {
+                if graph.add_edge(NodeId(v), NodeId(u)) {
                     deg[v as usize] += 1;
                     deg[u as usize] += 1;
                 }
@@ -93,7 +93,7 @@ pub fn wall_posts(scale: f64, steps: usize, seed: u64) -> DynamicNetwork {
             for _ in 0..posts {
                 let a = base + rng.gen_range(0..per_comm as u32);
                 let b = base + rng.gen_range(0..per_comm as u32);
-                if a != b && builder.add_edge(NodeId(a), NodeId(b)) {
+                if a != b && graph.add_edge(NodeId(a), NodeId(b)) {
                     deg[a as usize] += 1;
                     deg[b as usize] += 1;
                 }
@@ -102,13 +102,13 @@ pub fn wall_posts(scale: f64, steps: usize, seed: u64) -> DynamicNetwork {
             if rng.gen::<f64>() < 0.2 {
                 let a = base + rng.gen_range(0..per_comm as u32);
                 let b = rng.gen_range(0..n0);
-                if a != b && comm_of(a) != comm_of(b) && builder.add_edge(NodeId(a), NodeId(b)) {
+                if a != b && comm_of(a) != comm_of(b) && graph.add_edge(NodeId(a), NodeId(b)) {
                     deg[a as usize] += 1;
                     deg[b as usize] += 1;
                 }
             }
         }
-        net.push(builder.snapshot_lcc());
+        net.push(graph.commit_lcc());
     }
     net
 }
@@ -162,11 +162,11 @@ pub fn labelled_sbm(
     let mut labels: HashMap<NodeId, usize> = HashMap::new();
     let mut members: Vec<Vec<u32>> = vec![Vec::new(); classes];
     let mut deg: Vec<u32> = Vec::new();
-    let mut builder = GraphBuilder::new();
+    let mut graph = GraphState::new();
     let mut next_id = 0u32;
 
     let add_node = |class: usize,
-                    builder: &mut GraphBuilder,
+                    graph: &mut GraphState,
                     members: &mut Vec<Vec<u32>>,
                     deg: &mut Vec<u32>,
                     labels: &mut HashMap<NodeId, usize>,
@@ -201,7 +201,7 @@ pub fn labelled_sbm(
             // preferential within the pool
             let pool_deg: Vec<u32> = pool.iter().map(|&u| deg[u as usize]).collect();
             let u = pool[preferential_pick(&pool_deg, rng) as usize];
-            if u != v && builder.add_edge(NodeId(v), NodeId(u)) {
+            if u != v && graph.add_edge(NodeId(v), NodeId(u)) {
                 deg[v as usize] += 1;
                 deg[u as usize] += 1;
                 targets.push(u);
@@ -211,7 +211,7 @@ pub fn labelled_sbm(
             // co-authors of the same paper also link to each other
             for i in 0..targets.len() {
                 for j in (i + 1)..targets.len() {
-                    if builder.add_edge(NodeId(targets[i]), NodeId(targets[j])) {
+                    if graph.add_edge(NodeId(targets[i]), NodeId(targets[j])) {
                         deg[targets[i] as usize] += 1;
                         deg[targets[j] as usize] += 1;
                     }
@@ -226,7 +226,7 @@ pub fn labelled_sbm(
         for _ in 0..init_per_class {
             add_node(
                 class,
-                &mut builder,
+                &mut graph,
                 &mut members,
                 &mut deg,
                 &mut labels,
@@ -239,20 +239,20 @@ pub fn labelled_sbm(
     for class in 1..classes {
         let a = members[class - 1][0];
         let b = members[class][0];
-        if builder.add_edge(NodeId(a), NodeId(b)) {
+        if graph.add_edge(NodeId(a), NodeId(b)) {
             deg[a as usize] += 1;
             deg[b as usize] += 1;
         }
     }
 
     let mut net = DynamicNetwork::default();
-    net.push(builder.snapshot_lcc());
+    net.push(graph.commit_lcc());
     for _ in 1..steps {
         for class in 0..classes {
             for _ in 0..grow_per_class {
                 add_node(
                     class,
-                    &mut builder,
+                    &mut graph,
                     &mut members,
                     &mut deg,
                     &mut labels,
@@ -261,7 +261,7 @@ pub fn labelled_sbm(
                 );
             }
         }
-        net.push(builder.snapshot_lcc());
+        net.push(graph.commit_lcc());
     }
     (net, labels)
 }

@@ -1,6 +1,6 @@
 //! Additive growth processes (no deletions): Elec, HepPh, Hyperlink.
 
-use glodyne_graph::{DynamicNetwork, GraphBuilder, NodeId};
+use glodyne_graph::{DynamicNetwork, GraphState, NodeId};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -23,7 +23,7 @@ pub(crate) fn preferential_pick(deg: &[u32], rng: &mut impl Rng) -> u32 {
 /// Connect a backbone so the LCC covers (almost) all nodes: each node
 /// links to a random earlier node.
 pub(crate) fn seed_backbone(
-    builder: &mut GraphBuilder,
+    graph: &mut GraphState,
     n: u32,
     deg: &mut Vec<u32>,
     rng: &mut impl Rng,
@@ -31,7 +31,7 @@ pub(crate) fn seed_backbone(
     deg.resize(n as usize, 0);
     for v in 1..n {
         let u = rng.gen_range(0..v);
-        if builder.add_edge(NodeId(v), NodeId(u)) {
+        if graph.add_edge(NodeId(v), NodeId(u)) {
             deg[v as usize] += 1;
             deg[u as usize] += 1;
         }
@@ -46,9 +46,9 @@ pub(crate) fn seed_backbone(
 pub fn vote_network(scale: f64, steps: usize, seed: u64) -> DynamicNetwork {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let n0 = ((400.0 * scale) as u32).max(30);
-    let mut builder = GraphBuilder::new();
+    let mut graph = GraphState::new();
     let mut deg: Vec<u32> = Vec::new();
-    seed_backbone(&mut builder, n0, &mut deg, &mut rng);
+    seed_backbone(&mut graph, n0, &mut deg, &mut rng);
 
     // Densify the initial snapshot: votes concentrate on "candidates"
     // (preferential targets).
@@ -56,14 +56,14 @@ pub fn vote_network(scale: f64, steps: usize, seed: u64) -> DynamicNetwork {
     for _ in 0..initial_edges {
         let a = rng.gen_range(0..n0);
         let b = preferential_pick(&deg, &mut rng);
-        if a != b && builder.add_edge(NodeId(a), NodeId(b)) {
+        if a != b && graph.add_edge(NodeId(a), NodeId(b)) {
             deg[a as usize] += 1;
             deg[b as usize] += 1;
         }
     }
 
     let mut net = DynamicNetwork::default();
-    net.push(builder.snapshot_lcc());
+    net.push(graph.commit_lcc());
     for _ in 1..steps {
         // ~0.3% new voters per day; each casts a few votes.
         let newcomers = ((n0 as f64 * 0.004).ceil() as u32).max(1);
@@ -73,23 +73,23 @@ pub fn vote_network(scale: f64, steps: usize, seed: u64) -> DynamicNetwork {
             let votes = rng.gen_range(1..4);
             for _ in 0..votes {
                 let b = preferential_pick(&deg[..v as usize], &mut rng);
-                if builder.add_edge(NodeId(v), NodeId(b)) {
+                if graph.add_edge(NodeId(v), NodeId(b)) {
                     deg[v as usize] += 1;
                     deg[b as usize] += 1;
                 }
             }
         }
         // Existing users vote: ~0.4% of |E| new edges.
-        let new_votes = ((builder.num_edges() as f64 * 0.006).ceil() as usize).max(4);
+        let new_votes = ((graph.num_edges() as f64 * 0.006).ceil() as usize).max(4);
         for _ in 0..new_votes {
             let a = rng.gen_range(0..deg.len() as u32);
             let b = preferential_pick(&deg, &mut rng);
-            if a != b && builder.add_edge(NodeId(a), NodeId(b)) {
+            if a != b && graph.add_edge(NodeId(a), NodeId(b)) {
                 deg[a as usize] += 1;
                 deg[b as usize] += 1;
             }
         }
-        net.push(builder.snapshot_lcc());
+        net.push(graph.commit_lcc());
     }
     net
 }
@@ -100,12 +100,12 @@ pub fn vote_network(scale: f64, steps: usize, seed: u64) -> DynamicNetwork {
 pub fn coauthor_cliques(scale: f64, steps: usize, seed: u64) -> DynamicNetwork {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let n0 = ((250.0 * scale) as u32).max(24);
-    let mut builder = GraphBuilder::new();
+    let mut graph = GraphState::new();
     let mut deg: Vec<u32> = Vec::new();
-    seed_backbone(&mut builder, n0, &mut deg, &mut rng);
+    seed_backbone(&mut graph, n0, &mut deg, &mut rng);
 
     let publish_batch =
-        |builder: &mut GraphBuilder, deg: &mut Vec<u32>, rng: &mut ChaCha8Rng, papers: usize| {
+        |graph: &mut GraphState, deg: &mut Vec<u32>, rng: &mut ChaCha8Rng, papers: usize| {
             for _ in 0..papers {
                 let team = rng.gen_range(2..=5usize);
                 let mut authors: Vec<u32> = Vec::with_capacity(team);
@@ -123,7 +123,7 @@ pub fn coauthor_cliques(scale: f64, steps: usize, seed: u64) -> DynamicNetwork {
                 }
                 for i in 0..authors.len() {
                     for j in (i + 1)..authors.len() {
-                        if builder.add_edge(NodeId(authors[i]), NodeId(authors[j])) {
+                        if graph.add_edge(NodeId(authors[i]), NodeId(authors[j])) {
                             deg[authors[i] as usize] += 1;
                             deg[authors[j] as usize] += 1;
                         }
@@ -133,13 +133,13 @@ pub fn coauthor_cliques(scale: f64, steps: usize, seed: u64) -> DynamicNetwork {
         };
 
     // Dense initial literature.
-    publish_batch(&mut builder, &mut deg, &mut rng, (n0 as usize) * 2);
+    publish_batch(&mut graph, &mut deg, &mut rng, (n0 as usize) * 2);
     let mut net = DynamicNetwork::default();
-    net.push(builder.snapshot_lcc());
+    net.push(graph.commit_lcc());
     for _ in 1..steps {
         let papers = ((n0 as f64 * 0.12).ceil() as usize).max(3);
-        publish_batch(&mut builder, &mut deg, &mut rng, papers);
-        net.push(builder.snapshot_lcc());
+        publish_batch(&mut graph, &mut deg, &mut rng, papers);
+        net.push(graph.commit_lcc());
     }
     net
 }
@@ -149,19 +149,19 @@ pub fn coauthor_cliques(scale: f64, steps: usize, seed: u64) -> DynamicNetwork {
 pub fn hyperlink(scale: f64, steps: usize, seed: u64) -> DynamicNetwork {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let n0 = ((2000.0 * scale) as u32).max(100);
-    let mut builder = GraphBuilder::new();
+    let mut graph = GraphState::new();
     let mut deg: Vec<u32> = Vec::new();
-    seed_backbone(&mut builder, n0, &mut deg, &mut rng);
+    seed_backbone(&mut graph, n0, &mut deg, &mut rng);
     for _ in 0..(n0 as usize * 8) {
         let a = rng.gen_range(0..n0);
         let b = preferential_pick(&deg, &mut rng);
-        if a != b && builder.add_edge(NodeId(a), NodeId(b)) {
+        if a != b && graph.add_edge(NodeId(a), NodeId(b)) {
             deg[a as usize] += 1;
             deg[b as usize] += 1;
         }
     }
     let mut net = DynamicNetwork::default();
-    net.push(builder.snapshot_lcc());
+    net.push(graph.commit_lcc());
     for _ in 1..steps {
         let new_nodes = ((n0 as f64) * 0.001).ceil() as u32;
         for _ in 0..new_nodes.max(1) {
@@ -169,22 +169,22 @@ pub fn hyperlink(scale: f64, steps: usize, seed: u64) -> DynamicNetwork {
             deg.push(0);
             for _ in 0..3 {
                 let b = preferential_pick(&deg[..v as usize], &mut rng);
-                if builder.add_edge(NodeId(v), NodeId(b)) {
+                if graph.add_edge(NodeId(v), NodeId(b)) {
                     deg[v as usize] += 1;
                     deg[b as usize] += 1;
                 }
             }
         }
-        let new_links = ((builder.num_edges() as f64) * 0.002).ceil() as usize;
+        let new_links = ((graph.num_edges() as f64) * 0.002).ceil() as usize;
         for _ in 0..new_links {
             let a = rng.gen_range(0..deg.len() as u32);
             let b = preferential_pick(&deg, &mut rng);
-            if a != b && builder.add_edge(NodeId(a), NodeId(b)) {
+            if a != b && graph.add_edge(NodeId(a), NodeId(b)) {
                 deg[a as usize] += 1;
                 deg[b as usize] += 1;
             }
         }
-        net.push(builder.snapshot_lcc());
+        net.push(graph.commit_lcc());
     }
     net
 }
@@ -231,10 +231,10 @@ mod tests {
     #[test]
     fn backbone_is_connected() {
         let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let mut b = GraphBuilder::new();
+        let mut b = GraphState::new();
         let mut deg = Vec::new();
         seed_backbone(&mut b, 50, &mut deg, &mut rng);
-        let s = b.snapshot();
+        let s = b.commit();
         let (_, k) = glodyne_graph::components::connected_components(&s);
         assert_eq!(k, 1);
     }

@@ -28,7 +28,6 @@
 //!   occurrence order (the order the historical trainer used) so the
 //!   shim is bit-exact with `train_corpus` fed the equivalent corpus.
 
-use crate::aligned::AlignedBuf;
 use glodyne_graph::NodeId;
 use std::collections::HashMap;
 
@@ -38,9 +37,9 @@ use std::collections::HashMap;
 /// from a snapshot they are exactly the snapshot's local indices.
 #[derive(Debug, Clone, Default)]
 pub struct WalkCorpus {
-    /// All walks, concatenated. Cache-line aligned: SGNS reads this
-    /// arena in one long sweep per train call.
-    tokens: AlignedBuf<u32>,
+    /// All walks, concatenated. SGNS reads this arena in one long sweep
+    /// per train call.
+    tokens: Vec<u32>,
     /// `offsets[i]..offsets[i+1]` bounds walk `i`; length `num_walks + 1`.
     offsets: Vec<usize>,
     /// Token → stable global id.
@@ -51,7 +50,7 @@ impl WalkCorpus {
     /// An empty corpus over a fixed token → id table.
     pub fn new(node_ids: Vec<NodeId>) -> Self {
         WalkCorpus {
-            tokens: AlignedBuf::new(),
+            tokens: Vec::new(),
             offsets: vec![0],
             node_ids,
         }
@@ -61,7 +60,7 @@ impl WalkCorpus {
     /// totalling `tokens` tokens.
     pub fn with_capacity(node_ids: Vec<NodeId>, walks: usize, tokens: usize) -> Self {
         let mut c = WalkCorpus::new(node_ids);
-        c.tokens = AlignedBuf::with_capacity(tokens);
+        c.tokens = Vec::with_capacity(tokens);
         c.offsets.reserve(walks);
         c
     }
@@ -69,11 +68,7 @@ impl WalkCorpus {
     /// Assemble a corpus from pre-sized raw parts. `offsets` must start
     /// at 0, be non-decreasing, and end at `tokens.len()`; every token
     /// must index into `node_ids`.
-    pub fn from_raw_parts(
-        tokens: AlignedBuf<u32>,
-        offsets: Vec<usize>,
-        node_ids: Vec<NodeId>,
-    ) -> Self {
+    pub fn from_raw_parts(tokens: Vec<u32>, offsets: Vec<usize>, node_ids: Vec<NodeId>) -> Self {
         assert_eq!(offsets.first(), Some(&0), "offsets must start at 0");
         assert_eq!(
             offsets.last(),
@@ -158,16 +153,10 @@ impl WalkCorpus {
         self.offsets.windows(2).map(|w| &self.tokens[w[0]..w[1]])
     }
 
-    /// The whole token arena (cache-line aligned when non-empty).
+    /// The whole token arena.
     #[inline]
     pub fn tokens(&self) -> &[u32] {
-        debug_assert!(
-            self.tokens.is_empty()
-                || (self.tokens.as_slice().as_ptr() as usize)
-                    .is_multiple_of(crate::aligned::CACHE_LINE),
-            "token arena lost its cache-line alignment"
-        );
-        self.tokens.as_slice()
+        &self.tokens
     }
 
     /// The walk-boundary offsets (length `num_walks() + 1`).
@@ -242,7 +231,7 @@ mod tests {
     #[test]
     fn from_raw_parts_validates_bounds() {
         let c = WalkCorpus::from_raw_parts(
-            AlignedBuf::from(&[0u32, 1, 1, 0][..]),
+            vec![0u32, 1, 1, 0],
             vec![0, 2, 4],
             vec![NodeId(7), NodeId(9)],
         );
@@ -253,17 +242,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "offsets must end")]
     fn from_raw_parts_rejects_bad_offsets() {
-        WalkCorpus::from_raw_parts(
-            AlignedBuf::from(&[0u32, 1][..]),
-            vec![0, 1],
-            vec![NodeId(0), NodeId(1)],
-        );
-    }
-
-    #[test]
-    fn token_arena_is_cache_line_aligned() {
-        let mut c = WalkCorpus::new((0..4).map(NodeId).collect());
-        c.push_walk(&[0, 1, 2, 3]);
-        assert_eq!(c.tokens().as_ptr() as usize % crate::aligned::CACHE_LINE, 0);
+        WalkCorpus::from_raw_parts(vec![0u32, 1], vec![0, 1], vec![NodeId(0), NodeId(1)]);
     }
 }

@@ -29,8 +29,11 @@
 //!
 //! The flat posting-list arenas in `glodyne-ann` scan contiguous
 //! `dim`-strided rows, so the fast kernel's chunked loop runs over
-//! cache-line-aligned-in-practice windows with no gather — the
-//! "aligned arena variant" is the same function applied to arena rows.
+//! contiguous windows with no gather — the arena scan is the same
+//! function applied to arena rows.
+
+// The AVX bodies are `#[target_feature]` functions behind a runtime check.
+#![allow(unsafe_code)]
 
 /// Accumulator width of the fast kernel: 8 independent f32 lanes (two
 /// SSE registers, one AVX register) — enough to break the dependency

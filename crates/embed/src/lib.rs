@@ -25,7 +25,6 @@
 //!   shared by every method's constructor.
 
 pub mod alias;
-pub mod aligned;
 pub mod config;
 pub mod corpus;
 pub mod embedding;
@@ -36,7 +35,6 @@ pub mod sgns;
 pub mod traits;
 pub mod walks;
 
-pub use aligned::AlignedBuf;
 pub use config::ConfigError;
 pub use corpus::WalkCorpus;
 pub use embedding::{rank_similarity, reference_top_k, Embedding, TopKSelector};

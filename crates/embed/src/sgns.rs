@@ -88,6 +88,9 @@
 //! tolerates; set [`SgnsConfig::parallel`] to `false` for bit-exact
 //! deterministic runs (tests, debugging, durable serving).
 
+// Hogwild needs shared mutable access to the weight matrices.
+#![allow(unsafe_code)]
+
 use crate::alias::AliasTable;
 use crate::corpus::WalkCorpus;
 use crate::embedding::Embedding;

@@ -4,7 +4,7 @@
 //!
 //! The interface is *step-shaped*: the driver hands the method a
 //! [`StepContext`] (current snapshot, previous snapshot if any, and the
-//! precomputed [`SnapshotDiff`] between them) and receives a structured
+//! lazily computed [`SnapshotDiff`] between them) and receives a structured
 //! [`StepReport`] back — phase timings, how many nodes were selected,
 //! how many SGNS pairs were trained, how large the walk corpus was.
 //! Every method reports through the same struct, so harnesses and the
@@ -48,19 +48,15 @@ impl PhaseTimes {
 ///
 /// `prev` is `None` at `t = 0` — the offline stage of Algorithm 1.
 /// [`StepContext::diff`] yields the edge-stream difference `ΔE^t`
-/// between `prev` and `curr`: a driver that already tracks deltas can
-/// hand one in via [`StepContext::transition`]; otherwise it is
-/// computed lazily on first access, so methods that never read it
-/// (most baselines) pay nothing.
+/// between `prev` and `curr`, computed lazily on first access, so
+/// methods that never read it (most baselines) pay nothing.
 #[derive(Debug)]
 pub struct StepContext<'a> {
     /// `G^{t-1}`, absent at the offline step.
     pub prev: Option<&'a Snapshot>,
     /// `G^t`.
     pub curr: &'a Snapshot,
-    /// Driver-supplied diff, if it already had one.
-    precomputed: Option<&'a SnapshotDiff>,
-    /// Lazily computed diff for drivers that didn't.
+    /// The diff, computed on first access.
     lazy: OnceCell<SnapshotDiff>,
 }
 
@@ -70,17 +66,6 @@ impl<'a> StepContext<'a> {
         StepContext {
             prev: None,
             curr,
-            precomputed: None,
-            lazy: OnceCell::new(),
-        }
-    }
-
-    /// An online step context with a diff the driver already computed.
-    pub fn transition(prev: &'a Snapshot, curr: &'a Snapshot, diff: &'a SnapshotDiff) -> Self {
-        StepContext {
-            prev: Some(prev),
-            curr,
-            precomputed: Some(diff),
             lazy: OnceCell::new(),
         }
     }
@@ -91,26 +76,18 @@ impl<'a> StepContext<'a> {
         StepContext {
             prev: Some(prev),
             curr,
-            precomputed: None,
             lazy: OnceCell::new(),
         }
     }
 
     /// `ΔE^t` between `prev` and `curr`; `None` at the offline step.
-    /// Computed at most once per context when not driver-supplied.
+    /// Computed at most once per context.
     pub fn diff(&self) -> Option<&SnapshotDiff> {
         let prev = self.prev?;
-        Some(match self.precomputed {
-            Some(d) => d,
-            None => self
-                .lazy
+        Some(
+            self.lazy
                 .get_or_init(|| SnapshotDiff::compute(prev, self.curr)),
-        })
-    }
-
-    /// Whether this is the offline (`t = 0`) step.
-    pub fn is_initial(&self) -> bool {
-        self.prev.is_none()
+        )
     }
 }
 
@@ -278,7 +255,7 @@ mod tests {
         }
         impl DynamicEmbedder for DiffChecker {
             fn step(&mut self, ctx: StepContext<'_>) -> StepReport {
-                if ctx.is_initial() {
+                if ctx.prev.is_none() {
                     self.saw_initial = true;
                     assert!(ctx.diff().is_none());
                 } else {
@@ -325,13 +302,6 @@ mod tests {
         let a = lazy.diff().unwrap() as *const SnapshotDiff;
         let b = lazy.diff().unwrap() as *const SnapshotDiff;
         assert_eq!(a, b, "computed once, then cached");
-
-        let pre = SnapshotDiff::compute(&s0, &s1);
-        let ctx = StepContext::transition(&s0, &s1, &pre);
-        assert!(
-            std::ptr::eq(ctx.diff().unwrap(), &pre),
-            "driver diff reused"
-        );
 
         assert!(StepContext::initial(&s1).diff().is_none());
     }

@@ -59,9 +59,10 @@ impl WalkConfig {
 
 /// Advance a SplitMix64 state and return the next output. Shared by
 /// the per-walk seed mixing below, the SGNS negative-sampling stream,
-/// the IVF centroid initialisation in `glodyne-ann`, and the bench
-/// data generators — the single home of the SplitMix64 constants in
-/// this workspace.
+/// the IVF centroid initialisation in `glodyne-ann`, the shard router,
+/// the serving quality probe, the CLI's retry jitter and the bench
+/// data generators. The one other copy of these constants is in
+/// `glodyne-chaos`, which has no dependencies and keeps its own.
 #[inline]
 pub fn splitmix64_next(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -151,12 +152,12 @@ pub fn generate_corpus(g: &Snapshot, starts: &[u32], cfg: &WalkConfig) -> WalkCo
             offsets.push(total);
         }
     }
-    let mut tokens = crate::aligned::AlignedBuf::zeroed(total);
+    let mut tokens = vec![0u32; total];
 
     // Carve the arena into one disjoint slice per walk, then fill the
     // slices in parallel.
     let mut slices: Vec<&mut [u32]> = Vec::with_capacity(num_walks);
-    let mut rest: &mut [u32] = tokens.as_mut_slice();
+    let mut rest: &mut [u32] = &mut tokens;
     for w in 0..num_walks {
         let len = offsets[w + 1] - offsets[w];
         let (head, tail) = rest.split_at_mut(len);

@@ -1,10 +1,10 @@
 //! Dynamic networks: snapshot sequences and their construction from
 //! timestamped edge streams (Definition 2 and §5.1.1).
 
-use crate::builder::GraphBuilder;
 use crate::diff::SnapshotDiff;
 use crate::id::TimedEdge;
 use crate::snapshot::Snapshot;
+use crate::state::GraphState;
 
 /// A dynamic network `G = (G^0, G^1, ..., G^T)`.
 #[derive(Debug, Clone, Default)]
@@ -13,11 +13,6 @@ pub struct DynamicNetwork {
 }
 
 impl DynamicNetwork {
-    /// Build from an explicit snapshot list.
-    pub fn from_snapshots(snapshots: Vec<Snapshot>) -> Self {
-        DynamicNetwork { snapshots }
-    }
-
     /// Build from a timestamped edge stream using the paper's recipe
     /// (§5.1.1): snapshot `G^k` contains all edges with
     /// `time <= cutoffs[k]`; every snapshot is reduced to its largest
@@ -28,16 +23,16 @@ impl DynamicNetwork {
             "cutoff timestamps must be non-decreasing"
         );
         stream.sort_by_key(|te| te.time);
-        let mut builder = GraphBuilder::new();
+        let mut state = GraphState::new();
         let mut pos = 0usize;
         let mut snapshots = Vec::with_capacity(cutoffs.len());
         for &cut in cutoffs {
             while pos < stream.len() && stream[pos].time <= cut {
                 let e = stream[pos].edge;
-                builder.add_edge(e.u, e.v);
+                state.add_edge(e.u, e.v);
                 pos += 1;
             }
-            snapshots.push(builder.snapshot_lcc());
+            snapshots.push(state.commit_lcc());
         }
         DynamicNetwork { snapshots }
     }

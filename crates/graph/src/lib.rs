@@ -9,19 +9,18 @@
 //! Layout of the crate:
 //! - [`id`] — stable node identifiers.
 //! - [`snapshot`] — the immutable CSR snapshot type.
-//! - [`builder`] — incremental edge-set builder producing snapshots.
 //! - [`components`] — connected components / largest connected component.
 //! - [`traversal`] — BFS shortest paths and all-pairs proximity sums.
 //! - [`diff`] — edge-stream differences between consecutive snapshots
 //!   (the `ΔE^t` of Eq. 3).
 //! - [`dynamic`] — the snapshot-sequence container and stream-cutting
 //!   construction described in §5.1.1.
-//! - [`state`] — mutable event-driven graph state ([`GraphState`]) for
-//!   streaming sessions: apply [`state::GraphEvent`]s, commit cheap
-//!   snapshots at epoch boundaries.
+//! - [`state`] — the mutable graph ([`GraphState`]): apply
+//!   [`state::GraphEvent`]s, commit cheap snapshots at epoch
+//!   boundaries. Streaming sessions, `DynamicNetwork::from_edge_stream`
+//!   and the dataset generators all drive it.
 //! - [`io`] — plain-text edge-stream reading/writing.
 
-pub mod builder;
 pub mod components;
 pub mod diff;
 pub mod dynamic;
@@ -31,7 +30,6 @@ pub mod snapshot;
 pub mod state;
 pub mod traversal;
 
-pub use builder::GraphBuilder;
 pub use diff::SnapshotDiff;
 pub use dynamic::DynamicNetwork;
 pub use id::NodeId;

@@ -77,9 +77,11 @@ impl From<TimedEdge> for GraphEvent {
 /// boundaries.
 ///
 /// Nodes exist exactly while they have at least one incident edge (the
-/// same node-set rule as `GraphBuilder` and `Snapshot::from_edges`), so
-/// a commit after any event sequence equals a batch build over the
-/// surviving edge set.
+/// same node-set rule as `Snapshot::from_edges`), so a commit after any
+/// event sequence equals a batch build over the surviving edge set.
+/// This is the workspace's one mutable graph: streaming sessions,
+/// `DynamicNetwork::from_edge_stream` and the dataset generators all
+/// build their snapshots through it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GraphState {
     adj: BTreeMap<NodeId, BTreeSet<NodeId>>,
@@ -241,6 +243,43 @@ mod tests {
     }
 
     #[test]
+    fn add_remove_edge() {
+        let mut s = GraphState::new();
+        assert!(s.add_edge(NodeId(0), NodeId(1)));
+        assert!(s.contains_edge(NodeId(0), NodeId(1)));
+        assert!(s.contains_edge(NodeId(1), NodeId(0)), "undirected lookup");
+        assert!(s.remove_edge(NodeId(1), NodeId(0)), "removal in either order");
+        assert!(!s.contains_edge(NodeId(0), NodeId(1)));
+        assert_eq!(s.num_edges(), 0);
+    }
+
+    #[test]
+    fn self_loops_ignored() {
+        let mut s = GraphState::new();
+        assert!(!s.add_edge(NodeId(3), NodeId(3)));
+        assert!(!s.contains_node(NodeId(3)), "a self-loop adds no node");
+        assert!(!s.remove_edge(NodeId(3), NodeId(3)));
+        assert!(s.apply(&GraphEvent::add_edge(NodeId(3), NodeId(4), 1)));
+        assert!(!s.apply(&GraphEvent::add_edge(NodeId(4), NodeId(4), 2)));
+        assert_eq!(s.num_edges(), 1);
+        assert_eq!(s.commit().num_edges(), 1);
+    }
+
+    #[test]
+    fn remove_node_drops_it_from_commit() {
+        let mut s = GraphState::new();
+        s.add_edge(NodeId(0), NodeId(1));
+        s.add_edge(NodeId(0), NodeId(2));
+        s.add_edge(NodeId(1), NodeId(2));
+        s.add_edge(NodeId(0), NodeId(3));
+        assert_eq!(s.remove_node(NodeId(0)), 3);
+        assert!(!s.contains_node(NodeId(3)), "leaf of the removed node goes too");
+        let snap = s.commit();
+        assert_eq!(snap.node_ids(), &[NodeId(1), NodeId(2)]);
+        assert_eq!(snap.num_edges(), 1);
+    }
+
+    #[test]
     fn events_apply() {
         let mut s = GraphState::new();
         assert!(s.apply(&GraphEvent::add_edge(NodeId(0), NodeId(1), 5)));
@@ -256,16 +295,15 @@ mod tests {
 
     #[test]
     fn commit_matches_batch_build() {
-        use crate::builder::GraphBuilder;
         let pairs = [(3u32, 1u32), (1, 0), (3, 0), (7, 3), (5, 6)];
         let mut state = GraphState::new();
-        let mut builder = GraphBuilder::new();
+        let mut edges = BTreeSet::new();
         for &(a, b) in &pairs {
             state.add_edge(NodeId(a), NodeId(b));
-            builder.add_edge(NodeId(a), NodeId(b));
+            edges.insert(Edge::new(NodeId(a), NodeId(b)));
         }
         let fast = state.commit();
-        let batch = builder.snapshot();
+        let batch = Snapshot::from_edges(&edges.into_iter().collect::<Vec<_>>(), &[]);
         assert_eq!(fast.node_ids(), batch.node_ids());
         let fe: Vec<Edge> = fast.edges().collect();
         let be: Vec<Edge> = batch.edges().collect();
@@ -276,7 +314,7 @@ mod tests {
 
         // And the LCC commit matches the batch LCC rule.
         let fast_lcc = state.commit_lcc();
-        let batch_lcc = builder.snapshot_lcc();
+        let batch_lcc = largest_connected_component(&batch);
         assert_eq!(fast_lcc.node_ids(), batch_lcc.node_ids());
         assert_eq!(fast_lcc.num_edges(), batch_lcc.num_edges());
     }
@@ -284,17 +322,17 @@ mod tests {
     #[test]
     fn commit_after_removals_matches_batch_build() {
         let mut state = GraphState::new();
-        let mut builder = crate::builder::GraphBuilder::new();
+        let mut edges = BTreeSet::new();
         for &(a, b) in &[(0u32, 1u32), (1, 2), (2, 3), (3, 0), (1, 3)] {
             state.add_edge(NodeId(a), NodeId(b));
-            builder.add_edge(NodeId(a), NodeId(b));
+            edges.insert(Edge::new(NodeId(a), NodeId(b)));
         }
         state.remove_edge(NodeId(1), NodeId(3));
-        builder.remove_edge(NodeId(1), NodeId(3));
+        edges.remove(&Edge::new(NodeId(1), NodeId(3)));
         state.remove_node(NodeId(0));
-        builder.remove_node(NodeId(0));
+        edges.retain(|e| e.u != NodeId(0) && e.v != NodeId(0));
         let fast = state.commit();
-        let batch = builder.snapshot();
+        let batch = Snapshot::from_edges(&edges.into_iter().collect::<Vec<_>>(), &[]);
         assert_eq!(fast.node_ids(), batch.node_ids());
         assert_eq!(
             fast.edges().collect::<Vec<_>>(),
@@ -339,6 +377,19 @@ mod tests {
         assert_eq!(s, t);
         t.add_edge(NodeId(1), NodeId(5));
         assert_ne!(s, t);
+    }
+
+    #[test]
+    fn commit_lcc_keeps_biggest_part() {
+        let mut s = GraphState::new();
+        // triangle (3 nodes) + single edge (2 nodes)
+        s.add_edge(NodeId(0), NodeId(1));
+        s.add_edge(NodeId(1), NodeId(2));
+        s.add_edge(NodeId(0), NodeId(2));
+        s.add_edge(NodeId(10), NodeId(11));
+        let lcc = s.commit_lcc();
+        assert_eq!(lcc.num_nodes(), 3);
+        assert_eq!(lcc.num_edges(), 3);
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! sp_ij(G^{t+1})|`, the total modification of pairwise proximity (defined
 //! as shortest-path length) caused by the edge changes between two
 //! consecutive snapshots. Snapshots are unweighted, so BFS is the
-//! Dijkstra of the paper; a binary-heap Dijkstra is provided for the
-//! weighted generalisation mentioned in footnote 3.
+//! Dijkstra of the paper.
 
 use crate::snapshot::Snapshot;
 use std::collections::VecDeque;
@@ -26,51 +25,6 @@ pub fn bfs_distances(g: &Snapshot, source: usize) -> Vec<u32> {
             if dist[v as usize] == UNREACHABLE {
                 dist[v as usize] = du + 1;
                 q.push_back(v);
-            }
-        }
-    }
-    dist
-}
-
-/// Single-source Dijkstra over local indices with per-edge weight `w`.
-/// Weights must be non-negative; returns `f64::INFINITY` for unreachable.
-pub fn dijkstra_distances(
-    g: &Snapshot,
-    source: usize,
-    w: impl Fn(usize, usize) -> f64,
-) -> Vec<f64> {
-    use std::cmp::Ordering;
-    use std::collections::BinaryHeap;
-
-    #[derive(PartialEq)]
-    struct Item(f64, u32);
-    impl Eq for Item {}
-    impl Ord for Item {
-        fn cmp(&self, other: &Self) -> Ordering {
-            // min-heap by distance
-            other.0.partial_cmp(&self.0).unwrap_or(Ordering::Equal)
-        }
-    }
-    impl PartialOrd for Item {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    let n = g.num_nodes();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut heap = BinaryHeap::new();
-    dist[source] = 0.0;
-    heap.push(Item(0.0, source as u32));
-    while let Some(Item(d, u)) = heap.pop() {
-        if d > dist[u as usize] {
-            continue;
-        }
-        for &v in g.neighbors(u as usize) {
-            let nd = d + w(u as usize, v as usize);
-            if nd < dist[v as usize] {
-                dist[v as usize] = nd;
-                heap.push(Item(nd, v));
             }
         }
     }
@@ -134,32 +88,6 @@ mod tests {
         let g = snap(&[(0, 1), (2, 3)]);
         let d = bfs_distances(&g, g.local_of(NodeId(0)).unwrap());
         assert_eq!(d[g.local_of(NodeId(2)).unwrap()], UNREACHABLE);
-    }
-
-    #[test]
-    fn dijkstra_matches_bfs_for_unit_weights() {
-        let g = snap(&[(0, 1), (1, 2), (0, 3), (3, 2)]);
-        let s = g.local_of(NodeId(0)).unwrap();
-        let bfs = bfs_distances(&g, s);
-        let dij = dijkstra_distances(&g, s, |_, _| 1.0);
-        for i in 0..g.num_nodes() {
-            assert_eq!(bfs[i] as f64, dij[i]);
-        }
-    }
-
-    #[test]
-    fn dijkstra_prefers_lighter_path() {
-        // 0-1-2 (weights 1,1) vs direct 0-2 (weight 5)
-        let g = snap(&[(0, 1), (1, 2), (0, 2)]);
-        let l = |id: u32| g.local_of(NodeId(id)).unwrap();
-        let d = dijkstra_distances(&g, l(0), |a, b| {
-            if (a == l(0) && b == l(2)) || (a == l(2) && b == l(0)) {
-                5.0
-            } else {
-                1.0
-            }
-        });
-        assert_eq!(d[l(2)], 2.0);
     }
 
     #[test]

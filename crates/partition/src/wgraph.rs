@@ -46,11 +46,6 @@ impl WGraph {
     pub fn total_weight(&self) -> u64 {
         self.vwgt.iter().sum()
     }
-
-    /// Weighted degree (sum of incident edge weights).
-    pub fn wdegree(&self, v: usize) -> u64 {
-        self.adj[v].iter().map(|&(_, w)| w).sum()
-    }
 }
 
 #[cfg(test)]
@@ -70,6 +65,5 @@ mod tests {
         let w = WGraph::from_snapshot(&g);
         assert_eq!(w.len(), 3);
         assert_eq!(w.total_weight(), 3);
-        assert_eq!(w.wdegree(g.local_of(NodeId(1)).unwrap()), 2);
     }
 }

@@ -18,6 +18,7 @@
 use crate::epoch::EmbeddingEpoch;
 use crate::protocol::NearestMode;
 use crate::telemetry::ServeTelemetry;
+use glodyne_embed::walks::splitmix64_next;
 use glodyne_embed::ConfigError;
 use std::sync::Arc;
 use std::time::Instant;
@@ -63,16 +64,6 @@ impl ProbeSettings {
     }
 }
 
-/// SplitMix64 — the same tiny deterministic generator the benches use;
-/// good enough to spread sampled indices, trivially reproducible.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Mean ANN recall@`k` over `sample` deterministically chosen live
 /// nodes of `epoch`, probing `nprobe` IVF cells: for each sampled node
 /// the index's answer is compared against the exact top-`k` scan on
@@ -98,7 +89,7 @@ pub fn probe_recall(
     let mut state = seed;
     let mut picked = Vec::with_capacity(sample.min(ids.len()));
     while picked.len() < sample.min(ids.len()) {
-        let idx = (splitmix64(&mut state) % ids.len() as u64) as usize;
+        let idx = (splitmix64_next(&mut state) % ids.len() as u64) as usize;
         if !picked.contains(&idx) {
             picked.push(idx);
         }
@@ -165,7 +156,7 @@ mod tests {
         let mut state = 7u64;
         for i in 0..n {
             let row: Vec<f32> = (0..dim)
-                .map(|_| (splitmix64(&mut state) % 1000) as f32 / 1000.0 - 0.5)
+                .map(|_| (splitmix64_next(&mut state) % 1000) as f32 / 1000.0 - 0.5)
                 .collect();
             emb.set(NodeId(i), &row);
         }

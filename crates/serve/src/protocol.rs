@@ -888,6 +888,7 @@ pub fn shutdown_line() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use glodyne_embed::walks::splitmix64_next;
 
     #[test]
     fn parses_every_command() {
@@ -1590,20 +1591,11 @@ mod tests {
         json::parse(&line).unwrap();
     }
 
-    /// SplitMix64: a seeded stream for the random replies below.
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     /// Half raw bit patterns (NaN, infinities and subnormals included),
     /// half values in [-1, 1) like the similarities and vector entries
     /// a server sends.
     fn random_f32(state: &mut u64) -> f32 {
-        let r = splitmix(state);
+        let r = splitmix64_next(state);
         if r & 1 == 0 {
             f32::from_bits((r >> 32) as u32)
         } else {
@@ -1614,12 +1606,12 @@ mod tests {
     /// Epochs, ids and probe widths below 2^53: the reference carried
     /// every integer as an `f64`, which is exact only up to there.
     fn random_int(state: &mut u64) -> u64 {
-        splitmix(state) >> (11 + splitmix(state) % 53)
+        splitmix64_next(state) >> (11 + splitmix64_next(state) % 53)
     }
 
     fn random_hits(state: &mut u64, len: usize) -> Vec<(NodeId, f32)> {
         (0..len)
-            .map(|_| (NodeId(splitmix(state) as u32), random_f32(state)))
+            .map(|_| (NodeId(splitmix64_next(state) as u32), random_f32(state)))
             .collect()
     }
 
@@ -1636,7 +1628,7 @@ mod tests {
         let mut state = 41;
         for _ in 0..200 {
             let epoch = random_int(&mut state);
-            let node = NodeId(splitmix(&mut state) as u32);
+            let node = NodeId(splitmix64_next(&mut state) as u32);
             let nprobe = Some(random_int(&mut state) as usize);
             for len in [0, 1, 64] {
                 let vector: Vec<f32> = (0..len).map(|_| random_f32(&mut state)).collect();
@@ -1664,12 +1656,12 @@ mod tests {
                     reference::nearest_line_with(epoch, node, &hits, Some(4))
                 );
             }
-            let probes = (splitmix(&mut state) % 6) as usize;
+            let probes = (splitmix64_next(&mut state) % 6) as usize;
             let nodes: Vec<NodeId> = (0..probes)
-                .map(|_| NodeId(splitmix(&mut state) as u32))
+                .map(|_| NodeId(splitmix64_next(&mut state) as u32))
                 .collect();
             let results: Vec<Option<Vec<(NodeId, f32)>>> = (0..probes)
-                .map(|_| match splitmix(&mut state) % 3 {
+                .map(|_| match splitmix64_next(&mut state) % 3 {
                     0 => None,
                     1 => Some(Vec::new()),
                     _ => Some(random_hits(&mut state, 10)),

@@ -171,10 +171,10 @@ pub(crate) enum Backend {
 }
 
 impl Backend {
-    fn query(&self, node: NodeId) -> (u64, Option<Vec<f32>>) {
+    fn query<R>(&self, node: NodeId, read: impl FnOnce(u64, Option<&[f32]>) -> R) -> R {
         match self {
-            Backend::Single(s) => s.query(node),
-            Backend::Sharded(s) => s.query(node),
+            Backend::Single(s) => s.query(node, read),
+            Backend::Sharded(s) => s.query(node, read),
         }
     }
 
@@ -746,11 +746,12 @@ fn dispatch(
     let line = match request {
         Request::Query { node } => {
             // The backend resolves the lookup and the reported epoch id
-            // from one frozen view, even mid-publish.
-            match serving.query(node) {
-                (epoch, Some(v)) => return protocol::write_query(out, epoch, node, &v),
-                (epoch, None) => not_found(node, epoch),
-            }
+            // from one frozen view, even mid-publish, and the row is
+            // written straight out of that view.
+            return serving.query(node, |epoch, row| match row {
+                Some(v) => protocol::write_query(out, epoch, node, v),
+                None => out.push_str(&not_found(node, epoch)),
+            });
         }
         // The echoed probe width is what the scan *used* (clamped), not
         // the raw request — clients tune recall/latency off this.

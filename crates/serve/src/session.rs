@@ -659,11 +659,12 @@ impl ServingSession {
         self.trainer.epochs.load_untracked()
     }
 
-    /// The embedding vector of `node` in the served epoch, with the
-    /// epoch id it came from.
-    pub fn query(&self, node: NodeId) -> (u64, Option<Vec<f32>>) {
+    /// Read `node`'s embedding vector in the served epoch: `read`
+    /// gets the epoch id and the row, borrowed in place from that one
+    /// epoch.
+    pub fn query<R>(&self, node: NodeId, read: impl FnOnce(u64, Option<&[f32]>) -> R) -> R {
         let epoch = self.epoch();
-        (epoch.epoch, epoch.embedding.get(node).map(<[f32]>::to_vec))
+        read(epoch.epoch, epoch.embedding.get(node))
     }
 
     /// The `k` nearest neighbours of `node` in the served epoch, read
@@ -940,6 +941,11 @@ mod tests {
     use glodyne_ann::IvfIndex;
     use glodyne_graph::id::TimedEdge;
 
+    /// A `query` read that copies the row out, for assertions.
+    fn owned(epoch: u64, row: Option<&[f32]>) -> (u64, Option<Vec<f32>>) {
+        (epoch, row.map(<[f32]>::to_vec))
+    }
+
     fn tiny_model() -> GloDyNE {
         crate::tests::tiny_model(3, 0)
     }
@@ -959,14 +965,14 @@ mod tests {
         let serving =
             ServingSession::spawn(tiny_session(EpochPolicy::Manual), SessionSpec::new(64)).unwrap();
         assert_eq!(serving.epoch().epoch, 0);
-        assert_eq!(serving.query(NodeId(0)).1, None);
+        assert_eq!(serving.query(NodeId(0), owned).1, None);
 
         serving.ingest(&chain_events(6, 0)).unwrap();
         let outcome = serving.flush().unwrap();
         assert!(outcome.stepped);
         assert_eq!(outcome.epoch, 1);
 
-        let (epoch, vector) = serving.query(NodeId(0));
+        let (epoch, vector) = serving.query(NodeId(0), owned);
         assert_eq!(epoch, 1);
         assert_eq!(vector.unwrap().len(), 8);
         let (_, near, _) = serving.nearest(NodeId(0), 3, NearestMode::Exact).unwrap();
@@ -1022,7 +1028,7 @@ mod tests {
         serving.shutdown(); // idempotent
 
         assert_eq!(serving.epoch().epoch, 1, "reads survive shutdown");
-        assert!(serving.query(NodeId(0)).1.is_some());
+        assert!(serving.query(NodeId(0), owned).1.is_some());
         assert!(matches!(
             serving.ingest(&chain_events(1, 9)),
             Err(ServeError::Closed)
@@ -1083,7 +1089,7 @@ mod tests {
         serving.ingest(&chain_events(6, 0)).unwrap();
         serving.flush().unwrap();
         // First read after the publish books the freshness lag.
-        let _ = serving.query(NodeId(0));
+        let _ = serving.query(NodeId(0), owned);
 
         let stats = serving.stats();
         let t = stats.telemetry.expect("instrumented session");
@@ -1124,14 +1130,14 @@ mod tests {
         let dur = stats.durability.expect("durable session surfaces stats");
         assert!(dur.wal_segments >= 1);
         assert_eq!(dur.recovered_from, None, "fresh lineage, no recovery");
-        let (epoch_before, row_before) = serving.query(NodeId(0));
+        let (epoch_before, row_before) = serving.query(NodeId(0), owned);
         serving.shutdown(); // finalize(): a restart must replay nothing
 
         let (recovered, report) =
             DurableSession::recover(&dir, cfg, EpochPolicy::Manual, false, tiny_model).unwrap();
         assert_eq!(report.replayed_events, 0, "final snapshot covers the log");
         let serving2 = ServingSession::spawn(recovered, SessionSpec::new(64)).unwrap();
-        let (epoch_after, row_after) = serving2.query(NodeId(0));
+        let (epoch_after, row_after) = serving2.query(NodeId(0), owned);
         assert_eq!(epoch_after, epoch_before);
         let (a, b) = (row_before.unwrap(), row_after.unwrap());
         assert_eq!(a.len(), b.len());

@@ -370,16 +370,17 @@ impl ShardedSession {
             .collect()
     }
 
-    /// The embedding vector of `node` in its owner shard's served
-    /// epoch, with that epoch's id (0 when the node has no owner).
-    pub fn query(&self, node: NodeId) -> (u64, Option<Vec<f32>>) {
+    /// Read `node`'s embedding vector in its owner shard's served
+    /// epoch: `read` gets that epoch's id (0 when the node has no
+    /// owner) and the row, borrowed in place from that one epoch.
+    pub fn query<R>(&self, node: NodeId, read: impl FnOnce(u64, Option<&[f32]>) -> R) -> R {
         let router = self.routing();
         let Some(shard) = router.owner(node) else {
-            return (0, None);
+            return read(0, None);
         };
         drop(router);
         let epoch = self.shards[shard as usize].epochs.load();
-        (epoch.epoch, epoch.embedding.get(node).map(<[f32]>::to_vec))
+        read(epoch.epoch, epoch.embedding.get(node))
     }
 
     /// Global `k`-nearest by `mode`, from one router read and one
@@ -614,6 +615,11 @@ mod tests {
     use super::*;
     use glodyne::{EpochPolicy, GloDyNE, IvfConfig};
 
+    /// A `query` read that copies the row out, for assertions.
+    fn owned(epoch: u64, row: Option<&[f32]>) -> (u64, Option<Vec<f32>>) {
+        (epoch, row.map(<[f32]>::to_vec))
+    }
+
     fn tiny_model(seed: u64) -> GloDyNE {
         crate::tests::tiny_model(seed, seed)
     }
@@ -674,10 +680,10 @@ mod tests {
 
         // Every live node answers through its owner shard.
         for n in (0..20u32).map(NodeId) {
-            let (_, vector) = serving.query(n);
+            let (_, vector) = serving.query(n, owned);
             assert!(vector.is_some(), "node {n:?}");
         }
-        let (_, unknown) = serving.query(NodeId(999));
+        let (_, unknown) = serving.query(NodeId(999), owned);
         assert!(unknown.is_none());
         serving.shutdown();
     }
@@ -865,7 +871,7 @@ mod tests {
         serving.shutdown();
         serving.shutdown(); // idempotent
 
-        let (_, vector) = serving.query(NodeId(0));
+        let (_, vector) = serving.query(NodeId(0), owned);
         assert!(vector.is_some(), "reads survive shutdown");
         assert!(matches!(
             serving.ingest(&[GraphEvent::add_edge(NodeId(50), NodeId(51), 9)]),

@@ -138,7 +138,7 @@ proptest! {
                 _ => {
                     // Reads always answer, instantly, from the epoch.
                     let started = Instant::now();
-                    let (epoch, _) = serving.query(NodeId(u32::from(*x % 8)));
+                    let epoch = serving.query(NodeId(u32::from(*x % 8)), |epoch, _| epoch);
                     prop_assert!(epoch >= 1, "published epoch lost");
                     let hits = serving
                         .nearest(NodeId(0), 3, NearestMode::Exact)

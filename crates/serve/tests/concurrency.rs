@@ -11,6 +11,11 @@ use glodyne_serve::{NearestMode, ServingSession, SessionSpec};
 use std::sync::mpsc::{Receiver, Sender};
 use std::time::{Duration, Instant};
 
+/// A `query` read that copies the row out, for assertions.
+fn owned(epoch: u64, row: Option<&[f32]>) -> (u64, Option<Vec<f32>>) {
+    (epoch, row.map(<[f32]>::to_vec))
+}
+
 /// An embedder whose `step` blocks until the test releases it: sends
 /// on `entered` when a step starts, then waits for a token on `gate`
 /// (one token per step). The embedding stamps each node's vector with
@@ -80,7 +85,7 @@ fn reads_never_wait_on_a_training_step() {
     assert!(outcome.stepped);
     entered.recv_timeout(Duration::from_secs(10)).unwrap();
     assert_eq!(serving.stats().epoch, 1);
-    let (epoch, v) = serving.query(NodeId(0));
+    let (epoch, v) = serving.query(NodeId(0), owned);
     assert_eq!(epoch, 1);
     assert_eq!(v.unwrap()[0], 1.0, "epoch-1 vectors are stamped `1`");
 
@@ -96,7 +101,7 @@ fn reads_never_wait_on_a_training_step() {
         // The trainer is blocked inside `step`. Reads must return
         // immediately, answered from epoch 1.
         let t0 = Instant::now();
-        let (epoch, v) = serving.query(NodeId(0));
+        let (epoch, v) = serving.query(NodeId(0), owned);
         let (epoch_n, near, _) = serving.nearest(NodeId(0), 3, NearestMode::Exact).unwrap();
         let stats = serving.stats();
         let elapsed = t0.elapsed();
@@ -111,7 +116,7 @@ fn reads_never_wait_on_a_training_step() {
             "reads must not wait for the in-flight step (took {elapsed:?})"
         );
         // Nodes 5..=6 only exist in the still-training epoch 2.
-        assert_eq!(serving.query(NodeId(6)).1, None);
+        assert_eq!(serving.query(NodeId(6), owned).1, None);
 
         // Release the step; the flush ack is the visibility barrier.
         gate.send(()).unwrap();
@@ -122,7 +127,7 @@ fn reads_never_wait_on_a_training_step() {
 
     // After the flush: epoch advanced, new state visible.
     assert_eq!(serving.stats().epoch, 2, "epoch id advances after flush");
-    let (epoch, v) = serving.query(NodeId(6));
+    let (epoch, v) = serving.query(NodeId(6), owned);
     assert_eq!(epoch, 2);
     assert_eq!(v.unwrap()[0], 2.0, "epoch-2 vectors are stamped `2`");
     serving.shutdown();

@@ -13,10 +13,6 @@
 //!   [`Histogram::snapshot`] reads the buckets once and derives
 //!   p50/p90/p99/max.
 //!
-//! [`StageTimer`] is an RAII guard that attributes wall time to a
-//! histogram on drop — wrap a pipeline stage in one and the stage's
-//! latency lands in the right series even on early return.
-//!
 //! A [`Registry`] names the metrics and renders them as Prometheus
 //! text exposition ([`Registry::render_prometheus`]). Registration
 //! takes a short write lock; recording through the returned `Arc`
@@ -24,7 +20,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Number of histogram buckets: bucket 0 holds exact zeros, bucket
 /// `i ≥ 1` holds values in `[2^(i-1), 2^i)`. 64 value buckets cover
@@ -206,14 +202,6 @@ impl Histogram {
             p99: quantile(0.99),
         }
     }
-
-    /// Start an RAII timer that records into this histogram on drop.
-    pub fn start_timer(self: &Arc<Self>) -> StageTimer {
-        StageTimer {
-            histogram: Arc::clone(self),
-            start: Instant::now(),
-        }
-    }
 }
 
 /// A point-in-time summary of a [`Histogram`].
@@ -241,32 +229,6 @@ impl HistogramSnapshot {
         } else {
             self.sum as f64 / self.count as f64
         }
-    }
-}
-
-/// RAII guard attributing wall time to a named pipeline stage: created
-/// via [`Histogram::start_timer`], records the elapsed micros into the
-/// histogram when dropped.
-#[derive(Debug)]
-pub struct StageTimer {
-    histogram: Arc<Histogram>,
-    start: Instant,
-}
-
-impl StageTimer {
-    /// Elapsed time so far (the amount `drop` would record now).
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
-    /// Record now and consume the guard (identical to dropping it,
-    /// but explicit at call sites where the stage boundary matters).
-    pub fn observe(self) {}
-}
-
-impl Drop for StageTimer {
-    fn drop(&mut self) {
-        self.histogram.record_duration(self.start.elapsed());
     }
 }
 
@@ -607,22 +569,6 @@ mod tests {
         let bucket_total: u64 = (0..HISTOGRAM_BUCKETS).map(|i| h.bucket(i)).sum();
         assert_eq!(bucket_total, total, "bucket counts account for all");
         assert_eq!(h.snapshot().max, total - 1);
-    }
-
-    #[test]
-    fn stage_timer_records_on_drop() {
-        let h = Arc::new(Histogram::new());
-        {
-            let _t = h.start_timer();
-            thread::sleep(Duration::from_millis(2));
-        }
-        assert_eq!(h.count(), 1);
-        assert!(h.sum() >= 2_000, "at least the slept 2ms in micros");
-
-        let t = h.start_timer();
-        assert!(t.elapsed() < Duration::from_secs(1));
-        t.observe();
-        assert_eq!(h.count(), 2);
     }
 
     #[test]
