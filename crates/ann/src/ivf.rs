@@ -18,8 +18,8 @@ pub struct IvfConfig {
     /// gets one row per cell).
     pub cells: usize,
     /// Lloyd iterations of a cold k-means build ([`IvfIndex::build`]).
-    /// A drift re-fit in [`IvfIndex::update_from`] runs one iteration
-    /// from the previous epoch's centroids instead, whatever this says.
+    /// A re-fit in [`IvfIndex::update_from`] runs one iteration from
+    /// the previous epoch's centroids instead, whatever this says.
     pub kmeans_iters: usize,
     /// Seed of the deterministic centroid initialisation.
     pub seed: u64,
@@ -34,25 +34,6 @@ pub struct IvfConfig {
     /// rescored with the exact f32 kernel). Must be ≥ 1; ignored
     /// without `quantize`.
     pub rerank_factor: usize,
-    /// Drift trigger for [`IvfIndex::update_from`], in **basis points**
-    /// (1/10000, an integer so the config keeps `Eq`): once the rows
-    /// reassigned since the last full build — this update's dirty
-    /// rows plus everything already patched before them — exceed this
-    /// fraction of the epoch, the kept centroids are considered
-    /// drifted and the update reassigns every row instead: a one-step
-    /// re-fit of the previous centroids, or a cold build when those
-    /// don't fit the epoch. In `[1, 10000]`; the default 2500 refreshes
-    /// after a quarter of the epoch has churned.
-    pub drift_stale_bp: u32,
-    /// Cell-imbalance drift trigger for [`IvfIndex::update_from`], in
-    /// **tenths** (40 = 4.0×, an integer so the config keeps `Eq`):
-    /// after patching, if the largest posting list exceeds this factor
-    /// times the larger of the previous index's largest list and the
-    /// ideal mean (`⌈n / cells⌉`), churn has piled onto one stale
-    /// centroid and the update re-fits every row. The same bound is
-    /// the re-fit's safety net: a re-fit whose largest list breaks it
-    /// is discarded for a cold build. Must be ≥ 10 (1.0×).
-    pub drift_cell_factor_x10: u32,
 }
 
 impl Default for IvfConfig {
@@ -63,8 +44,6 @@ impl Default for IvfConfig {
             seed: 0,
             quantize: false,
             rerank_factor: 4,
-            drift_stale_bp: 2500,
-            drift_cell_factor_x10: 40,
         }
     }
 }
@@ -83,34 +62,19 @@ impl IvfConfig {
         if self.rerank_factor < 1 {
             return Err(ConfigError::new("rerank_factor", "must be >= 1"));
         }
-        if self.drift_stale_bp < 1 || self.drift_stale_bp > 10_000 {
-            return Err(ConfigError::new(
-                "drift_stale_bp",
-                "must be in [1, 10000] basis points",
-            ));
-        }
-        if self.drift_cell_factor_x10 < 10 {
-            return Err(ConfigError::new(
-                "drift_cell_factor_x10",
-                "must be >= 10 (1.0x)",
-            ));
-        }
         Ok(())
     }
 }
 
-/// How an [`IvfIndex`] came to be — every row assigned by k-means, or
-/// an incremental patch of the previous epoch's index
-/// ([`IvfIndex::update_from`]). Surfaced through `stats.ann` and the
-/// kind-labelled `index_build` telemetry histogram.
+/// How an [`IvfIndex`] came to be, surfaced through `stats.ann`. Every
+/// build assigns every row by k-means — from cold seeds
+/// ([`IvfIndex::build`]) or from the previous epoch's centroids (the
+/// re-fit in [`IvfIndex::update_from`]) — so there is one kind; the
+/// type keeps the `build_kind` wire key's spelling in one place.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BuildKind {
-    /// Every row reassigned by spherical k-means — from cold seeds
-    /// ([`IvfIndex::build`]), or from the previous epoch's centroids
-    /// (the drift re-fit in [`IvfIndex::update_from`]).
+    /// Every row assigned by spherical k-means.
     Full,
-    /// Warm-started centroids, only dirty rows reassigned.
-    Incremental,
 }
 
 impl BuildKind {
@@ -118,7 +82,6 @@ impl BuildKind {
     pub fn as_str(self) -> &'static str {
         match self {
             BuildKind::Full => "full",
-            BuildKind::Incremental => "incremental",
         }
     }
 }
@@ -187,7 +150,7 @@ pub struct BatchQuery<'a> {
     pub exclude: Option<NodeId>,
 }
 
-/// Lloyd iterations of the drift re-fit in [`IvfIndex::update_from`]:
+/// Lloyd iterations of the re-fit in [`IvfIndex::update_from`]:
 /// one assign → mean step from the previous epoch's centroids, then the
 /// final assignment — two O(n·c·d) passes where a cold build runs
 /// `kmeans_iters + 1` from seeds. Re-fits compound along an epoch
@@ -195,6 +158,13 @@ pub struct BatchQuery<'a> {
 /// had at least a cold build's refinement. Deliberately not a config
 /// knob: `kmeans_iters` keeps meaning the cold budget.
 const REFIT_ITERS: usize = 1;
+
+/// The re-fit's fall-back-to-cold bound in [`IvfIndex::update_from`],
+/// in tenths (40 = 4.0×): a re-fit whose largest posting list exceeds
+/// this factor times the larger of the previous index's largest list
+/// and the ideal mean (`⌈n / cells⌉`) has piled onto one stale centroid,
+/// and is discarded for a cold build.
+const REFIT_CELL_FACTOR_X10: usize = 40;
 
 /// The `c + 1` posting-list offsets of `assignment`'s counting sort.
 fn cell_offsets(assignment: &[u32], c: usize) -> Vec<u32> {
@@ -245,18 +215,10 @@ pub struct IvfIndex {
     inv_centroid_norms: Vec<f32>,
     /// Wall-clock time [`IvfIndex::build`] took.
     build_time: Duration,
-    /// Whether this index came from k-means over every row (cold or
-    /// re-fit) or an incremental patch of the previous epoch's index.
-    build_kind: BuildKind,
-    /// Rows this build reassigned (0 for a fresh full build; for
-    /// [`IvfIndex::update_from`], the changed + added + removed rows it
-    /// actually patched — or the dirty count that tripped a drift
-    /// fallback).
+    /// The churn since the previous epoch's index (0 for a fresh
+    /// [`IvfIndex::build`]; for [`IvfIndex::update_from`], the changed,
+    /// added and removed rows).
     dirty_rows: usize,
-    /// Rows reassigned since the last full build (cold or re-fit),
-    /// cumulative across an incremental chain — the centroid-staleness
-    /// measure behind `drift_stale_bp`.
-    stale_rows: usize,
 }
 
 impl IvfIndex {
@@ -270,16 +232,16 @@ impl IvfIndex {
         let dim = embedding.dim();
         let n = embedding.len();
         if n == 0 {
-            return IvfIndex::lay_out(embedding, Default::default(), config, None, start);
+            return IvfIndex::lay_out(embedding, Default::default(), config, start);
         }
         let c = config.cells.clamp(1, n);
         let (data, norms) = (embedding.rows(), embedding.norms());
         let seeds = kmeans::seed_centroids(data, norms, dim, c, config.seed);
         let clustering = kmeans::cluster(data, norms, dim, c, seeds, config.kmeans_iters);
-        IvfIndex::lay_out(embedding, clustering, config, None, start)
+        IvfIndex::lay_out(embedding, clustering, config, start)
     }
 
-    /// The drift re-fit: one Lloyd step ([`REFIT_ITERS`]) from `prev`'s
+    /// The re-fit: one Lloyd step ([`REFIT_ITERS`]) from `prev`'s
     /// centroids over every row of `embedding`, laid out like a cold
     /// build. `None` when the re-fit's largest posting list breaks
     /// `prev`'s cell-imbalance bound. The caller guarantees `prev` is
@@ -294,70 +256,42 @@ impl IvfIndex {
             prev.centroids.clone(),
             REFIT_ITERS,
         );
-        let index = IvfIndex::lay_out(embedding, clustering, &prev.config, None, start);
+        let index = IvfIndex::lay_out(embedding, clustering, &prev.config, start);
         (!prev.imbalanced(&index.cell_offsets, index.len())).then_some(index)
     }
 
     /// Counting-sort `embedding`'s rows into flat per-cell arenas by
     /// `clustering`'s assignment (stable, so rows keep their insertion
     /// order within a cell — deterministic). SQ8 storage quantizes the
-    /// laid-out rows under a fresh domain or, given `patch` — a
-    /// previous arena and each row's code row in it, `u32::MAX` for a
-    /// row to encode — copies those codes and encodes the rest under
-    /// that arena's domain.
+    /// laid-out rows under a fresh domain.
     fn lay_out(
         embedding: &Embedding,
         clustering: kmeans::Clustering,
         config: &IvfConfig,
-        patch: Option<(&Sq8Arena, &[u32])>,
         start: Instant,
     ) -> IvfIndex {
         let (dim, n) = (embedding.dim(), embedding.len());
-        let row = |i: usize| &embedding.rows()[i * dim..(i + 1) * dim];
         let c = clustering.centroid_norms.len();
         let cell_offsets = cell_offsets(&clustering.assignment, c);
         let mut cursor: Vec<u32> = cell_offsets[..c].to_vec();
         let mut ids = vec![NodeId(0); n];
         let mut norms = vec![0.0f32; n];
-        let mut positions = vec![0usize; n];
+        let mut vectors = vec![0.0f32; n * dim];
         for (i, &cell) in clustering.assignment.iter().enumerate() {
             let pos = cursor[cell as usize] as usize;
             cursor[cell as usize] += 1;
             ids[pos] = embedding.ids()[i];
             norms[pos] = embedding.norms()[i];
-            positions[i] = pos;
+            vectors[pos * dim..(pos + 1) * dim]
+                .copy_from_slice(&embedding.rows()[i * dim..(i + 1) * dim]);
         }
 
         // Quantization happens here, on the build (trainer) thread —
         // readers only ever see the finished arena.
-        let storage = match patch {
-            Some((arena, prev_row)) => {
-                let (min, scale) = arena.domain();
-                let mut codes = vec![0u8; n * dim];
-                for (i, &pos) in positions.iter().enumerate() {
-                    let dst = &mut codes[pos * dim..(pos + 1) * dim];
-                    match prev_row[i] {
-                        u32::MAX => {
-                            for (code, &x) in dst.iter_mut().zip(row(i)) {
-                                *code = arena.encode(x);
-                            }
-                        }
-                        prev => dst.copy_from_slice(arena.row(prev as usize, dim)),
-                    }
-                }
-                PostingStorage::Sq8(Sq8Arena::from_codes(codes, min, scale))
-            }
-            None => {
-                let mut vectors = vec![0.0f32; n * dim];
-                for (i, &pos) in positions.iter().enumerate() {
-                    vectors[pos * dim..(pos + 1) * dim].copy_from_slice(row(i));
-                }
-                if config.quantize {
-                    PostingStorage::Sq8(Sq8Arena::quantize(&vectors))
-                } else {
-                    PostingStorage::F32(vectors)
-                }
-            }
+        let storage = if config.quantize {
+            PostingStorage::Sq8(Sq8Arena::quantize(&vectors))
+        } else {
+            PostingStorage::F32(vectors)
         };
 
         let inv = |n: &f32| if *n == 0.0 { 0.0 } else { 1.0 / *n };
@@ -379,62 +313,39 @@ impl IvfIndex {
             inv_norms,
             inv_centroid_norms,
             build_time: start.elapsed(),
-            build_kind: BuildKind::Full,
             dirty_rows: 0,
-            stale_rows: 0,
         }
     }
 
-    /// Incrementally maintain the index across one epoch: keep `prev`'s
-    /// centroids (warm start — the coarse geometry of an embedding
-    /// changes slowly between steps, the paper's incrementality insight
-    /// applied to the index itself) and reassign only the **dirty**
-    /// rows — nodes the step touched, plus any additions/removals the
-    /// embedding diff implies — to their nearest existing centroid.
-    /// Unchanged rows keep their cell, so the per-epoch index cost is
-    /// proportional to *change*, not to graph size.
+    /// Follow the embedding across one epoch: a **re-fit** of `prev`'s
+    /// centroids over every row of `embedding` — assign each row to the
+    /// nearest of them, recompute the means once, assign again. That is
+    /// one Lloyd step (two assignment passes, where a cold
+    /// [`IvfIndex::build`] runs `kmeans_iters + 1` from seeds) — the
+    /// index follows the embedding the way GloDyNE's Skip-Gram model at
+    /// `t` starts from the one at `t − 1`. It falls back to a cold build
+    /// when its largest posting list exceeds 4× the larger of `prev`'s
+    /// largest list and the ideal mean, or when `prev` doesn't have
+    /// exactly `config.cells` clamped to this epoch's row count. A
+    /// `prev` the re-fit cannot use at all (empty, other dimensionality
+    /// or config) also builds cold.
     ///
-    /// `dirty` must contain every node whose vector differs between
-    /// the embedding `prev` was built over and `embedding` (a superset
-    /// is fine and merely reassigns more rows; additions and removals
-    /// are detected from the embedding itself even when unlisted).
-    ///
-    /// When a **drift trigger** fires —
-    ///
-    /// - *staleness*: cumulative reassigned rows since the last full
-    ///   build exceed `drift_stale_bp` basis points of the epoch, or
-    /// - *cell imbalance*: the largest posting list after patching
-    ///   exceeds `drift_cell_factor_x10 / 10 ×` the larger of `prev`'s
-    ///   largest list and the ideal mean —
-    ///
-    /// every row is reassigned by a **re-fit** of `prev`'s centroids:
-    /// assign each row to the nearest of them, recompute the means
-    /// once, assign again. That is one Lloyd step (two assignment
-    /// passes, where a cold [`IvfIndex::build`] runs `kmeans_iters + 1`
-    /// from seeds) — the index follows the embedding the way GloDyNE's
-    /// Skip-Gram model at `t` starts from the one at `t − 1`. The
-    /// re-fit reports [`BuildKind::Full`], `stale_rows = 0` and the
-    /// churn that tripped it as `dirty_rows`. It falls back to a cold
-    /// build when its own largest list breaks the imbalance bound, or
-    /// when `prev` doesn't have exactly `config.cells` clamped to this
-    /// epoch's row count. A `prev` the warm start cannot use at all
-    /// (empty, other dimensionality or config) also builds cold.
+    /// `dirty` lists the nodes whose vectors changed since `prev`'s
+    /// embedding (any order; duplicates and absent ids are ignored). It
+    /// only sets [`IvfIndex::dirty_rows`] — the listed rows present on
+    /// both sides plus the rows added and removed since `prev` — and
+    /// never the layout: GloDyNE's online step walks from
+    /// representatives spread over every sub-network, so SGNS rewrites
+    /// nearly every row and every row is reassigned anyway.
     ///
     /// **Chain contract.** A re-fit index is a function of the epoch
     /// *chain* (it starts from `prev`'s centroids), while the first
     /// index after a spawn or a restart is cold — a function of the
     /// embedding alone. Partial-probe answers (`nprobe < cells`) may
     /// therefore differ across a restart; exact answers and full probes
-    /// (`nprobe = cells`) never do.
-    ///
-    /// SQ8 arenas **patch in place** under the same affine domain:
-    /// survivor rows copy their codes byte for byte, changed rows
-    /// quantize into the inherited domain — all cells re-quantize only
-    /// when a changed component falls outside the domain (min/max
-    /// drift). At `nprobe = cells` the result answers identically to a
-    /// fresh full build over `embedding` (full probes scan every row
-    /// with the exact kernel regardless of cell layout) — property-
-    /// pinned in `tests/prop.rs`.
+    /// (`nprobe = cells`) never do — full probes scan every row with the
+    /// exact kernel regardless of cell layout (property-pinned in
+    /// `tests/prop.rs`).
     pub fn update_from(
         prev: &IvfIndex,
         embedding: &Embedding,
@@ -442,128 +353,21 @@ impl IvfIndex {
         config: &IvfConfig,
     ) -> IvfIndex {
         let start = Instant::now();
-        let dim = embedding.dim();
         let n = embedding.len();
-        // Warm start needs a compatible previous index: same build
-        // parameters, same dimensionality, and at least one centroid.
-        let warm = n > 0 && !prev.is_empty() && prev.dim == dim && prev.config == *config;
-        let c = prev.cells();
-        // Every row reassigned: re-fit `prev`'s centroids when they are
-        // exactly the cells a cold build would make, else build cold.
-        let full = |dirty_rows: usize| {
-            let refit = (warm && c == config.cells.clamp(1, n))
-                .then(|| IvfIndex::refit(prev, embedding, start))
-                .flatten();
-            let mut ix = refit.unwrap_or_else(|| IvfIndex::build(embedding, config));
-            ix.dirty_rows = dirty_rows;
-            ix.build_time = start.elapsed();
-            ix
-        };
-        if !warm {
-            return full(dirty.len());
-        }
-
-        // Membership tests below binary-search `dirty`; the session
-        // hands a sorted diff (ascending, distinct), anything else is
-        // sorted here.
-        let dirty: Cow<'_, [NodeId]> = if dirty.windows(2).all(|w| w[0] < w[1]) {
-            Cow::Borrowed(dirty)
-        } else {
-            let mut ids = dirty.to_vec();
-            ids.sort_unstable();
-            ids.dedup();
-            Cow::Owned(ids)
-        };
-        let is_dirty = |id: &NodeId| dirty.binary_search(id).is_ok();
-
-        // Churn accounting, decided before any O(n) map is built (the
-        // drift path needs none): rows this update must reassign
-        // (added, or surviving and dirty) plus removals.
-        let mut surviving = 0usize;
-        let mut surviving_dirty = 0usize;
-        for id in &prev.ids {
-            if embedding.get(*id).is_some() {
-                surviving += 1;
-                surviving_dirty += usize::from(is_dirty(id));
-            }
-        }
-        let removed = prev.len() - surviving;
-        let dirty_rows = (n - surviving) + surviving_dirty + removed;
-        let stale_rows = prev.stale_rows + dirty_rows;
-        if (stale_rows as u64) * 10_000 > u64::from(config.drift_stale_bp) * n as u64 {
-            return full(dirty_rows);
-        }
-
-        // Previous layout: id → (cell, prev arena row).
-        let mut prev_pos = std::collections::HashMap::with_capacity(prev.ids.len());
-        for j in 0..c {
-            let (lo, hi) = prev.cell_bounds(j);
-            for i in lo..hi {
-                prev_pos.insert(prev.ids[i], (j as u32, i as u32));
-            }
-        }
-
-        // Assignment: survivors keep their cell, dirty/new rows go to
-        // the nearest warm-started centroid. Row iteration follows
-        // embedding insertion order, exactly like `build`, so the
-        // within-cell order matches what a fresh build with the same
-        // assignment would produce — deterministic.
-        let mut assignment = Vec::with_capacity(n);
-        // SQ8 in-place patch bookkeeping: prev arena row of each
-        // survivor (u32::MAX = changed row, quantize fresh), and
-        // whether any changed component escapes the inherited domain.
-        let prev_arena = match &prev.storage {
-            PostingStorage::Sq8(a) => Some(a),
-            PostingStorage::F32(_) => None,
-        };
-        let mut prev_row: Vec<u32> = Vec::with_capacity(if prev_arena.is_some() { n } else { 0 });
-        let mut domain_drifted = false;
-        for (i, (id, v)) in embedding.iter().enumerate() {
-            let clean = !is_dirty(&id);
-            let cell = match prev_pos.get(&id) {
-                Some(&(cell, row)) if clean => {
-                    if prev_arena.is_some() {
-                        prev_row.push(row);
-                    }
-                    cell
-                }
-                _ => {
-                    if let Some(arena) = prev_arena {
-                        prev_row.push(u32::MAX);
-                        domain_drifted = domain_drifted || v.iter().any(|&x| !arena.covers(x));
-                    }
-                    kmeans::nearest_centroid(
-                        v,
-                        embedding.norms()[i],
-                        dim,
-                        &prev.centroids,
-                        &prev.centroid_norms,
-                    )
-                }
-            };
-            assignment.push(cell);
-        }
-
-        // Cell-imbalance drift trigger: churn piled onto one stale
-        // centroid.
-        if prev.imbalanced(&cell_offsets(&assignment, c), n) {
-            return full(dirty_rows);
-        }
-
-        let clustering = kmeans::Clustering {
-            centroids: prev.centroids.clone(),
-            centroid_norms: prev.centroid_norms.clone(),
-            assignment,
-        };
-        // Min/max domain drift re-quantizes every cell under a fresh
-        // domain; otherwise survivors keep their codes byte for byte.
-        let patch = prev_arena
-            .filter(|_| !domain_drifted)
-            .map(|arena| (arena, prev_row.as_slice()));
-        let mut index = IvfIndex::lay_out(embedding, clustering, config, patch, start);
-        index.build_kind = BuildKind::Incremental;
-        index.dirty_rows = dirty_rows;
-        index.stale_rows = stale_rows;
+        // The re-fit needs a compatible previous index: same build
+        // parameters, same dimensionality, and exactly the cells a
+        // cold build would make.
+        let refit = n > 0
+            && !prev.is_empty()
+            && prev.dim == embedding.dim()
+            && prev.config == *config
+            && prev.cells() == config.cells.clamp(1, n);
+        let mut index = refit
+            .then(|| IvfIndex::refit(prev, embedding, start))
+            .flatten()
+            .unwrap_or_else(|| IvfIndex::build(embedding, config));
+        index.dirty_rows = churn(prev, embedding, dirty);
+        index.build_time = start.elapsed();
         index
     }
 
@@ -863,7 +667,7 @@ impl IvfIndex {
             .sort_unstable_by(glodyne_embed::rank_similarity);
     }
 
-    /// The cell-imbalance bound of [`IvfConfig::drift_cell_factor_x10`]
+    /// The re-fit's cell-imbalance bound ([`REFIT_CELL_FACTOR_X10`])
     /// against this (previous) index: whether the layout `cell_offsets`
     /// over `n` rows has a posting list longer than the factor times
     /// the larger of this index's longest list and `⌈n / cells⌉`.
@@ -876,7 +680,7 @@ impl IvfIndex {
                 .unwrap_or(0)
         };
         let baseline = max_cell(&self.cell_offsets).max(n.div_ceil(self.cells()));
-        max_cell(cell_offsets) * 10 > baseline * self.config.drift_cell_factor_x10 as usize
+        max_cell(cell_offsets) * 10 > baseline * REFIT_CELL_FACTOR_X10
     }
 
     /// The posting-row bounds of cell `j`.
@@ -982,25 +786,41 @@ impl IvfIndex {
         self.build_time
     }
 
-    /// Whether this index came from k-means over every row (a cold
-    /// [`IvfIndex::build`] or a drift re-fit) or an incremental patch
-    /// ([`IvfIndex::update_from`]) — what `stats.ann.build_kind`
-    /// reports on the wire.
+    /// How this index was built — always [`BuildKind::Full`], what
+    /// `stats.ann.build_kind` reports on the wire.
     pub fn build_kind(&self) -> BuildKind {
-        self.build_kind
+        BuildKind::Full
     }
 
-    /// Rows this build reassigned (see the field docs) — what
-    /// `stats.ann.dirty_rows` reports on the wire.
+    /// The churn since the previous epoch's index (see the field docs)
+    /// — what `stats.ann.dirty_rows` reports on the wire.
     pub fn dirty_rows(&self) -> usize {
         self.dirty_rows
     }
+}
 
-    /// Cumulative rows reassigned since the last full build — the
-    /// staleness measure the `drift_stale_bp` trigger compares against.
-    pub fn stale_rows(&self) -> usize {
-        self.stale_rows
+/// The rows `embedding` churns against `prev`'s: the `dirty` ids
+/// present on both sides, plus the rows added and removed since.
+fn churn(prev: &IvfIndex, embedding: &Embedding, dirty: &[NodeId]) -> usize {
+    // Membership tests binary-search `dirty`; the session hands a
+    // sorted diff (ascending, distinct), anything else is sorted here.
+    let dirty: Cow<'_, [NodeId]> = if dirty.windows(2).all(|w| w[0] < w[1]) {
+        Cow::Borrowed(dirty)
+    } else {
+        let mut ids = dirty.to_vec();
+        ids.sort_unstable();
+        ids.dedup();
+        Cow::Owned(ids)
+    };
+    let (mut surviving, mut surviving_dirty) = (0, 0);
+    for id in &prev.ids {
+        if embedding.get(*id).is_some() {
+            surviving += 1;
+            surviving_dirty += usize::from(dirty.binary_search(id).is_ok());
+        }
     }
+    let (added, removed) = (embedding.len() - surviving, prev.len() - surviving);
+    added + surviving_dirty + removed
 }
 
 /// One batch of the grouped f32 scan: the arena, the queries and each
@@ -1251,6 +1071,7 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(bad.validate().unwrap_err().param(), "rerank_factor");
+        assert_eq!(BuildKind::Full.as_str(), "full");
     }
 
     #[test]
@@ -1313,57 +1134,6 @@ mod tests {
     }
 
     #[test]
-    fn update_from_reassigns_only_dirty_rows_and_keeps_centroids() {
-        let e0 = pseudo_random_embedding(60, 6, 17);
-        let cfg = IvfConfig {
-            cells: 5,
-            ..Default::default()
-        };
-        let prev = IvfIndex::build(&e0, &cfg);
-        assert_eq!(prev.build_kind(), BuildKind::Full);
-        assert_eq!(prev.dirty_rows(), 0);
-        assert_eq!(prev.stale_rows(), 0);
-
-        // Mutate two rows, add one.
-        let mut e1 = e0.clone();
-        e1.set(NodeId(3), &[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
-        e1.set(NodeId(40), &[0.0, 1.0, 0.0, 0.0, 0.0, 0.0]);
-        e1.set(NodeId(60), &[0.0, 0.0, 1.0, 0.0, 0.0, 0.0]);
-        let dirty = [NodeId(3), NodeId(40)];
-        let ix = IvfIndex::update_from(&prev, &e1, &dirty, &cfg);
-        assert_eq!(ix.build_kind(), BuildKind::Incremental);
-        assert_eq!(ix.dirty_rows(), 3, "2 mutated + 1 added");
-        assert_eq!(ix.stale_rows(), 3);
-        assert_eq!(ix.len(), 61);
-        // Warm start: the centroids are the previous epoch's, bit for
-        // bit.
-        assert_eq!(
-            ix.centroids.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            prev.centroids
-                .iter()
-                .map(|x| x.to_bits())
-                .collect::<Vec<_>>()
-        );
-        // Full probe answers exactly like a fresh full build.
-        let fresh = IvfIndex::build(&e1, &cfg);
-        for probe in [0u32, 3, 40, 60] {
-            let node = NodeId(probe);
-            let q = e1.get(node).unwrap();
-            assert_bit_exact(
-                &ix.search(q, 10, ix.cells(), Some(node)),
-                &fresh.search(q, 10, fresh.cells(), Some(node)),
-            );
-        }
-        // Chaining accumulates staleness.
-        let mut e2 = e1.clone();
-        e2.set(NodeId(7), &[0.5; 6]);
-        let ix2 = IvfIndex::update_from(&ix, &e2, &[NodeId(7)], &cfg);
-        assert_eq!(ix2.build_kind(), BuildKind::Incremental);
-        assert_eq!(ix2.dirty_rows(), 1);
-        assert_eq!(ix2.stale_rows(), 4);
-    }
-
-    #[test]
     fn update_from_counts_removed_rows_and_drops_them() {
         let e0 = pseudo_random_embedding(30, 4, 8);
         let cfg = IvfConfig {
@@ -1381,7 +1151,6 @@ mod tests {
             }
         }
         let ix = IvfIndex::update_from(&prev, &e1, &[], &cfg);
-        assert_eq!(ix.build_kind(), BuildKind::Incremental);
         assert_eq!(ix.len(), 28);
         assert_eq!(ix.dirty_rows(), 2, "two removals count as churn");
         let hits = ix.search(e1.get(NodeId(0)).unwrap(), 30, ix.cells(), Some(NodeId(0)));
@@ -1396,84 +1165,29 @@ mod tests {
         let e = pseudo_random_embedding(40, 5, 12);
         let cfg = IvfConfig {
             cells: 4,
-            drift_stale_bp: 100, // 1%: a single dirty row of 40 trips it
             ..Default::default()
         };
         let prev = IvfIndex::build(&e, &cfg);
         let mut e1 = e.clone();
         e1.set(NodeId(2), &[9.0, 0.0, 0.0, 0.0, 0.0]);
-        let ix = IvfIndex::update_from(&prev, &e1, &[NodeId(2)], &cfg);
-        assert_eq!(
-            ix.build_kind(),
-            BuildKind::Full,
-            "staleness trigger forces a full rebuild"
-        );
-        assert_eq!(ix.dirty_rows(), 1, "the tripping churn is still reported");
-        assert_eq!(ix.stale_rows(), 0, "a full rebuild resets staleness");
 
-        // A config change also disqualifies the warm start.
+        // A config change disqualifies the re-fit: the update is the
+        // cold build, and still reports its churn.
         let recfg = IvfConfig {
             cells: 8,
             ..Default::default()
         };
         let ix = IvfIndex::update_from(&prev, &e1, &[NodeId(2)], &recfg);
-        assert_eq!(ix.build_kind(), BuildKind::Full);
         assert_eq!(ix.cells(), 8);
+        assert_eq!(ix.dirty_rows(), 1);
+        assert_same_index(&ix, &IvfIndex::build(&e1, &recfg));
 
-        // An empty previous index (cold start) builds full.
+        // An empty previous index (cold start) builds cold, every row
+        // added.
         let empty = IvfIndex::build(&Embedding::new(5), &cfg);
         let ix = IvfIndex::update_from(&empty, &e1, &[], &cfg);
-        assert_eq!(ix.build_kind(), BuildKind::Full);
-    }
-
-    #[test]
-    fn update_from_patches_sq8_codes_in_place_under_a_covered_domain() {
-        let e0 = pseudo_random_embedding(50, 8, 33);
-        let cfg = IvfConfig {
-            cells: 4,
-            quantize: true,
-            rerank_factor: 16,
-            ..Default::default()
-        };
-        let prev = IvfIndex::build(&e0, &cfg);
-        let (min0, scale0) = match &prev.storage {
-            PostingStorage::Sq8(a) => a.domain(),
-            PostingStorage::F32(_) => unreachable!(),
-        };
-        // In-domain churn: new values inside the inherited domain keep
-        // it (codes patch in place, no re-quantization).
-        let mut e1 = e0.clone();
-        e1.set(NodeId(10), &[0.25; 8]);
-        let ix = IvfIndex::update_from(&prev, &e1, &[NodeId(10)], &cfg);
-        assert_eq!(ix.build_kind(), BuildKind::Incremental);
-        let (min1, scale1) = match &ix.storage {
-            PostingStorage::Sq8(a) => a.domain(),
-            PostingStorage::F32(_) => unreachable!(),
-        };
-        assert_eq!(min0.to_bits(), min1.to_bits(), "domain inherited");
-        assert_eq!(scale0.to_bits(), scale1.to_bits(), "domain inherited");
-        // ...and still answers exactly like a fresh quantized build at
-        // full probe with a covering pool.
-        for probe in [0u32, 10, 49] {
-            let node = NodeId(probe);
-            let q = e1.get(node).unwrap();
-            assert_bit_exact(
-                &ix.search_in(&e1, q, 10, ix.cells(), Some(node)),
-                &e1.top_k(node, 10),
-            );
-        }
-        // Out-of-domain churn drifts the domain: everything
-        // re-quantizes under a fresh min/scale that covers the new
-        // value.
-        let mut e2 = e0.clone();
-        e2.set(NodeId(10), &[1.0e4; 8]);
-        let ix = IvfIndex::update_from(&prev, &e2, &[NodeId(10)], &cfg);
-        assert_eq!(ix.build_kind(), BuildKind::Incremental);
-        let (_, scale2) = match &ix.storage {
-            PostingStorage::Sq8(a) => a.domain(),
-            PostingStorage::F32(_) => unreachable!(),
-        };
-        assert!(scale2 > scale0, "domain widened to cover the outlier");
+        assert_eq!(ix.dirty_rows(), 40);
+        assert_same_index(&ix, &IvfIndex::build(&e1, &cfg));
     }
 
     #[test]
@@ -1552,13 +1266,7 @@ mod tests {
         let prev = IvfIndex::build(&e0, &cfg);
         let e1 = perturb_all(&e0, 5);
         let ix = IvfIndex::update_from(&prev, &e1, e1.ids(), &cfg);
-        assert_eq!(
-            ix.build_kind(),
-            BuildKind::Full,
-            "every row dirty trips staleness"
-        );
-        assert_eq!(ix.dirty_rows(), 120, "the tripping churn is reported");
-        assert_eq!(ix.stale_rows(), 0);
+        assert_eq!(ix.dirty_rows(), 120, "every row changed");
 
         // The Lloyd step by hand: nearest of prev's centroids, the mean
         // of each cell's members, then the final assignment.
@@ -1616,29 +1324,60 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_refit_resets_staleness_and_small_churn_patches_its_centroids() {
-        let e0 = pseudo_random_embedding(200, 6, 23);
-        let cfg = IvfConfig {
-            cells: 8,
-            ..Default::default()
-        };
-        let prev = IvfIndex::build(&e0, &cfg);
-        let e1 = perturb_all(&e0, 9);
-        let refit = IvfIndex::update_from(&prev, &e1, e1.ids(), &cfg);
-        assert_eq!(refit.build_kind(), BuildKind::Full);
-        assert_eq!(refit.stale_rows(), 0);
+    /// The churn accounting of `update_from`, restated with sets: the
+    /// listed ids present on both sides, plus additions and removals.
+    fn reference_churn(prev: &IvfIndex, e: &Embedding, dirty: &[NodeId]) -> usize {
+        use std::collections::HashSet;
+        let before: HashSet<NodeId> = prev.ids.iter().copied().collect();
+        let after: HashSet<NodeId> = e.ids().iter().copied().collect();
+        let listed: HashSet<NodeId> = dirty.iter().copied().collect();
+        let kept = listed
+            .iter()
+            .filter(|id| before.contains(id) && after.contains(id));
+        after.difference(&before).count() + before.difference(&after).count() + kept.count()
+    }
 
-        // 1 % of rows dirty: back to the incremental patch, on the
-        // re-fit's centroids.
-        let mut e2 = e1.clone();
-        e2.set(NodeId(4), &[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
-        e2.set(NodeId(150), &[0.0, 1.0, 0.0, 0.0, 0.0, 0.0]);
-        let next = IvfIndex::update_from(&refit, &e2, &[NodeId(4), NodeId(150)], &cfg);
-        assert_eq!(next.build_kind(), BuildKind::Incremental);
-        assert_eq!(next.dirty_rows(), 2);
-        assert_eq!(next.stale_rows(), 2);
-        assert_eq!(bits(&next.centroids), bits(&refit.centroids));
+    #[test]
+    fn update_from_lays_out_the_same_index_whatever_the_dirty_list() {
+        let dim = 6;
+        let e0 = pseudo_random_embedding(200, dim, 23);
+        // Two rows moved (1 %), one removed, two added.
+        let mut e1 = Embedding::new(dim);
+        for (id, v) in e0.iter().filter(|&(id, _)| id != NodeId(20)) {
+            e1.set(id, v);
+        }
+        e1.set(NodeId(4), &[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
+        e1.set(NodeId(150), &[0.0, 1.0, 0.0, 0.0, 0.0, 0.0]);
+        e1.set(NodeId(200), &[0.0, 0.0, 1.0, 0.0, 0.0, 0.0]);
+        e1.set(NodeId(201), &[0.0, 0.0, 0.0, 1.0, 0.0, 0.0]);
+        let moved = [NodeId(4), NodeId(150)];
+        let lists: [&[NodeId]; 5] = [
+            &[],
+            &moved,
+            e1.ids(),
+            &[NodeId(150), NodeId(4), NodeId(150), NodeId(4)],
+            &[NodeId(20), NodeId(999), NodeId(4), NodeId(201)],
+        ];
+        for quantize in [false, true] {
+            let cfg = IvfConfig {
+                cells: 8,
+                quantize,
+                ..Default::default()
+            };
+            let prev = IvfIndex::build(&e0, &cfg);
+            let want = IvfIndex::update_from(&prev, &e1, e1.ids(), &cfg);
+            for dirty in lists {
+                let ix = IvfIndex::update_from(&prev, &e1, dirty, &cfg);
+                assert_same_index(&ix, &want);
+                assert_eq!(
+                    ix.dirty_rows(),
+                    reference_churn(&prev, &e1, dirty),
+                    "{dirty:?}"
+                );
+            }
+            let moved_churn = IvfIndex::update_from(&prev, &e1, &moved, &cfg).dirty_rows();
+            assert_eq!(moved_churn, 5, "2 moved + 2 added + 1 removed");
+        }
     }
 
     #[test]
@@ -1669,32 +1408,27 @@ mod tests {
     fn a_refit_piled_onto_one_centroid_falls_back_cold() {
         let dim = 6;
         let e0 = pseudo_random_embedding(160, dim, 31);
-        // Both routes into the re-fit: the staleness trigger (every row
-        // dirty against a 25 % budget) and the imbalance trigger (the
-        // staleness budget disarmed, the patch piles up in cell 0).
-        for drift_stale_bp in [2500, 10_000] {
-            let cfg = IvfConfig {
-                cells: 8,
-                drift_stale_bp,
-                drift_cell_factor_x10: 20,
-                ..Default::default()
-            };
-            let prev = IvfIndex::build(&e0, &cfg);
-            let prev_max = (0..prev.cells())
-                .map(|j| prev.posting_list(j).len())
-                .max()
-                .unwrap();
-            assert!(prev_max * 2 < 160, "the bound must be breakable");
-            // Every row moved onto centroid 0.
-            let mut e1 = Embedding::new(dim);
-            for &id in e0.ids() {
-                e1.set(id, &prev.centroids[..dim]);
-            }
-            let ix = IvfIndex::update_from(&prev, &e1, e1.ids(), &cfg);
-            assert_eq!(ix.build_kind(), BuildKind::Full);
-            assert_eq!(ix.dirty_rows(), 160);
-            assert_same_index(&ix, &IvfIndex::build(&e1, &cfg));
+        let cfg = IvfConfig {
+            cells: 8,
+            ..Default::default()
+        };
+        let prev = IvfIndex::build(&e0, &cfg);
+        let prev_max = (0..prev.cells())
+            .map(|j| prev.posting_list(j).len())
+            .max()
+            .unwrap();
+        assert!(
+            prev_max * REFIT_CELL_FACTOR_X10 < 160 * 10,
+            "the bound must be breakable"
+        );
+        // Every row moved onto centroid 0.
+        let mut e1 = Embedding::new(dim);
+        for &id in e0.ids() {
+            e1.set(id, &prev.centroids[..dim]);
         }
+        let ix = IvfIndex::update_from(&prev, &e1, e1.ids(), &cfg);
+        assert_eq!(ix.dirty_rows(), 160);
+        assert_same_index(&ix, &IvfIndex::build(&e1, &cfg));
     }
 
     #[test]
@@ -1712,27 +1446,6 @@ mod tests {
         let ix = IvfIndex::update_from(&prev, &e, e.ids(), &cfg);
         assert_eq!(ix.build_kind(), BuildKind::Full);
         assert_eq!(ix.len(), 10);
-    }
-
-    #[test]
-    fn drift_config_validation_rejects_degenerates() {
-        let bad = IvfConfig {
-            drift_stale_bp: 0,
-            ..Default::default()
-        };
-        assert_eq!(bad.validate().unwrap_err().param(), "drift_stale_bp");
-        let bad = IvfConfig {
-            drift_stale_bp: 10_001,
-            ..Default::default()
-        };
-        assert_eq!(bad.validate().unwrap_err().param(), "drift_stale_bp");
-        let bad = IvfConfig {
-            drift_cell_factor_x10: 9,
-            ..Default::default()
-        };
-        assert_eq!(bad.validate().unwrap_err().param(), "drift_cell_factor_x10");
-        assert_eq!(BuildKind::Full.as_str(), "full");
-        assert_eq!(BuildKind::Incremental.as_str(), "incremental");
     }
 
     #[test]

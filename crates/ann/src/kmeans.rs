@@ -139,9 +139,8 @@ pub(crate) fn seed_centroids(
 
 /// The centroid of highest guarded cosine similarity for one row, ties
 /// (and all-NaN rows) toward the smallest centroid index — fully
-/// deterministic. Shared by the Lloyd assignment passes and the
-/// incremental dirty-row reassignment
-/// ([`IvfIndex::update_from`](crate::IvfIndex::update_from)).
+/// deterministic. The assignment step of every Lloyd pass, cold or
+/// re-fitted ([`IvfIndex::update_from`](crate::IvfIndex::update_from)).
 pub(crate) fn nearest_centroid(
     row: &[f32],
     row_norm: f32,

@@ -71,42 +71,10 @@ impl Sq8Arena {
         }
     }
 
-    /// Rebuild an arena from raw codes under an existing domain — the
-    /// incremental index-maintenance path patches survivor rows by code
-    /// copy and quantizes only changed rows, all under the *same*
-    /// affine domain, so the result is bit-identical to a fresh
-    /// [`Sq8Arena::quantize`] over the same values when the domain
-    /// still covers them.
-    pub(crate) fn from_codes(codes: Vec<u8>, min: f32, scale: f32) -> Sq8Arena {
-        Sq8Arena { codes, min, scale }
-    }
-
     /// The arena's affine code domain as `(min, scale)`: value of code
     /// 0 and the step between adjacent codes.
     pub fn domain(&self) -> (f32, f32) {
         (self.min, self.scale)
-    }
-
-    /// Whether a finite component value lands inside this arena's code
-    /// domain (within half a code step of the representable span, the
-    /// round-to-nearest tolerance). Values outside would saturate —
-    /// the min/max **domain drift** that forces a full re-quantization
-    /// of every cell during incremental maintenance. Non-finite values
-    /// saturate by design and never count as drift.
-    pub fn covers(&self, x: f32) -> bool {
-        if !x.is_finite() {
-            return true;
-        }
-        let half = self.scale * 0.5;
-        x >= self.min - half && x <= self.min + self.scale * 255.0 + half
-    }
-
-    /// Quantize one value into this arena's domain (the same saturating
-    /// cast as [`Sq8Arena::quantize`], so patched rows and fresh builds
-    /// agree bit for bit).
-    #[inline]
-    pub(crate) fn encode(&self, x: f32) -> u8 {
-        ((x - self.min) * (1.0 / self.scale)).round() as u8
     }
 
     /// The codes of row `i` for rows of width `dim`.

@@ -97,9 +97,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
 
     /// The serving regime: 30 epochs, each perturbing ≥ 90 % of rows
-    /// and adding and removing ~1 %, in f32 and SQ8. Every epoch trips
-    /// the staleness trigger, so every index after the first is a
-    /// re-fit of the previous one's centroids. Every re-fit answers a
+    /// and adding and removing ~1 %, in f32 and SQ8. Every index after
+    /// the first is a re-fit of the previous one's centroids. Every re-fit answers a
     /// full probe bit-exactly like the exact scan; a second, identical
     /// chain lays out identical posting lists; the longest list stays
     /// inside the imbalance bound; and at the end recall@10 at
@@ -151,15 +150,15 @@ proptest! {
                 let prev_longest = longest_posting_list(&a);
                 a = IvfIndex::update_from(&a, &emb, &dirty, &cfg);
                 b = IvfIndex::update_from(&b, &emb, &dirty, &cfg);
-                prop_assert_eq!(a.build_kind(), glodyne_ann::BuildKind::Full);
-                prop_assert_eq!(a.stale_rows(), 0);
                 prop_assert_eq!(a.cells(), cfg.cells);
                 for j in 0..a.cells() {
                     prop_assert_eq!(a.posting_list(j), b.posting_list(j), "epoch {} cell {}", epoch, j);
                 }
+                // The re-fit's fall-back bound: 4× the larger of the
+                // previous longest list and the ideal mean.
                 let baseline = prev_longest.max(emb.len().div_ceil(a.cells()));
                 prop_assert!(
-                    longest_posting_list(&a) * 10 <= baseline * cfg.drift_cell_factor_x10 as usize,
+                    longest_posting_list(&a) <= baseline * 4,
                     "epoch {}: longest list {} vs baseline {}", epoch, longest_posting_list(&a), baseline
                 );
                 for &probe in emb.ids().iter().step_by(37) {
@@ -206,7 +205,7 @@ proptest! {
         rerank_factor in 1usize..5,
     ) {
         let emb = build_embedding(n, dim, seed);
-        let cfg = IvfConfig { cells, kmeans_iters, seed, quantize, rerank_factor, ..Default::default() };
+        let cfg = IvfConfig { cells, kmeans_iters, seed, quantize, rerank_factor };
         let index = IvfIndex::build(&emb, &cfg);
         prop_assert_eq!(index.len(), n);
         prop_assert!(index.cells() <= cells.max(1));
@@ -351,17 +350,14 @@ proptest! {
         }
     }
 
-    /// Random churn streams: mutate/add rows step by step, maintain the
-    /// index incrementally (`update_from`), and compare a full probe
-    /// against a fresh full k-means build of the same embedding. At
-    /// `nprobe = cells` both scan every row with the exact kernel, so
-    /// the result sets must be **identical bit for bit** no matter how
-    /// churn redistributed the posting lists — the recall pin of
-    /// incremental maintenance. With the staleness trigger disarmed
-    /// (10000 bp) and gentle churn, the chain must also actually stay
-    /// incremental rather than silently rebuilding.
+    /// Random churn streams: mutate/add rows step by step, follow them
+    /// with an `update_from` chain, and compare a full probe against a
+    /// fresh cold build of the same embedding. At `nprobe = cells` both
+    /// scan every row with the exact kernel, so the result sets must be
+    /// **identical bit for bit** no matter how the re-fits laid out the
+    /// posting lists.
     #[test]
-    fn incremental_chain_full_probe_matches_fresh_full_build(
+    fn update_from_chain_full_probe_matches_fresh_full_build(
         n in 12usize..48,
         dim in 2usize..10,
         seed in 0u64..200,
@@ -377,7 +373,6 @@ proptest! {
             // Pool covers any epoch this test grows, so SQ8 full probes
             // are exact too.
             rerank_factor: 16,
-            drift_stale_bp: 10_000,
             ..Default::default()
         };
         let mut index = IvfIndex::build(&emb, &cfg);
@@ -410,10 +405,6 @@ proptest! {
                 }
             }
         }
-        // ≤ ~40% cumulative churn against a disarmed 100% trigger: the
-        // chain must have stayed incremental (no silent full rebuilds).
-        prop_assert_eq!(index.build_kind(), glodyne_ann::BuildKind::Incremental);
-        prop_assert!(index.stale_rows() > 0);
     }
 
     /// The batch scan (grouped or looped) must be bit-exact per query with the

@@ -15,9 +15,9 @@
 //!   per-query loop for both storage modes (`batch`), and the f32
 //!   batch entry point, grouped at batch ≥ 2 (`batch_grouped`) —
 //!   mirroring the serving layer's `nearest_batch`;
-//! - two freshness rows: `update_from` at 1 % dirty rows (the
-//!   incremental patch) and at 100 % (the drift re-fit, the serving
-//!   regime), each against a cold build of the same epoch.
+//! - a freshness row: `update_from` with every row perturbed (the
+//!   re-fit, the serving regime) against a cold build of the same
+//!   epoch.
 //!
 //! A top-level `kernel` object reports the measured similarity-kernel
 //! bandwidth (GB/s) for the exact and the SIMD-shaped fast dot.
@@ -164,27 +164,10 @@ struct GroupedPoint {
     f32_qps: f64,
 }
 
-/// The freshness axis: after perturbing ~1% of rows, a fresh full
-/// rebuild vs an incremental `update_from` patch of the same index.
-struct IncrementalResult {
-    dirty_rows: usize,
-    build_full_ms: f64,
-    build_incr_ms: f64,
-    /// `build_full_ms / build_incr_ms` — how much build time the
-    /// incremental path saves at this churn level.
-    speedup: f64,
-    /// Overlap@10 of the incremental index's answers with the fresh
-    /// full build's answers at the same probe width (parity, not
-    /// absolute recall): 1.0 means the patch lost nothing.
-    recall_at_10: f64,
-    /// `"incremental"` unless a drift trigger forced a full rebuild.
-    build_kind: &'static str,
-}
-
 /// The serving regime's freshness axis: every row perturbed (SGNS
-/// touches ~all rows per step), so `update_from` trips its staleness
-/// trigger and re-fits the previous centroids with one Lloyd step —
-/// against a cold k-means build of the same epoch.
+/// touches ~all rows per step), and `update_from` re-fits the previous
+/// centroids with one Lloyd step — against a cold k-means build of the
+/// same epoch.
 struct RefitResult {
     dirty_rows: usize,
     cold_ms: f64,
@@ -220,9 +203,7 @@ struct SizeResult {
     batch: Vec<BatchPoint>,
     // Grouped f32 batch sweep over the same points.
     batch_grouped: Vec<GroupedPoint>,
-    // Incremental-maintenance axis (~1% dirty).
-    incremental: IncrementalResult,
-    // Drift re-fit axis (every row dirty).
+    // Re-fit axis (every row dirty).
     refit: RefitResult,
 }
 
@@ -287,16 +268,14 @@ fn grouped_qps(
     probes.len() as f64 / start.elapsed().as_secs_f64()
 }
 
-/// `emb` with `count` rows (every `n / count`-th id, deterministically
-/// spread over the id space) nudged by N(0, 0.05²) noise, plus the
-/// list of nudged ids.
-fn perturb(emb: &Embedding, count: usize, seed: u64) -> (Embedding, Vec<NodeId>) {
-    let stride = (emb.len() / count).max(1);
+/// `emb` (ids `0..n`) with every row nudged by N(0, 0.05²) noise, plus
+/// the list of nudged ids.
+fn perturb(emb: &Embedding, seed: u64) -> (Embedding, Vec<NodeId>) {
     let mut rng = SplitMix(seed ^ 0xD1F7_BEEF);
     let mut perturbed = emb.clone();
-    let mut dirty = Vec::with_capacity(count);
-    for i in 0..count {
-        let id = NodeId((i * stride) as u32);
+    let mut dirty = Vec::with_capacity(emb.len());
+    for i in 0..emb.len() {
+        let id = NodeId(i as u32);
         let mut row = perturbed.get(id).unwrap().to_vec();
         for x in &mut row {
             *x += 0.05 * rng.gaussian();
@@ -321,43 +300,8 @@ fn answers(
         .collect()
 }
 
-/// The freshness axis: perturb ~1% of rows, then time a fresh full
-/// rebuild against an incremental `update_from` patch of `index`, and
-/// measure how much of the full build's top-10 the patched index
-/// reproduces at the same probe width.
-fn bench_incremental(
-    index: &IvfIndex,
-    emb: &Embedding,
-    cfg: &IvfConfig,
-    probes: &[NodeId],
-    nprobe: usize,
-    seed: u64,
-) -> IncrementalResult {
-    let (perturbed, dirty) = perturb(emb, (emb.len() / 100).max(1), seed);
-
-    let start = Instant::now();
-    let full = IvfIndex::build(&perturbed, cfg);
-    let build_full_ms = start.elapsed().as_secs_f64() * 1e3;
-    let start = Instant::now();
-    let incr = IvfIndex::update_from(index, &perturbed, &dirty, cfg);
-    let build_incr_ms = start.elapsed().as_secs_f64() * 1e3;
-
-    let recall_at_10 = recall(
-        &answers(&full, &perturbed, probes, nprobe),
-        &answers(&incr, &perturbed, probes, nprobe),
-    );
-    IncrementalResult {
-        dirty_rows: incr.dirty_rows(),
-        build_full_ms,
-        build_incr_ms,
-        speedup: build_full_ms / build_incr_ms.max(1e-9),
-        recall_at_10,
-        build_kind: incr.build_kind().as_str(),
-    }
-}
-
 /// The serving regime: perturb every row, then time a cold build
-/// against `update_from(index, .., all ids)` — the drift re-fit — and
+/// against `update_from(index, .., all ids)` — the re-fit — and
 /// score both against the exact top-10 of the perturbed epoch.
 fn bench_refit(
     index: &IvfIndex,
@@ -367,7 +311,7 @@ fn bench_refit(
     nprobe: usize,
     seed: u64,
 ) -> RefitResult {
-    let (perturbed, dirty) = perturb(emb, emb.len(), seed.wrapping_add(1));
+    let (perturbed, dirty) = perturb(emb, seed.wrapping_add(1));
 
     let start = Instant::now();
     let cold = IvfIndex::build(&perturbed, cfg);
@@ -562,7 +506,6 @@ fn bench_one(n: usize, dim: usize, clusters: usize, queries: usize, seed: u64) -
             f32_qps: grouped_qps(&index, &emb, &probes, nprobe, b),
         })
         .collect();
-    let incremental = bench_incremental(&index, &emb, &cfg, &probes, nprobe, seed);
     let refit = bench_refit(&index, &emb, &cfg, &probes, nprobe, seed);
 
     SizeResult {
@@ -582,7 +525,6 @@ fn bench_one(n: usize, dim: usize, clusters: usize, queries: usize, seed: u64) -
         sq8_compression: index.index_bytes() as f64 / sq8_index.index_bytes().max(1) as f64,
         batch,
         batch_grouped,
-        incremental,
         refit,
     }
 }
@@ -595,8 +537,6 @@ fn main() {
     let seed: u64 = args.get("seed", 0);
     let assert_recall: f64 = args.get("assert-recall", 0.0);
     let assert_probe_recall: f64 = args.get("assert-probe-recall", 0.0);
-    let assert_incr_speedup: f64 = args.get("assert-incr-speedup", 0.0);
-    let assert_incr_recall: f64 = args.get("assert-incr-recall", 0.0);
     let assert_grouped_speedup: f64 = args.get("assert-grouped-speedup", 0.0);
     let out = args.get("out", "BENCH_nearest.json".to_string());
     let raw_sizes = args.get("sizes", "1000,10000,100000".to_string());
@@ -640,17 +580,6 @@ fn main() {
                 b.batch, b.f32_qps, b.sq8_qps, g.f32_qps
             );
         }
-        let inc = &r.incremental;
-        println!(
-            "          incr ({} dirty, {}): full={:.1}ms  incr={:.1}ms  \
-             speedup={:.2}x  parity@10={:.4}",
-            inc.dirty_rows,
-            inc.build_kind,
-            inc.build_full_ms,
-            inc.build_incr_ms,
-            inc.speedup,
-            inc.recall_at_10
-        );
         let rf = &r.refit;
         println!(
             "          refit ({} dirty, {}): cold={:.1}ms  refit={:.1}ms  \
@@ -745,18 +674,6 @@ fn main() {
             r.recall_at_10,
             r.index_bytes,
         ));
-        let inc = &r.incremental;
-        json.push_str(&format!(
-            "     \"build_full_ms\": {:.2}, \"build_incr_ms\": {:.2}, \
-             \"incremental\": {{\"dirty_rows\": {}, \"speedup\": {:.2}, \
-             \"recall_at_10\": {:.4}, \"build_kind\": \"{}\"}},\n",
-            inc.build_full_ms,
-            inc.build_incr_ms,
-            inc.dirty_rows,
-            inc.speedup,
-            inc.recall_at_10,
-            inc.build_kind,
-        ));
         let rf = &r.refit;
         json.push_str(&format!(
             "     \"refit\": {{\"dirty_rows\": {}, \"cold_ms\": {:.2}, \"refit_ms\": {:.2}, \
@@ -827,42 +744,12 @@ fn main() {
         }
         println!("probe recall floor {assert_probe_recall:.4} held ({probed:.4})");
     }
-    // The incremental-maintenance and grouped-batch gates read the
-    // largest tier (CI's bench-smoke points them at its 100k tier).
+    // The grouped-batch gate reads the largest tier (CI's bench-smoke
+    // points it at its 100k tier).
     let biggest = results
         .iter()
         .max_by_key(|r| r.n)
         .expect("at least one size tier");
-    if assert_incr_speedup > 0.0 {
-        let inc = &biggest.incremental;
-        if inc.speedup < assert_incr_speedup || inc.build_kind != "incremental" {
-            eprintln!(
-                "bench_nearest: incremental build speedup {:.2}x (kind {}) fell below \
-                 the --assert-incr-speedup floor {assert_incr_speedup:.2}x at n={}",
-                inc.speedup, inc.build_kind, biggest.n
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "incremental speedup floor {assert_incr_speedup:.2}x held ({:.2}x at n={})",
-            inc.speedup, biggest.n
-        );
-    }
-    if assert_incr_recall > 0.0 {
-        let inc = &biggest.incremental;
-        if inc.recall_at_10 < assert_incr_recall {
-            eprintln!(
-                "bench_nearest: incremental parity@{K} {:.4} fell below the \
-                 --assert-incr-recall floor {assert_incr_recall:.4} at n={}",
-                inc.recall_at_10, biggest.n
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "incremental parity floor {assert_incr_recall:.4} held ({:.4} at n={})",
-            inc.recall_at_10, biggest.n
-        );
-    }
     if assert_grouped_speedup > 0.0 {
         // The grouped f32 scan against the per-query loop over the same
         // probes at the same batch size — the largest of the sweep (both

@@ -14,8 +14,8 @@
 //!
 //! The session is also the one owner of an epoch's vectors and its
 //! approximate-search index: the embedding and the [`IvfIndex`] live
-//! behind `Arc`s, the index is built (incrementally from the previous
-//! one) only by [`EmbedderSession::ensure_ann_index`], and a server
+//! behind `Arc`s, the index is built (re-fitted from the previous one's
+//! centroids) only by [`EmbedderSession::ensure_ann_index`], and a server
 //! publishes the same handles ([`EmbedderSession::share_epoch`])
 //! instead of copying them. A commit never looks at the rows: which of
 //! them changed is decided once per build, by diffing the live
@@ -271,17 +271,17 @@ impl<E: DynamicEmbedder> EmbedderSession<E> {
     /// it; `None` when ANN is disabled. The one place an epoch's index
     /// is made: the first build is a cold k-means over the live
     /// embedding (empty before the first commit), every later one
-    /// warm-starts from the previous index through
+    /// re-fits the previous index's centroids through
     /// [`IvfIndex::update_from`].
     ///
-    /// The rows a warm start reassigns come from the session's one
-    /// diff, run here once per build however many commits came between:
-    /// the live rows whose bits differ from, or are absent in, the
-    /// embedding the previous index was built over, in ascending id
-    /// order (`update_from` finds removed rows itself). So a row whose
-    /// bits change and return to exactly their old value between two
-    /// builds stays clean, where a diff at every commit would have
-    /// reassigned it.
+    /// The churn a build reports (`dirty_rows`) comes from the
+    /// session's one diff, run here once per build however many commits
+    /// came between: the live rows whose bits differ from, or are
+    /// absent in, the embedding the previous index was built over, in
+    /// ascending id order (`update_from` finds removed rows itself). So
+    /// a row whose bits change and return to exactly their old value
+    /// between two builds stays clean, where a diff at every commit
+    /// would have counted it.
     pub fn ensure_ann_index(&mut self) -> Option<&IvfIndex> {
         let ann = self.ann.as_mut()?;
         let current = |(_, over): &(Arc<IvfIndex>, Arc<Embedding>)| Arc::ptr_eq(over, &self.latest);
@@ -761,13 +761,10 @@ mod tests {
     }
 
     #[test]
-    fn lazy_index_maintenance_is_incremental_and_matches_full_builds() {
+    fn lazy_index_maintenance_counts_changed_rows_and_matches_full_builds() {
         use glodyne_ann::BuildKind;
         let cfg = IvfConfig {
             cells: 3,
-            // Disarm the staleness trigger: tiny test graphs churn a
-            // large fraction of their rows per step.
-            drift_stale_bp: 10_000,
             ..Default::default()
         };
         let mut s = EmbedderSession::new(tiny_model(), EpochPolicy::Manual)
@@ -785,8 +782,8 @@ mod tests {
         assert_eq!(first.dirty_rows(), n, "the offline step dirties every row");
         assert_eq!(first.build_kind(), BuildKind::Full, "cold start is full");
 
-        // Next epoch: the build warm-starts from the first and
-        // reassigns exactly the rows the step changed.
+        // Next epoch: the build re-fits the first one's centroids and
+        // counts exactly the rows the step changed.
         let before = s.share_epoch().0;
         s.ingest(&[TimedEdge::new(NodeId(0), NodeId(9), 1)]);
         s.flush().unwrap();
@@ -797,14 +794,14 @@ mod tests {
             .count();
         let index = shared_index(&mut s);
         assert!(index.dirty_rows() > 0);
-        assert_eq!(index.build_kind(), BuildKind::Incremental);
+        assert_eq!(index.build_kind(), BuildKind::Full);
         assert_eq!(index.len(), s.embedding().len());
         assert_eq!(
             index.dirty_rows(),
             changed,
-            "the build reassigned exactly the changed rows"
+            "the build counted exactly the changed rows"
         );
-        // Full probe on the patched index ≡ the exact scan.
+        // Full probe on the re-fitted index ≡ the exact scan.
         let approx = s.nearest_batch_approx(&[NodeId(2)], 4, usize::MAX).unwrap();
         assert_same_hits(&approx[0], &s.nearest(NodeId(2), 4));
     }
@@ -830,7 +827,6 @@ mod tests {
 
     #[test]
     fn build_time_diff_is_the_accumulated_per_commit_diff() {
-        use glodyne_ann::BuildKind;
         use glodyne_graph::state::GraphEvent;
         let add = |pairs: &[(u32, u32)], t| {
             let events = pairs
@@ -863,55 +859,48 @@ mod tests {
             None,
         ];
         for quantize in [false, true] {
-            for drift_stale_bp in [IvfConfig::default().drift_stale_bp, 10_000] {
-                let cfg = IvfConfig {
-                    cells: 3,
-                    quantize,
-                    drift_stale_bp,
-                    ..Default::default()
-                };
-                let mut s = EmbedderSession::new(tiny_model(), EpochPolicy::Manual)
-                    .unwrap()
-                    .with_ann(cfg)
-                    .unwrap();
-                // Epoch 0's index, over the empty embedding.
-                let (mut over, index) = s.share_epoch();
-                let mut prev = index.unwrap();
-                let mut reference = BTreeSet::new();
-                let mut kinds = Vec::new();
-                for step in &script {
-                    if let Some(events) = step {
-                        let old = Arc::clone(&s.latest);
-                        for &event in events {
-                            s.apply(event);
-                        }
-                        s.flush().unwrap();
-                        per_commit_diff(&old, &s.latest, &mut reference);
-                        continue;
+            let cfg = IvfConfig {
+                cells: 3,
+                quantize,
+                ..Default::default()
+            };
+            let mut s = EmbedderSession::new(tiny_model(), EpochPolicy::Manual)
+                .unwrap()
+                .with_ann(cfg)
+                .unwrap();
+            // Epoch 0's index, over the empty embedding.
+            let (mut over, index) = s.share_epoch();
+            let mut prev = index.unwrap();
+            let mut reference = BTreeSet::new();
+            let mut builds = 0;
+            for step in &script {
+                if let Some(events) = step {
+                    let old = Arc::clone(&s.latest);
+                    for &event in events {
+                        s.apply(event);
                     }
-                    // A build: its diff is the union of the commits'
-                    // diffs, and its index is `update_from` over it.
-                    let (live, index) = s.share_epoch();
-                    let index = index.unwrap();
-                    let dirty: Vec<NodeId> = std::mem::take(&mut reference).into_iter().collect();
-                    assert_eq!(changed_rows(&over, &live), dirty);
-                    let want = IvfIndex::update_from(&prev, &live, &dirty, &cfg);
-                    let what = format!("quantize={quantize} drift_stale_bp={drift_stale_bp}");
-                    assert_eq!(index.dirty_rows(), want.dirty_rows(), "{what}");
-                    assert_eq!(index.build_kind(), want.build_kind(), "{what}");
-                    assert_eq!(bits(index.centroids()), bits(want.centroids()), "{what}");
-                    assert_eq!(index.cells(), want.cells(), "{what}");
-                    for c in 0..want.cells() {
-                        assert_eq!(index.posting_list(c), want.posting_list(c), "{what}");
-                    }
-                    kinds.push(index.build_kind());
-                    (over, prev) = (live, index);
+                    s.flush().unwrap();
+                    per_commit_diff(&old, &s.latest, &mut reference);
+                    continue;
                 }
-                assert_eq!(kinds.len(), 3);
-                if drift_stale_bp == 10_000 {
-                    assert!(kinds.contains(&BuildKind::Incremental));
+                // A build: its diff is the union of the commits'
+                // diffs, and its index is `update_from` over it.
+                let (live, index) = s.share_epoch();
+                let index = index.unwrap();
+                let dirty: Vec<NodeId> = std::mem::take(&mut reference).into_iter().collect();
+                assert_eq!(changed_rows(&over, &live), dirty);
+                let want = IvfIndex::update_from(&prev, &live, &dirty, &cfg);
+                let what = format!("quantize={quantize}");
+                assert_eq!(index.dirty_rows(), want.dirty_rows(), "{what}");
+                assert_eq!(bits(index.centroids()), bits(want.centroids()), "{what}");
+                assert_eq!(index.cells(), want.cells(), "{what}");
+                for c in 0..want.cells() {
+                    assert_eq!(index.posting_list(c), want.posting_list(c), "{what}");
                 }
+                builds += 1;
+                (over, prev) = (live, index);
             }
+            assert_eq!(builds, 3);
         }
     }
 

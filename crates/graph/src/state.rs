@@ -248,7 +248,10 @@ mod tests {
         assert!(s.add_edge(NodeId(0), NodeId(1)));
         assert!(s.contains_edge(NodeId(0), NodeId(1)));
         assert!(s.contains_edge(NodeId(1), NodeId(0)), "undirected lookup");
-        assert!(s.remove_edge(NodeId(1), NodeId(0)), "removal in either order");
+        assert!(
+            s.remove_edge(NodeId(1), NodeId(0)),
+            "removal in either order"
+        );
         assert!(!s.contains_edge(NodeId(0), NodeId(1)));
         assert_eq!(s.num_edges(), 0);
     }
@@ -273,7 +276,10 @@ mod tests {
         s.add_edge(NodeId(1), NodeId(2));
         s.add_edge(NodeId(0), NodeId(3));
         assert_eq!(s.remove_node(NodeId(0)), 3);
-        assert!(!s.contains_node(NodeId(3)), "leaf of the removed node goes too");
+        assert!(
+            !s.contains_node(NodeId(3)),
+            "leaf of the removed node goes too"
+        );
         let snap = s.commit();
         assert_eq!(snap.node_ids(), &[NodeId(1), NodeId(2)]);
         assert_eq!(snap.num_edges(), 1);

@@ -1133,7 +1133,7 @@ mod tests {
                 build: std::time::Duration::from_millis(3),
                 storage: glodyne_ann::StorageMode::Sq8,
                 index_bytes: 4096,
-                build_kind: "incremental",
+                build_kind: "full",
                 dirty_rows: 17,
             }),
             ..base
@@ -1145,7 +1145,7 @@ mod tests {
         );
         assert!(line.contains(r#""storage":"sq8""#), "{line}");
         assert!(line.contains(r#""index_bytes":4096"#), "{line}");
-        assert!(line.contains(r#""build_kind":"incremental""#), "{line}");
+        assert!(line.contains(r#""build_kind":"full""#), "{line}");
         assert!(line.contains(r#""dirty_rows":17"#), "{line}");
         json::parse(&line).unwrap();
     }

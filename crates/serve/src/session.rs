@@ -105,17 +105,13 @@ pub struct AnnStats {
     /// Resident bytes of the published index (summed across shards on
     /// sharded sessions) — the number `quantize` exists to shrink.
     pub index_bytes: usize,
-    /// How the published index was produced: `"full"` (every row
-    /// reassigned by k-means — from cold seeds, or re-fitted from the
-    /// previous epoch's centroids) or `"incremental"` (the previous
-    /// epoch's index patched, only dirty rows reassigned). Sharded
-    /// sessions report `"incremental"` only when *every* shard's index
-    /// was incremental.
+    /// How the published index was produced: always `"full"` — every
+    /// row assigned by k-means, from cold seeds or re-fitted from the
+    /// previous epoch's centroids.
     pub build_kind: &'static str,
-    /// Rows the build actually reassigned (mutated, added, or removed
-    /// since the previous index; summed across shards). A full build
-    /// reports the churn that triggered it — 0 for a from-scratch
-    /// build with no prior index.
+    /// The churn since the previous index: rows mutated, added, or
+    /// removed (summed across shards) — 0 for a from-scratch build
+    /// with no prior index.
     pub dirty_rows: usize,
 }
 
@@ -567,7 +563,7 @@ pub(crate) fn health_of<'a>(
 /// initially served epoch. The spec's ANN settings replace whatever the
 /// trainee's session had, so the first index is a cold build over that
 /// state (nothing to warm-start from, in memory or after a recovery),
-/// and every later one is patched from the one before — partial-probe
+/// and every later one is re-fitted from the one before — partial-probe
 /// answers may differ across a restart, exact and full-probe ones do
 /// not (see `IvfIndex::update_from`).
 pub(crate) fn spawn_trainer<T: Trainee>(
@@ -1324,71 +1320,15 @@ mod tests {
         }
     }
 
-    #[test]
-    fn trainer_publishes_incremental_builds_after_the_first_full_one() {
-        let mut settings = ann_settings(3, 3);
-        // Retraining a tiny graph touches every row, so the default
-        // stale threshold would always trip; disarm it to observe the
-        // incremental path itself.
-        settings.config.drift_stale_bp = 10_000;
-        let serving = ServingSession::spawn(
-            tiny_session(EpochPolicy::Manual),
-            spec_with_ann(64, settings),
-        )
-        .unwrap();
-        serving.ingest(&chain_events(8, 0)).unwrap();
-        serving.flush().unwrap();
-        let first = serving.stats().ann.expect("ann stats present");
-        assert_eq!(
-            first.build_kind, "full",
-            "warm start from the empty initial index falls back to full"
-        );
-
-        // Skip-links are genuinely new edges (a repeat of the chain
-        // would be a graph no-op: nothing pending, no second step).
-        let churn: Vec<GraphEvent> = (0..4)
-            .map(|i| GraphEvent::add_edge(NodeId(i), NodeId(i + 2), 1))
-            .collect();
-        serving.ingest(&churn).unwrap();
-        let outcome = serving.flush().unwrap();
-        assert!(outcome.stepped, "new edges must trigger a second step");
-        let second = serving.stats().ann.expect("ann stats present");
-        assert_eq!(
-            second.build_kind, "incremental",
-            "second publish warm-starts from the first epoch's index"
-        );
-        assert!(second.dirty_rows > 0, "the step's churn was counted");
-
-        // The incremental index still answers the exact wire contract
-        // at full probe, bit for bit.
-        let full = NearestMode::Ann { nprobe: Some(3) };
-        let (e1, ann, _) = serving.nearest(NodeId(2), 4, full).unwrap();
-        let (e2, exact, _) = serving.nearest(NodeId(2), 4, NearestMode::Exact).unwrap();
-        assert_eq!(e1, e2);
-        assert_eq!(ann.len(), exact.len());
-        for (a, b) in ann.iter().zip(&exact) {
-            assert_eq!(a.0, b.0);
-            assert_eq!(a.1.to_bits(), b.1.to_bits());
-        }
-        serving.shutdown();
-    }
-
-    /// What pins an epoch's index: length, cells, how it was built,
-    /// the rows it reassigned and every posting list.
-    type IndexRecord = (usize, usize, &'static str, usize, Vec<Vec<NodeId>>);
+    /// What pins an epoch's index: length, cells, the churn it counted
+    /// and every posting list.
+    type IndexRecord = (usize, usize, usize, Vec<Vec<NodeId>>);
 
     fn index_record(index: &IvfIndex) -> IndexRecord {
         let postings = (0..index.cells())
             .map(|c| index.posting_list(c).to_vec())
             .collect();
-        let kind = index.build_kind().as_str();
-        (
-            index.len(),
-            index.cells(),
-            kind,
-            index.dirty_rows(),
-            postings,
-        )
+        (index.len(), index.cells(), index.dirty_rows(), postings)
     }
 
     #[test]
@@ -1405,45 +1345,37 @@ mod tests {
                 .collect(),
         ];
         for quantize in [false, true] {
-            // The default drift trigger re-fits every epoch of a tiny
-            // graph; a disarmed one patches incrementally.
-            for drift_stale_bp in [IvfConfig::default().drift_stale_bp, 10_000] {
-                let mut settings = ann_settings(3, 2);
-                settings.config.quantize = quantize;
-                settings.config.drift_stale_bp = drift_stale_bp;
-                let serving = ServingSession::spawn(
-                    tiny_session(EpochPolicy::Manual),
-                    spec_with_ann(64, settings),
-                )
+            let mut settings = ann_settings(3, 2);
+            settings.config.quantize = quantize;
+            let serving = ServingSession::spawn(
+                tiny_session(EpochPolicy::Manual),
+                spec_with_ann(64, settings),
+            )
+            .unwrap();
+            let mut bare = tiny_session(EpochPolicy::Manual)
+                .with_ann(settings.config)
                 .unwrap();
-                let mut bare = tiny_session(EpochPolicy::Manual)
-                    .with_ann(settings.config)
-                    .unwrap();
-                let served = |serving: &ServingSession| {
-                    let epoch = serving.epoch();
-                    let index = epoch.index.as_deref().expect("ann enabled");
-                    (epoch.epoch, index_record(index))
-                };
-                let mut served_chain = vec![served(&serving)];
-                let mut bare_chain = vec![(0, index_record(bare.ensure_ann_index().unwrap()))];
-                for events in &script {
-                    serving.ingest(events).unwrap();
-                    assert!(serving.flush().unwrap().stepped);
-                    served_chain.push(served(&serving));
-                    for &event in events {
-                        bare.apply(event);
-                    }
-                    bare.flush().unwrap();
-                    let epoch = bare.steps() as u64;
-                    bare_chain.push((epoch, index_record(bare.ensure_ann_index().unwrap())));
+            let served = |serving: &ServingSession| {
+                let epoch = serving.epoch();
+                let index = epoch.index.as_deref().expect("ann enabled");
+                (epoch.epoch, index_record(index))
+            };
+            let mut served_chain = vec![served(&serving)];
+            let mut bare_chain = vec![(0, index_record(bare.ensure_ann_index().unwrap()))];
+            for events in &script {
+                serving.ingest(events).unwrap();
+                assert!(serving.flush().unwrap().stepped);
+                served_chain.push(served(&serving));
+                for &event in events {
+                    bare.apply(event);
                 }
-                assert_eq!(served_chain.len(), 5);
-                assert_eq!(
-                    served_chain, bare_chain,
-                    "quantize={quantize} drift_stale_bp={drift_stale_bp}"
-                );
-                serving.shutdown();
+                bare.flush().unwrap();
+                let epoch = bare.steps() as u64;
+                bare_chain.push((epoch, index_record(bare.ensure_ann_index().unwrap())));
             }
+            assert_eq!(served_chain.len(), 5);
+            assert_eq!(served_chain, bare_chain, "quantize={quantize}");
+            serving.shutdown();
         }
     }
 

@@ -42,7 +42,7 @@ use crate::session::{
 };
 use crate::telemetry::ServeTelemetry;
 use glodyne::EmbedderSession;
-use glodyne_ann::StorageMode;
+use glodyne_ann::{BuildKind, StorageMode};
 use glodyne_embed::{ConfigError, DynamicEmbedder};
 use glodyne_graph::state::GraphEvent;
 use glodyne_graph::NodeId;
@@ -71,9 +71,8 @@ pub struct ShardEpochStats {
     /// Build time of the shard epoch's IVF index, when ANN is on and
     /// the epoch carries one.
     pub ann_build: Option<Duration>,
-    /// How the shard epoch's index was produced (`"full"`: every row
-    /// reassigned by k-means, cold or re-fitted; `"incremental"`: dirty
-    /// rows patched), when it carries one.
+    /// How the shard epoch's index was produced (always `"full"`: every
+    /// row assigned by k-means, cold or re-fitted), when it carries one.
     pub ann_build_kind: Option<&'static str>,
     /// Rows the shard's index build reassigned, when it carries one.
     pub ann_dirty_rows: Option<usize>,
@@ -549,17 +548,7 @@ impl ShardedSession {
                     .filter_map(|e| e.index.as_deref())
                     .map(glodyne_ann::IvfIndex::index_bytes)
                     .sum(),
-                // A session-level "incremental" only when every shard
-                // took the cheap path — one drift-triggered rebuild is
-                // the cost the operator needs to see.
-                build_kind: if per_shard
-                    .iter()
-                    .all(|s| s.ann_build_kind == Some("incremental"))
-                {
-                    "incremental"
-                } else {
-                    "full"
-                },
+                build_kind: BuildKind::Full.as_str(),
                 dirty_rows: per_shard.iter().filter_map(|s| s.ann_dirty_rows).sum(),
             }),
             shards: Some(per_shard),
@@ -753,14 +742,16 @@ mod tests {
         assert_eq!(wide, Some(4));
 
         // Every shard's epoch reports how its index was built, and the
-        // session aggregate picks a kind plus the summed churn.
+        // session aggregate reports the kind plus the summed churn.
         let stats = serving.stats();
         let ann = stats.ann.as_ref().expect("ann enabled");
-        assert!(matches!(ann.build_kind, "full" | "incremental"));
+        assert_eq!(ann.build_kind, "full");
         let shards = stats.shards.as_ref().expect("sharded break-down");
         assert!(shards
             .iter()
             .all(|s| s.ann_build_kind.is_some() && s.ann_dirty_rows.is_some()));
+        let shard_churn: usize = shards.iter().filter_map(|s| s.ann_dirty_rows).sum();
+        assert_eq!(ann.dirty_rows, shard_churn);
 
         let none = sharded(2, None);
         none.ingest(&community_events()).unwrap();

@@ -26,7 +26,7 @@
 
 use crate::lock;
 use glodyne::StepReport;
-use glodyne_ann::{BuildKind, IvfIndex};
+use glodyne_ann::IvfIndex;
 use glodyne_durable::DurableTiming;
 use glodyne_telemetry::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 use std::collections::VecDeque;
@@ -73,12 +73,6 @@ pub(crate) struct TrainerStages {
     walks: Vec<Arc<Histogram>>,
     train: Vec<Arc<Histogram>>,
     index_build: Vec<Arc<Histogram>>,
-    /// Kind-split `index_build` series (`kind="full"` /
-    /// `kind="incremental"`) so operators can see the cost gap the
-    /// incremental maintenance buys — the aggregate series above mixes
-    /// cheap patches with the occasional drift-triggered rebuild.
-    index_build_full: Vec<Arc<Histogram>>,
-    index_build_incremental: Vec<Arc<Histogram>>,
 }
 
 impl TrainerStages {
@@ -98,13 +92,6 @@ impl TrainerStages {
         }
         if let Some(index) = index {
             for h in &self.index_build {
-                h.record_duration(index.build_time());
-            }
-            let by_kind = match index.build_kind() {
-                BuildKind::Full => &self.index_build_full,
-                BuildKind::Incremental => &self.index_build_incremental,
-            };
-            for h in by_kind {
                 h.record_duration(index.build_time());
             }
         }
@@ -173,9 +160,6 @@ pub struct ServeTelemetry {
     queue_high_water: Arc<Gauge>,
     pub(crate) queue_wait: Arc<Histogram>,
     stages: [Arc<Histogram>; STAGE_NAMES.len()],
-    /// `glodyne_stage_us{stage="index_build",kind=...}` — `[full,
-    /// incremental]`.
-    index_build_kind: [Arc<Histogram>; 2],
     pub(crate) freshness: Arc<Histogram>,
     wal_append: Arc<Histogram>,
     wal_fsync: Arc<Histogram>,
@@ -211,17 +195,9 @@ impl ServeTelemetry {
                 &[("stage", stage)],
             )
         });
-        let index_build_kind = ["full", "incremental"].map(|kind| {
-            registry.histogram(
-                "glodyne_stage_us",
-                "Trainer pipeline stage wall time (micros)",
-                &[("stage", "index_build"), ("kind", kind)],
-            )
-        });
         ServeTelemetry {
             wire,
             stages,
-            index_build_kind,
             queue_depth: registry.gauge(
                 "glodyne_queue_depth",
                 "Events waiting in the ingest queue",
@@ -296,9 +272,7 @@ impl ServeTelemetry {
     }
 
     /// The stage handles for one trainer: the global series and, for
-    /// shard `i`'s trainer, a `shard="<i>"`-labelled one per stage too
-    /// (the kind-split index-build series stays global either way — the
-    /// per-shard break-down is on the aggregate stage only).
+    /// shard `i`'s trainer, a `shard="<i>"`-labelled one per stage too.
     pub(crate) fn trainer_stages(&self, shard: Option<usize>) -> TrainerStages {
         let series = |stage: usize| {
             let mut handles = vec![Arc::clone(&self.stages[stage])];
@@ -316,8 +290,6 @@ impl ServeTelemetry {
             walks: series(1),
             train: series(2),
             index_build: series(3),
-            index_build_full: vec![Arc::clone(&self.index_build_kind[0])],
-            index_build_incremental: vec![Arc::clone(&self.index_build_kind[1])],
         }
     }
 
