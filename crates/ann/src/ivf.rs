@@ -3,8 +3,7 @@
 
 use crate::kmeans;
 use crate::sq8::Sq8Arena;
-use glodyne_embed::embedding::{l2_norm, norm_cosine};
-use glodyne_embed::kernel::{dot_fast_multi, scaled_dot_fast};
+use glodyne_embed::kernel::{dot_fast_multi, l2_norm, norm_cosine, scaled_dot_fast};
 use glodyne_embed::{ConfigError, Embedding, TopKSelector};
 use glodyne_graph::NodeId;
 use std::borrow::Cow;

@@ -15,8 +15,7 @@
 // with the fast kernel: clustering only decides row *grouping*, and
 // full-probe search visits every group regardless, so the
 // bit-exactness pins never depend on which cell a row landed in.
-use glodyne_embed::embedding::l2_norm;
-use glodyne_embed::kernel::norm_cosine_fast;
+use glodyne_embed::kernel::{l2_norm, norm_cosine_fast};
 use glodyne_embed::walks::splitmix64_next;
 
 /// The result of one clustering run over `n` rows.

@@ -300,7 +300,7 @@ mod tests {
         let embs = run_over(&mut m, &[g.clone(), g.clone()]);
         // Same graph re-trained from the warm model: embeddings stay
         // strongly correlated.
-        let cos = glodyne_embed::embedding::cosine(
+        let cos = glodyne_embed::kernel::cosine(
             embs[0].get(NodeId(3)).unwrap(),
             embs[1].get(NodeId(3)).unwrap(),
         );

@@ -10,7 +10,7 @@ use glodyne::reservoir::Reservoir;
 use glodyne::select::{select_nodes, Strategy};
 use glodyne_bench::throughput::{sgns_rates, synthetic_graph};
 use glodyne_embed::pairs::pair_count;
-use glodyne_embed::walks::{generate_corpus_all, generate_walks_all, WalkConfig};
+use glodyne_embed::walks::{generate_corpus_all, WalkConfig};
 use glodyne_embed::{SgnsConfig, SgnsModel};
 use glodyne_graph::{Snapshot, SnapshotDiff};
 use glodyne_partition::{partition, PartitionConfig};
@@ -73,9 +73,6 @@ fn bench_walks(c: &mut Criterion) {
         walk_length: 40,
         seed: 3,
     };
-    c.bench_function("walks/all_nodes_legacy", |b| {
-        b.iter(|| generate_walks_all(&g, &cfg));
-    });
     c.bench_function("walks/all_nodes_corpus", |b| {
         b.iter(|| generate_corpus_all(&g, &cfg));
     });
@@ -124,7 +121,7 @@ fn report_sgns_throughput(_: &mut Criterion) {
 
 fn bench_sgns(c: &mut Criterion) {
     let (_, g) = dataset(0.3);
-    let walks = generate_walks_all(
+    let corpus = generate_corpus_all(
         &g,
         &WalkConfig {
             walks_per_node: 2,
@@ -132,20 +129,6 @@ fn bench_sgns(c: &mut Criterion) {
             seed: 4,
         },
     );
-    c.bench_function("sgns/train_epoch", |b| {
-        b.iter(|| {
-            let mut model = SgnsModel::new(SgnsConfig {
-                dim: 64,
-                window: 5,
-                negatives: 5,
-                epochs: 1,
-                parallel: true,
-                ..Default::default()
-            });
-            model.train(&walks)
-        });
-    });
-    let corpus = glodyne_embed::WalkCorpus::from_nodeid_walks(&walks);
     c.bench_function("sgns/train_epoch_corpus", |b| {
         b.iter(|| {
             let mut model = SgnsModel::new(SgnsConfig {
@@ -168,7 +151,7 @@ fn bench_gr_metric(c: &mut Criterion) {
         epochs: 1,
         ..Default::default()
     });
-    model.train(&generate_walks_all(
+    model.train_corpus(&generate_corpus_all(
         &g,
         &WalkConfig {
             walks_per_node: 2,

@@ -73,25 +73,26 @@ pub fn cut_snapshots(stream: Vec<TimedEdge>, n: usize) -> DynamicNetwork {
 }
 
 fn glodyne_config(opts: &Opts) -> Result<GloDyNEConfig, CliError> {
-    let cfg = GloDyNEConfig::builder()
-        .alpha(opts.get("alpha", 0.1))
-        .epsilon(opts.get("epsilon", 0.1))
-        .walk(WalkConfig {
+    let cfg = GloDyNEConfig {
+        alpha: opts.get("alpha", 0.1),
+        epsilon: opts.get("epsilon", 0.1),
+        walk: WalkConfig {
             walks_per_node: opts.get("walks", 10),
             walk_length: opts.get("walk-length", 80),
             seed: opts.get("seed", 0u64),
-        })
-        .sgns(SgnsConfig {
+        },
+        sgns: SgnsConfig {
             dim: opts.get("dim", 128),
             window: opts.get("window", 10),
             negatives: opts.get("negatives", 5),
             epochs: opts.get("epochs", 2),
             seed: opts.get("seed", 0u64),
             ..Default::default()
-        })
-        .strategy(glodyne::Strategy::S4)
-        .seed(opts.get("seed", 0u64))
-        .build()?;
+        },
+        strategy: glodyne::Strategy::S4,
+        seed: opts.get("seed", 0u64),
+    };
+    cfg.validate()?;
     Ok(cfg)
 }
 

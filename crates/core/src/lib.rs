@@ -46,7 +46,7 @@
 //! use glodyne::{EmbedderSession, EpochPolicy, GloDyNE, GloDyNEConfig};
 //! use glodyne_graph::id::{NodeId, TimedEdge};
 //!
-//! let mut cfg = GloDyNEConfig::builder().alpha(0.5).build().unwrap();
+//! let mut cfg = GloDyNEConfig { alpha: 0.5, ..Default::default() };
 //! cfg.sgns.dim = 16;
 //! let mut session =
 //!     EmbedderSession::new(GloDyNE::new(cfg).unwrap(), EpochPolicy::TimestampBoundary)
@@ -70,7 +70,7 @@ pub mod variants;
 pub use glodyne_ann::{IvfConfig, IvfIndex};
 pub use glodyne_embed::config::ConfigError;
 pub use glodyne_embed::traits::{CheckpointEmbedder, PhaseTimes, StepContext, StepReport};
-pub use model::{GloDyNE, GloDyNEConfig, GloDyNEConfigBuilder};
+pub use model::{GloDyNE, GloDyNEConfig};
 pub use reservoir::Reservoir;
 pub use select::Strategy;
 pub use session::{nearest_batch_in, EmbedderSession, EpochPolicy, SessionCheckpoint};

@@ -15,9 +15,16 @@ use std::time::{Duration, Instant};
 
 /// Full GloDyNE configuration (Algorithm 1's inputs).
 ///
-/// Construct via [`GloDyNEConfig::builder`] for validated, fallible
-/// assembly, or fill the fields directly and let [`GloDyNE::new`]
-/// validate.
+/// Fill the fields directly (struct update from the paper defaults)
+/// and let [`GloDyNE::new`] validate:
+///
+/// ```
+/// use glodyne::{GloDyNE, GloDyNEConfig};
+/// let cfg = GloDyNEConfig { alpha: 0.2, seed: 7, ..Default::default() };
+/// assert!(GloDyNE::new(cfg).is_ok());
+/// let bad = GloDyNEConfig { alpha: 0.0, ..Default::default() };
+/// assert_eq!(GloDyNE::new(bad).unwrap_err().param(), "alpha");
+/// ```
 #[derive(Debug, Clone)]
 pub struct GloDyNEConfig {
     /// The free hyper-parameter `α ∈ (0, 1]` determining the number of
@@ -49,13 +56,6 @@ impl Default for GloDyNEConfig {
 }
 
 impl GloDyNEConfig {
-    /// Start building a validated configuration from the paper defaults.
-    pub fn builder() -> GloDyNEConfigBuilder {
-        GloDyNEConfigBuilder {
-            cfg: GloDyNEConfig::default(),
-        }
-    }
-
     /// Validate every hyper-parameter, including the nested walk and
     /// SGNS configurations.
     pub fn validate(&self) -> Result<(), ConfigError> {
@@ -74,63 +74,6 @@ impl GloDyNEConfig {
         self.walk.validate()?;
         self.sgns.validate()?;
         Ok(())
-    }
-}
-
-/// Builder-style fallible construction of [`GloDyNEConfig`].
-///
-/// ```
-/// use glodyne::GloDyNEConfig;
-/// let cfg = GloDyNEConfig::builder().alpha(0.2).seed(7).build().unwrap();
-/// assert_eq!(cfg.alpha, 0.2);
-/// assert!(GloDyNEConfig::builder().alpha(0.0).build().is_err());
-/// ```
-#[derive(Debug, Clone)]
-pub struct GloDyNEConfigBuilder {
-    cfg: GloDyNEConfig,
-}
-
-impl GloDyNEConfigBuilder {
-    /// Set `α ∈ (0, 1]`, the selected-node fraction.
-    pub fn alpha(mut self, alpha: f64) -> Self {
-        self.cfg.alpha = alpha;
-        self
-    }
-
-    /// Set the partition balance tolerance ε.
-    pub fn epsilon(mut self, epsilon: f64) -> Self {
-        self.cfg.epsilon = epsilon;
-        self
-    }
-
-    /// Set the random-walk parameters.
-    pub fn walk(mut self, walk: WalkConfig) -> Self {
-        self.cfg.walk = walk;
-        self
-    }
-
-    /// Set the SGNS parameters.
-    pub fn sgns(mut self, sgns: SgnsConfig) -> Self {
-        self.cfg.sgns = sgns;
-        self
-    }
-
-    /// Set the node-selection strategy.
-    pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.cfg.strategy = strategy;
-        self
-    }
-
-    /// Set the selection RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Validate and produce the configuration.
-    pub fn build(self) -> Result<GloDyNEConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
     }
 }
 
@@ -510,34 +453,17 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_every_layer() {
-        assert!(GloDyNEConfig::builder().alpha(0.5).build().is_ok());
-        assert!(GloDyNEConfig::builder().alpha(1.5).build().is_err());
-        assert!(GloDyNEConfig::builder().epsilon(-1.0).build().is_err());
-        let bad_walk = WalkConfig {
-            walk_length: 0,
-            ..Default::default()
+    fn validation_covers_every_layer() {
+        let invalid = |edit: fn(&mut GloDyNEConfig)| {
+            let mut cfg = GloDyNEConfig::default();
+            edit(&mut cfg);
+            cfg.validate().err().map(|e| e.param().to_string())
         };
-        assert_eq!(
-            GloDyNEConfig::builder()
-                .walk(bad_walk)
-                .build()
-                .unwrap_err()
-                .param(),
-            "walk_length"
-        );
-        let bad_sgns = SgnsConfig {
-            dim: 0,
-            ..Default::default()
-        };
-        assert_eq!(
-            GloDyNEConfig::builder()
-                .sgns(bad_sgns)
-                .build()
-                .unwrap_err()
-                .param(),
-            "dim"
-        );
+        assert_eq!(invalid(|c| c.alpha = 0.5), None);
+        assert_eq!(invalid(|c| c.alpha = 1.5).unwrap(), "alpha");
+        assert_eq!(invalid(|c| c.epsilon = -1.0).unwrap(), "epsilon");
+        assert_eq!(invalid(|c| c.walk.walk_length = 0).unwrap(), "walk_length");
+        assert_eq!(invalid(|c| c.sgns.dim = 0).unwrap(), "dim");
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub enum EpochPolicy {
 /// use glodyne::{EmbedderSession, EpochPolicy, GloDyNE, GloDyNEConfig};
 /// use glodyne_graph::id::{NodeId, TimedEdge};
 ///
-/// let cfg = GloDyNEConfig::builder().alpha(0.5).build().unwrap();
+/// let cfg = GloDyNEConfig { alpha: 0.5, ..Default::default() };
 /// let model = GloDyNE::new(cfg).unwrap();
 /// let mut session = EmbedderSession::new(model, EpochPolicy::TimestampBoundary).unwrap();
 /// let stream: Vec<TimedEdge> = (0..30u32)

@@ -258,7 +258,7 @@ mod tests {
         // Warm start: old vectors evolve but stay correlated.
         let v0 = embs[0].get(NodeId(5)).unwrap();
         let v1 = embs[1].get(NodeId(5)).unwrap();
-        let cos = glodyne_embed::embedding::cosine(v0, v1);
+        let cos = glodyne_embed::kernel::cosine(v0, v1);
         assert!(cos > 0.5, "warm-started vector drifted too far: cos={cos}");
     }
 

@@ -1,13 +1,12 @@
-//! Call-site migration equivalence: `GloDyNE` now drives the flat
-//! corpus pipeline (`generate_corpus*` + `train_corpus`); in
-//! deterministic mode its embeddings must be bit-identical to the
-//! legacy call pattern (`generate_walks*` + the `train` shim) composed
-//! from the same public pieces with the same seeds.
+//! Pipeline equivalence: in deterministic mode `GloDyNE`'s embeddings
+//! must be bit-identical to Algorithm 1's loop composed by hand from
+//! the same public pieces (`generate_corpus*` + `train_corpus`,
+//! reservoir, selection) with the same seeds.
 
 use glodyne::select::{select_nodes, Strategy};
 use glodyne::{GloDyNE, GloDyNEConfig, Reservoir};
 use glodyne_embed::traits::{step_with, DynamicEmbedder};
-use glodyne_embed::walks::{generate_walks, generate_walks_all, WalkConfig};
+use glodyne_embed::walks::{generate_corpus, generate_corpus_all, WalkConfig};
 use glodyne_embed::{SgnsConfig, SgnsModel};
 use glodyne_graph::id::{Edge, NodeId};
 use glodyne_graph::{Snapshot, SnapshotDiff};
@@ -44,12 +43,11 @@ fn ring(n: u32, extra: &[(u32, u32)]) -> Snapshot {
     Snapshot::from_edges(&edges, &[])
 }
 
-/// The pre-migration GloDyNE loop, reproduced from the same public
-/// building blocks with the legacy walk/train entry points. Mirrors
-/// `model.rs` line for line: offline walks from all nodes, then per
+/// The GloDyNE loop, reproduced from the same public building blocks.
+/// Mirrors `model.rs` line for line: offline walks from all nodes, then per
 /// online step reservoir update → selection → walks from the selected
 /// nodes → incremental training.
-fn legacy_pipeline(cfg: &GloDyNEConfig, snaps: &[Snapshot]) -> glodyne_embed::Embedding {
+fn reference_pipeline(cfg: &GloDyNEConfig, snaps: &[Snapshot]) -> glodyne_embed::Embedding {
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0x610D_19E5);
     let mut model = SgnsModel::new(cfg.sgns.clone());
     let mut reservoir = Reservoir::new();
@@ -59,7 +57,7 @@ fn legacy_pipeline(cfg: &GloDyNEConfig, snaps: &[Snapshot]) -> glodyne_embed::Em
         seed: cfg.walk.seed, // ^ step 0
         ..cfg.walk
     };
-    model.train(&generate_walks_all(&snaps[0], &walk_cfg));
+    model.train_corpus(&generate_corpus_all(&snaps[0], &walk_cfg));
 
     // Online stages.
     for (step, pair) in snaps.windows(2).enumerate() {
@@ -83,7 +81,7 @@ fn legacy_pipeline(cfg: &GloDyNEConfig, snaps: &[Snapshot]) -> glodyne_embed::Em
             seed: cfg.walk.seed ^ (((step + 1) as u64) << 32),
             ..cfg.walk
         };
-        model.train(&generate_walks(curr, &selected, &walk_cfg));
+        model.train_corpus(&generate_corpus(curr, &selected, &walk_cfg));
     }
     model.embedding()
 }
@@ -104,7 +102,7 @@ fn glodyne_matches_legacy_pipeline_bit_exact() {
         prev = Some(s);
     }
     let new_emb = migrated.embedding();
-    let old_emb = legacy_pipeline(&cfg, &snaps);
+    let old_emb = reference_pipeline(&cfg, &snaps);
 
     assert_eq!(new_emb.len(), old_emb.len(), "vocabulary size diverged");
     for (id, v_old) in old_emb.iter() {

@@ -23,10 +23,9 @@
 //! - [`crate::walks::generate_corpus`] /
 //!   [`crate::walks::generate_corpus_all`] — the fast path: walks are
 //!   written in parallel directly into the pre-sized arena.
-//! - [`WalkCorpus::from_nodeid_walks`] — the compatibility path used by
-//!   the legacy `train(&[Vec<NodeId>])` shim; interns ids in first-
-//!   occurrence order (the order the historical trainer used) so the
-//!   shim is bit-exact with `train_corpus` fed the equivalent corpus.
+//! - [`WalkCorpus::from_nodeid_walks`] — the fixture path for tests and
+//!   benches: builds a corpus from hand-written `NodeId` walks,
+//!   interning ids in first-occurrence order.
 
 use glodyne_graph::NodeId;
 use std::collections::HashMap;
@@ -90,13 +89,9 @@ impl WalkCorpus {
         }
     }
 
-    /// Compatibility path: build a corpus from `NodeId` walks, interning
-    /// ids into the token table in first-occurrence order — the same
-    /// order the historical trainer interned them, so the `train` shim
-    /// assigns identical model rows and stays bit-exact with
-    /// `train_corpus` on an equivalent corpus. (The training *engine*
-    /// itself has changed since — sigmoid table, SplitMix64 negatives,
-    /// target blocks — so outputs differ from earlier releases.)
+    /// Fixture path: build a corpus from `NodeId` walks, interning ids
+    /// into the token table in first-occurrence order, so model rows are
+    /// assigned in the order the walks first mention each node.
     pub fn from_nodeid_walks(walks: &[Vec<NodeId>]) -> Self {
         let total: usize = walks.iter().map(Vec::len).sum();
         let mut corpus = WalkCorpus::with_capacity(Vec::new(), walks.len(), total);

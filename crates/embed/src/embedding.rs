@@ -1,5 +1,6 @@
 //! The `NodeId`-keyed embedding matrix handed to downstream tasks.
 
+use crate::kernel::{cosine, l2_norm, norm_cosine};
 use glodyne_graph::NodeId;
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -277,21 +278,6 @@ pub fn reference_top_k(emb: &Embedding, node: NodeId, k: usize) -> Vec<(NodeId, 
     scored.sort_by(rank_similarity);
     scored.truncate(k);
     scored
-}
-
-// The similarity kernels moved to [`crate::kernel`] (one exact
-// accumulation order, one SIMD-shaped fast path); re-exported here so
-// every historical `embedding::dot` / `embedding::cosine` path keeps
-// resolving to the exact kernel.
-pub use crate::kernel::{cosine, l2_norm, norm_cosine};
-
-/// Dot product of two equal-length vectors in the frozen **exact**
-/// accumulation order — an alias of [`crate::kernel::dot_exact`], kept
-/// under the historical name so cached-norm scans (here and in
-/// `glodyne-ann`) stay bit-exact with the from-scratch [`cosine`].
-#[inline]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    crate::kernel::dot_exact(a, b)
 }
 
 #[cfg(test)]

@@ -20,8 +20,7 @@
 //! array lookup per token (hashing happens once per *distinct* node),
 //! and Hogwild workers are scheduled over contiguous *ranges* of walks
 //! with one learning-rate reservation per walk and one scratch
-//! allocation per range. The legacy [`SgnsModel::train`]`(&[Vec<NodeId>])`
-//! entry point survives as a thin shim over the corpus path.
+//! allocation per range.
 //!
 //! # Target blocks
 //!
@@ -94,7 +93,7 @@
 use crate::alias::AliasTable;
 use crate::corpus::WalkCorpus;
 use crate::embedding::Embedding;
-use crate::kernel::{self, sigmoid32};
+use crate::kernel;
 use crate::pairs;
 use glodyne_graph::NodeId;
 use rand::Rng;
@@ -294,19 +293,6 @@ impl SgnsModel {
         i
     }
 
-    /// Legacy entry point: train on materialised `NodeId` walks. A thin
-    /// shim that flattens into a [`WalkCorpus`] (interning in first-
-    /// occurrence order, as the historical implementation did) and
-    /// delegates to [`SgnsModel::train_corpus`]; sequential results are
-    /// bit-exact with the corpus path.
-    pub fn train(&mut self, walks: &[Vec<NodeId>]) -> usize {
-        if walks.is_empty() {
-            return 0;
-        }
-        let corpus = WalkCorpus::from_nodeid_walks(walks);
-        self.train_corpus(&corpus)
-    }
-
     /// Train on a flat walk corpus (one incremental step). Returns the
     /// number of positive pairs processed.
     ///
@@ -484,48 +470,6 @@ impl SgnsModel {
         }
         e
     }
-
-    /// Average SGNS loss (negative Eq. 9) over a sample of pairs — a
-    /// diagnostic used by tests to check training progress.
-    pub fn corpus_loss(&self, walks: &[Vec<NodeId>]) -> f64 {
-        let mut rng = ChaCha8Rng::seed_from_u64(self.cfg.seed ^ 0xBEEF);
-        let mut total = 0.0f64;
-        let mut count = 0usize;
-        for walk in walks {
-            let idx: Vec<Option<&u32>> = walk.iter().map(|id| self.vocab.get(id)).collect();
-            for ci in 0..walk.len() {
-                let Some(&c) = idx[ci] else { continue };
-                let lo = ci.saturating_sub(self.cfg.window);
-                let hi = (ci + self.cfg.window).min(walk.len().saturating_sub(1));
-                for xi in lo..=hi {
-                    if xi == ci {
-                        continue;
-                    }
-                    let Some(&o) = idx[xi] else { continue };
-                    let dot = self.dot_io(c as usize, o as usize);
-                    total -= (sigmoid32(dot) as f64).max(1e-9).ln();
-                    for _ in 0..self.cfg.negatives {
-                        let t = rng.gen_range(0..self.ids.len());
-                        let dot = self.dot_io(c as usize, t);
-                        total -= (1.0 - sigmoid32(dot) as f64).max(1e-9).ln();
-                    }
-                    count += 1;
-                }
-            }
-        }
-        if count == 0 {
-            0.0
-        } else {
-            total / count as f64
-        }
-    }
-
-    fn dot_io(&self, center: usize, target: usize) -> f32 {
-        let d = self.cfg.dim;
-        let a = &self.input[center * d..(center + 1) * d];
-        let b = &self.output[target * d..(target + 1) * d];
-        a.iter().zip(b).map(|(x, y)| x * y).sum()
-    }
 }
 
 /// Shared Hogwild weight buffers.
@@ -698,6 +642,7 @@ impl rand::RngCore for FastRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::sigmoid32;
 
     fn seq_cfg(dim: usize) -> SgnsConfig {
         SgnsConfig {
@@ -724,6 +669,54 @@ mod tests {
     }
 
     impl SgnsModel {
+        /// Train on materialised `NodeId` walks, interned in first-
+        /// occurrence order.
+        fn train(&mut self, walks: &[Vec<NodeId>]) -> usize {
+            self.train_corpus(&WalkCorpus::from_nodeid_walks(walks))
+        }
+
+        /// Average SGNS loss (negative Eq. 9) over a sample of pairs — a
+        /// diagnostic of training progress.
+        fn corpus_loss(&self, walks: &[Vec<NodeId>]) -> f64 {
+            let mut rng = ChaCha8Rng::seed_from_u64(self.cfg.seed ^ 0xBEEF);
+            let mut total = 0.0f64;
+            let mut count = 0usize;
+            for walk in walks {
+                let idx: Vec<Option<&u32>> = walk.iter().map(|id| self.vocab.get(id)).collect();
+                for ci in 0..walk.len() {
+                    let Some(&c) = idx[ci] else { continue };
+                    let lo = ci.saturating_sub(self.cfg.window);
+                    let hi = (ci + self.cfg.window).min(walk.len().saturating_sub(1));
+                    for xi in lo..=hi {
+                        if xi == ci {
+                            continue;
+                        }
+                        let Some(&o) = idx[xi] else { continue };
+                        let dot = self.dot_io(c as usize, o as usize);
+                        total -= (sigmoid32(dot) as f64).max(1e-9).ln();
+                        for _ in 0..self.cfg.negatives {
+                            let t = rng.gen_range(0..self.ids.len());
+                            let dot = self.dot_io(c as usize, t);
+                            total -= (1.0 - sigmoid32(dot) as f64).max(1e-9).ln();
+                        }
+                        count += 1;
+                    }
+                }
+            }
+            if count == 0 {
+                0.0
+            } else {
+                total / count as f64
+            }
+        }
+
+        fn dot_io(&self, center: usize, target: usize) -> f32 {
+            let d = self.cfg.dim;
+            let a = &self.input[center * d..(center + 1) * d];
+            let b = &self.output[target * d..(target + 1) * d];
+            a.iter().zip(b).map(|(x, y)| x * y).sum()
+        }
+
         /// The per-pair loop `train_corpus` ran before target blocks,
         /// kept as the quality reference: every positive pair draws its
         /// own `q` negatives and reads and writes the model's rows in
@@ -1170,44 +1163,6 @@ mod tests {
         let (a, b) = (run(), run());
         for (id, va) in a.iter() {
             assert_eq!(va, b.get(id).unwrap());
-        }
-    }
-
-    #[test]
-    fn train_corpus_bit_exact_with_legacy_shim() {
-        // The shim flattens `NodeId` walks into a corpus; feeding an
-        // equivalent corpus directly must produce identical bits in
-        // sequential mode (same intern order, same LR schedule, same
-        // RNG streams).
-        let walks = two_community_walks();
-        let mut via_shim = SgnsModel::new(seq_cfg(8));
-        let shim_pairs = via_shim.train(&walks);
-
-        let corpus = WalkCorpus::from_nodeid_walks(&walks);
-        let mut via_corpus = SgnsModel::new(seq_cfg(8));
-        let corpus_pairs = via_corpus.train_corpus(&corpus);
-
-        assert_eq!(shim_pairs, corpus_pairs);
-        let (a, b) = (via_shim.embedding(), via_corpus.embedding());
-        assert_eq!(a.len(), b.len());
-        for (id, va) in a.iter() {
-            assert_eq!(va, b.get(id).unwrap(), "row for {id} diverged");
-        }
-    }
-
-    #[test]
-    fn incremental_train_corpus_warm_starts_like_train() {
-        // Two-step incremental run through both entry points.
-        let step1 = two_community_walks();
-        let step2 = vec![vec![NodeId(0), NodeId(9), NodeId(0), NodeId(9)]];
-        let mut shim = SgnsModel::new(seq_cfg(8));
-        shim.train(&step1);
-        shim.train(&step2);
-        let mut direct = SgnsModel::new(seq_cfg(8));
-        direct.train_corpus(&WalkCorpus::from_nodeid_walks(&step1));
-        direct.train_corpus(&WalkCorpus::from_nodeid_walks(&step2));
-        for (id, va) in shim.embedding().iter() {
-            assert_eq!(va, direct.embedding().get(id).unwrap());
         }
     }
 

@@ -7,20 +7,15 @@
 //! `(seed, start, rep)` so that results are independent of thread
 //! scheduling and distinct configured seeds yield distinct streams.
 //!
-//! Two output formats:
-//! - [`generate_corpus`] / [`generate_corpus_all`] — the **flat path**:
-//!   walk lengths are known up front (a walk stops early only at an
-//!   isolated *start*, because an undirected edge can never lead to a
-//!   degree-0 node), so the token arena of a [`WalkCorpus`] is pre-sized
-//!   exactly and each walk is written in parallel into its own disjoint
-//!   slice. No per-walk allocation, no `NodeId` hashing.
-//! - [`generate_walks`] / [`generate_walks_all`] — the **legacy path**
-//!   returning `Vec<Vec<NodeId>>`, kept for the compatibility shim and
-//!   as the old-pipeline baseline in benchmarks. Walk contents are
-//!   identical to the flat path for the same configuration.
+//! [`generate_corpus`] / [`generate_corpus_all`] write straight into a
+//! flat [`WalkCorpus`]: walk lengths are known up front (a walk stops
+//! early only at an isolated *start*, because an undirected edge can
+//! never lead to a degree-0 node), so the token arena is pre-sized
+//! exactly and each walk is written in parallel into its own disjoint
+//! slice. No per-walk allocation, no `NodeId` hashing.
 
 use crate::corpus::WalkCorpus;
-use glodyne_graph::{NodeId, Snapshot};
+use glodyne_graph::Snapshot;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -89,27 +84,9 @@ pub fn walk_rng_seed(seed: u64, start: u64, rep: u64) -> u64 {
     splitmix64(splitmix64(splitmix64(seed) ^ start) ^ rep)
 }
 
-/// One truncated random walk from `start` (a local index); output is
-/// global [`NodeId`]s. A walk stops early only at an isolated node.
-pub fn random_walk(g: &Snapshot, start: usize, length: usize, rng: &mut impl Rng) -> Vec<NodeId> {
-    let mut walk = Vec::with_capacity(length);
-    let mut cur = start;
-    walk.push(g.node_id(cur));
-    for _ in 1..length {
-        let ns = g.neighbors(cur);
-        if ns.is_empty() {
-            break;
-        }
-        cur = ns[rng.gen_range(0..ns.len())] as usize;
-        walk.push(g.node_id(cur));
-    }
-    walk
-}
-
 /// Write one walk of local-index tokens into `out`, whose length must
-/// already equal the walk's exact length (see [`walk_len`]). Draws the
-/// same RNG sequence as [`random_walk`], so both paths produce identical
-/// node sequences for the same seed.
+/// already equal the walk's exact length (see [`walk_len`]). Each step
+/// draws one neighbour uniformly (Eq. 5 on an unweighted snapshot).
 fn random_walk_into(g: &Snapshot, start: usize, out: &mut [u32], rng: &mut impl Rng) {
     let mut cur = start;
     out[0] = start as u32;
@@ -181,33 +158,11 @@ pub fn generate_corpus_all(g: &Snapshot, cfg: &WalkConfig) -> WalkCorpus {
     generate_corpus(g, &starts, cfg)
 }
 
-/// Legacy path: `r` walks from every node in `starts` as one `Vec` per
-/// walk. Kept for the `train` compatibility shim and as the old-pipeline
-/// baseline in benchmarks; new call sites should prefer
-/// [`generate_corpus`].
-pub fn generate_walks(g: &Snapshot, starts: &[u32], cfg: &WalkConfig) -> Vec<Vec<NodeId>> {
-    starts
-        .par_iter()
-        .flat_map_iter(|&start| {
-            (0..cfg.walks_per_node).map(move |rep| {
-                let mut rng =
-                    ChaCha8Rng::seed_from_u64(walk_rng_seed(cfg.seed, start as u64, rep as u64));
-                random_walk(g, start as usize, cfg.walk_length, &mut rng)
-            })
-        })
-        .collect()
-}
-
-/// Legacy-path walks from *all* nodes.
-pub fn generate_walks_all(g: &Snapshot, cfg: &WalkConfig) -> Vec<Vec<NodeId>> {
-    let starts: Vec<u32> = (0..g.num_nodes() as u32).collect();
-    generate_walks(g, &starts, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use glodyne_graph::id::Edge;
+    use glodyne_graph::NodeId;
 
     fn ring(n: u32) -> Snapshot {
         let edges: Vec<Edge> = (0..n)
@@ -216,19 +171,32 @@ mod tests {
         Snapshot::from_edges(&edges, &[])
     }
 
+    /// One walk of `length` nodes from `start` under `seed`.
+    fn one_walk(g: &Snapshot, start: u32, length: usize, seed: u64) -> Vec<NodeId> {
+        let cfg = WalkConfig {
+            walks_per_node: 1,
+            walk_length: length,
+            seed,
+        };
+        generate_corpus(g, &[start], &cfg).walk_node_ids(0)
+    }
+
+    fn seeded(seed: u64) -> WalkConfig {
+        WalkConfig {
+            seed,
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn walk_has_requested_length() {
-        let g = ring(10);
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let w = random_walk(&g, 0, 15, &mut rng);
-        assert_eq!(w.len(), 15);
+        assert_eq!(one_walk(&ring(10), 0, 15, 0).len(), 15);
     }
 
     #[test]
     fn consecutive_walk_nodes_are_adjacent() {
         let g = ring(12);
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let w = random_walk(&g, 3, 30, &mut rng);
+        let w = one_walk(&g, 3, 30, 1);
         for pair in w.windows(2) {
             assert!(
                 g.has_edge_ids(pair[0], pair[1]),
@@ -242,54 +210,38 @@ mod tests {
     #[test]
     fn isolated_node_walk_stops() {
         let g = Snapshot::from_edges(&[Edge::new(NodeId(0), NodeId(1))], &[NodeId(9)]);
-        let iso = g.local_of(NodeId(9)).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let w = random_walk(&g, iso, 10, &mut rng);
-        assert_eq!(w, vec![NodeId(9)]);
+        let iso = g.local_of(NodeId(9)).unwrap() as u32;
+        assert_eq!(one_walk(&g, iso, 10, 2), vec![NodeId(9)]);
     }
 
     #[test]
-    fn generate_walks_counts() {
+    fn corpus_walk_counts() {
         let g = ring(8);
         let cfg = WalkConfig {
             walks_per_node: 3,
             walk_length: 5,
             seed: 7,
         };
-        let walks = generate_walks_all(&g, &cfg);
-        assert_eq!(walks.len(), 24);
-        assert!(walks.iter().all(|w| w.len() == 5));
+        let corpus = generate_corpus_all(&g, &cfg);
+        assert_eq!(corpus.num_walks(), 24);
+        assert!(corpus.walks().all(|w| w.len() == 5));
     }
 
     #[test]
     fn walks_are_deterministic_across_runs() {
         let g = ring(16);
         let cfg = WalkConfig::default();
-        let a = generate_walks(&g, &[0, 5, 9], &cfg);
-        let b = generate_walks(&g, &[0, 5, 9], &cfg);
-        assert_eq!(a, b);
+        let a = generate_corpus(&g, &[0, 5, 9], &cfg);
+        let b = generate_corpus(&g, &[0, 5, 9], &cfg);
+        assert_eq!(a.tokens(), b.tokens());
     }
 
     #[test]
     fn different_seeds_differ() {
         let g = ring(16);
-        let a = generate_walks(
-            &g,
-            &[0],
-            &WalkConfig {
-                seed: 1,
-                ..Default::default()
-            },
-        );
-        let b = generate_walks(
-            &g,
-            &[0],
-            &WalkConfig {
-                seed: 2,
-                ..Default::default()
-            },
-        );
-        assert_ne!(a, b);
+        let a = generate_corpus(&g, &[0], &seeded(1));
+        let b = generate_corpus(&g, &[0], &seeded(2));
+        assert_ne!(a.tokens(), b.tokens());
     }
 
     #[test]
@@ -300,23 +252,9 @@ mod tests {
         // seed's entropy confined to a single linear offset for other
         // values. The SplitMix chain keeps all three inputs live.
         let g = ring(16);
-        let zero = generate_walks(
-            &g,
-            &[0, 1],
-            &WalkConfig {
-                seed: 0,
-                ..Default::default()
-            },
-        );
-        let one = generate_walks(
-            &g,
-            &[0, 1],
-            &WalkConfig {
-                seed: 1,
-                ..Default::default()
-            },
-        );
-        assert_ne!(zero, one);
+        let zero = generate_corpus(&g, &[0, 1], &seeded(0));
+        let one = generate_corpus(&g, &[0, 1], &seeded(1));
+        assert_ne!(zero.tokens(), one.tokens());
         // And the raw mix itself keeps all three inputs live.
         assert_ne!(walk_rng_seed(0, 3, 1), walk_rng_seed(1, 3, 1));
         assert_ne!(walk_rng_seed(0, 3, 1), walk_rng_seed(0, 4, 1));
@@ -325,28 +263,9 @@ mod tests {
 
     #[test]
     fn walker_visits_whole_ring_eventually() {
-        let g = ring(6);
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let w = random_walk(&g, 0, 500, &mut rng);
+        let w = one_walk(&ring(6), 0, 500, 3);
         let distinct: std::collections::HashSet<_> = w.into_iter().collect();
         assert_eq!(distinct.len(), 6);
-    }
-
-    #[test]
-    fn corpus_matches_legacy_walks() {
-        let g = ring(20);
-        let cfg = WalkConfig {
-            walks_per_node: 4,
-            walk_length: 12,
-            seed: 5,
-        };
-        let starts = [0u32, 3, 7, 19];
-        let legacy = generate_walks(&g, &starts, &cfg);
-        let corpus = generate_corpus(&g, &starts, &cfg);
-        assert_eq!(corpus.num_walks(), legacy.len());
-        for (i, walk) in legacy.iter().enumerate() {
-            assert_eq!(&corpus.walk_node_ids(i), walk, "walk {i} differs");
-        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use glodyne_embed::alias::AliasTable;
 use glodyne_embed::corpus::WalkCorpus;
 use glodyne_embed::pairs;
-use glodyne_embed::walks::{generate_corpus, generate_walks, random_walk, WalkConfig};
+use glodyne_embed::walks::{generate_corpus, walk_rng_seed, WalkConfig};
 use glodyne_embed::{Embedding, SgnsConfig, SgnsModel};
 use glodyne_graph::id::{Edge, NodeId};
 use glodyne_graph::Snapshot;
@@ -11,24 +11,56 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-fn arb_connected_graph() -> impl Strategy<Value = Snapshot> {
-    // A random tree plus random extra edges: always connected.
-    (2u32..40, prop::collection::vec((0u32..40, 0u32..40), 0..40)).prop_map(|(n, extra)| {
-        let mut rng = ChaCha8Rng::seed_from_u64(n as u64);
-        let mut edges: Vec<Edge> = (1..n)
-            .map(|v| {
-                let u = rand::Rng::gen_range(&mut rng, 0..v);
-                Edge::new(NodeId(v), NodeId(u))
-            })
-            .collect();
-        edges.extend(
-            extra
-                .into_iter()
-                .filter(|&(a, b)| a != b && a < n && b < n)
-                .map(|(a, b)| Edge::new(NodeId(a), NodeId(b))),
-        );
-        Snapshot::from_edges(&edges, &[])
-    })
+/// A random tree plus random extra edges (always connected), plus a
+/// number of isolated (degree-0) nodes drawn from `isolated`.
+fn arb_graph(isolated: std::ops::Range<u32>) -> impl Strategy<Value = Snapshot> {
+    (
+        2u32..40,
+        prop::collection::vec((0u32..40, 0u32..40), 0..40),
+        isolated,
+    )
+        .prop_map(|(n, extra, isolated)| {
+            let mut rng = ChaCha8Rng::seed_from_u64(n as u64);
+            let mut edges: Vec<Edge> = (1..n)
+                .map(|v| {
+                    let u = rand::Rng::gen_range(&mut rng, 0..v);
+                    Edge::new(NodeId(v), NodeId(u))
+                })
+                .collect();
+            edges.extend(
+                extra
+                    .into_iter()
+                    .filter(|&(a, b)| a != b && a < n && b < n)
+                    .map(|(a, b)| Edge::new(NodeId(a), NodeId(b))),
+            );
+            let isolated: Vec<NodeId> = (0..isolated).map(|i| NodeId(100 + i)).collect();
+            Snapshot::from_edges(&edges, &isolated)
+        })
+}
+
+/// The step-by-step walker `generate_corpus` is pinned against: one
+/// `Vec` per walk, each neighbour drawn as it is reached, stopping
+/// early at a node with no neighbours.
+fn reference_walks(g: &Snapshot, starts: &[u32], cfg: &WalkConfig) -> Vec<Vec<NodeId>> {
+    let mut walks = Vec::new();
+    for &start in starts {
+        for rep in 0..cfg.walks_per_node {
+            let seed = walk_rng_seed(cfg.seed, start as u64, rep as u64);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut cur = start as usize;
+            let mut walk = vec![g.node_id(cur)];
+            for _ in 1..cfg.walk_length {
+                let ns = g.neighbors(cur);
+                if ns.is_empty() {
+                    break;
+                }
+                cur = ns[rand::Rng::gen_range(&mut rng, 0..ns.len())] as usize;
+                walk.push(g.node_id(cur));
+            }
+            walks.push(walk);
+        }
+    }
+    walks
 }
 
 proptest! {
@@ -37,10 +69,10 @@ proptest! {
     /// Every consecutive pair of a walk is an edge of the graph, and the
     /// walk starts where asked.
     #[test]
-    fn walks_follow_edges((g, seed) in (arb_connected_graph(), 0u64..100)) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    fn walks_follow_edges((g, seed) in (arb_graph(0..1), 0u64..100)) {
+        let cfg = WalkConfig { walks_per_node: 1, walk_length: 25, seed };
         let start = (seed as usize) % g.num_nodes();
-        let walk = random_walk(&g, start, 25, &mut rng);
+        let walk = generate_corpus(&g, &[start as u32], &cfg).walk_node_ids(0);
         prop_assert_eq!(walk[0], g.node_id(start));
         for pair in walk.windows(2) {
             prop_assert!(g.has_edge_ids(pair[0], pair[1]));
@@ -49,13 +81,13 @@ proptest! {
 
     /// Walk counts and lengths match the configuration.
     #[test]
-    fn walk_generation_counts(g in arb_connected_graph(), r in 1usize..4, l in 2usize..20) {
+    fn walk_generation_counts(g in arb_graph(0..1), r in 1usize..4, l in 2usize..20) {
         let cfg = WalkConfig { walks_per_node: r, walk_length: l, seed: 7 };
         let starts: Vec<u32> = (0..g.num_nodes() as u32).step_by(2).collect();
-        let walks = generate_walks(&g, &starts, &cfg);
-        prop_assert_eq!(walks.len(), starts.len() * r);
-        for w in &walks {
-            prop_assert!(w.len() <= l && !w.is_empty());
+        let corpus = generate_corpus(&g, &starts, &cfg);
+        prop_assert_eq!(corpus.num_walks(), starts.len() * r);
+        for w in corpus.walks() {
+            prop_assert_eq!(w.len(), l);
         }
     }
 
@@ -105,16 +137,20 @@ proptest! {
         }
     }
 
-    /// The flat generation path emits exactly the walks of the legacy
-    /// path for every graph, start set, and seed.
+    /// The flat generation path emits exactly the walks of the
+    /// step-by-step reference walker for every graph, start set, and
+    /// seed — including isolated starts, whose walks stop after the
+    /// start itself.
     #[test]
-    fn corpus_generation_matches_legacy((g, seed) in (arb_connected_graph(), 0u64..50), r in 1usize..3, l in 2usize..12) {
+    fn corpus_generation_matches_legacy((g, seed) in (arb_graph(0..4), 0u64..50), r in 1usize..3, l in 2usize..12) {
         let cfg = WalkConfig { walks_per_node: r, walk_length: l, seed };
-        let starts: Vec<u32> = (0..g.num_nodes() as u32).step_by(3).collect();
-        let legacy = generate_walks(&g, &starts, &cfg);
+        let starts: Vec<u32> = (0..g.num_nodes() as u32)
+            .filter(|&v| v % 3 == 0 || g.degree(v as usize) == 0)
+            .collect();
+        let reference = reference_walks(&g, &starts, &cfg);
         let corpus = generate_corpus(&g, &starts, &cfg);
-        prop_assert_eq!(corpus.num_walks(), legacy.len());
-        for (i, w) in legacy.iter().enumerate() {
+        prop_assert_eq!(corpus.num_walks(), reference.len());
+        for (i, w) in reference.iter().enumerate() {
             prop_assert_eq!(&corpus.walk_node_ids(i), w, "walk {} differs", i);
         }
     }
@@ -217,8 +253,8 @@ proptest! {
     /// Cosine similarity is bounded and symmetric.
     #[test]
     fn cosine_bounded_symmetric(a in prop::collection::vec(-5.0f32..5.0, 8), b in prop::collection::vec(-5.0f32..5.0, 8)) {
-        let c1 = glodyne_embed::embedding::cosine(&a, &b);
-        let c2 = glodyne_embed::embedding::cosine(&b, &a);
+        let c1 = glodyne_embed::kernel::cosine(&a, &b);
+        let c2 = glodyne_embed::kernel::cosine(&b, &a);
         prop_assert!((c1 - c2).abs() < 1e-5);
         prop_assert!((-1.0001..=1.0001).contains(&c1));
     }

@@ -16,7 +16,7 @@
 //! owner-filtered union. Property-pinned in `tests/prop.rs`.
 
 use glodyne_ann::{BatchQuery, IvfIndex, SearchScratch};
-use glodyne_embed::embedding::norm_cosine;
+use glodyne_embed::kernel::norm_cosine;
 use glodyne_embed::{Embedding, TopKSelector};
 use glodyne_graph::NodeId;
 
@@ -296,7 +296,7 @@ mod tests {
         // The similarity of an odd node must come from shard 1's copy.
         let (_, sim3) = *hits.iter().find(|&&(id, _)| id == NodeId(3)).unwrap();
         let q = a.get(NodeId(0)).unwrap();
-        let owner_copy = glodyne_embed::embedding::cosine(q, b.get(NodeId(3)).unwrap());
+        let owner_copy = glodyne_embed::kernel::cosine(q, b.get(NodeId(3)).unwrap());
         assert_eq!(sim3.to_bits(), owner_copy.to_bits());
     }
 

@@ -4,7 +4,7 @@
 //! `max_u cut(u)/deg(u)` fraction of their steps on the halo — the
 //! bias bound documented in `glodyne_shard::router`.
 
-use glodyne_embed::walks::{generate_walks, WalkConfig};
+use glodyne_embed::walks::{generate_corpus, WalkConfig};
 use glodyne_graph::state::{GraphEvent, GraphState};
 use glodyne_graph::{NodeId, Snapshot};
 use glodyne_shard::{ShardConfig, ShardRouter};
@@ -104,8 +104,11 @@ fn walks_reflect_off_halo_nodes_within_the_bias_bound() {
         .filter(|(_, id)| owned.contains(id))
         .map(|(local, _)| local as u32)
         .collect();
-    let walks = generate_walks(&snap, &starts, &cfg);
-    assert_eq!(walks.len(), starts.len() * cfg.walks_per_node);
+    let corpus = generate_corpus(&snap, &starts, &cfg);
+    assert_eq!(corpus.num_walks(), starts.len() * cfg.walks_per_node);
+    let walks: Vec<Vec<NodeId>> = (0..corpus.num_walks())
+        .map(|i| corpus.walk_node_ids(i))
+        .collect();
 
     let mut halo_steps = 0usize;
     let mut steps = 0usize;
@@ -132,6 +135,6 @@ fn walks_reflect_off_halo_nodes_within_the_bias_bound() {
     );
 
     // Reflection is deterministic: the same seed reproduces the walks.
-    let again = generate_walks(&snap, &starts, &cfg);
-    assert_eq!(walks, again);
+    let again = generate_corpus(&snap, &starts, &cfg);
+    assert_eq!(corpus.tokens(), again.tokens());
 }

@@ -43,22 +43,22 @@ fn main() {
         events.extend(snap.edges().map(|e| GraphEvent::add_edge(e.u, e.v, t)));
     }
 
-    let cfg = GloDyNEConfig::builder()
-        .alpha(0.1)
-        .walk(WalkConfig {
+    let cfg = GloDyNEConfig {
+        alpha: 0.1,
+        walk: WalkConfig {
             walks_per_node: 6,
             walk_length: 30,
             seed: 7,
-        })
-        .sgns(SgnsConfig {
+        },
+        sgns: SgnsConfig {
             dim: 64,
             window: 5,
             negatives: 5,
             epochs: 2,
             ..Default::default()
-        })
-        .build()
-        .expect("valid config");
+        },
+        ..Default::default()
+    };
     let mut session = EmbedderSession::new(
         GloDyNE::new(cfg).expect("valid config"),
         EpochPolicy::TimestampBoundary,
