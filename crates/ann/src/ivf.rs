@@ -3,7 +3,9 @@
 
 use crate::kmeans;
 use crate::sq8::Sq8Arena;
-use glodyne_embed::kernel::{dot_fast_multi, l2_norm, norm_cosine, scaled_dot_fast};
+use glodyne_embed::kernel::{
+    dot_fast_multi, l2_norm, norm_cosine, norm_cosine_run, scaled_dot_fast,
+};
 use glodyne_embed::{ConfigError, Embedding, TopKSelector};
 use glodyne_graph::NodeId;
 use std::borrow::Cow;
@@ -421,6 +423,19 @@ impl IvfIndex {
 
         let mut select = TopKSelector::new(k);
         match &self.storage {
+            // Kernel selection: the full probe is the bit-exactness
+            // surface, partial probes are approximate by contract. A
+            // full probe covers every cell, so it scans the whole
+            // arena as one run; the merge order is total, so the cell
+            // order rows arrive in does not matter.
+            PostingStorage::F32(vectors) if full_probe => {
+                norm_cosine_run(query, qn, vectors, &self.norms, |i, sim| {
+                    let id = self.ids[i];
+                    if exclude != Some(id) {
+                        select.push((id, sim));
+                    }
+                });
+            }
             PostingStorage::F32(vectors) => {
                 for &(cell, _) in scratch.cell_sims.iter().take(nprobe) {
                     let (lo, hi) = self.cell_bounds(cell.0 as usize);
@@ -430,15 +445,7 @@ impl IvfIndex {
                             continue;
                         }
                         let row = &vectors[i * self.dim..(i + 1) * self.dim];
-                        // Kernel selection: the full probe is the
-                        // bit-exactness surface, partial probes are
-                        // approximate by contract.
-                        let sim = if full_probe {
-                            norm_cosine(query, qn, row, self.norms[i])
-                        } else {
-                            scaled_dot_fast(query, row, inv_qn * self.inv_norms[i])
-                        };
-                        select.push((id, sim));
+                        select.push((id, scaled_dot_fast(query, row, inv_qn * self.inv_norms[i])));
                     }
                 }
             }

@@ -34,12 +34,24 @@ impl Args {
         Args { values }
     }
 
-    /// Fetch a value parsed as `T`, or the default.
+    /// Fetch a value parsed as `T`, or the default when absent. A value
+    /// that does not parse prints `invalid value … for --key` and exits
+    /// 2, like the `glodyne` CLI.
     pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.values
-            .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        self.try_get(key, default).unwrap_or_else(|err| {
+            eprintln!("error: {err}");
+            std::process::exit(2);
+        })
+    }
+
+    /// [`Args::get`] with the parse failure returned instead of fatal.
+    fn try_get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        match self.values.get(key) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("invalid value `{v}` for --{key}")),
+        }
     }
 
     /// Whether a bare flag was passed.
@@ -87,6 +99,17 @@ mod tests {
         assert_eq!(a.get("scale", 0.0), 0.5);
         assert_eq!(a.get("runs", 0usize), 7);
         assert_eq!(a.get("missing", 3usize), 3);
+    }
+
+    #[test]
+    fn unparseable_values_are_errors() {
+        let a = parse("--runs 1O --dim 64");
+        assert_eq!(
+            a.try_get("runs", 3usize),
+            Err("invalid value `1O` for --runs".into())
+        );
+        assert_eq!(a.try_get("dim", 128usize), Ok(64));
+        assert_eq!(a.try_get("seed", 42u64), Ok(42));
     }
 
     #[test]

@@ -74,23 +74,23 @@ pub fn cut_snapshots(stream: Vec<TimedEdge>, n: usize) -> DynamicNetwork {
 
 fn glodyne_config(opts: &Opts) -> Result<GloDyNEConfig, CliError> {
     let cfg = GloDyNEConfig {
-        alpha: opts.get("alpha", 0.1),
-        epsilon: opts.get("epsilon", 0.1),
+        alpha: opts.get("alpha", 0.1)?,
+        epsilon: opts.get("epsilon", 0.1)?,
         walk: WalkConfig {
-            walks_per_node: opts.get("walks", 10),
-            walk_length: opts.get("walk-length", 80),
-            seed: opts.get("seed", 0u64),
+            walks_per_node: opts.get("walks", 10)?,
+            walk_length: opts.get("walk-length", 80)?,
+            seed: opts.get("seed", 0u64)?,
         },
         sgns: SgnsConfig {
-            dim: opts.get("dim", 128),
-            window: opts.get("window", 10),
-            negatives: opts.get("negatives", 5),
-            epochs: opts.get("epochs", 2),
-            seed: opts.get("seed", 0u64),
+            dim: opts.get("dim", 128)?,
+            window: opts.get("window", 10)?,
+            negatives: opts.get("negatives", 5)?,
+            epochs: opts.get("epochs", 2)?,
+            seed: opts.get("seed", 0u64)?,
             ..Default::default()
         },
         strategy: glodyne::Strategy::S4,
-        seed: opts.get("seed", 0u64),
+        seed: opts.get("seed", 0u64)?,
     };
     cfg.validate()?;
     Ok(cfg)
@@ -114,13 +114,13 @@ fn report_line(t: usize, nodes: usize, edges: usize, r: &StepReport) -> String {
 /// `glodyne embed`: run GloDyNE over the stream, write one TSV per step.
 pub fn embed(opts: &Opts) -> Result<String, CliError> {
     let input = opts.require("input")?;
-    let n_snapshots = opts.get("snapshots", 10usize);
+    let n_snapshots = opts.get("snapshots", 10usize)?;
     let out_dir = opts.get_str("out-dir", ".");
+    let mut model = GloDyNE::new(glodyne_config(opts)?)?;
     let stream = load_stream(input)?;
     let net = cut_snapshots(stream, n_snapshots);
 
     std::fs::create_dir_all(out_dir)?;
-    let mut model = GloDyNE::new(glodyne_config(opts)?)?;
     let mut report = String::new();
     // One step at a time: each embedding is written and dropped before
     // the next step so memory stays at one |V|×d matrix.
@@ -144,18 +144,18 @@ pub fn embed(opts: &Opts) -> Result<String, CliError> {
 /// to one byte per component and re-ranks the top `--rerank`×`k`
 /// candidates with the exact kernel.
 fn parse_ann(opts: &Opts) -> Result<Option<AnnSettings>, CliError> {
-    if !opts.get("ann", false) {
+    if !opts.get("ann", false)? {
         return Ok(None);
     }
     let settings = AnnSettings {
         config: IvfConfig {
-            cells: opts.get("cells", 64usize),
-            seed: opts.get("seed", 0u64),
-            quantize: opts.get("sq8", false),
-            rerank_factor: opts.get("rerank", 4usize),
+            cells: opts.get("cells", 64usize)?,
+            seed: opts.get("seed", 0u64)?,
+            quantize: opts.get("sq8", false)?,
+            rerank_factor: opts.get("rerank", 4usize)?,
             ..Default::default()
         },
-        default_nprobe: opts.get("nprobe", 8usize),
+        default_nprobe: opts.get("nprobe", 8usize)?,
     };
     settings.validate().map_err(CliError::Config)?;
     Ok(Some(settings))
@@ -203,10 +203,10 @@ fn parse_shards(opts: &Opts) -> Result<Option<ShardConfig>, CliError> {
     let defaults = ShardConfig::default();
     let cfg = ShardConfig {
         shards,
-        epsilon: opts.get("shard-epsilon", 0.1),
-        seed: opts.get("shard-seed", opts.get("seed", 0u64)),
-        drift_threshold: opts.get("drift", 0.25),
-        ann_overfetch: opts.get("ann-overfetch", defaults.ann_overfetch),
+        epsilon: opts.get("shard-epsilon", 0.1)?,
+        seed: opts.get("shard-seed", opts.get("seed", 0u64)?)?,
+        drift_threshold: opts.get("drift", 0.25)?,
+        ann_overfetch: opts.get("ann-overfetch", defaults.ann_overfetch)?,
         ..defaults
     };
     cfg.validate().map_err(CliError::Config)?;
@@ -249,10 +249,10 @@ fn parse_durable(opts: &Opts) -> Result<Option<(PathBuf, DurableConfig)>, CliErr
             .map_err(|e| CliError::Usage(format!("invalid --fsync `{spec}`: {e}")))?,
     };
     let cfg = DurableConfig {
-        segment_bytes: opts.get("segment-bytes", defaults.segment_bytes).max(1),
+        segment_bytes: opts.get("segment-bytes", defaults.segment_bytes)?.max(1),
         fsync,
-        snapshot_every: opts.get("snapshot-every", defaults.snapshot_every),
-        keep_snapshots: opts.get("keep-snapshots", defaults.keep_snapshots).max(1),
+        snapshot_every: opts.get("snapshot-every", defaults.snapshot_every)?,
+        keep_snapshots: opts.get("keep-snapshots", defaults.keep_snapshots)?.max(1),
     };
     Ok(Some((PathBuf::from(dir), cfg)))
 }
@@ -268,16 +268,16 @@ fn parse_telemetry(opts: &Opts) -> Result<(bool, Option<ProbeSettings>, Option<u
         || opts.get_opt::<usize>("probe-k")?.is_some()
         || opts.get_opt::<usize>("probe-sample")?.is_some();
     let slow_us = opts.get_opt::<u64>("slow-us")?;
-    let telemetry = opts.get("telemetry", false) || probe_flags || slow_us.is_some();
+    let telemetry = opts.get("telemetry", false)? || probe_flags || slow_us.is_some();
     if !telemetry {
         return Ok((false, None, None));
     }
     let defaults = ProbeSettings::default();
     let probe = ProbeSettings {
-        period_ms: opts.get("probe-every", defaults.period_ms),
-        k: opts.get("probe-k", defaults.k),
-        sample: opts.get("probe-sample", defaults.sample),
-        seed: opts.get("probe-seed", defaults.seed),
+        period_ms: opts.get("probe-every", defaults.period_ms)?,
+        k: opts.get("probe-k", defaults.k)?,
+        sample: opts.get("probe-sample", defaults.sample)?,
+        seed: opts.get("probe-seed", defaults.seed)?,
     };
     probe.validate().map_err(CliError::Config)?;
     Ok((true, Some(probe), slow_us))
@@ -287,7 +287,7 @@ fn parse_telemetry(opts: &Opts) -> Result<(bool, Option<ProbeSettings>, Option<u
 fn parse_policy(opts: &Opts) -> Result<EpochPolicy, CliError> {
     match opts.get_str("policy", "timestamp") {
         "timestamp" => Ok(EpochPolicy::TimestampBoundary),
-        "every-n" => Ok(EpochPolicy::EveryNEvents(opts.get("every", 1000usize))),
+        "every-n" => Ok(EpochPolicy::EveryNEvents(opts.get("every", 1000usize)?)),
         "manual" => Ok(EpochPolicy::Manual),
         other => Err(CliError::Usage(format!(
             "unknown --policy `{other}` (expected timestamp, every-n, or manual)"
@@ -342,7 +342,7 @@ pub fn stream(opts: &Opts) -> Result<String, CliError> {
     ));
 
     if let Some(nodes) = parse_query_nodes(opts)? {
-        let k = opts.get("top-k", 10usize);
+        let k = opts.get("top-k", 10usize)?;
         let exact = session.nearest_batch(&nodes, k);
         // The session's own index answers the ANN block, at the
         // effective probe width (the serve path's contract); SQ8
@@ -387,7 +387,7 @@ pub fn stream(opts: &Opts) -> Result<String, CliError> {
 /// accept (server shed mid-batch) resumes from the first refused event
 /// after a backoff delay.
 fn stream_remote(opts: &Opts, addr: &str, events: &[TimedEdge]) -> Result<String, CliError> {
-    let budget = opts.get("retry-budget", 5u32);
+    let budget = opts.get("retry-budget", 5u32)?;
     let mut backoff = Backoff::new(budget);
     let mut sent = 0usize;
     while sent < events.len() {
@@ -434,7 +434,7 @@ fn stream_remote(opts: &Opts, addr: &str, events: &[TimedEdge]) -> Result<String
         flush.get("epoch").and_then(Json::as_u64).unwrap_or(0),
     );
     if let Some(nodes) = parse_query_nodes(opts)? {
-        let k = opts.get("top-k", 10usize);
+        let k = opts.get("top-k", 10usize)?;
         for node in nodes {
             let req = format!("{{\"cmd\":\"nearest\",\"node\":{},\"k\":{k}}}", node.0);
             let resp = wire_roundtrip_backoff(addr, &req, &mut backoff)?;
@@ -484,15 +484,15 @@ pub fn start_server(opts: &Opts) -> Result<(Server, String), CliError> {
     let (telemetry, probe, slow_us) = parse_telemetry(opts)?;
     let defaults = ServerConfig::default();
     let cfg = ServerConfig {
-        max_connections: opts.get("threads", 64usize).max(1),
-        queue_capacity: opts.get("queue", 1024usize).max(1),
+        max_connections: opts.get("threads", 64usize)?.max(1),
+        queue_capacity: opts.get("queue", 1024usize)?.max(1),
         ann,
         telemetry,
         probe,
         slow_query_us: slow_us.unwrap_or(defaults.slow_query_us),
-        fast_fail: opts.get("fast-fail", false),
+        fast_fail: opts.get("fast-fail", false)?,
         default_deadline_ms: opts.get_opt("deadline-ms")?,
-        stall_after_ms: opts.get("stall-after-ms", defaults.stall_after_ms),
+        stall_after_ms: opts.get("stall-after-ms", defaults.stall_after_ms)?,
         write_timeout_ms: opts
             .get_opt("write-timeout-ms")?
             .map(Some)
@@ -926,11 +926,11 @@ fn render_stats(stats: &Json) -> String {
 /// snapshot of a running server's `stats` object.
 pub fn stats_cmd(opts: &Opts) -> Result<String, CliError> {
     let addr = opts.get_str("addr", "127.0.0.1:7878");
-    let budget = opts.get("retry-budget", 5u32);
-    if !opts.get("watch", false) {
+    let budget = opts.get("retry-budget", 5u32)?;
+    if !opts.get("watch", false)? {
         return Ok(render_stats(&fetch_stats(addr, &mut Backoff::new(budget))?));
     }
-    let interval = std::time::Duration::from_millis(opts.get("interval-ms", 2000u64).max(1));
+    let interval = std::time::Duration::from_millis(opts.get("interval-ms", 2000u64)?.max(1));
     let mut frames = 0u64;
     loop {
         // Fresh budget per frame: a server that sheds for one scrape
@@ -1038,9 +1038,9 @@ pub fn partition_cmd(opts: &Opts) -> Result<String, CliError> {
     let net = cut_snapshots(stream, 1);
     let g = net.snapshot(0);
     let cfg = PartitionConfig {
-        k: opts.get("k", 8usize),
-        epsilon: opts.get("epsilon", 0.1),
-        seed: opts.get("seed", 0u64),
+        k: opts.get("k", 8usize)?,
+        epsilon: opts.get("epsilon", 0.1)?,
+        seed: opts.get("seed", 0u64)?,
         ..Default::default()
     };
     let p = partition(g, &cfg);
@@ -1061,7 +1061,7 @@ pub fn partition_cmd(opts: &Opts) -> Result<String, CliError> {
 /// `glodyne evaluate`: GR MeanP@k and LP AUC of GloDyNE on the stream.
 pub fn evaluate(opts: &Opts) -> Result<String, CliError> {
     let input = opts.require("input")?;
-    let n_snapshots = opts.get("snapshots", 10usize);
+    let n_snapshots = opts.get("snapshots", 10usize)?;
     let stream = load_stream(input)?;
     let net = cut_snapshots(stream, n_snapshots);
     let snaps = net.snapshots();
@@ -1084,7 +1084,7 @@ pub fn evaluate(opts: &Opts) -> Result<String, CliError> {
     let mut auc_acc = 0.0;
     let mut auc_n = 0usize;
     for t in 0..snaps.len().saturating_sub(1) {
-        let test = build_test_set(&snaps[t], &snaps[t + 1], opts.get("seed", 0u64) + t as u64);
+        let test = build_test_set(&snaps[t], &snaps[t + 1], opts.get("seed", 0u64)? + t as u64);
         if !test.is_empty() {
             auc_acc += link_prediction_auc(&embeddings[t], &test);
             auc_n += 1;

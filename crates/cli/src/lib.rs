@@ -231,6 +231,42 @@ mod tests {
         assert!(err.to_string().contains("--input"));
     }
 
+    /// A small edge file in the temp dir, unique per test.
+    fn edge_file(name: &str) -> std::path::PathBuf {
+        let path =
+            std::env::temp_dir().join(format!("glodyne-cli-{name}-{}.txt", std::process::id()));
+        std::fs::write(&path, "0 1 0\n1 2 1\n2 3 2\n3 0 3\n").unwrap();
+        path
+    }
+
+    /// An option value that does not parse is a usage error naming the
+    /// flag, never a silent fall-back to the default; `embed` fails
+    /// before it writes anything.
+    #[test]
+    fn unparseable_option_values_are_usage_errors() {
+        let input = edge_file("bad-values");
+        let input = input.to_str().unwrap();
+        let out_dir =
+            std::env::temp_dir().join(format!("glodyne-cli-bad-dim-{}", std::process::id()));
+        let out = out_dir.to_str().unwrap();
+        for (args, flag) in [
+            (s(&["partition", "--input", input, "--k", "abc"]), "--k"),
+            (
+                s(&["embed", "--input", input, "--dim", "1O", "--out-dir", out]),
+                "--dim",
+            ),
+        ] {
+            let err = run(&args).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{args:?}: {err}");
+            assert!(
+                err.to_string().contains(&format!("for {flag}")),
+                "{args:?}: {err}"
+            );
+        }
+        assert!(!out_dir.exists(), "embed wrote output for a bad --dim");
+        let _ = std::fs::remove_file(input);
+    }
+
     #[test]
     fn error_sources_chain() {
         use std::error::Error;

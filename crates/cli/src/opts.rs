@@ -39,12 +39,11 @@ impl Opts {
             .ok_or_else(|| crate::CliError::Usage(format!("missing required option --{key}")))
     }
 
-    /// Optional parsed value with default.
-    pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.values
-            .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+    /// Optional parsed value with default: `default` when absent, the
+    /// same usage error as [`Opts::get_opt`] when present but
+    /// unparseable.
+    pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, crate::CliError> {
+        Ok(self.get_opt(key)?.unwrap_or(default))
     }
 
     /// Optional parsed value: `None` when absent, an error when present
@@ -82,10 +81,21 @@ mod tests {
 
     #[test]
     fn typed_defaults() {
-        let o = parse("--alpha 0.25 --dim 32");
-        assert_eq!(o.get("alpha", 0.1), 0.25);
-        assert_eq!(o.get("dim", 128usize), 32);
-        assert_eq!(o.get("walks", 10usize), 10);
+        let o = parse("--alpha 0.25 --dim 32 --ann");
+        assert_eq!(o.get("alpha", 0.1).unwrap(), 0.25);
+        assert_eq!(o.get("dim", 128usize).unwrap(), 32);
+        assert_eq!(o.get("walks", 10usize).unwrap(), 10);
+        assert!(o.get("ann", false).unwrap(), "a bare flag reads as true");
+    }
+
+    #[test]
+    fn get_rejects_a_value_that_does_not_parse() {
+        let err = parse("--dim 1O").get("dim", 128usize).unwrap_err();
+        assert!(matches!(err, crate::CliError::Usage(_)), "{err}");
+        assert!(
+            err.to_string().contains("invalid value `1O` for --dim"),
+            "{err}"
+        );
     }
 
     #[test]

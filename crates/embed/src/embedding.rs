@@ -1,6 +1,6 @@
 //! The `NodeId`-keyed embedding matrix handed to downstream tasks.
 
-use crate::kernel::{cosine, l2_norm, norm_cosine};
+use crate::kernel::{cosine, l2_norm, norm_cosine_run};
 use glodyne_graph::NodeId;
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -92,18 +92,6 @@ impl Embedding {
             .map(move |(i, &id)| (id, &self.data[i * self.dim..(i + 1) * self.dim]))
     }
 
-    /// Iterate `(id, vector, cached_norm)` in insertion order — the
-    /// scan shape every cosine-ranking surface wants: one dot product
-    /// per candidate with no per-row norm lookup. The sharded fan-out
-    /// merge in `glodyne-shard` scans shard embeddings through this.
-    pub fn iter_with_norms(&self) -> impl Iterator<Item = (NodeId, &[f32], f32)> {
-        self.ids
-            .iter()
-            .zip(&self.norms)
-            .enumerate()
-            .map(move |(i, (&id, &norm))| (id, &self.data[i * self.dim..(i + 1) * self.dim], norm))
-    }
-
     /// All embedded node ids in insertion order.
     pub fn ids(&self) -> &[NodeId] {
         &self.ids
@@ -134,7 +122,8 @@ impl Embedding {
     /// if `node` has no embedding.
     ///
     /// Linear scan over all embedded nodes, using the cached norms —
-    /// one dot product per candidate, with the `k` best kept in a
+    /// one exact dot product per candidate, scored eight rows per pass
+    /// ([`norm_cosine_run`]), with the `k` best kept in a
     /// bounded heap ([`TopKSelector`]): O(n·d + n·log k) per query
     /// instead of the full sort's O(n·log n). The right tool for
     /// interactive session queries; batch consumers should rank
@@ -147,12 +136,12 @@ impl Embedding {
             return Vec::new(); // skip the scan, not just the keep
         }
         let mut select = TopKSelector::new(k);
-        for (id, v, vn) in self.iter_with_norms() {
-            if id == node {
-                continue;
+        norm_cosine_run(q, qn, &self.data, &self.norms, |i, sim| {
+            let id = self.ids[i];
+            if id != node {
+                select.push((id, sim));
             }
-            select.push((id, norm_cosine(q, qn, v, vn)));
-        }
+        });
         select.into_sorted()
     }
 }
@@ -346,19 +335,17 @@ mod tests {
     }
 
     #[test]
-    fn iter_with_norms_agrees_with_point_lookups() {
+    fn rows_and_norms_agree_with_point_lookups() {
         let mut e = Embedding::new(2);
         e.set(NodeId(4), &[3.0, 4.0]);
         e.set(NodeId(1), &[0.0, 2.0]);
         e.set(NodeId(4), &[6.0, 8.0]); // overwrite refreshes in place
-        let rows: Vec<(NodeId, Vec<f32>, f32)> = e
-            .iter_with_norms()
-            .map(|(id, v, n)| (id, v.to_vec(), n))
-            .collect();
-        assert_eq!(rows.len(), 2);
-        for (id, v, n) in rows {
-            assert_eq!(e.get(id).unwrap(), &v[..]);
-            assert_eq!(e.norm(id).unwrap().to_bits(), n.to_bits());
+        assert_eq!(e.ids(), &[NodeId(4), NodeId(1)]);
+        assert_eq!(e.rows().len(), 2 * 2);
+        assert_eq!(e.norms().len(), 2);
+        for (i, &id) in e.ids().iter().enumerate() {
+            assert_eq!(e.get(id).unwrap(), &e.rows()[i * 2..(i + 1) * 2]);
+            assert_eq!(e.norm(id).unwrap().to_bits(), e.norms()[i].to_bits());
         }
     }
 

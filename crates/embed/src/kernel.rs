@@ -12,7 +12,15 @@
 //!   `Embedding::top_k` ≡ `reference_top_k`, full-probe IVF ≡ the
 //!   linear scan, sharded fan-out ≡ the union scan — holds because all
 //!   of those surfaces score candidates through *this* order. Changing
-//!   it is a semver-major event.
+//!   it is a semver-major event. The exact family has one row-blocked
+//!   form, [`dot_exact_rows`]: `q` against [`EXACT_ROWS`] consecutive
+//!   rows in one pass, one output lane per row. It is bit-identical
+//!   to `dot_exact` on each row because each lane is that row's own
+//!   left-to-right chain, a multiply then an add per element and no
+//!   FMA; the rows are independent, so blocking only runs eight chains
+//!   at once instead of one. The exact all-rows scans go through it
+//!   via [`norm_cosine_run`] (and graph reconstruction via
+//!   [`dot_exact_run`]).
 //! - **Fast kernel** ([`dot_fast`], [`norm_cosine_fast`]): the same
 //!   reduction regrouped into [`LANES`] independent accumulators plus a
 //!   scalar remainder loop — the shape LLVM auto-vectorizes to packed
@@ -51,6 +59,179 @@ pub fn dot_exact(a: &[f32], b: &[f32]) -> f32 {
         acc += x * y;
     }
     acc
+}
+
+/// Rows scored per pass by [`dot_exact_rows`].
+pub const EXACT_ROWS: usize = 8;
+
+/// [`dot_exact`] of `q` against each of [`EXACT_ROWS`] consecutive
+/// `q.len()`-float rows, in one pass: lane `r` of the result is
+/// `dot_exact(q, row r)` **bit for bit**. Each lane is its own row's
+/// left-to-right chain `acc += q[j] · row[j]`; the rows are
+/// independent, so the eight chains run side by side instead of one
+/// after another. Where AVX is detected at run time an intrinsics body
+/// does it on one eight-lane register; otherwise the portable body.
+///
+/// Panics unless `rows.len() == EXACT_ROWS · q.len()`.
+#[inline]
+pub fn dot_exact_rows(q: &[f32], rows: &[f32]) -> [f32; EXACT_ROWS] {
+    // Bounds the AVX body's raw loads.
+    assert_eq!(
+        rows.len(),
+        EXACT_ROWS * q.len(),
+        "dot_exact_rows: row block shape"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx") {
+        // SAFETY: `avx` was just detected and the block shape asserted.
+        return unsafe { dot_exact_rows_avx(q, rows) };
+    }
+    dot_exact_rows_portable(q, rows)
+}
+
+/// Portable body of [`dot_exact_rows`]: the eight chains interleaved
+/// element by element, each in its own row's order.
+fn dot_exact_rows_portable(q: &[f32], rows: &[f32]) -> [f32; EXACT_ROWS] {
+    let d = q.len();
+    let mut acc = [0.0f32; EXACT_ROWS];
+    for (j, &x) in q.iter().enumerate() {
+        for (r, a) in acc.iter_mut().enumerate() {
+            *a += x * rows[r * d + j];
+        }
+    }
+    acc
+}
+
+/// AVX body of [`dot_exact_rows`]. Per eight columns it loads the
+/// 8 × 8 tile, transposes it so register `c[j]` holds column `j` (lane
+/// `r` = row `r`), then adds `broadcast(q[j]) · c[j]` for `j` in order
+/// — one `vmulps` then one `vaddps` per column, deliberately *not* FMA
+/// (see [`dot_fast_x2_avx`]), so every lane performs exactly the IEEE
+/// operations of `dot_exact` on its row. A `d % 8` tail continues each
+/// lane with scalar ops.
+///
+/// # Safety
+/// Caller must ensure the `avx` target feature is available and
+/// `rows.len() == EXACT_ROWS · q.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn dot_exact_rows_avx(q: &[f32], rows: &[f32]) -> [f32; EXACT_ROWS] {
+    use std::arch::x86_64::*;
+    let d = q.len();
+    let main = d - d % 8;
+    let mut acc = _mm256_setzero_ps();
+    let mut j = 0;
+    while j < main {
+        // SAFETY: `j + 8 <= main <= d`, so every load stays inside row
+        // `r`'s `d` floats (`r < EXACT_ROWS`) and inside `q`.
+        unsafe {
+            let p = rows.as_ptr().add(j);
+            let r0 = _mm256_loadu_ps(p);
+            let r1 = _mm256_loadu_ps(p.add(d));
+            let r2 = _mm256_loadu_ps(p.add(2 * d));
+            let r3 = _mm256_loadu_ps(p.add(3 * d));
+            let r4 = _mm256_loadu_ps(p.add(4 * d));
+            let r5 = _mm256_loadu_ps(p.add(5 * d));
+            let r6 = _mm256_loadu_ps(p.add(6 * d));
+            let r7 = _mm256_loadu_ps(p.add(7 * d));
+            // Interleave pairs of rows: t0 = r0[0] r1[0] r0[1] r1[1] | r0[4] …
+            let t0 = _mm256_unpacklo_ps(r0, r1);
+            let t1 = _mm256_unpackhi_ps(r0, r1);
+            let t2 = _mm256_unpacklo_ps(r2, r3);
+            let t3 = _mm256_unpackhi_ps(r2, r3);
+            let t4 = _mm256_unpacklo_ps(r4, r5);
+            let t5 = _mm256_unpackhi_ps(r4, r5);
+            let t6 = _mm256_unpacklo_ps(r6, r7);
+            let t7 = _mm256_unpackhi_ps(r6, r7);
+            // Rows 0–3 (s0..s3) and 4–7 (s4..s7) of columns {j, j+4} per
+            // 128-bit half: s0 = col 0 | col 4, s1 = col 1 | col 5, …
+            let s0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+            let s1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+            let s2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+            let s3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+            let s4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+            let s5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+            let s6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+            let s7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+            let c = [
+                _mm256_permute2f128_ps::<0x20>(s0, s4),
+                _mm256_permute2f128_ps::<0x20>(s1, s5),
+                _mm256_permute2f128_ps::<0x20>(s2, s6),
+                _mm256_permute2f128_ps::<0x20>(s3, s7),
+                _mm256_permute2f128_ps::<0x31>(s0, s4),
+                _mm256_permute2f128_ps::<0x31>(s1, s5),
+                _mm256_permute2f128_ps::<0x31>(s2, s6),
+                _mm256_permute2f128_ps::<0x31>(s3, s7),
+            ];
+            for (k, col) in c.into_iter().enumerate() {
+                let x = _mm256_broadcast_ss(&*q.as_ptr().add(j + k));
+                acc = _mm256_add_ps(acc, _mm256_mul_ps(x, col));
+            }
+        }
+        j += 8;
+    }
+    let mut out = [0.0f32; EXACT_ROWS];
+    // SAFETY: `[f32; EXACT_ROWS]` holds exactly one 256-bit vector.
+    unsafe { _mm256_storeu_ps(out.as_mut_ptr(), acc) };
+    for (r, a) in out.iter_mut().enumerate() {
+        for (&x, &y) in q[main..].iter().zip(&rows[r * d + main..(r + 1) * d]) {
+            *a += x * y;
+        }
+    }
+    out
+}
+
+/// [`dot_exact`] of `q` against every one of the `n` consecutive
+/// `q.len()`-float rows in `rows`, handed to `emit(i, dot)` in row
+/// order: blocks of [`EXACT_ROWS`] through [`dot_exact_rows`], then
+/// `dot_exact` row by row for the tail. Every dot is bit-identical to
+/// `dot_exact(q, row i)`.
+///
+/// Panics unless `rows.len() == n · q.len()`.
+#[inline]
+pub fn dot_exact_run(q: &[f32], rows: &[f32], n: usize, mut emit: impl FnMut(usize, f32)) {
+    let d = q.len();
+    assert_eq!(rows.len(), n * d, "dot_exact_run: run shape");
+    let blocked = n - n % EXACT_ROWS;
+    for start in (0..blocked).step_by(EXACT_ROWS) {
+        let dots = dot_exact_rows(q, &rows[start * d..(start + EXACT_ROWS) * d]);
+        for (r, dot) in dots.into_iter().enumerate() {
+            emit(start + r, dot);
+        }
+    }
+    for i in blocked..n {
+        emit(i, dot_exact(q, &rows[i * d..(i + 1) * d]));
+    }
+}
+
+/// [`norm_cosine`] of `q` (norm `qn`) against every row of a
+/// contiguous run — row `i` is `rows[i·d..(i+1)·d]` with cached norm
+/// `norms[i]` — handed to `emit(i, sim)` in row order. The exact
+/// all-rows scans (`Embedding::top_k`, the full-probe IVF scan, the
+/// sharded exact fan-out) score through this; every `sim` is
+/// bit-identical to `norm_cosine(q, qn, row i, norms[i])`.
+///
+/// Panics unless `rows.len() == norms.len() · q.len()`.
+#[inline]
+pub fn norm_cosine_run(
+    q: &[f32],
+    qn: f32,
+    rows: &[f32],
+    norms: &[f32],
+    mut emit: impl FnMut(usize, f32),
+) {
+    dot_exact_run(q, rows, norms.len(), |i, dot| {
+        let rn = norms[i];
+        // `norm_cosine`'s guard, after the dot instead of before it.
+        emit(
+            i,
+            if qn == 0.0 || rn == 0.0 {
+                0.0
+            } else {
+                dot / (qn * rn)
+            },
+        );
+    });
 }
 
 /// Dot product regrouped into [`LANES`] independent accumulators plus a
@@ -862,6 +1043,102 @@ mod tests {
                         let at = format!("{name} dim={dim} live={live} salt={salt}");
                         assert_eq!(bits(&got_slots), bits(&want_slots), "{at}");
                         assert_eq!(bits(&got_row), bits(&want_row), "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Equal bits, or both NaN: NaN payloads are not part of the exact
+    /// kernel's contract (the compiler may commute a scalar product).
+    fn same(a: f32, b: f32) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// An `EXACT_ROWS × dim` block of pseudo-random rows with the
+    /// awkward values planted: a NaN, ±inf, subnormals, a -0 and an
+    /// all-zero row.
+    fn awkward_block(dim: usize, salt: u64) -> Vec<f32> {
+        let mut rows = pseudo_random(EXACT_ROWS * dim, salt);
+        let at = |r: usize, j: usize| r * dim + j % dim;
+        rows[at(1, 3)] = f32::NAN;
+        rows[at(2, 1)] = f32::INFINITY;
+        rows[at(3, 5)] = f32::NEG_INFINITY;
+        rows[at(4, 0)] = f32::from_bits(1); // smallest subnormal
+        rows[at(4, 2)] = -f32::MIN_POSITIVE / 3.0;
+        rows[at(5, 4)] = -0.0;
+        rows[6 * dim..7 * dim].fill(0.0);
+        rows
+    }
+
+    #[test]
+    fn dot_exact_rows_bodies_are_bit_identical_to_dot_exact() {
+        type Body = fn(&[f32], &[f32]) -> [f32; EXACT_ROWS];
+        let mut bodies: Vec<(&str, Body)> = vec![
+            ("dispatched", dot_exact_rows as Body),
+            ("portable", dot_exact_rows_portable as Body),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx") {
+            // SAFETY: `avx` detected; every call below passes a block of
+            // `EXACT_ROWS · q.len()` floats.
+            bodies.push(("avx", |q, rows| unsafe { dot_exact_rows_avx(q, rows) }));
+        }
+        for dim in 1..=130usize {
+            for salt in 0..3u64 {
+                let rows = awkward_block(dim, salt * 131 + dim as u64);
+                let mut q = pseudo_random(dim, salt + 7);
+                // Subnormal products and a zero lane in the query too.
+                q[dim / 2] = f32::from_bits(3);
+                if salt == 2 {
+                    q.fill(0.0);
+                }
+                let want: Vec<f32> = rows
+                    .chunks_exact(dim)
+                    .map(|row| dot_exact(&q, row))
+                    .collect();
+                for (name, body) in &bodies {
+                    let got = body(&q, &rows);
+                    for (r, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                        assert!(
+                            same(g, w),
+                            "{name} dim={dim} salt={salt} row={r}: {g} vs {w}"
+                        );
+                    }
+                }
+            }
+        }
+        // Zero-width rows: every lane is the empty sum.
+        for (name, body) in &bodies {
+            assert_eq!(bits(&body(&[], &[])), bits(&[0.0; EXACT_ROWS]), "{name}");
+        }
+    }
+
+    #[test]
+    fn norm_cosine_run_matches_the_per_row_loop() {
+        for dim in [1usize, 7, 8, 9, 64] {
+            for n in 0..=17usize {
+                let mut rows = pseudo_random(n * dim, (n * 31 + dim) as u64);
+                for i in (0..n).step_by(5) {
+                    rows[i * dim..(i + 1) * dim].fill(0.0); // zero-norm rows
+                }
+                if n > 3 {
+                    rows[3 * dim] = f32::NAN;
+                }
+                let norms: Vec<f32> = rows.chunks_exact(dim).map(l2_norm).collect();
+                let q = pseudo_random(dim, 99);
+                for (q, qn) in [(q.clone(), l2_norm(&q)), (vec![0.0; dim], 0.0)] {
+                    let want: Vec<f32> = rows
+                        .chunks_exact(dim)
+                        .zip(&norms)
+                        .map(|(row, &rn)| norm_cosine(&q, qn, row, rn))
+                        .collect();
+                    let mut got = Vec::new();
+                    norm_cosine_run(&q, qn, &rows, &norms, |i, sim| got.push((i, sim)));
+                    assert_eq!(got.len(), n, "dim={dim} n={n}");
+                    for (i, ((at, g), w)) in got.into_iter().zip(want).enumerate() {
+                        assert_eq!(at, i, "rows come back in order");
+                        assert!(same(g, w), "dim={dim} n={n} qn={qn} row={i}: {g} vs {w}");
                     }
                 }
             }

@@ -250,6 +250,48 @@ proptest! {
         }
     }
 
+    /// The blocked exact scan is the reference scan bit for bit, for
+    /// every `n % 8` (a tail of 0..=7 rows after the full blocks), with
+    /// the query row both inside a full block and in the tail.
+    #[test]
+    fn top_k_is_the_reference_scan_for_every_tail(
+        blocks in 0usize..4,
+        tail in 0usize..8,
+        dim in 1usize..20,
+        k in 1usize..12,
+        seed in 0u64..1_000_000,
+    ) {
+        let n = blocks * 8 + tail;
+        prop_assume!(n > 0);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut e = Embedding::new(dim);
+        for i in 0..n as u32 {
+            let v: Vec<f32> = if i % 7 == 3 {
+                vec![0.0; dim] // zero-norm rows score 0
+            } else {
+                (0..dim).map(|_| rand::Rng::gen_range(&mut rng, -4.0f32..4.0)).collect()
+            };
+            e.set(NodeId(i * 3), &v);
+        }
+        let ids = e.ids();
+        let mut probes = Vec::new();
+        if blocks > 0 {
+            probes.push(ids[(blocks - 1) * 8 + 5]); // inside the last full block
+        }
+        if tail > 0 {
+            probes.push(ids[n - 1]); // in the tail
+        }
+        for probe in probes {
+            let got = e.top_k(probe, k);
+            let want = glodyne_embed::reference_top_k(&e, probe, k);
+            prop_assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(&want) {
+                prop_assert_eq!(g.0, w.0);
+                prop_assert_eq!(g.1.to_bits(), w.1.to_bits());
+            }
+        }
+    }
+
     /// Cosine similarity is bounded and symmetric.
     #[test]
     fn cosine_bounded_symmetric(a in prop::collection::vec(-5.0f32..5.0, 8), b in prop::collection::vec(-5.0f32..5.0, 8)) {

@@ -10,13 +10,13 @@
 //! *without* materialising it: each shard scans only its owned rows
 //! and all candidates merge through the shared
 //! [`glodyne_embed::TopKSelector`] under
-//! `rank_similarity` — the same kernel (`norm_cosine` over cached
+//! `rank_similarity` — the same kernel (`norm_cosine_run` over cached
 //! norms) and the same total order as `Embedding::top_k`, so the
 //! fan-out result is **bit-exact** with an unsharded exact scan of the
 //! owner-filtered union. Property-pinned in `tests/prop.rs`.
 
 use glodyne_ann::{BatchQuery, IvfIndex, SearchScratch};
-use glodyne_embed::kernel::norm_cosine;
+use glodyne_embed::kernel::norm_cosine_run;
 use glodyne_embed::{Embedding, TopKSelector};
 use glodyne_graph::NodeId;
 
@@ -63,12 +63,13 @@ pub fn nearest_exact(
     }
     let mut select = TopKSelector::new(k);
     for view in views {
-        for (id, v, vn) in view.embedding.iter_with_norms() {
-            if id == node || owner(id) != Some(view.shard) {
-                continue;
+        let e = view.embedding;
+        norm_cosine_run(q, qn, e.rows(), e.norms(), |i, sim| {
+            let id = e.ids()[i];
+            if id != node && owner(id) == Some(view.shard) {
+                select.push((id, sim));
             }
-            select.push((id, norm_cosine(q, qn, v, vn)));
-        }
+        });
     }
     select.into_sorted()
 }
